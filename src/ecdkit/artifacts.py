@@ -5,7 +5,9 @@ A model directory contains exactly three files — ``metadata.json``,
 paths inside). Weights use a binary format that round-trips float64 exactly:
 magic ``ECDW``, version (u16), record count (u32), then per-parameter
 records of (name, rank, dims, little-endian float64 payload), and a trailing
-FNV-1a digest. Loading an artifact therefore reproduces forward outputs
+64-bit BLAKE2b digest (``cache.digest64``). This is weights version 2; a model
+saved with version 1 (FNV-1a trailer) is rejected by its version field and
+must be retrained. Loading an artifact reproduces forward outputs
 bit-identically.
 """
 
@@ -18,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ParameterStore
-from .cache import fnv1a
+from .cache import digest64
 from .config import parse_model_definition, serialize_model_definition
 from .definition import ModelDefinition
 from .errors import ArtifactError, CorruptionError, FormatVersionError
 from .features import FeatureMetadata, metadata_from_dict, metadata_to_dict
 
 WEIGHTS_MAGIC = b"ECDW"
-WEIGHTS_VERSION = 1
+WEIGHTS_VERSION = 2
 
 METADATA_FILE = "metadata.json"
 DEFINITION_FILE = "model_definition.yaml"
@@ -45,8 +47,8 @@ def write_weights(path: str | Path, store: ParameterStore) -> None:
         for extent in arr.shape:
             body += struct.pack("<I", extent)
         body += arr.tobytes(order="C")
-    body += struct.pack("<Q", fnv1a(bytes(body)))
-    Path(path).write_bytes(bytes(body))
+    body += struct.pack("<Q", digest64(body))
+    Path(path).write_bytes(body)
 
 
 def read_weights(path: str | Path) -> dict[str, np.ndarray]:
@@ -58,14 +60,14 @@ def read_weights(path: str | Path) -> dict[str, np.ndarray]:
         raise CorruptionError(f"weights file {path} is truncated")
     if raw[: len(WEIGHTS_MAGIC)] != WEIGHTS_MAGIC:
         raise CorruptionError(f"weights file {path} has wrong magic bytes")
-    if fnv1a(raw[:-8]) != struct.unpack("<Q", raw[-8:])[0]:
-        raise CorruptionError(f"weights file {path} failed its integrity digest")
     offset = len(WEIGHTS_MAGIC)
     version = struct.unpack_from("<H", raw, offset)[0]
     offset += 2
     if version != WEIGHTS_VERSION:
         raise FormatVersionError(f"weights file {path} has format version {version}, "
                                  f"expected {WEIGHTS_VERSION}")
+    if digest64(memoryview(raw)[:-8]) != struct.unpack("<Q", raw[-8:])[0]:
+        raise CorruptionError(f"weights file {path} failed its integrity digest")
     count = struct.unpack_from("<I", raw, offset)[0]
     offset += 4
     weights: dict[str, np.ndarray] = {}

@@ -2,8 +2,10 @@
 
 Layout: magic ``ECDC``, format version (u16), fingerprint (u64), block count
 (u32), then per-block records of (name length + utf-8 name, dtype tag, rank,
-dims, little-endian float64 payload), and a trailing FNV-1a 64-bit digest of
-everything before it. Block names are ``<split>/<feature>``.
+dims, little-endian float64 payload), and a trailing 64-bit BLAKE2b digest
+(``digest64``) of everything before it. Block names are ``<split>/<feature>``.
+This is format version 2; version 1 files carried an FNV-1a trailer and are
+rejected by their version field before the digest is checked.
 
 The fingerprint hashes the dataset bytes together with the canonical
 preprocessing parameters, split policy, and seed, so any change that could
@@ -13,6 +15,7 @@ never trusted: readers report it and callers recompute.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -23,18 +26,16 @@ from .definition import ModelDefinition
 from .errors import CorruptionError, DataError, FormatVersionError
 
 MAGIC = b"ECDC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _DTYPE_F64 = 0
 
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 
-
-def fnv1a(data: bytes, state: int = FNV_OFFSET) -> int:
-    for byte in data:
-        state = ((state ^ byte) * FNV_PRIME) & _MASK64
-    return state
+def digest64(*chunks: bytes) -> int:
+    """BLAKE2b-64 of the concatenated chunks, as a little-endian u64."""
+    h = hashlib.blake2b(digest_size=8)
+    for chunk in chunks:
+        h.update(chunk)
+    return int.from_bytes(h.digest(), "little")
 
 
 def compute_fingerprint(dataset_bytes: bytes, definition: ModelDefinition, seed: int) -> int:
@@ -48,8 +49,7 @@ def compute_fingerprint(dataset_bytes: bytes, definition: ModelDefinition, seed:
         "split_column": definition.training.split_column,
         "seed": seed,
     }
-    state = fnv1a(dataset_bytes)
-    return fnv1a(json.dumps(recipe, sort_keys=True).encode("utf-8"), state)
+    return digest64(dataset_bytes, json.dumps(recipe, sort_keys=True).encode("utf-8"))
 
 
 def write_cache(path: str | Path, fingerprint: int,
@@ -72,33 +72,34 @@ def write_cache(path: str | Path, fingerprint: int,
         for extent in arr.shape:
             body += struct.pack("<I", extent)
         body += arr.tobytes(order="C")
-    body += struct.pack("<Q", fnv1a(bytes(body)))
+    body += struct.pack("<Q", digest64(body))
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(bytes(body))
+    tmp.write_bytes(body)
     tmp.replace(path)
 
 
 def read_cache(path: str | Path, fingerprint: int) -> dict[str, dict[str, np.ndarray]] | None:
     """Load a cache file; ``None`` when the fingerprint does not match.
 
-    Corruption (bad magic, truncation, digest mismatch) raises, so callers
-    can warn and recompute rather than silently trusting stale tensors.
+    Corruption (bad magic, truncation, digest mismatch) and a foreign format
+    version raise, so callers can warn and recompute rather than silently
+    trusting stale tensors. The version is checked before the digest, whose
+    algorithm it determines.
     """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 2 + 8 + 4 + 8:
         raise CorruptionError(f"cache file {path} is truncated")
     if raw[: len(MAGIC)] != MAGIC:
         raise CorruptionError(f"cache file {path} has wrong magic bytes")
-    stored_digest = struct.unpack("<Q", raw[-8:])[0]
-    if fnv1a(raw[:-8]) != stored_digest:
-        raise CorruptionError(f"cache file {path} failed its integrity digest")
     offset = len(MAGIC)
     version = struct.unpack_from("<H", raw, offset)[0]
     offset += 2
     if version != FORMAT_VERSION:
         raise FormatVersionError(f"cache file {path} has format version {version}, "
                                  f"expected {FORMAT_VERSION}")
+    if digest64(memoryview(raw)[:-8]) != struct.unpack("<Q", raw[-8:])[0]:
+        raise CorruptionError(f"cache file {path} failed its integrity digest")
     stored_fingerprint = struct.unpack_from("<Q", raw, offset)[0]
     offset += 8
     if stored_fingerprint != fingerprint:

@@ -49,11 +49,28 @@ class Lcg:
         return lo + (hi - lo) * (u / float(1 << 53))
 
     def uniform_array(self, shape: tuple[int, ...], lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = self.uniform(lo, hi)
-        return out.reshape(shape)
+        """Successive ``uniform`` draws in one numpy pass, bit-identical.
+
+        Draw k (0-based) comes from state ``mult[k]*s + inc[k]`` (mod 2^64),
+        s being the state before the call; the jump-ahead tables are built
+        by doubling, and uint64 arrays wrap silently.
+        """
+        n = int(np.prod(shape))
+        if n == 0:
+            return np.empty(shape, dtype=np.float64)
+        mult = np.full(n, _LCG_MULT, dtype=np.uint64)
+        inc = np.full(n, _LCG_INC, dtype=np.uint64)
+        done = 1
+        while done < n:
+            k = min(done, n - done)
+            # draw done+j is j+1 steps on from draw done-1
+            mult[done : done + k] = mult[:k] * mult[done - 1 : done]
+            inc[done : done + k] = mult[:k] * inc[done - 1 : done] + inc[:k]
+            done += k
+        states = mult * np.array([self.state], dtype=np.uint64) + inc
+        self.state = int(states[-1])
+        u = (states >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        return (lo + (hi - lo) * u).reshape(shape)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""

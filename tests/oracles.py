@@ -118,3 +118,30 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
     numeric = np.asarray(numeric, dtype=np.float64)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def lcg_uniform_loop(rng, shape: tuple[int, ...], lo: float, hi: float) -> np.ndarray:
+    """``Lcg.uniform_array`` drawn one scalar ``uniform`` at a time."""
+    out = np.empty(int(np.prod(shape)), dtype=np.float64)
+    for i in range(out.size):
+        out[i] = rng.uniform(lo, hi)
+    return out.reshape(shape)
+
+
+def fnv1a_64(data: bytes) -> int:
+    """FNV-1a 64, the trailer digest of version-1 cache and weights files."""
+    state = 0xCBF29CE484222325
+    for byte in data:
+        state = ((state ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return state
+
+
+def as_version_1(container: bytes) -> bytes:
+    """A cache or weights file re-written in the version-1 layout.
+
+    Version 1 had the same records; only its version field (bytes 4-5) and
+    its FNV-1a trailer differ from the current format.
+    """
+    body = bytearray(container[:-8])
+    body[4:6] = (1).to_bytes(2, "little")
+    return bytes(body) + fnv1a_64(bytes(body)).to_bytes(8, "little")

@@ -8,6 +8,7 @@ import pytest
 from ecdkit.cli import main
 
 import synth
+from oracles import as_version_1
 
 CONFIG = (
     "input_features:\n"
@@ -124,6 +125,16 @@ class TestPredictCommand:
     def test_nonexistent_model_dir_exits_3(self, workspace):
         tmp, config, dataset = workspace
         assert run(["predict", "-m", tmp / "ghost", "-d", dataset, "-o", tmp / "pred"]) == 3
+
+    def test_version_1_model_exits_3_naming_its_version(self, workspace, capsys):
+        tmp, config, dataset = workspace
+        weights = self.trained(tmp, config, dataset) / "weights.bin"
+        weights.write_bytes(as_version_1(weights.read_bytes()))
+        capsys.readouterr()
+        assert run(["predict", "-m", weights.parent, "-d", dataset, "-o", tmp / "pred"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "format version 1, expected 2" in err
 
     def test_dataset_without_targets_writes_predictions_only(self, workspace):
         tmp, config, dataset = workspace

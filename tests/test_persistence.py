@@ -5,9 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from ecdkit.artifacts import read_weights, write_weights
+from ecdkit.artifacts import WEIGHTS_VERSION, read_weights, write_weights
 from ecdkit.autodiff import ParameterStore
-from ecdkit.cache import compute_fingerprint, fnv1a, read_cache, write_cache
+from ecdkit.cache import FORMAT_VERSION, compute_fingerprint, digest64, read_cache, write_cache
 from ecdkit.config import parse_model_definition, resolve_defaults
 from ecdkit.errors import ArtifactError, CorruptionError, FormatVersionError
 from ecdkit.registry import build_default_registries
@@ -21,15 +21,15 @@ def sample_blocks():
     }
 
 
-class TestFnv:
+class TestDigest:
 
     def test_known_vector(self):
-        # standard FNV-1a 64 test vectors
-        assert fnv1a(b"") == 0xCBF29CE484222325
-        assert fnv1a(b"a") == 0xAF63DC4C8601EC8C
+        # hashlib.blake2b(b"abc", digest_size=8).digest() == d8bb14d833d59559, read little-endian
+        assert digest64(b"abc") == 0x5995D533D814BBD8
 
-    def test_incremental_matches_whole(self):
-        assert fnv1a(b"ab") == fnv1a(b"b", fnv1a(b"a"))
+    def test_chunks_match_whole(self):
+        data = bytes(range(256)) * 3
+        assert digest64(data[:1], data[1:500], b"", data[500:]) == digest64(data)
 
 
 class TestCache:
@@ -69,10 +69,11 @@ class TestCache:
         path = tmp_path / "c.ecdc"
         write_cache(path, 1, sample_blocks())
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<H", raw, 4, 99)
+        struct.pack_into("<H", raw, 4, FORMAT_VERSION + 1)
         body = bytes(raw[:-8])
-        path.write_bytes(body + struct.pack("<Q", fnv1a(body)))
-        with pytest.raises(FormatVersionError):
+        path.write_bytes(body + struct.pack("<Q", digest64(body)))
+        with pytest.raises(FormatVersionError,
+                           match=f"version {FORMAT_VERSION + 1}, expected {FORMAT_VERSION}"):
             read_cache(path, 1)
 
 
@@ -143,10 +144,11 @@ class TestWeights:
         path = tmp_path / "weights.bin"
         write_weights(path, self.store())
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<H", raw, 4, 2)
+        struct.pack_into("<H", raw, 4, WEIGHTS_VERSION + 1)
         body = bytes(raw[:-8])
-        path.write_bytes(body + struct.pack("<Q", fnv1a(body)))
-        with pytest.raises(FormatVersionError):
+        path.write_bytes(body + struct.pack("<Q", digest64(body)))
+        with pytest.raises(FormatVersionError,
+                           match=f"version {WEIGHTS_VERSION + 1}, expected {WEIGHTS_VERSION}"):
             read_weights(path)
 
     def test_missing_file_is_artifact_error(self, tmp_path):

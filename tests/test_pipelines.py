@@ -23,6 +23,7 @@ from ecdkit.pipelines import (
 from ecdkit.registry import build_default_registries
 
 import synth
+from oracles import as_version_1
 
 BINARY_CONFIG = (
     "input_features:\n"
@@ -141,6 +142,16 @@ class TestPreprocessDataset:
         with pytest.warns(UserWarning, match="discarding"):
             warm = self.run_once(text_csv, definition)
         np.testing.assert_array_equal(cold["train"]["text"], warm["train"]["text"])
+
+    def test_version_1_cache_warns_and_recomputes(self, text_csv):
+        definition = resolved(TEXT_CONFIG)
+        cold = self.run_once(text_csv, definition)
+        cache_file = cache_path_for(text_csv)
+        cache_file.write_bytes(as_version_1(cache_file.read_bytes()))
+        with pytest.warns(UserWarning, match="discarding.*format version 1, expected 2"):
+            warm = self.run_once(text_csv, definition)
+        np.testing.assert_array_equal(cold["train"]["text"], warm["train"]["text"])
+        assert cache_file.read_bytes()[4:6] == (2).to_bytes(2, "little")
 
     def test_full_path_matches_direct_preprocess_value(self, text_csv):
         definition = resolved(TEXT_CONFIG)
