@@ -29,7 +29,6 @@ from .tensor import Tensor
 
 UNARY_KINDS = ("relu", "sigmoid", "tanh")
 REDUCE_KINDS = ("sum", "mean", "max")
-LOSS_KINDS = ("softmax_cross_entropy", "sigmoid_bce", "mse")
 
 
 @dataclass
@@ -576,14 +575,3 @@ def mse(prediction: TapeNode, targets) -> TapeNode:
 
     node._backward = backward
     return node
-
-
-def compute_loss(kind: str, prediction: TapeNode, target) -> TapeNode:
-    """Dispatch to one of the registered loss kinds, returning a scalar node."""
-    if kind == "softmax_cross_entropy":
-        return softmax_cross_entropy(prediction, target)
-    if kind == "sigmoid_bce":
-        return sigmoid_bce(prediction, target)
-    if kind == "mse":
-        return mse(prediction, target)
-    raise RegistryError(f"unknown loss kind {kind!r}; available: {', '.join(LOSS_KINDS)}")

@@ -1,11 +1,19 @@
-"""Binary container for preprocessed tensors, keyed by a run fingerprint.
+"""Binary record container, and the preprocessed-tensor cache built on it.
 
-Layout: magic ``ECDC``, format version (u16), fingerprint (u64), block count
-(u32), then per-block records of (name length + utf-8 name, dtype tag, rank,
-dims, little-endian float64 payload), and a trailing 64-bit BLAKE2b digest
-(``digest64``) of everything before it. Block names are ``<split>/<feature>``.
-This is format version 2; version 1 files carried an FNV-1a trailer and are
-rejected by their version field before the digest is checked.
+``write_container`` and ``read_container`` are the one writer and reader of
+the record format shared by the cache (``<dataset>.ecdc``) and the weights
+file (``weights.bin``, see ``artifacts``). Layout, all little-endian:
+
+    magic (4 bytes) | version (u16) | fixed-size header | count (u32)
+    count x [name length (u16) | utf-8 name | rank (u8) | dims (rank x u32)
+             | float64 payload]
+    digest64 of everything before it (u64)
+
+The cache's header is the run fingerprint (u64) and its record names are
+``<split>/<feature>``; it is format version 3 (magic ``ECDC``). Version 2
+carried a per-record dtype byte and version 1 an FNV-1a trailer; both are
+rejected by their version field, which is checked before the digest whose
+algorithm it determines.
 
 The fingerprint hashes the dataset bytes together with the canonical
 preprocessing parameters, split policy, and seed, so any change that could
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -26,8 +35,7 @@ from .definition import ModelDefinition
 from .errors import CorruptionError, DataError, FormatVersionError
 
 MAGIC = b"ECDC"
-FORMAT_VERSION = 2
-_DTYPE_F64 = 0
+FORMAT_VERSION = 3
 
 
 def digest64(*chunks: bytes) -> int:
@@ -36,6 +44,75 @@ def digest64(*chunks: bytes) -> int:
     for chunk in chunks:
         h.update(chunk)
     return int.from_bytes(h.digest(), "little")
+
+
+def write_container(path: str | Path, magic: bytes, version: int, header: bytes,
+                    arrays: dict[str, np.ndarray]) -> None:
+    """Write named float64 arrays as one container; atomic via temp file + rename."""
+    body = bytearray(magic)
+    body += struct.pack("<H", version)
+    body += header
+    body += struct.pack("<I", len(arrays))
+    for name, array in arrays.items():
+        encoded = name.encode("utf-8")
+        arr = np.ascontiguousarray(array, dtype="<f8")
+        body += struct.pack(f"<H{len(encoded)}sB{arr.ndim}I",
+                            len(encoded), encoded, arr.ndim, *arr.shape)
+        body += arr.tobytes()
+    body += struct.pack("<Q", digest64(body))
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_bytes(body)
+    tmp.replace(path)
+
+
+def read_container(path: str | Path, magic: bytes, version: int, header_size: int,
+                   what: str) -> tuple[bytes, dict[str, np.ndarray]]:
+    """Parse a container into ``(header, arrays)``.
+
+    Bad magic, a digest mismatch and any record that does not exactly fill
+    the body raise ``CorruptionError``; a foreign version raises
+    ``FormatVersionError``. ``what`` names the file kind in messages.
+    """
+    raw = Path(path).read_bytes()
+    start = len(magic) + 2
+    if len(raw) < start + header_size + 4 + 8:
+        raise CorruptionError(f"{what} file {path} is truncated")
+    if raw[: len(magic)] != magic:
+        raise CorruptionError(f"{what} file {path} has wrong magic bytes")
+    found = struct.unpack_from("<H", raw, len(magic))[0]
+    if found != version:
+        raise FormatVersionError(f"{what} file {path} has format version {found}, "
+                                 f"expected {version}")
+    body = memoryview(raw)[:-8]
+    if digest64(body) != struct.unpack_from("<Q", raw, len(body))[0]:
+        raise CorruptionError(f"{what} file {path} failed its integrity digest")
+    header = raw[start : start + header_size]
+    offset = start + header_size
+    arrays: dict[str, np.ndarray] = {}
+    try:
+        count = struct.unpack_from("<I", body, offset)[0]
+        offset += 4
+        for _ in range(count):
+            name_len = struct.unpack_from("<H", body, offset)[0]
+            encoded, rank = struct.unpack_from(f"<{name_len}sB", body, offset + 2)
+            offset += 3 + name_len
+            dims = struct.unpack_from(f"<{rank}I", body, offset)
+            offset += 4 * rank
+            size = math.prod(dims)
+            if offset + 8 * size > len(body):
+                raise CorruptionError(f"{what} file {path}: a record overruns the file")
+            name = encoded.decode("utf-8")
+            if name in arrays:
+                raise CorruptionError(f"{what} file {path}: duplicate record {name!r}")
+            arrays[name] = np.frombuffer(body, dtype="<f8", count=size,
+                                         offset=offset).reshape(dims).copy()
+            offset += 8 * size
+    except (struct.error, UnicodeDecodeError):
+        raise CorruptionError(f"{what} file {path} has a malformed record") from None
+    if offset != len(body):
+        raise CorruptionError(f"{what} file {path} has {len(body) - offset} trailing bytes")
+    return header, arrays
 
 
 def compute_fingerprint(dataset_bytes: bytes, definition: ModelDefinition, seed: int) -> int:
@@ -54,81 +131,29 @@ def compute_fingerprint(dataset_bytes: bytes, definition: ModelDefinition, seed:
 
 def write_cache(path: str | Path, fingerprint: int,
                 blocks: dict[str, dict[str, np.ndarray]]) -> None:
-    """Persist per-split per-feature arrays; atomic via temp file + rename."""
-    body = bytearray()
-    body += MAGIC
-    body += struct.pack("<H", FORMAT_VERSION)
-    body += struct.pack("<Q", fingerprint)
-    entries = [(f"{split}/{feature}", array)
-               for split, features in blocks.items()
-               for feature, array in features.items()]
-    body += struct.pack("<I", len(entries))
-    for name, array in entries:
-        encoded = name.encode("utf-8")
-        arr = np.ascontiguousarray(array, dtype=np.float64)
-        body += struct.pack("<H", len(encoded)) + encoded
-        body += struct.pack("<B", _DTYPE_F64)
-        body += struct.pack("<B", arr.ndim)
-        for extent in arr.shape:
-            body += struct.pack("<I", extent)
-        body += arr.tobytes(order="C")
-    body += struct.pack("<Q", digest64(body))
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(body)
-    tmp.replace(path)
+    """Persist per-split per-feature arrays under the run fingerprint."""
+    arrays = {f"{split}/{feature}": array
+              for split, features in blocks.items()
+              for feature, array in features.items()}
+    write_container(path, MAGIC, FORMAT_VERSION, struct.pack("<Q", fingerprint), arrays)
 
 
 def read_cache(path: str | Path, fingerprint: int) -> dict[str, dict[str, np.ndarray]] | None:
     """Load a cache file; ``None`` when the fingerprint does not match.
 
-    Corruption (bad magic, truncation, digest mismatch) and a foreign format
-    version raise, so callers can warn and recompute rather than silently
-    trusting stale tensors. The version is checked before the digest, whose
-    algorithm it determines.
+    Corruption and a foreign format version raise (see ``read_container``),
+    so callers can warn and recompute rather than silently trusting stale
+    tensors.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 2 + 8 + 4 + 8:
-        raise CorruptionError(f"cache file {path} is truncated")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CorruptionError(f"cache file {path} has wrong magic bytes")
-    offset = len(MAGIC)
-    version = struct.unpack_from("<H", raw, offset)[0]
-    offset += 2
-    if version != FORMAT_VERSION:
-        raise FormatVersionError(f"cache file {path} has format version {version}, "
-                                 f"expected {FORMAT_VERSION}")
-    if digest64(memoryview(raw)[:-8]) != struct.unpack("<Q", raw[-8:])[0]:
-        raise CorruptionError(f"cache file {path} failed its integrity digest")
-    stored_fingerprint = struct.unpack_from("<Q", raw, offset)[0]
-    offset += 8
-    if stored_fingerprint != fingerprint:
+    header, arrays = read_container(path, MAGIC, FORMAT_VERSION, 8, "cache")
+    if struct.unpack("<Q", header)[0] != fingerprint:
         return None
-    count = struct.unpack_from("<I", raw, offset)[0]
-    offset += 4
     blocks: dict[str, dict[str, np.ndarray]] = {}
-    try:
-        for _ in range(count):
-            name_len = struct.unpack_from("<H", raw, offset)[0]
-            offset += 2
-            name = raw[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            dtype_tag, rank = struct.unpack_from("<BB", raw, offset)
-            offset += 2
-            if dtype_tag != _DTYPE_F64:
-                raise CorruptionError(f"cache file {path}: unknown dtype tag {dtype_tag}")
-            dims = struct.unpack_from(f"<{rank}I", raw, offset)
-            offset += 4 * rank
-            size = int(np.prod(dims)) * 8
-            array = np.frombuffer(raw, dtype="<f8", count=int(np.prod(dims)),
-                                  offset=offset).reshape(dims).copy()
-            offset += size
-            split, _, feature = name.partition("/")
-            if not feature:
-                raise CorruptionError(f"cache file {path}: malformed block name {name!r}")
-            blocks.setdefault(split, {})[feature] = array
-    except struct.error:
-        raise CorruptionError(f"cache file {path} is truncated") from None
+    for name, array in arrays.items():
+        split, _, feature = name.partition("/")
+        if not feature:
+            raise CorruptionError(f"cache file {path}: malformed block name {name!r}")
+        blocks.setdefault(split, {})[feature] = array
     return blocks
 
 

@@ -34,6 +34,7 @@ from .features import (
     NORMALIZATIONS,
     OUTPUT_TYPES,
     SUPPORTED_TYPES,
+    TOKENIZERS,
     TYPE_PREPROC_DEFAULTS,
     TYPE_PREPROC_KEYS,
 )
@@ -323,7 +324,7 @@ def validate(definition: ModelDefinition, header: list[str],
         else:
             cls = registries.encoders.lookup(spec.encoder, scope=spec.type)
             diags.extend(_check_keywords(path, spec.params, cls))
-        diags.extend(_check_preprocessing(path, spec.type, spec.preprocessing, registries))
+        diags.extend(_check_preprocessing(path, spec.type, spec.preprocessing))
 
     for spec in definition.output_features:
         path = f"output_features.{spec.name}"
@@ -354,7 +355,7 @@ def validate(definition: ModelDefinition, header: list[str],
                 if spec.dependency_payload == "probabilities" and origin.type == "sequence":
                     diags.append(Diagnostic(path, f"dependency {dep!r}: sequence origins only "
                                                   "provide last_hidden payloads"))
-        diags.extend(_check_preprocessing(path, spec.type, spec.preprocessing, registries))
+        diags.extend(_check_preprocessing(path, spec.type, spec.preprocessing))
 
     try:
         build_dependency_order(definition.output_features)
@@ -394,7 +395,7 @@ def _bad_size_list(value) -> bool:
         not isinstance(v, int) or isinstance(v, bool) or v <= 0 for v in value)
 
 
-def _check_preprocessing(path: str, ftype: str, params: dict, registries: Registries) -> list[Diagnostic]:
+def _check_preprocessing(path: str, ftype: str, params: dict) -> list[Diagnostic]:
     out = []
     strategy = params.get("missing_strategy")
     if strategy is not None and strategy not in MISSING_STRATEGIES:
@@ -408,9 +409,9 @@ def _check_preprocessing(path: str, ftype: str, params: dict, registries: Regist
         out.append(Diagnostic(f"{path}.preprocessing", f"unknown normalization {norm!r}; "
                                                        f"available: {', '.join(NORMALIZATIONS)}"))
     tok = params.get("tokenizer")
-    if tok is not None and not registries.tokenizers.has(tok):
+    if tok is not None and tok not in TOKENIZERS:
         out.append(Diagnostic(f"{path}.preprocessing", f"unknown tokenizer {tok!r}; "
-                                                       f"available: {', '.join(registries.tokenizers.names())}"))
+                                                       f"available: {', '.join(sorted(TOKENIZERS))}"))
     for key in ("max_sequence_length", "vocab_size"):
         value = params.get(key)
         if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 1):

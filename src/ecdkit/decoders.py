@@ -57,8 +57,6 @@ class _ProjectionDecoder:
 
 class CategoryClassifierDecoder(_ProjectionDecoder):
 
-    loss_kind = "softmax_cross_entropy"
-
     def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int, **kwargs):
         super().__init__(feature, store, rng, input_width, meta.vocab_size, **kwargs)
 
@@ -75,8 +73,6 @@ class CategoryClassifierDecoder(_ProjectionDecoder):
 
 
 class BinaryRegressorDecoder(_ProjectionDecoder):
-
-    loss_kind = "sigmoid_bce"
 
     def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int, **kwargs):
         super().__init__(feature, store, rng, input_width, 1, **kwargs)
@@ -95,8 +91,6 @@ class BinaryRegressorDecoder(_ProjectionDecoder):
 
 class NumericalRegressorDecoder(_ProjectionDecoder):
 
-    loss_kind = "mse"
-
     def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int, **kwargs):
         super().__init__(feature, store, rng, input_width, 1, **kwargs)
 
@@ -113,8 +107,6 @@ class NumericalRegressorDecoder(_ProjectionDecoder):
 
 
 class SetClassifierDecoder(_ProjectionDecoder):
-
-    loss_kind = "sigmoid_bce"
 
     def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int, **kwargs):
         super().__init__(feature, store, rng, input_width, meta.vocab_size, **kwargs)
@@ -140,7 +132,6 @@ class SequenceTaggerDecoder:
 
     DEFAULTS = {"fc_sizes": [], "activation": "relu"}
     ACCEPTED = frozenset(DEFAULTS)
-    loss_kind = "softmax_cross_entropy"
 
     def __init__(self, feature: str, meta: VocabMetadata, store, rng: Lcg,
                  input_width: int, seq_width: int | None = None, **kwargs):

@@ -448,10 +448,6 @@ def _jaccard(truths, preds):
     return score / len(truths)
 
 
-def metric_names() -> tuple[str, ...]:
-    return tuple(_METRICS)
-
-
 def higher_is_better(kind: str) -> bool:
     """Improvement direction for a metric; 'loss' counts as lower-is-better."""
     if kind == "loss":

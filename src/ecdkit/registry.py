@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import features
 from .decoders import DECODERS
 from .encoders import ENCODERS
 from .errors import RegistryError
@@ -58,14 +57,10 @@ class Registries:
     encoders: Registry = field(default_factory=lambda: Registry("encoder"))
     decoders: Registry = field(default_factory=lambda: Registry("decoder"))
     combiners: Registry = field(default_factory=lambda: Registry("combiner"))
-    tokenizers: Registry = field(default_factory=lambda: Registry("tokenizer"))
-    metrics: Registry = field(default_factory=lambda: Registry("metric"))
-    losses: Registry = field(default_factory=lambda: Registry("loss"))
 
 
 def build_default_registries() -> Registries:
     """Fresh registries holding every built-in component."""
-    from . import autodiff as ad
     from .graph import ConcatCombiner
 
     regs = Registries()
@@ -76,10 +71,4 @@ def build_default_registries() -> Registries:
         for name, cls in table.items():
             regs.decoders.register(name, cls, scope=ftype)
     regs.combiners.register("concat", ConcatCombiner)
-    for name in features.TOKENIZERS:
-        regs.tokenizers.register(name, lambda text, _name=name: features.tokenize(text, _name))
-    for name in features.metric_names():
-        regs.metrics.register(name, lambda *a, _name=name, **k: features.compute_metric(_name, *a, **k))
-    for name in ad.LOSS_KINDS:
-        regs.losses.register(name, lambda *a, _name=name, **k: ad.compute_loss(_name, *a, **k))
     return regs

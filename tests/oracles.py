@@ -137,10 +137,12 @@ def fnv1a_64(data: bytes) -> int:
 
 
 def as_version_1(container: bytes) -> bytes:
-    """A cache or weights file re-written in the version-1 layout.
+    """A cache or weights file re-signed as version 1.
 
-    Version 1 had the same records; only its version field (bytes 4-5) and
-    its FNV-1a trailer differ from the current format.
+    Only the version field (bytes 4-5) and the FNV-1a trailer are rewritten.
+    Version-1 weights had the current records; version-1 caches also had a
+    dtype byte per record, which does not matter here because readers reject
+    the version before parsing any record.
     """
     body = bytearray(container[:-8])
     body[4:6] = (1).to_bytes(2, "little")

@@ -253,13 +253,6 @@ class TestLosses:
         loss = ad.sigmoid_bce(tape.constant(np.zeros((3, 1))), np.array([[0.0], [1.0], [1.0]]))
         assert abs(loss.value.item() - np.log(2.0)) < 1e-12
 
-    def test_compute_loss_dispatch_and_unknown_kind(self):
-        tape = ad.Tape()
-        node = tape.constant(np.zeros((2, 1)))
-        assert ad.compute_loss("mse", node, np.zeros((2, 1))).value.item() == 0.0
-        with pytest.raises(RegistryError, match="softmax_cross_entropy"):
-            ad.compute_loss("hinge", node, np.zeros((2, 1)))
-
 
 # ---------------------------------------------------------------------------
 # backward pass

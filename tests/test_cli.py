@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
+from ecdkit.cache import digest64
 from ecdkit.cli import main
 
 import synth
@@ -135,6 +137,18 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "format version 1, expected 2" in err
+
+    def test_malformed_weights_exit_3_with_one_line(self, workspace, capsys):
+        # trailing bytes after the last record, under a valid digest
+        tmp, config, dataset = workspace
+        weights = self.trained(tmp, config, dataset) / "weights.bin"
+        body = weights.read_bytes()[:-8] + bytes(16)
+        weights.write_bytes(body + struct.pack("<Q", digest64(body)))
+        capsys.readouterr()
+        assert run(["predict", "-m", weights.parent, "-d", dataset, "-o", tmp / "pred"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "16 trailing bytes" in err
 
     def test_dataset_without_targets_writes_predictions_only(self, workspace):
         tmp, config, dataset = workspace

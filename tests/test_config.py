@@ -204,6 +204,14 @@ class TestValidate:
         assert len(diags) == 1
         assert "cnn" in diags[0].message and "rnn" in diags[0].message and "embed" in diags[0].message
 
+    def test_unknown_tokenizer_lists_available_tokenizers(self, registries):
+        d = resolve_defaults(parse_model_definition(MINIMAL), registries)
+        d.input_features[0].preprocessing["tokenizer"] = "whitespace"
+        diags = validate(d, ["title", "label"], registries)
+        assert [(x.path, x.message) for x in diags] == [
+            ("input_features.title.preprocessing",
+             "unknown tokenizer 'whitespace'; available: character, space")]
+
     def test_missing_column_names_feature(self, registries):
         d = resolve_defaults(parse_model_definition(MINIMAL), registries)
         diags = validate(d, ["label"], registries)

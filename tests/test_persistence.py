@@ -1,13 +1,21 @@
 """Binary cache and weights formats: integrity, versioning, round-trips."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from ecdkit.artifacts import WEIGHTS_VERSION, read_weights, write_weights
+from ecdkit.artifacts import WEIGHTS_MAGIC, WEIGHTS_VERSION, read_weights, write_weights
 from ecdkit.autodiff import ParameterStore
-from ecdkit.cache import FORMAT_VERSION, compute_fingerprint, digest64, read_cache, write_cache
+from ecdkit.cache import (
+    FORMAT_VERSION,
+    MAGIC,
+    compute_fingerprint,
+    digest64,
+    read_cache,
+    write_cache,
+)
 from ecdkit.config import parse_model_definition, resolve_defaults
 from ecdkit.errors import ArtifactError, CorruptionError, FormatVersionError
 from ecdkit.registry import build_default_registries
@@ -19,6 +27,53 @@ def sample_blocks():
         "validation": {"x": np.zeros((0, 2)), "y": np.zeros((0, 1))},
         "test": {"x": np.full((2, 2), 7.0), "y": np.zeros((2, 1))},
     }
+
+
+def record(name: bytes, dims: tuple, payload: bytes) -> bytes:
+    """One container record, with a payload that need not match its dims."""
+    return struct.pack(f"<H{len(name)}sB{len(dims)}I", len(name), name, len(dims), *dims) + payload
+
+
+ONE_VALUE = struct.pack("<d", 1.5)
+
+# Record sections (count + records + extra bytes) that no writer produces.
+MALFORMED = {
+    "overrun": struct.pack("<I", 1) + record(b"t/x", (1000,), ONE_VALUE),
+    "bad_name": struct.pack("<I", 1) + record(b"t/\xff", (), ONE_VALUE),
+    "trailing": struct.pack("<I", 1) + record(b"t/x", (1,), ONE_VALUE) + bytes(16),
+    "duplicate": struct.pack("<I", 2) + record(b"t/x", (1,), ONE_VALUE) * 2,
+}
+
+CONTAINERS = {
+    "cache": (MAGIC, FORMAT_VERSION, struct.pack("<Q", 1), lambda path: read_cache(path, 1)),
+    "weights": (WEIGHTS_MAGIC, WEIGHTS_VERSION, b"", read_weights),
+}
+
+
+def signed(body: bytes) -> bytes:
+    return body + struct.pack("<Q", digest64(body))
+
+
+class TestMalformedContainers:
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED))
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    def test_digest_valid_malformed_records_are_corruption(self, tmp_path, kind, defect):
+        magic, version, header, read = CONTAINERS[kind]
+        path = tmp_path / "container"
+        path.write_bytes(signed(magic + struct.pack("<H", version) + header + MALFORMED[defect]))
+        with pytest.raises(CorruptionError, match=f"{kind} file"):
+            read(path)
+
+    @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+    def test_well_formed_hand_built_container_reads(self, tmp_path, kind):
+        magic, version, header, read = CONTAINERS[kind]
+        path = tmp_path / "container"
+        records = struct.pack("<I", 1) + record(b"t/x", (1,), ONE_VALUE)
+        path.write_bytes(signed(magic + struct.pack("<H", version) + header + records))
+        loaded = read(path)
+        value = loaded["t"]["x"] if kind == "cache" else loaded["t/x"]
+        np.testing.assert_array_equal(value, [1.5])
 
 
 class TestDigest:
@@ -150,6 +205,17 @@ class TestWeights:
         with pytest.raises(FormatVersionError,
                            match=f"version {WEIGHTS_VERSION + 1}, expected {WEIGHTS_VERSION}"):
             read_weights(path)
+
+    def test_layout_is_pinned(self, tmp_path):
+        # SHA-256 of the weights version 2 bytes for this store; a changed
+        # writer must not move a byte of an existing model's file
+        path = tmp_path / "weights.bin"
+        write_weights(path, self.store())
+        raw = path.read_bytes()
+        assert len(raw) == 237
+        assert hashlib.sha256(raw).hexdigest() == (
+            "cbd91c4cb69b3140536b8768d0c8e4d33b446e2a1f0038e4538b108f73e7f837")
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_file_is_artifact_error(self, tmp_path):
         with pytest.raises(ArtifactError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ecdkit import features as ft
-from ecdkit.cache import cache_path_for
+from ecdkit.cache import FORMAT_VERSION, cache_path_for
 from ecdkit.config import parse_model_definition, resolve_defaults
 from ecdkit.data import load_dataset, split_dataset
 from ecdkit.errors import ArtifactError, DataError, TrainingRuntimeError
@@ -148,10 +148,11 @@ class TestPreprocessDataset:
         cold = self.run_once(text_csv, definition)
         cache_file = cache_path_for(text_csv)
         cache_file.write_bytes(as_version_1(cache_file.read_bytes()))
-        with pytest.warns(UserWarning, match="discarding.*format version 1, expected 2"):
+        with pytest.warns(UserWarning,
+                          match=f"discarding.*format version 1, expected {FORMAT_VERSION}"):
             warm = self.run_once(text_csv, definition)
         np.testing.assert_array_equal(cold["train"]["text"], warm["train"]["text"])
-        assert cache_file.read_bytes()[4:6] == (2).to_bytes(2, "little")
+        assert cache_file.read_bytes()[4:6] == FORMAT_VERSION.to_bytes(2, "little")
 
     def test_full_path_matches_direct_preprocess_value(self, text_csv):
         definition = resolved(TEXT_CONFIG)
