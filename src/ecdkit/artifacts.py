@@ -20,7 +20,7 @@ from .autodiff import ParameterStore
 from .cache import read_container, write_container
 from .config import parse_model_definition, serialize_model_definition
 from .definition import ModelDefinition
-from .errors import ArtifactError
+from .errors import ArtifactError, DataError
 from .features import FeatureMetadata, metadata_from_dict, metadata_to_dict
 
 WEIGHTS_MAGIC = b"ECDW"
@@ -77,5 +77,19 @@ def write_metadata(path: str | Path, metadata: dict[str, FeatureMetadata]) -> No
 
 
 def read_metadata(path: str | Path) -> dict[str, FeatureMetadata]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {name: metadata_from_dict(entry) for name, entry in payload.items()}
+    """Per-feature metadata; any malformed content is an ArtifactError naming the file."""
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"{path} must hold an object keyed by feature name, "
+                            f"got {type(payload).__name__}")
+    metadata = {}
+    for name, entry in payload.items():
+        try:
+            metadata[name] = metadata_from_dict(entry)
+        except DataError as exc:
+            raise ArtifactError(f"{path}: feature {name!r}: {exc}") from None
+    return metadata

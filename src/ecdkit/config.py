@@ -18,7 +18,7 @@ import copy
 from dataclasses import dataclass
 
 from . import yamlish
-from .decoders import DEFAULT_DECODERS, DEFAULT_LOSSES
+from .decoders import DECODERS, DEFAULT_LOSSES
 from .definition import (
     PAYLOAD_KINDS,
     CombinerSpec,
@@ -27,7 +27,7 @@ from .definition import (
     ModelDefinition,
     TrainingParams,
 )
-from .encoders import DEFAULT_ENCODERS
+from .encoders import ENCODERS
 from .errors import ConfigError, SchemaError
 from .features import (
     MISSING_STRATEGIES,
@@ -36,7 +36,6 @@ from .features import (
     SUPPORTED_TYPES,
     TOKENIZERS,
     TYPE_PREPROC_DEFAULTS,
-    TYPE_PREPROC_KEYS,
 )
 from .graph import build_dependency_order
 from .optim import ADAM_DEFAULT_BETA1, ADAM_DEFAULT_BETA2, ADAM_DEFAULT_EPSILON, ADAM_DEFAULT_LR, SGD_DEFAULT_LR
@@ -150,7 +149,7 @@ def _parse_feature_preprocessing(section, ftype: str, path: str) -> dict:
         return {}
     if not isinstance(section, dict):
         raise SchemaError(f"{path}: preprocessing must be a mapping")
-    allowed = TYPE_PREPROC_KEYS[ftype]
+    allowed = TYPE_PREPROC_DEFAULTS[ftype]
     for key in section:
         if key not in allowed:
             raise SchemaError(f"{path}: unknown preprocessing key {key!r} for type {ftype!r}; "
@@ -234,7 +233,7 @@ def resolve_defaults(definition: ModelDefinition, registries: Registries) -> Mod
     out = copy.deepcopy(definition)
     for spec in out.input_features:
         if spec.encoder is None:
-            spec.encoder = DEFAULT_ENCODERS[spec.type]
+            spec.encoder = next(iter(ENCODERS[spec.type]))
         if registries.encoders.has(spec.encoder, scope=spec.type):
             cls = registries.encoders.lookup(spec.encoder, scope=spec.type)
             spec.params = _merge_params(getattr(cls, "DEFAULTS", {}), spec.params)
@@ -251,7 +250,7 @@ def resolve_defaults(definition: ModelDefinition, registries: Registries) -> Mod
 
     for spec in out.output_features:
         if spec.decoder is None:
-            spec.decoder = DEFAULT_DECODERS.get(spec.type)
+            spec.decoder = next(iter(DECODERS.get(spec.type, ())), None)
         if spec.decoder is not None and registries.decoders.has(spec.decoder, scope=spec.type):
             cls = registries.decoders.lookup(spec.decoder, scope=spec.type)
             spec.params = _merge_params(getattr(cls, "DEFAULTS", {}), spec.params)

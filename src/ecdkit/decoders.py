@@ -6,6 +6,12 @@ the last hidden representation before projection, and, when a target batch
 is supplied, a scalar loss node. The last hidden state and the prediction
 probabilities are the two payload kinds another decoder may consume through
 an output dependency.
+
+The built-in decoders share one body and differ only in data: the output
+width follows from the metadata, the output op is the class's ``OUTPUT``,
+the loss op is ``DEFAULT_LOSSES`` of the type. Every decoder receives
+``seq_width``, the width of the tagged input's per-position states; only the
+tagger reads it. The first name in a type's ``DECODERS`` entry is its default.
 """
 
 from __future__ import annotations
@@ -32,121 +38,75 @@ class DecodeResult:
 
 
 class _ProjectionDecoder:
-    """Common shape: fc stack, then a linear projection to ``out_width``."""
+    """An fc stack, then a linear projection to the output width: the
+    vocabulary size for vocabulary metadata, else 1. Ops are looked up in
+    ``autodiff`` by name at call time, so a patched op is the one called.
+    """
 
     DEFAULTS = {"fc_sizes": [], "activation": "relu"}
     ACCEPTED = frozenset(DEFAULTS)
+    OUTPUT: str | None = None
 
-    def __init__(self, feature: str, store, rng: Lcg, input_width: int,
-                 out_width: int, **kwargs):
+    def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int,
+                 seq_width: int | None = None, **kwargs):
         prefix = f"decoders.{feature}"
         self.stack = FcStack(store, rng, prefix, input_width,
                              kwargs.get("fc_sizes", self.DEFAULTS["fc_sizes"]),
                              kwargs.get("activation", self.DEFAULTS["activation"]))
-        self.proj_w = make_weight(store, rng, f"{prefix}.proj.weight",
-                                  self.stack.output_width, out_width)
-        self.proj_b = make_bias(store, f"{prefix}.proj.bias", out_width)
         self.hidden_width = self.stack.output_width
-        self.out_width = out_width
+        self.out_width = meta.vocab_size if isinstance(meta, VocabMetadata) else 1
+        self.proj_w = make_weight(store, rng, f"{prefix}.proj.weight",
+                                  self.hidden_width, self.out_width)
+        self.proj_b = make_bias(store, f"{prefix}.proj.bias", self.out_width)
+        self.loss_op = DEFAULT_LOSSES[meta.type]
+
+    def payload_width(self, kind: str) -> int:
+        # a regressor's "probabilities" payload is its raw prediction
+        return self.out_width if kind == "probabilities" else self.hidden_width
 
     def project(self, tape: ad.Tape, x: ad.TapeNode) -> tuple[ad.TapeNode, ad.TapeNode]:
         hidden = self.stack.forward(tape, x)
         logits = ad.add(ad.matmul(hidden, tape.leaf(self.proj_w)), tape.leaf(self.proj_b))
         return hidden, logits
 
-
-class CategoryClassifierDecoder(_ProjectionDecoder):
-
-    def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int, **kwargs):
-        super().__init__(feature, store, rng, input_width, meta.vocab_size, **kwargs)
-
-    def payload_width(self, kind: str) -> int:
-        return self.out_width if kind == "probabilities" else self.hidden_width
-
     def forward(self, tape, x, target=None, seq_states=None) -> DecodeResult:
         hidden, logits = self.project(tape, x)
-        probs = ad.softmax(logits)
+        probs = getattr(ad, self.OUTPUT)(logits) if self.OUTPUT else None
         loss = None
         if target is not None:
-            loss = ad.softmax_cross_entropy(logits, target.reshape(-1))
-        return DecodeResult(probs, hidden, loss, probs)
+            loss = getattr(ad, self.loss_op)(logits, target)
+        return DecodeResult(logits if probs is None else probs, hidden, loss, probs)
+
+
+class CategoryClassifierDecoder(_ProjectionDecoder):
+    OUTPUT = "softmax"
 
 
 class BinaryRegressorDecoder(_ProjectionDecoder):
-
-    def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int, **kwargs):
-        super().__init__(feature, store, rng, input_width, 1, **kwargs)
-
-    def payload_width(self, kind: str) -> int:
-        return 1 if kind == "probabilities" else self.hidden_width
-
-    def forward(self, tape, x, target=None, seq_states=None) -> DecodeResult:
-        hidden, logits = self.project(tape, x)
-        probs = ad.sigmoid(logits)
-        loss = None
-        if target is not None:
-            loss = ad.sigmoid_bce(logits, target)
-        return DecodeResult(probs, hidden, loss, probs)
+    OUTPUT = "sigmoid"
 
 
 class NumericalRegressorDecoder(_ProjectionDecoder):
-
-    def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int, **kwargs):
-        super().__init__(feature, store, rng, input_width, 1, **kwargs)
-
-    def payload_width(self, kind: str) -> int:
-        # "probabilities" degrades to the raw prediction for a regressor
-        return 1 if kind == "probabilities" else self.hidden_width
-
-    def forward(self, tape, x, target=None, seq_states=None) -> DecodeResult:
-        hidden, prediction = self.project(tape, x)
-        loss = None
-        if target is not None:
-            loss = ad.mse(prediction, target)
-        return DecodeResult(prediction, hidden, loss, None)
+    OUTPUT = None
 
 
 class SetClassifierDecoder(_ProjectionDecoder):
-
-    def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int, **kwargs):
-        super().__init__(feature, store, rng, input_width, meta.vocab_size, **kwargs)
-
-    def payload_width(self, kind: str) -> int:
-        return self.out_width if kind == "probabilities" else self.hidden_width
-
-    def forward(self, tape, x, target=None, seq_states=None) -> DecodeResult:
-        hidden, logits = self.project(tape, x)
-        probs = ad.sigmoid(logits)
-        loss = None
-        if target is not None:
-            loss = ad.sigmoid_bce(logits, target)
-        return DecodeResult(probs, hidden, loss, probs)
+    OUTPUT = "sigmoid"
 
 
-class SequenceTaggerDecoder:
+class SequenceTaggerDecoder(_ProjectionDecoder):
     """Per-position classification over a sequence encoder's unreduced states.
 
     Ignores the combined representation: its input is the [b x s x w] state
     tensor of the tagged input feature. Loss masks padded target positions.
     """
 
-    DEFAULTS = {"fc_sizes": [], "activation": "relu"}
-    ACCEPTED = frozenset(DEFAULTS)
-
     def __init__(self, feature: str, meta: VocabMetadata, store, rng: Lcg,
                  input_width: int, seq_width: int | None = None, **kwargs):
         if seq_width is None:
             raise ConfigError(
                 f"tagger decoder for {feature!r} requires a sequence or text input feature")
-        prefix = f"decoders.{feature}"
-        self.stack = FcStack(store, rng, prefix, seq_width,
-                             kwargs.get("fc_sizes", self.DEFAULTS["fc_sizes"]),
-                             kwargs.get("activation", self.DEFAULTS["activation"]))
-        self.proj_w = make_weight(store, rng, f"{prefix}.proj.weight",
-                                  self.stack.output_width, meta.vocab_size)
-        self.proj_b = make_bias(store, f"{prefix}.proj.bias", meta.vocab_size)
-        self.hidden_width = self.stack.output_width
-        self.out_width = meta.vocab_size
+        super().__init__(feature, meta, store, rng, seq_width, **kwargs)
 
     def payload_width(self, kind: str) -> int:
         if kind == "probabilities":
@@ -157,9 +117,7 @@ class SequenceTaggerDecoder:
         if seq_states is None:
             raise ContractError("tagger decoder needs the unreduced sequence states")
         b, s, w = seq_states.value.dims
-        flat = ad.reshape(seq_states, (b * s, w))
-        hidden = self.stack.forward(tape, flat)
-        logits = ad.add(ad.matmul(hidden, tape.leaf(self.proj_w)), tape.leaf(self.proj_b))
+        hidden, logits = self.project(tape, ad.reshape(seq_states, (b * s, w)))
         probs = ad.reshape(ad.softmax(logits), (b, s, self.out_width))
         loss = None
         if target is not None:
@@ -181,15 +139,6 @@ DECODERS: dict[str, dict[str, type]] = {
     "numerical": {"regressor": NumericalRegressorDecoder},
     "set": {"classifier": SetClassifierDecoder},
     "sequence": {"tagger": SequenceTaggerDecoder},
-}
-
-#: feature type -> default decoder name
-DEFAULT_DECODERS = {
-    "category": "classifier",
-    "binary": "regressor",
-    "numerical": "regressor",
-    "set": "classifier",
-    "sequence": "tagger",
 }
 
 #: feature type -> loss kind

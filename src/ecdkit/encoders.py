@@ -6,7 +6,10 @@ Sequence encoders additionally expose their unreduced per-position states
 
 Encoders accept an open keyword map; each implementation reads the keywords
 it understands and falls back to its declared defaults, so alternative
-implementations stay interchangeable behind one interface.
+implementations stay interchangeable behind one interface. Where two
+encoders differ only in defaults they share one class: ``DenseEncoder`` is
+``PassthroughEncoder`` with a 32-wide fc layer, its input width the vector
+length. The first name in a type's ``ENCODERS`` entry is its default encoder.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
+from .features import VectorMetadata
 from .layers import FcStack, make_bias, make_weight
 from .rng import Lcg
 
@@ -28,13 +32,14 @@ class EncoderOutput:
 
 
 class PassthroughEncoder:
-    """Numerical and binary inputs: identity, or an optional fc stack."""
+    """Numerical, binary and vector inputs: identity, or an optional fc stack."""
 
     DEFAULTS = {"fc_sizes": [], "activation": "relu"}
     ACCEPTED = frozenset(DEFAULTS)
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
-        self.stack = FcStack(store, rng, f"encoders.{feature}", 1,
+        width = meta.length if isinstance(meta, VectorMetadata) else 1
+        self.stack = FcStack(store, rng, f"encoders.{feature}", width,
                              kwargs.get("fc_sizes", self.DEFAULTS["fc_sizes"]),
                              kwargs.get("activation", self.DEFAULTS["activation"]))
         self.output_width = self.stack.output_width
@@ -43,20 +48,16 @@ class PassthroughEncoder:
         return EncoderOutput(self.stack.forward(tape, tape.constant(batch)))
 
 
-class DenseEncoder:
+class DenseEncoder(PassthroughEncoder):
     """Vector inputs through a fully connected stack."""
 
     DEFAULTS = {"fc_sizes": [32], "activation": "relu"}
-    ACCEPTED = frozenset(DEFAULTS)
 
-    def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
-        self.stack = FcStack(store, rng, f"encoders.{feature}", meta.length,
-                             kwargs.get("fc_sizes", self.DEFAULTS["fc_sizes"]),
-                             kwargs.get("activation", self.DEFAULTS["activation"]))
-        self.output_width = self.stack.output_width
 
-    def forward(self, tape: ad.Tape, batch: np.ndarray) -> EncoderOutput:
-        return EncoderOutput(self.stack.forward(tape, tape.constant(batch)))
+def _embedding(store, rng: Lcg, feature: str, meta, size: int) -> ad.Parameter:
+    """The [vocab x size] embedding table of ``feature``."""
+    return make_weight(store, rng, f"encoders.{feature}.embedding",
+                       meta.vocab_size, size, (meta.vocab_size, size))
 
 
 class CategoryEmbedEncoder:
@@ -67,8 +68,7 @@ class CategoryEmbedEncoder:
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
         size = kwargs.get("embedding_size", self.DEFAULTS["embedding_size"])
-        self.table = make_weight(store, rng, f"encoders.{feature}.embedding",
-                                 meta.vocab_size, size, (meta.vocab_size, size))
+        self.table = _embedding(store, rng, feature, meta, size)
         self.output_width = size
 
     def forward(self, tape: ad.Tape, batch: np.ndarray) -> EncoderOutput:
@@ -84,8 +84,7 @@ class SetEmbedSumEncoder:
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
         size = kwargs.get("embedding_size", self.DEFAULTS["embedding_size"])
-        self.table = make_weight(store, rng, f"encoders.{feature}.embedding",
-                                 meta.vocab_size, size, (meta.vocab_size, size))
+        self.table = _embedding(store, rng, feature, meta, size)
         self.output_width = size
 
     def forward(self, tape: ad.Tape, batch: np.ndarray) -> EncoderOutput:
@@ -107,8 +106,7 @@ class SequenceEmbedEncoder:
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
         size = kwargs.get("embedding_size", self.DEFAULTS["embedding_size"])
-        self.table = make_weight(store, rng, f"encoders.{feature}.embedding",
-                                 meta.vocab_size, size, (meta.vocab_size, size))
+        self.table = _embedding(store, rng, feature, meta, size)
         self.output_width = size
         self.sequence_width = size
 
@@ -127,8 +125,7 @@ class SequenceRnnEncoder:
         emb = kwargs.get("embedding_size", self.DEFAULTS["embedding_size"])
         state = kwargs.get("state_size", self.DEFAULTS["state_size"])
         prefix = f"encoders.{feature}"
-        self.table = make_weight(store, rng, f"{prefix}.embedding",
-                                 meta.vocab_size, emb, (meta.vocab_size, emb))
+        self.table = _embedding(store, rng, feature, meta, emb)
         self.w_in = make_weight(store, rng, f"{prefix}.rnn.w_in", emb, state)
         self.w_rec = make_weight(store, rng, f"{prefix}.rnn.w_rec", state, state)
         self.bias = make_bias(store, f"{prefix}.rnn.bias", state)
@@ -168,8 +165,7 @@ class SequenceCnnEncoder:
             if not isinstance(w, int) or w <= 0 or w % 2 == 0:
                 raise ConfigError(f"cnn filter widths must be odd positive integers, got {widths}")
         prefix = f"encoders.{feature}"
-        self.table = make_weight(store, rng, f"{prefix}.embedding",
-                                 meta.vocab_size, emb, (meta.vocab_size, emb))
+        self.table = _embedding(store, rng, feature, meta, emb)
         self.branches = []
         for w in widths:
             filt = make_weight(store, rng, f"{prefix}.conv{w}.filters",
@@ -202,15 +198,4 @@ ENCODERS: dict[str, dict[str, type]] = {
                  "cnn": SequenceCnnEncoder},
     "text": {"embed": SequenceEmbedEncoder, "rnn": SequenceRnnEncoder,
              "cnn": SequenceCnnEncoder},
-}
-
-#: feature type -> default encoder name
-DEFAULT_ENCODERS = {
-    "numerical": "passthrough",
-    "binary": "passthrough",
-    "category": "embed",
-    "set": "embed_sum",
-    "vector": "dense",
-    "sequence": "embed",
-    "text": "embed",
 }

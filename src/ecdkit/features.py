@@ -15,6 +15,7 @@ so metadata is byte-reproducible across runs.
 from __future__ import annotations
 
 import math
+import typing
 from collections import Counter
 from dataclasses import dataclass
 
@@ -55,7 +56,8 @@ class PreprocParams:
             raise ContractError("vocab_size must be positive")
 
 
-#: per-type preprocessing defaults layered under any user configuration
+#: per-type preprocessing defaults layered under any user configuration; their
+#: keys are the preprocessing keys a feature of that type may configure
 TYPE_PREPROC_DEFAULTS: dict[str, dict] = {
     "binary": {"missing_strategy": "fill_const"},
     "numerical": {"normalization": "zscore", "missing_strategy": "fill_const"},
@@ -66,19 +68,6 @@ TYPE_PREPROC_DEFAULTS: dict[str, dict] = {
     "text": {"tokenizer": "space", "max_sequence_length": 256, "vocab_size": 10000,
              "lowercase": True, "missing_strategy": "fill_const"},
     "vector": {"missing_strategy": "fill_const"},
-}
-
-#: which preprocessing keys a feature of each type may configure
-TYPE_PREPROC_KEYS: dict[str, frozenset] = {
-    "binary": frozenset({"missing_strategy"}),
-    "numerical": frozenset({"normalization", "missing_strategy"}),
-    "category": frozenset({"vocab_size", "lowercase", "missing_strategy"}),
-    "set": frozenset({"vocab_size", "lowercase", "missing_strategy"}),
-    "sequence": frozenset({"tokenizer", "max_sequence_length", "vocab_size", "lowercase",
-                           "missing_strategy"}),
-    "text": frozenset({"tokenizer", "max_sequence_length", "vocab_size", "lowercase",
-                       "missing_strategy"}),
-    "vector": frozenset({"missing_strategy"}),
 }
 
 
@@ -239,9 +228,12 @@ def parse_binary(raw: str) -> float:
 
 def parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise DataError(f"unparseable numerical value {raw!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite numerical value {raw!r}")
+    return value
 
 
 def parse_vector(raw: str) -> list[float]:
@@ -249,9 +241,12 @@ def parse_vector(raw: str) -> list[float]:
     if not parts:
         raise DataError("empty vector value")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise DataError(f"unparseable vector value {raw!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise DataError(f"non-finite vector value {raw!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +484,32 @@ def metadata_to_dict(meta: FeatureMetadata) -> dict:
     raise ContractError(f"unserializable metadata {type(meta).__name__}")
 
 
+#: feature type -> metadata dataclass
+_METADATA_CLASSES = {"binary": BinaryMetadata, "numerical": NumericalMetadata,
+                     "vector": VectorMetadata,
+                     **dict.fromkeys(("category", "set", "sequence", "text"), VocabMetadata)}
+#: metadata dataclass -> its resolved field annotations
+_FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in typing.get_args(FeatureMetadata)}
+
+
 def metadata_from_dict(payload: dict) -> FeatureMetadata:
+    """Inverse of ``metadata_to_dict``.
+
+    Each field is checked against its annotation in the metadata dataclass
+    (a float field also takes a JSON integer); a missing or ill-typed field
+    is a DataError.
+    """
+    if not isinstance(payload, dict):
+        raise DataError(f"metadata entry must be an object, got {type(payload).__name__}")
     ftype = payload.get("type")
-    if ftype in ("category", "set", "sequence", "text"):
-        return VocabMetadata(type=ftype, token2id=dict(payload["token2id"]),
-                             id2token=list(payload["id2token"]),
-                             frequencies=dict(payload["frequencies"]),
-                             max_sequence_length=int(payload["max_sequence_length"]))
-    if ftype == "numerical":
-        return NumericalMetadata(type="numerical", mean=payload["mean"], std=payload["std"],
-                                 normalization=payload["normalization"],
-                                 min=payload["min"], max=payload["max"])
-    if ftype == "binary":
-        return BinaryMetadata(true_form=payload["true_form"], false_form=payload["false_form"])
-    if ftype == "vector":
-        return VectorMetadata(length=int(payload["length"]))
-    raise DataError(f"metadata entry has unknown type {ftype!r}")
+    cls = _METADATA_CLASSES.get(ftype) if isinstance(ftype, str) else None
+    if cls is None:
+        raise DataError(f"metadata entry has unknown type {ftype!r}")
+    fields = {}
+    for key, hint in _FIELD_TYPES[cls].items():
+        value = payload.get(key)
+        expected = (int, float) if hint is float else typing.get_origin(hint) or hint
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise DataError(f"metadata field {key!r} is missing or ill-typed: {value!r}")
+        fields[key] = value
+    return cls(**fields)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .decoders import DEFAULT_PAYLOADS, SequenceTaggerDecoder
+from .decoders import DEFAULT_PAYLOADS
 from .definition import DecoderSpec, ModelDefinition
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import FcStack
@@ -139,6 +139,9 @@ class ECDModel:
         combiner_cls = registries.combiners.lookup(definition.combiner.name)
         self.combiner = combiner_cls(self.store, rng, total_width, **definition.combiner.params)
 
+        seq_width = None
+        if self.sequence_feature is not None:
+            seq_width = self.encoders[self.sequence_feature].sequence_width
         self.decoder_order = build_dependency_order(definition.output_features)
         spec_by_name = {spec.name: spec for spec in definition.output_features}
         type_by_name = {spec.name: spec.type for spec in definition.output_features}
@@ -154,15 +157,8 @@ class ECDModel:
                 width += self.decoders[dep].payload_width(kind)
             self.payload_kinds[name] = kinds
             cls = registries.decoders.lookup(spec.decoder, scope=spec.type)
-            if cls is SequenceTaggerDecoder or issubclass(cls, SequenceTaggerDecoder):
-                seq_width = None
-                if self.sequence_feature is not None:
-                    seq_width = self.encoders[self.sequence_feature].sequence_width
-                decoder = cls(name, metadata[name], self.store, rng, width,
-                              seq_width=seq_width, **spec.params)
-            else:
-                decoder = cls(name, metadata[name], self.store, rng, width, **spec.params)
-            self.decoders[name] = decoder
+            self.decoders[name] = cls(name, metadata[name], self.store, rng, width,
+                                      seq_width=seq_width, **spec.params)
 
         self.loss_weights = {spec.name: float(spec.loss_weight) for spec in definition.output_features}
 

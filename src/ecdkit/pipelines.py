@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cache as cache_io
-from .artifacts import load_artifact, save_artifact
+from .artifacts import METADATA_FILE, load_artifact, save_artifact
 from .config import Diagnostic, resolve_defaults, validate
 from .data import SPLIT_NAMES, Dataset, load_dataset, split_dataset
 from .definition import ModelDefinition
@@ -386,6 +386,11 @@ def load_model(model_dir: str | Path,
     """Rebuild the exact trained model from a persisted artifact directory."""
     registries = registries or build_default_registries()
     metadata, definition, weights = load_artifact(model_dir)
+    for spec in list(definition.input_features) + list(definition.output_features):
+        meta = metadata.get(spec.name)
+        if meta is None or meta.type != spec.type:
+            raise ArtifactError(f"{Path(model_dir) / METADATA_FILE} has no {spec.type} "
+                                f"metadata for feature {spec.name!r}")
     definition = resolve_defaults(definition, registries)
     model = ECDModel(definition, metadata, registries, definition.training.seed)
     expected = set(model.store.names())

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -162,6 +163,116 @@ class TestPredictCommand:
         assert run(["predict", "-m", model_dir, "-d", inputs_only, "-o", tmp / "p2"]) == 0
         assert (tmp / "p2" / "predictions.csv").exists()
         assert not (tmp / "p2" / "metrics.json").exists()
+
+
+MIXED_CONFIG = (
+    "input_features:\n"
+    "  - name: num\n    type: numerical\n"
+    "  - name: vec\n    type: vector\n"
+    "  - name: color\n    type: category\n"
+    "output_features:\n"
+    "  - name: label\n    type: binary\n"
+    "training:\n"
+    "  epochs: 1\n"
+    "  batch_size: 16\n"
+)
+MIXED_HEADER = ["num", "vec", "color", "label"]
+MIXED_ROWS = [[str(i * 0.25), f"{i % 3} {i % 5 * 0.5} 1", ("red", "green", "blue")[i % 3],
+               "true" if i % 2 else "false"] for i in range(40)]
+NON_FINITE_CELLS = {"nan": "0.3 nan", "inf": "inf 1 2", "-inf": "0 -inf 1", "1e400": "1e400 0 1"}
+
+
+def write_mixed(path, column=None, cell=None, rows=MIXED_ROWS):
+    """The mixed-type dataset; ``cell`` replaces ``column`` in the first row."""
+    rows = [list(r) for r in rows]
+    if column is not None:
+        rows[0][MIXED_HEADER.index(column)] = cell
+    return synth.write_rows(path, MIXED_HEADER, rows)
+
+
+@pytest.fixture(scope="module")
+def mixed_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("mixed")
+    config = tmp / "model.yaml"
+    config.write_text(MIXED_CONFIG, encoding="utf-8")
+    assert run(["train", "-c", config, "-d", write_mixed(tmp / "data.csv"),
+                "-o", tmp / "run", "--seed", 1, "-q"]) == 0
+    return config, tmp / "run" / "model"
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+class TestNonFiniteCells:
+
+    @pytest.mark.parametrize("number", sorted(NON_FINITE_CELLS))
+    @pytest.mark.parametrize("column", ["num", "vec"])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_exits_3_naming_column_and_cell(self, mixed_model, tmp_path, capsys,
+                                            command, column, number):
+        config, model_dir = mixed_model
+        cell = number if column == "num" else NON_FINITE_CELLS[number]
+        dataset = write_mixed(tmp_path / "bad.csv", column, cell)
+        capsys.readouterr()
+        if command == "train":
+            args = ["train", "-c", config, "-d", dataset, "-o", tmp_path / "run", "--seed", 1]
+        else:
+            args = ["predict", "-m", model_dir, "-d", dataset, "-o", tmp_path / "pred"]
+        assert run(args) == 3
+        err = one_line_error(capsys)
+        assert repr(column) in err and "non-finite" in err and repr(cell) in err
+
+
+def _drop(payload, feature, key=None):
+    if key is None:
+        del payload[feature]
+    else:
+        del payload[feature][key]
+    return json.dumps(payload)
+
+
+class TestMalformedMetadata:
+
+    @pytest.mark.parametrize("corrupt,expected", [
+        (lambda text: text[: len(text) // 2], "is not valid JSON"),
+        (lambda text: _drop(json.loads(text), "color", "token2id"),
+         "feature 'color': metadata field 'token2id' is missing"),
+        (lambda text: json.dumps(list(json.loads(text))), "got list"),
+        (lambda text: _drop(json.loads(text), "label"), "metadata for feature 'label'"),
+        (lambda text: text.replace('"length": 3', '"length": "3"'),
+         "feature 'vec': metadata field 'length' is missing or ill-typed"),
+        (lambda text: text.replace('"type": "vector"', '"type": "numerical"', 1),
+         "feature 'vec': metadata field 'mean' is missing"),
+    ], ids=["truncated", "field_removed", "top_level_list", "feature_removed",
+            "ill_typed_field", "wrong_type"])
+    def test_predict_exits_3_with_one_line(self, mixed_model, tmp_path, capsys,
+                                           corrupt, expected):
+        _, trained = mixed_model
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained, model_dir)
+        meta = model_dir / "metadata.json"
+        meta.write_text(corrupt(meta.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "-m", model_dir, "-d", write_mixed(tmp_path / "d.csv"),
+                    "-o", tmp_path / "pred"]) == 3
+        err = one_line_error(capsys)
+        assert expected in err and "metadata.json" in err
+
+    def test_feature_of_another_type_is_rejected(self, mixed_model, tmp_path, capsys):
+        _, trained = mixed_model
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained, model_dir)
+        meta = model_dir / "metadata.json"
+        payload = json.loads(meta.read_text(encoding="utf-8"))
+        payload["num"] = payload["label"]
+        meta.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "-m", model_dir, "-d", write_mixed(tmp_path / "d.csv"),
+                    "-o", tmp_path / "pred"]) == 3
+        assert "no numerical metadata for feature 'num'" in one_line_error(capsys)
 
 
 class TestExperimentCommand:

@@ -1,0 +1,154 @@
+"""Built-in encoders and decoders: pinned parameters and outputs, and the per-type tables.
+
+The pins hold the SHA-256 of a freshly built model's parameter names and
+weight bytes, and of one forward and backward pass over a fixed batch, for
+definitions that together use every built-in encoder and decoder. A change
+to how a component creates its parameters (their order, names or shapes) or
+computes its outputs moves them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ecdkit import features as ft
+from ecdkit.config import parse_model_definition, resolve_defaults
+from ecdkit.decoders import DECODERS, DEFAULT_LOSSES, DEFAULT_PAYLOADS
+from ecdkit.encoders import ENCODERS
+from ecdkit.graph import ECDModel
+from ecdkit.registry import build_default_registries
+
+REGS = build_default_registries()
+
+COLUMNS = {
+    "num": ("numerical", ["0.5", "-1.25", "3", "2.5", "0", "1"]),
+    "flag": ("binary", ["true", "false", "true", "true", "false", "false"]),
+    "vec": ("vector", ["0.1 0.2 0.3", "1 0 -1", "0.5 0.5 0.5", "2 1 0", "0 0 0", "-1 2 1"]),
+    "color": ("category", ["red", "green", "blue", "red", "green", "red"]),
+    "members": ("set", ["a b", "b", "c a", "", "a b c", "c"]),
+    "words": ("sequence", ["x y z", "y x", "z z y x", "x", "y z", "x x y"]),
+    "prose": ("text", ["the cat sat", "a dog ran far", "the dog", "cat", "a cat ran", "dog sat"]),
+    "more": ("sequence", ["p q", "q p p", "p", "q q q q", "p q p", "q"]),
+    "label": ("category", ["hi", "lo", "hi", "mid", "lo", "hi"]),
+    "ok": ("binary", ["false", "true", "true", "false", "true", "false"]),
+    "score": ("numerical", ["1.5", "0.25", "-2", "0.75", "3", "1"]),
+    "picks": ("set", ["u v", "v", "", "u w", "w", "u v w"]),
+    "tags": ("sequence", ["A B A", "B A", "A A B B", "B", "A B", "B B A"]),
+}
+INPUTS = ("num", "flag", "vec", "color", "members", "words", "prose", "more")
+OUTPUTS = ("label", "ok", "score", "picks", "tags")
+
+SEQUENCE_ENCODERS = {
+    "embed": "    encoder: embed\n    embedding_size: 6\n",
+    "rnn": "    encoder: rnn\n    embedding_size: 4\n    state_size: 5\n",
+    "cnn": ("    encoder: cnn\n    embedding_size: 3\n    num_filters: 2\n"
+            "    filter_widths: [1, 3]\n"),
+}
+
+
+def definition_text(tagged: str) -> str:
+    """Every built-in component; the tagger reads ``words``, encoded by ``tagged``."""
+    others = [name for name in SEQUENCE_ENCODERS if name != tagged]
+    return (
+        "input_features:\n"
+        "  - name: num\n    type: numerical\n    fc_sizes: [3]\n"
+        "  - name: flag\n    type: binary\n"
+        "  - name: vec\n    type: vector\n    encoder: dense\n    fc_sizes: [4]\n"
+        "  - name: color\n    type: category\n    encoder: embed\n    embedding_size: 5\n"
+        "  - name: members\n    type: set\n    encoder: embed_sum\n    embedding_size: 4\n"
+        "  - name: words\n    type: sequence\n" + SEQUENCE_ENCODERS[tagged]
+        + "  - name: prose\n    type: text\n" + SEQUENCE_ENCODERS[others[0]]
+        + "  - name: more\n    type: sequence\n" + SEQUENCE_ENCODERS[others[1]]
+        + "combiner:\n  fc_sizes: [8]\n"
+        "output_features:\n"
+        "  - name: label\n    type: category\n    decoder: classifier\n    fc_sizes: [4]\n"
+        "  - name: ok\n    type: binary\n    decoder: regressor\n    dependencies: [label]\n"
+        "  - name: score\n    type: numerical\n    decoder: regressor\n"
+        "    dependencies: [ok]\n    dependency_payload: last_hidden\n"
+        "  - name: picks\n    type: set\n    decoder: classifier\n"
+        "  - name: tags\n    type: sequence\n    decoder: tagger\n    fc_sizes: [3]\n"
+    )
+
+
+def build(tagged: str):
+    definition = resolve_defaults(parse_model_definition(definition_text(tagged)), REGS)
+    params = ft.PreprocParams()
+    metadata = {name: ft.build_metadata(column, ftype, params)
+                for name, (ftype, column) in COLUMNS.items()}
+    arrays = {name: np.stack([ft.preprocess_value(cell, ftype, metadata[name], params).array
+                              for cell in column])
+              for name, (ftype, column) in COLUMNS.items()}
+    return ECDModel(definition, metadata, REGS, seed=7), arrays
+
+
+def parameter_digest(model: ECDModel) -> str:
+    h = hashlib.sha256()
+    for param in model.store:
+        h.update(param.name.encode() + b"\0" + param.tensor.array.tobytes())
+    return h.hexdigest()
+
+
+def pass_digest(model: ECDModel, arrays: dict) -> str:
+    result = model.forward({n: arrays[n] for n in INPUTS}, {n: arrays[n] for n in OUTPUTS})
+    h = hashlib.sha256()
+    for name in model.decoder_order:
+        h.update(name.encode() + b"\0" + result.predictions[name].array.tobytes())
+        h.update(np.float64(result.losses[name]).tobytes())
+    h.update(np.float64(result.combined_loss).tobytes())
+    for name, grad in sorted(model.backward(result).items()):
+        h.update(name.encode() + b"\0" + grad.array.tobytes())
+    return h.hexdigest()
+
+
+PINNED = {
+    "embed": ("2833fa2d4ab8b27e2183958aec0f179bf6c666bbe7440fe9577697e385f5c9a1",
+              "c4c7d2975b03bd065b8b7c2904f089460ded2c412220ca1d7656d62545391963"),
+    "rnn": ("92fb935196c3a1307b84a968a5dbb3eb64304681fcbd896d2c5bae2243776133",
+            "d8d464e4ffbe6c3e28dda1eb1662d7bc408f124edddb6e7ec5c2081b00a3f645"),
+    "cnn": ("5ab7b8921afd8131bfbf5811bc6b0a3b08b00cefd4fb766b25ef6e50c20eeea4",
+            "3f121d7789c3519a6493d25a7c5d3358ad6d923983b9f66fdcb9b94331b055d0"),
+}
+
+
+class TestPinnedComponents:
+
+    @pytest.mark.parametrize("tagged", sorted(PINNED))
+    def test_parameters_and_pass_are_pinned(self, tagged):
+        model, arrays = build(tagged)
+        assert (parameter_digest(model), pass_digest(model, arrays)) == PINNED[tagged]
+
+    def test_definitions_use_every_builtin_component(self):
+        used_encoders, used_decoders = set(), set()
+        for tagged in PINNED:
+            model, _ = build(tagged)
+            used_encoders.update(type(enc) for enc in model.encoders.values())
+            used_decoders.update(type(dec) for dec in model.decoders.values())
+        assert used_encoders == {cls for table in ENCODERS.values() for cls in table.values()}
+        assert used_decoders == {cls for table in DECODERS.values() for cls in table.values()}
+
+
+class TestTypeTables:
+
+    def test_output_type_tables_agree(self):
+        types = set(ft.OUTPUT_TYPES)
+        assert len(types) == len(ft.OUTPUT_TYPES)
+        for table in (DECODERS, DEFAULT_LOSSES, ft.TYPE_METRICS, DEFAULT_PAYLOADS):
+            assert set(table) == types
+
+    def test_input_type_tables_agree(self):
+        types = set(ft.SUPPORTED_TYPES)
+        assert len(types) == len(ft.SUPPORTED_TYPES)
+        for table in (ENCODERS, ft.TYPE_PREPROC_DEFAULTS):
+            assert set(table) == types
+
+    def test_defaults_are_the_first_registered_names(self):
+        inputs = "".join(f"  - name: f_{t}\n    type: {t}\n" for t in ft.SUPPORTED_TYPES)
+        outputs = "".join(f"  - name: o_{t}\n    type: {t}\n" for t in ft.OUTPUT_TYPES)
+        definition = resolve_defaults(parse_model_definition(
+            f"input_features:\n{inputs}output_features:\n{outputs}"), REGS)
+        for spec in definition.input_features:
+            assert spec.encoder == next(iter(ENCODERS[spec.type]))
+        for spec in definition.output_features:
+            assert spec.decoder == next(iter(DECODERS[spec.type]))
+            assert spec.loss == DEFAULT_LOSSES[spec.type]

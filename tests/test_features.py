@@ -170,6 +170,24 @@ class TestPreprocessValue:
         assert all(first.array[i] == 0 for i in range(n_content, max_len))
 
 
+class TestParsers:
+
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e400", "-1e400"])
+    def test_non_finite_number_is_data_error_quoting_the_cell(self, raw):
+        with pytest.raises(DataError, match=f"non-finite numerical value {raw!r}"):
+            ft.parse_float(raw)
+
+    @pytest.mark.parametrize("raw", ["0.3 nan", "inf 1", "0 -inf", "1e400 2"])
+    def test_non_finite_vector_is_data_error_quoting_the_cell(self, raw):
+        with pytest.raises(DataError, match=f"non-finite vector value {raw!r}"):
+            ft.parse_vector(raw)
+
+    def test_finite_extremes_still_parse(self):
+        assert ft.parse_float("1e308") == 1e308
+        assert ft.parse_float("-5e-324") == -5e-324
+        assert ft.parse_vector("1e308 -0.0") == [1e308, 0.0]
+
+
 class TestZscoreInvariant:
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=50))
@@ -328,3 +346,19 @@ class TestMetadataSerialization:
     def test_round_trip(self, column, ftype):
         meta = ft.build_metadata(column, ftype, params())
         assert ft.metadata_from_dict(ft.metadata_to_dict(meta)) == meta
+
+    @pytest.mark.parametrize("payload,match", [
+        ([], "must be an object"),
+        ({"type": "tensor"}, "unknown type 'tensor'"),
+        ({"type": ["vector"]}, r"unknown type \['vector'\]"),
+        ({"type": "vector"}, "'length' is missing"),
+        ({"type": "vector", "length": "3"}, "'length' is missing or ill-typed"),
+        ({"type": "vector", "length": True}, "'length' is missing or ill-typed"),
+        ({"type": "numerical", "mean": 0.0, "std": None, "normalization": "zscore",
+          "min": 0.0, "max": 1.0}, "'std'"),
+        ({"type": "category", "token2id": {}, "id2token": {}, "frequencies": {},
+          "max_sequence_length": 1}, "'id2token'"),
+    ])
+    def test_malformed_entry_is_data_error(self, payload, match):
+        with pytest.raises(DataError, match=match):
+            ft.metadata_from_dict(payload)
