@@ -7,8 +7,18 @@ a closure that scatters gradient contributions back to the node's parents;
 gradient per named parameter. Node ids grow monotonically, so the tape is
 topologically ordered by construction and a single reverse sweep suffices.
 
+``backward`` consumes its tape: after the sweep it drops every closure and
+the node list, so the nodes, and the arrays the closures captured, are freed
+by reference counting as soon as the caller lets go of them. A
+``Tape(grad=False)`` records nothing from the start: it keeps no node list
+and its ops attach no closures, so a forward pass on it holds only the
+values the caller keeps. Neither kind of tape can be differentiated again.
+
 Forward values are never mutated by a backward pass; gradients live in a
-separate per-node buffer that is lazily allocated.
+separate per-node buffer that is lazily allocated. The loss ops also expose
+their per-row terms as ``node.rows = (terms, weights)``, with the node's value
+equal to ``terms.sum() / weights.sum()``, so a caller can reduce the terms of
+many batches to the value one batch of all their rows would have.
 """
 
 from __future__ import annotations
@@ -86,7 +96,8 @@ class ParameterStore:
 class TapeNode:
     """One recorded operation: forward value plus backward bookkeeping."""
 
-    __slots__ = ("id", "op_kind", "parent_ids", "value", "grad", "param_name", "_backward", "tape")
+    __slots__ = ("id", "op_kind", "parent_ids", "value", "grad", "param_name", "_backward", "tape",
+                 "rows")
 
     def __init__(self, tape: "Tape", node_id: int, op_kind: str,
                  parent_ids: tuple[int, ...], value: Tensor,
@@ -100,6 +111,7 @@ class TapeNode:
         self.grad: np.ndarray | None = None
         self.param_name = param_name
         self._backward = backward
+        self.rows: tuple[np.ndarray, np.ndarray] | None = None
 
     def accumulate(self, contribution: np.ndarray) -> None:
         if self.grad is None:
@@ -123,16 +135,28 @@ class TapeNode:
 
 
 class Tape:
-    """Append-only record of operations for one forward pass."""
+    """Append-only record of operations for one forward pass.
 
-    def __init__(self):
-        self.nodes: list[TapeNode] = []
+    With ``grad=False`` the tape keeps no nodes and its ops attach no
+    backward closures: an inference pass that cannot be differentiated.
+    """
+
+    def __init__(self, grad: bool = True):
+        self.nodes: list[TapeNode] | None = [] if grad else None
+        self._next_id = 0
+
+    @property
+    def grad(self) -> bool:
+        """Whether ops record backward closures: false once consumed."""
+        return self.nodes is not None
 
     def _record(self, op_kind: str, parents: Sequence[TapeNode], value: Tensor,
                 backward: Callable[[], None] | None, param_name: str | None = None) -> TapeNode:
-        node = TapeNode(self, len(self.nodes), op_kind,
+        node = TapeNode(self, self._next_id, op_kind,
                         tuple(p.id for p in parents), value, backward, param_name)
-        self.nodes.append(node)
+        self._next_id += 1
+        if self.nodes is not None:
+            self.nodes.append(node)
         return node
 
     def constant(self, values) -> TapeNode:
@@ -145,23 +169,28 @@ class Tape:
         return self._record("param", (), param.tensor, None, param_name=param.name)
 
     def backward(self, root: TapeNode) -> dict[str, Tensor]:
-        """Reverse sweep from a scalar root.
+        """Reverse sweep from a scalar root; consumes the tape.
 
         Returns one gradient tensor per parameter leaf on the tape; leaves
         that do not influence the root get zeros. Fan-out contributions
-        accumulate. Forward values are left untouched.
+        accumulate. Forward values are left untouched. Afterwards the tape
+        holds no nodes and no node holds a closure, so a second call raises.
         """
         if root.tape is not self:
             raise ContractError("root node belongs to a different tape")
+        if self.nodes is None:
+            raise ContractError("tape records no gradients: it was built with grad=False "
+                                "or already consumed by backward")
         if root.value.array.size != 1:
             raise ContractError(f"backward root must be scalar, got dims {root.value.dims}")
+        nodes, self.nodes = self.nodes, None
         root.accumulate(np.ones(root.value.dims, dtype=np.float64))
-        for node in reversed(self.nodes[: root.id + 1]):
+        for node in reversed(nodes[: root.id + 1]):
             if node.grad is None or node._backward is None:
                 continue
             node._backward()
         grads: dict[str, Tensor] = {}
-        for node in self.nodes:
+        for node in nodes:
             if node.param_name is None:
                 continue
             g = node.grad if node.grad is not None else np.zeros(node.value.dims)
@@ -169,8 +198,9 @@ class Tape:
                 grads[node.param_name] = Tensor(grads[node.param_name].array + g)
             else:
                 grads[node.param_name] = Tensor(g.copy())
-        for node in self.nodes:
+        for node in nodes:
             node.grad = None
+            node._backward = None
         return grads
 
 
@@ -193,7 +223,8 @@ def matmul(a: TapeNode, b: TapeNode) -> TapeNode:
         a.accumulate(g @ bv.T)
         b.accumulate(av.T @ g)
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -217,7 +248,8 @@ def add(a: TapeNode, b: TapeNode) -> TapeNode:
         else:
             b.accumulate(g)
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -229,7 +261,8 @@ def scale(a: TapeNode, factor: float) -> TapeNode:
     def backward():
         a.accumulate(node.grad * factor)
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -255,7 +288,8 @@ def apply_unary(kind: str, x: TapeNode) -> TapeNode:
         else:
             x.accumulate(g * (1.0 - out * out))
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -316,7 +350,8 @@ def reduce(kind: str, x: TapeNode, axis: int) -> TapeNode:
                               np.expand_dims(g, axis), axis=axis)
             x.accumulate(gx)
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -347,7 +382,8 @@ def concat(parts: Sequence[TapeNode], axis: int = 1) -> TapeNode:
             part.accumulate(g[tuple(index)])
             offset += width
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -360,7 +396,8 @@ def reshape(x: TapeNode, dims: Sequence[int]) -> TapeNode:
     def backward():
         x.accumulate(node.grad.reshape(x.value.dims))
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -383,7 +420,8 @@ def select(x: TapeNode, axis: int, index: int) -> TapeNode:
         gx[tuple(slicer)] = node.grad.reshape(gx[tuple(slicer)].shape)
         x.accumulate(gx)
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -407,7 +445,8 @@ def embedding_lookup(table: TapeNode, ids: Sequence[int]) -> TapeNode:
         np.add.at(gt, idx, node.grad)
         table.accumulate(gt)
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -426,7 +465,8 @@ def softmax(x: TapeNode) -> TapeNode:
         dot = (g * p).sum(axis=1, keepdims=True)
         x.accumulate(p * (g - dot))
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -479,7 +519,8 @@ def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode) -> TapeNode:
         filters.accumulate(gf)
         bias.accumulate(g3.sum(axis=(0, 1)))
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -519,12 +560,15 @@ def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int],
     total = wts.sum()
     if total <= 0:
         # nothing to score; a constant zero keeps the graph well-defined
-        return logits.tape.constant([0.0])
+        node = logits.tape.constant([0.0])
+        node.rows = (np.zeros(b), wts)
+        return node
     shifted = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
-    per_row = lse - lv[np.arange(b), ids]
-    value = Tensor([float((per_row * wts).sum() / total)])
+    terms = (lse - lv[np.arange(b), ids]) * wts
+    value = Tensor([float(terms.sum() / total)])
     node = logits.tape._record("softmax_cross_entropy", (logits,), value, None)
+    node.rows = (terms, wts)
 
     def backward():
         g = node.grad[0]
@@ -533,7 +577,8 @@ def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int],
         p[np.arange(b), ids] -= 1.0
         logits.accumulate(g * p * (wts / total)[:, np.newaxis])
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -550,12 +595,14 @@ def sigmoid_bce(logits: TapeNode, targets) -> TapeNode:
     per = np.maximum(lv, 0.0) - lv * tv + np.log1p(np.exp(-np.abs(lv)))
     value = Tensor([float(per.sum() / n)])
     node = logits.tape._record("sigmoid_bce", (logits,), value, None)
+    node.rows = (per, np.ones(per.shape))
 
     def backward():
         g = node.grad[0]
         logits.accumulate(g * (_stable_sigmoid(lv) - tv) / n)
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node
 
 
@@ -567,11 +614,14 @@ def mse(prediction: TapeNode, targets) -> TapeNode:
         tv = tv.reshape(pv.shape)
     n = pv.size
     diff = pv - tv
-    value = Tensor([float((diff * diff).sum() / n)])
+    terms = diff * diff
+    value = Tensor([float(terms.sum() / n)])
     node = prediction.tape._record("mse", (prediction,), value, None)
+    node.rows = (terms, np.ones(terms.shape))
 
     def backward():
         prediction.accumulate(node.grad[0] * 2.0 * diff / n)
 
-    node._backward = backward
+    if node.tape.grad:
+        node._backward = backward
     return node

@@ -14,9 +14,12 @@ SPLIT_NAMES = ("train", "validation", "test")
 
 @dataclass
 class Dataset:
+    """CSV rows by column name; ``lines[i]`` is the file line of ``rows[i]``."""
+
     source: str
     header: list[str]
     rows: list[dict[str, str]]
+    lines: list[int]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -27,7 +30,8 @@ class Dataset:
         return [row[name] for row in self.rows]
 
     def subset(self, indices: list[int]) -> "Dataset":
-        return Dataset(self.source, list(self.header), [self.rows[i] for i in indices])
+        return Dataset(self.source, list(self.header), [self.rows[i] for i in indices],
+                       [self.lines[i] for i in indices])
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -44,15 +48,17 @@ def load_dataset(path: str | Path) -> Dataset:
         if len(set(header)) != len(header):
             raise DataError(f"dataset header has duplicate column names: {header}")
         rows = []
+        lines = []
         for number, record in enumerate(reader, start=2):
             if not record:
                 continue
             if len(record) != len(header):
                 raise DataError(f"row {number} has {len(record)} cells, expected {len(header)}")
             rows.append(dict(zip(header, record)))
+            lines.append(number)
     if not rows:
         raise DataError(f"dataset file {path} has a header but no rows")
-    return Dataset(str(path), header, rows)
+    return Dataset(str(path), header, rows, lines)
 
 
 def split_dataset(dataset: Dataset, split, split_column: str | None,
@@ -68,7 +74,7 @@ def split_dataset(dataset: Dataset, split, split_column: str | None,
         for i, row in enumerate(dataset.rows):
             label = row.get(split_column, "")
             if label not in buckets:
-                raise DataError(f"split column {split_column!r} row {i + 2}: "
+                raise DataError(f"split column {split_column!r} row {dataset.lines[i]}: "
                                 f"unknown value {label!r}; expected one of {SPLIT_NAMES}")
             buckets[label].append(i)
         return {name: dataset.subset(indices) for name, indices in buckets.items()}

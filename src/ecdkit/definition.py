@@ -117,9 +117,6 @@ class ModelDefinition:
     preprocessing: dict[str, dict[str, Any]] = field(default_factory=dict)
     training: TrainingParams = field(default_factory=TrainingParams)
 
-    def feature_names(self) -> list[str]:
-        return [f.name for f in self.input_features] + [f.name for f in self.output_features]
-
     def output_by_name(self, name: str) -> DecoderSpec:
         for spec in self.output_features:
             if spec.name == name:

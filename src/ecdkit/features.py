@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import typing
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,26 +163,30 @@ def _column_tokens(column: list[str], ftype: str, params: PreprocParams) -> list
     return rows
 
 
-def build_metadata(column: list[str], ftype: str, params: PreprocParams) -> FeatureMetadata:
+def build_metadata(column: list[str], ftype: str, params: PreprocParams,
+                   lines: Sequence[int] | None = None) -> FeatureMetadata:
     """Summarize one raw training column into reusable metadata.
 
     Vocabularies are ordered by descending frequency then lexicographically,
     truncated to the configured cap, and prefixed with the reserved tokens.
     Numerical statistics use population variance over non-missing values; a
     constant column keeps std = 1 so normalization stays well-defined.
+    A cell that does not parse is reported with its row from ``lines``, the
+    CSV line of each cell (by default 2, 3, ...: the column's own file).
     """
     if ftype not in SUPPORTED_TYPES:
         raise RegistryError(f"unknown feature type {ftype!r}; available: {', '.join(SUPPORTED_TYPES)}")
-    present = [raw for raw in column if not is_missing(raw)]
+    if lines is None:
+        lines = range(2, len(column) + 2)
+    present = [(line, raw) for line, raw in zip(lines, column) if not is_missing(raw)]
     if ftype == "binary":
-        for raw in present:
-            parse_binary(raw)
+        _parse_cells(present, parse_binary)
         return BinaryMetadata()
     if not present:
         raise MetadataError(f"column has no usable values for type {ftype!r}")
 
     if ftype == "numerical":
-        values = np.array([parse_float(raw) for raw in present])
+        values = np.array(_parse_cells(present, parse_float))
         mean = float(values.mean())
         std = float(math.sqrt(float(((values - mean) ** 2).mean())))
         if std == 0.0:
@@ -191,7 +196,7 @@ def build_metadata(column: list[str], ftype: str, params: PreprocParams) -> Feat
                                  min=float(values.min()), max=float(values.max()))
 
     if ftype == "vector":
-        length = len(parse_vector(present[0]))
+        length = len(_parse_cells(present[:1], parse_vector)[0])
         return VectorMetadata(type="vector", length=length)
 
     token_rows = _column_tokens(column, ftype, params)
@@ -215,6 +220,17 @@ def build_metadata(column: list[str], ftype: str, params: PreprocParams) -> Feat
 # ---------------------------------------------------------------------------
 # raw value parsers
 # ---------------------------------------------------------------------------
+
+def _parse_cells(cells: list[tuple[int, str]], parse) -> list:
+    """``parse`` of each (line, cell) pair; a failure names the line."""
+    values = []
+    for line, raw in cells:
+        try:
+            values.append(parse(raw))
+        except DataError as exc:
+            raise DataError(f"row {line}: {exc}") from None
+    return values
+
 
 def parse_binary(raw: str) -> float:
     low = raw.strip().lower()
@@ -311,32 +327,38 @@ def _fill_missing(ftype: str, meta: FeatureMetadata, params: PreprocParams) -> s
 # post-processing: prediction tensor -> raw value
 # ---------------------------------------------------------------------------
 
-def postprocess_prediction(out: Tensor, ftype: str, meta: FeatureMetadata):
-    """Map one row's prediction tensor back into raw data space."""
-    arr = out.array
-    if ftype == "category":
-        if arr.ndim != 1 or arr.shape[0] != meta.vocab_size:
-            raise ShapeError(f"category prediction dims {out.dims} != vocabulary size {meta.vocab_size}")
-        return meta.id2token[int(np.argmax(arr))]
-    if ftype == "binary":
-        if arr.size != 1:
-            raise ShapeError(f"binary prediction dims {out.dims} must be [1]")
-        return meta.true_form if float(arr.reshape(-1)[0]) >= 0.5 else meta.false_form
-    if ftype == "numerical":
-        if arr.size != 1:
-            raise ShapeError(f"numerical prediction dims {out.dims} must be [1]")
-        return meta.denormalize(float(arr.reshape(-1)[0]))
-    if ftype == "set":
-        if arr.ndim != 1 or arr.shape[0] != meta.vocab_size:
-            raise ShapeError(f"set prediction dims {out.dims} != vocabulary size {meta.vocab_size}")
-        return [meta.id2token[i] for i in range(meta.vocab_size) if arr[i] >= 0.5]
-    if ftype == "sequence":
+def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata) -> list:
+    """Map a batch of prediction rows back into raw data space, one entry per row.
+
+    category and set take [b x vocab] probabilities, binary and numerical
+    [b x 1] values, sequence [b x s x vocab] per-position probabilities.
+    Argmax ties go to the lowest id; thresholds are >= 0.5; a sequence row
+    loses its trailing ``<PAD>`` tokens.
+    """
+    arr = np.asarray(batch)
+    if ftype in ("binary", "numerical"):
+        if arr.ndim != 2 or arr.shape[1] != 1:
+            raise ShapeError(f"{ftype} prediction dims {arr.shape} must be [b x 1]")
+        if ftype == "numerical":
+            return meta.denormalize(arr[:, 0]).tolist()
+        return [meta.true_form if hit else meta.false_form for hit in (arr[:, 0] >= 0.5).tolist()]
+    if ftype in ("category", "set"):
         if arr.ndim != 2 or arr.shape[1] != meta.vocab_size:
-            raise ShapeError(f"sequence prediction dims {out.dims} incompatible with vocabulary")
-        tokens = [meta.id2token[int(np.argmax(arr[t]))] for t in range(arr.shape[0])]
-        while tokens and tokens[-1] == PAD:
-            tokens.pop()
-        return tokens
+            raise ShapeError(f"{ftype} prediction dims {arr.shape} != [b x {meta.vocab_size}]")
+        if ftype == "category":
+            return [meta.id2token[i] for i in np.argmax(arr, axis=1).tolist()]
+        return [[tok for tok, hit in zip(meta.id2token, row) if hit]
+                for row in (arr >= 0.5).tolist()]
+    if ftype == "sequence":
+        if arr.ndim != 3 or arr.shape[2] != meta.vocab_size:
+            raise ShapeError(f"sequence prediction dims {arr.shape} incompatible with vocabulary")
+        pad = meta.token2id[PAD]
+        rows = []
+        for ids in np.argmax(arr, axis=2).tolist():
+            while ids and ids[-1] == pad:
+                ids.pop()
+            rows.append([meta.id2token[i] for i in ids])
+        return rows
     raise RegistryError(f"no post-processor for feature type {ftype!r}")
 
 

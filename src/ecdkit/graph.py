@@ -104,11 +104,16 @@ def combined_loss(losses: dict[str, ad.TapeNode], weights: dict[str, float]) -> 
 
 @dataclass
 class ForwardResult:
+    """One forward pass. ``loss_rows`` holds each output's loss terms and
+    weights (see ``TapeNode.rows``); ``combined`` is None without targets
+    or gradients."""
+
     tape: ad.Tape
     predictions: dict[str, Tensor]
     probabilities: dict[str, Tensor | None]
     losses: dict[str, float] = field(default_factory=dict)
     combined: ad.TapeNode | None = None
+    loss_rows: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
     def combined_loss(self) -> float:
@@ -163,13 +168,16 @@ class ECDModel:
         self.loss_weights = {spec.name: float(spec.loss_weight) for spec in definition.output_features}
 
     def forward(self, batch: dict[str, np.ndarray],
-                targets: dict[str, np.ndarray] | None = None) -> ForwardResult:
+                targets: dict[str, np.ndarray] | None = None,
+                grad: bool = True) -> ForwardResult:
         """Run encode -> combine -> decode over one preprocessed batch.
 
         ``targets`` must hold every output feature when losses are wanted.
+        With ``grad=False`` the pass runs on a tape that records no
+        gradients and builds no combined loss: for evaluation and prediction.
         The result is deterministic given the model state and the batch.
         """
-        tape = ad.Tape()
+        tape = ad.Tape(grad=grad)
         hiddens = []
         seq_states = None
         for spec in self.definition.input_features:
@@ -207,7 +215,7 @@ class ECDModel:
                 loss_nodes[name] = result.loss
 
         combined_node = None
-        if targets is not None:
+        if targets is not None and grad:
             combined_node = combined_loss(loss_nodes, self.loss_weights)
         return ForwardResult(
             tape=tape,
@@ -217,9 +225,11 @@ class ECDModel:
                            for n in self.decoder_order},
             losses={n: loss_nodes[n].value.item() for n in loss_nodes},
             combined=combined_node,
+            loss_rows={n: loss_nodes[n].rows for n in loss_nodes},
         )
 
     def backward(self, result: ForwardResult) -> dict[str, Tensor]:
         if result.combined is None:
-            raise ContractError("forward pass was run without targets; no loss to differentiate")
+            raise ContractError("forward pass was run without targets or gradients; "
+                                "no loss to differentiate")
         return result.tape.backward(result.combined)

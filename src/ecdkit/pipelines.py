@@ -8,6 +8,14 @@ rows with the stored metadata, and post-process model outputs back into raw
 data space. ``experiment`` composes both halves and reports metrics for all
 three splits.
 
+Evaluation and prediction share one loop: ``batch_size``-row chunks run
+forward on tapes that keep no gradients, each chunk's outputs are
+post-processed as a batch, and the losses are reduced once over the
+concatenated per-row terms, so memory stays bounded by the chunk and the
+result equals that of one batch holding every row. ``predict`` parses the
+targets before its single pass and scores that same pass, so a bad target
+cell writes no file. Row errors name the line of the CSV file.
+
 Every run is single-threaded and fully determined by (definition, dataset,
 seed); rerunning with equal inputs produces byte-identical artifacts.
 """
@@ -52,7 +60,6 @@ from .graph import ECDModel
 from .optim import make_optimizer, optimizer_step
 from .registry import Registries, build_default_registries
 from .rng import SALT_EPOCH, Lcg, mix_seed
-from .tensor import Tensor
 
 MODEL_SUBDIR = "model"
 STATS_FILE = "training_stats.json"
@@ -101,7 +108,8 @@ def collect_metadata(train: Dataset, definition: ModelDefinition) -> dict:
     for spec in list(definition.input_features) + list(definition.output_features):
         column = train.column(spec.name)
         try:
-            metadata[spec.name] = build_metadata(column, spec.type, _preproc_params(spec))
+            metadata[spec.name] = build_metadata(column, spec.type, _preproc_params(spec),
+                                                 train.lines)
         except DataError as exc:
             raise type(exc)(f"column {spec.name!r}: {exc}") from None
     return metadata
@@ -134,12 +142,12 @@ def _check_tagger_alignment(split: Dataset, definition: ModelDefinition) -> None
     src_params = _preproc_params(source)
     for spec in taggers:
         dst_params = _preproc_params(spec)
-        for i, row in enumerate(split.rows):
+        for line, row in zip(split.lines, split.rows):
             n_src = len(tokenize(row[source.name], src_params.tokenizer))
             n_dst = len(tokenize(row[spec.name], dst_params.tokenizer))
             if n_src != n_dst:
                 raise DataError(
-                    f"row {i + 2}: tag sequence {spec.name!r} has {n_dst} tokens but input "
+                    f"row {line}: tag sequence {spec.name!r} has {n_dst} tokens but input "
                     f"{source.name!r} has {n_src}; tagging requires 1:1 alignment")
 
 
@@ -151,11 +159,11 @@ def preprocess_features(split: Dataset, specs, metadata: dict) -> dict[str, np.n
         meta = metadata[spec.name]
         column = split.column(spec.name)
         rows = []
-        for i, raw in enumerate(column):
+        for line, raw in zip(split.lines, column):
             try:
                 rows.append(preprocess_value(raw, spec.type, meta, params).array)
             except DataError as exc:
-                raise DataError(f"feature {spec.name!r} row {i + 2}: {exc}") from None
+                raise DataError(f"feature {spec.name!r} row {line}: {exc}") from None
         if rows:
             arrays[spec.name] = np.stack(rows)
         else:
@@ -190,48 +198,89 @@ def preprocess_dataset(splits: dict[str, Dataset], metadata: dict,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _postprocess_rows(result, definition: ModelDefinition, metadata: dict) -> dict[str, list]:
-    """Per-output raw predictions, one entry per batch row."""
-    out: dict[str, list] = {}
-    for spec in definition.output_features:
-        meta = metadata[spec.name]
-        batch = result.predictions[spec.name]
-        rows = []
-        for i in range(batch.dims[0]):
-            rows.append(postprocess_prediction(Tensor(batch.array[i]), spec.type, meta))
-        out[spec.name] = rows
-    return out
+@dataclass
+class _OutputRows:
+    """One output feature's results over every row of a chunked pass."""
+
+    predictions: list
+    probabilities: np.ndarray | None
+    loss_terms: np.ndarray | None
+    loss_weights: np.ndarray | None
+
+    def loss(self) -> float:
+        # the loss op's own reduction, over the terms of all rows at once
+        total = self.loss_weights.sum()
+        return float(self.loss_terms.sum() / total) if total > 0 else 0.0
 
 
-def evaluate_split(model: ECDModel, arrays: dict[str, np.ndarray], split: Dataset,
-                   definition: ModelDefinition, metadata: dict) -> dict[str, dict[str, float]]:
+def _forward_chunks(model: ECDModel, arrays: dict[str, np.ndarray], n: int,
+                    definition: ModelDefinition, metadata: dict,
+                    with_targets: bool) -> dict[str, _OutputRows]:
+    """Run ``n`` rows forward in ``batch_size`` chunks on no-gradient tapes.
+
+    Per output: the post-processed predictions, the probability rows of the
+    types that have them (a tagger's per-position probabilities are neither
+    written nor scored), and, with targets, the loss terms and weights.
+    """
+    names = [spec.name for spec in definition.output_features]
+    predictions: dict[str, list] = {name: [] for name in names}
+    parts: dict[str, tuple[list, list, list]] = {name: ([], [], []) for name in names}
+    batch_size = definition.training.batch_size
+    for start in range(0, n, batch_size):
+        rows = slice(start, start + batch_size)
+        inputs = {s.name: arrays[s.name][rows] for s in definition.input_features}
+        targets = {name: arrays[name][rows] for name in names} if with_targets else None
+        result = model.forward(inputs, targets, grad=False)
+        for spec in definition.output_features:
+            probs, terms, weights = parts[spec.name]
+            predictions[spec.name].extend(postprocess_prediction(
+                result.predictions[spec.name].array, spec.type, metadata[spec.name]))
+            if result.probabilities[spec.name] is not None and spec.type != "sequence":
+                probs.append(result.probabilities[spec.name].array)
+            if with_targets:
+                terms.append(result.loss_rows[spec.name][0])
+                weights.append(result.loss_rows[spec.name][1])
+    outputs = {}
+    for name in names:
+        probs, terms, weights = (np.concatenate(part) if part else None for part in parts[name])
+        outputs[name] = _OutputRows(predictions[name], probs, terms, weights)
+    return outputs
+
+
+def _score(outputs: dict[str, _OutputRows], split: Dataset, definition: ModelDefinition,
+           metadata: dict) -> dict[str, dict[str, float]]:
     """Loss plus every type-appropriate metric, per output feature.
 
-    Losses are computed in tensor space; the named metrics score the
-    post-processed predictions against the raw ground truths.
+    The named metrics score the post-processed predictions against the raw
+    ground truths.
     """
-    if len(split) == 0:
-        return {}
-    inputs = {s.name: arrays[s.name] for s in definition.input_features}
-    targets = {s.name: arrays[s.name] for s in definition.output_features}
-    result = model.forward(inputs, targets)
-    predictions = _postprocess_rows(result, definition, metadata)
     report: dict[str, dict[str, float]] = {}
     for spec in definition.output_features:
         meta = metadata[spec.name]
         params = _preproc_params(spec)
+        out = outputs[spec.name]
         truths = [canonical_truth(raw, spec.type, meta, params)
                   for raw in split.column(spec.name)]
-        block = {"loss": result.losses[spec.name]}
+        block = {"loss": out.loss()}
         for kind in TYPE_METRICS[spec.type]:
             if kind == "cross_entropy":
                 ids = [meta.lookup(t) for t in truths]
-                probs = result.probabilities[spec.name].array
-                block[kind] = compute_metric(kind, ids, list(probs))
+                block[kind] = compute_metric(kind, ids, list(out.probabilities))
             else:
-                block[kind] = compute_metric(kind, truths, predictions[spec.name])
+                block[kind] = compute_metric(kind, truths, out.predictions)
         report[spec.name] = block
     return report
+
+
+def evaluate_split(model: ECDModel, arrays: dict[str, np.ndarray], split: Dataset,
+                   definition: ModelDefinition, metadata: dict) -> dict[str, dict[str, float]]:
+    """Loss plus every type-appropriate metric, per output feature, from one
+    chunked no-gradient pass over the split."""
+    if len(split) == 0:
+        return {}
+    outputs = _forward_chunks(model, arrays, len(split), definition, metadata,
+                              with_targets=True)
+    return _score(outputs, split, definition, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -435,33 +484,22 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
     input_specs = safe_specs[: len(definition.input_features)]
     output_specs = safe_specs[len(definition.input_features) :]
 
-    inputs = preprocess_features(dataset, input_specs, metadata)
-    batch_size = definition.training.batch_size
-    predictions: dict[str, list] = {s.name: [] for s in definition.output_features}
-    probabilities: dict[str, list] = {s.name: [] for s in definition.output_features}
-    for start in range(0, len(dataset), batch_size):
-        chunk = {name: arr[start : start + batch_size] for name, arr in inputs.items()}
-        result = model.forward(chunk)
-        rows = _postprocess_rows(result, definition, metadata)
-        for spec in definition.output_features:
-            predictions[spec.name].extend(rows[spec.name])
-            probs = result.probabilities[spec.name]
-            if probs is not None:
-                probabilities[spec.name].extend(probs.array[i] for i in range(probs.dims[0]))
+    # targets are parsed and checked first, so a bad cell writes no file
+    targets_present = all(s.name in dataset.header for s in definition.output_features)
+    arrays = preprocess_features(dataset, input_specs, metadata)
+    if targets_present:
+        _check_tagger_alignment(dataset, definition)
+        arrays.update(preprocess_features(dataset, output_specs, metadata))
+    outputs = _forward_chunks(model, arrays, len(dataset), definition, metadata,
+                              with_targets=targets_present)
+    metrics = _score(outputs, dataset, definition, metadata) if targets_present else None
 
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     predictions_path = output_dir / PREDICTIONS_FILE
-    _write_predictions_csv(predictions_path, dataset, definition, metadata,
-                           predictions, probabilities)
-
+    _write_predictions_csv(predictions_path, dataset, definition, metadata, outputs)
     metrics_path = None
-    targets_present = all(s.name in dataset.header for s in definition.output_features)
-    if targets_present:
-        _check_tagger_alignment(dataset, definition)
-        targets = preprocess_features(dataset, output_specs, metadata)
-        arrays = {**inputs, **targets}
-        metrics = evaluate_split(model, arrays, dataset, definition, metadata)
+    if metrics is not None:
         metrics_path = output_dir / METRICS_FILE
         metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n",
                                 encoding="utf-8")
@@ -484,7 +522,10 @@ def _render_cell(value) -> str:
 
 
 def _write_predictions_csv(path: Path, dataset: Dataset, definition: ModelDefinition,
-                           metadata: dict, predictions: dict, probabilities: dict) -> None:
+                           metadata: dict, outputs: dict[str, _OutputRows]) -> None:
+    predictions = {name: out.predictions for name, out in outputs.items()}
+    probabilities = {name: out.probabilities.tolist() for name, out in outputs.items()
+                     if out.probabilities is not None}
     columns: list[tuple[str, str, object]] = []  # (column name, feature, extractor)
     for spec in definition.output_features:
         meta = metadata[spec.name]

@@ -1,5 +1,8 @@
 """Tape operations against brute-force oracles and finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -296,9 +299,10 @@ class TestBackward:
         tape = ad.Tape()
         w = leaf(tape, rng.normal(size=(3, 3)), "w")
         out = ad.reduce("sum", ad.reduce("sum", ad.apply_unary("tanh", ad.matmul(w, w)), 1), 0)
-        before = [node.value.array.copy() for node in tape.nodes]
+        nodes = list(tape.nodes)  # backward drops the tape's own list
+        before = [node.value.array.copy() for node in nodes]
         tape.backward(out)
-        for node, snapshot in zip(tape.nodes, before):
+        for node, snapshot in zip(nodes, before):
             np.testing.assert_array_equal(node.value.array, snapshot)
 
     def test_unreachable_parameter_gets_zeros(self):
@@ -411,6 +415,76 @@ def test_gradcheck_probe_count_is_at_least_100():
     cases = _op_cases(np.random.default_rng(0))
     total = sum(int(np.prod(shape)) * 8 for shape, _ in cases.values())
     assert total >= 100
+
+
+# ---------------------------------------------------------------------------
+# tape lifetime: backward consumes the tape; a grad=False tape records nothing
+# ---------------------------------------------------------------------------
+
+def _case(name):
+    shape, build = _op_cases(np.random.default_rng(0))[name]
+    return build, np.random.default_rng(1).normal(size=shape)
+
+
+def _tape_after_pass(name, grad):
+    """Weak reference to the tape of one op case, after backward if ``grad``."""
+    build, values = _case(name)
+    tape = ad.Tape(grad=grad)
+    root = build(tape, leaf(tape, values))
+    if grad:
+        tape.backward(root)
+    return weakref.ref(tape)
+
+
+class TestTapeLifetime:
+
+    def test_second_backward_raises(self):
+        tape = ad.Tape()
+        root = ad.reduce("sum", ad.apply_unary("tanh", leaf(tape, [[1.0, -2.0]])), 1)
+        grads = tape.backward(root)
+        assert tape.nodes is None and not tape.grad
+        with pytest.raises(ContractError, match="consumed"):
+            tape.backward(root)
+        np.testing.assert_allclose(grads["p"].array, 1.0 - np.tanh([[1.0, -2.0]]) ** 2)
+
+    @pytest.mark.parametrize("name", OP_CASE_NAMES)
+    def test_no_grad_tape_gives_equal_values_and_records_nothing(self, name):
+        build, values = _case(name)
+        graded = ad.Tape()
+        expected = build(graded, graded.constant(values)).value.array
+        tape = ad.Tape(grad=False)
+        root = build(tape, tape.constant(values))
+        np.testing.assert_array_equal(root.value.array, expected)
+        assert tape.nodes is None and root._backward is None
+        with pytest.raises(ContractError, match="grad=False"):
+            tape.backward(root)
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("name", OP_CASE_NAMES)
+    def test_tape_is_freed_by_reference_counting(self, name, grad):
+        gc.disable()
+        try:
+            assert _tape_after_pass(name, grad)() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", ["cross_entropy", "cross_entropy_masked",
+                                      "sigmoid_bce", "mse"])
+    def test_loss_rows_reduce_to_the_value(self, name):
+        build, values = _case(name)
+        tape = ad.Tape(grad=False)
+        node = build(tape, tape.constant(values))
+        terms, weights = node.rows
+        assert terms.shape[0] == weights.shape[0] == values.shape[0]
+        assert node.value.item() == float(terms.sum() / weights.sum())
+
+    def test_fully_masked_loss_has_zero_rows(self):
+        tape = ad.Tape()
+        node = ad.softmax_cross_entropy(tape.constant(np.ones((3, 2))), [0, 1, 1],
+                                        weights=np.zeros(3))
+        assert node.value.item() == 0.0
+        np.testing.assert_array_equal(node.rows[0], np.zeros(3))
+        np.testing.assert_array_equal(node.rows[1], np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,73 @@ class TestNonFiniteCells:
         assert repr(column) in err and "non-finite" in err and repr(cell) in err
 
 
+class TestRowLines:
+    """Row errors name the line of the CSV file, not a row's place in its split."""
+
+    @pytest.mark.parametrize("line", [2, 7, 19, 35])
+    def test_train_names_the_line_of_a_bad_cell(self, mixed_model, tmp_path, capsys, line):
+        config, _ = mixed_model
+        rows = [list(r) for r in MIXED_ROWS]
+        rows[line - 2][MIXED_HEADER.index("vec")] = "1 2 nan"
+        dataset = synth.write_rows(tmp_path / "bad.csv", MIXED_HEADER, rows)
+        capsys.readouterr()
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
+                    "--seed", 1]) == 3
+        err = one_line_error(capsys)
+        assert "'vec'" in err and f"row {line}:" in err
+
+    def test_train_names_the_line_of_a_misaligned_tag_row(self, tagger_model, tmp_path, capsys):
+        config, _ = tagger_model
+        dataset = misaligned_tags(tmp_path / "bad.csv", line=9)
+        capsys.readouterr()
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
+                    "--seed", 1]) == 3
+        assert "row 9:" in one_line_error(capsys)
+
+
+def misaligned_tags(path, line):
+    """A tagging dataset whose CSV ``line`` has one tag too few."""
+    synth.token_tagging(path, n=40, seed=2)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tokens, tags = lines[line - 1].split(",")
+    lines[line - 1] = f"{tokens},{tags.rsplit(' ', 1)[0]}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def tagger_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("tagger")
+    config = tmp / "model.yaml"
+    config.write_text("input_features:\n  - name: tokens\n    type: sequence\n"
+                      "output_features:\n  - name: tags\n    type: sequence\n"
+                      "training:\n  epochs: 1\n  batch_size: 16\n", encoding="utf-8")
+    dataset = synth.token_tagging(tmp / "data.csv", n=40, seed=1)
+    assert run(["train", "-c", config, "-d", dataset, "-o", tmp / "run", "--seed", 1, "-q"]) == 0
+    return config, tmp / "run" / "model"
+
+
+class TestPredictChecksTargetsFirst:
+    """A bad target exits 3 with one line before predict writes anything."""
+
+    def test_bad_target_cell(self, mixed_model, tmp_path, capsys):
+        _, model_dir = mixed_model
+        dataset = write_mixed(tmp_path / "bad.csv", "label", "maybe")
+        capsys.readouterr()
+        assert run(["predict", "-m", model_dir, "-d", dataset, "-o", tmp_path / "pred"]) == 3
+        assert "'label' row 2:" in one_line_error(capsys)
+        assert not (tmp_path / "pred").exists()
+
+    def test_misaligned_tag_row(self, tagger_model, tmp_path, capsys):
+        _, model_dir = tagger_model
+        dataset = misaligned_tags(tmp_path / "bad.csv", line=5)
+        capsys.readouterr()
+        assert run(["predict", "-m", model_dir, "-d", dataset, "-o", tmp_path / "pred"]) == 3
+        err = one_line_error(capsys)
+        assert "row 5:" in err and "1:1" in err
+        assert not (tmp_path / "pred").exists()
+
+
 def _drop(payload, feature, key=None):
     if key is None:
         del payload[feature]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ecdkit import features as ft
 from ecdkit.errors import ContractError, DataError, MetadataError, RegistryError, ShapeError
-from ecdkit.tensor import Tensor
 
 
 def params(**overrides):
@@ -207,53 +206,53 @@ class TestPostprocess:
 
     def test_numerical_zero_denormalizes_to_mean(self):
         meta = ft.build_metadata(["1", "2", "3"], "numerical", params())
-        assert ft.postprocess_prediction(Tensor([0.0]), "numerical", meta) == 2.0
+        assert ft.postprocess_prediction(np.array([[0.0]]), "numerical", meta) == [2.0]
 
     def test_category_argmax_oracle(self):
         meta = ft.VocabMetadata(type="category", token2id={"<UNK>": 0, "x": 1, "y": 2},
                                 id2token=["<UNK>", "x", "y"], frequencies={})
         probs = [0.1, 0.7, 0.2]
-        assert ft.postprocess_prediction(Tensor(probs), "category", meta) == \
-            meta.id2token[int(np.argmax(probs))] == "x"
+        assert ft.postprocess_prediction(np.array([probs]), "category", meta) == \
+            [meta.id2token[int(np.argmax(probs))]] == ["x"]
 
     def test_category_tie_takes_lowest_index(self):
         meta = ft.VocabMetadata(type="category", token2id={"<UNK>": 0, "x": 1, "y": 2},
                                 id2token=["<UNK>", "x", "y"], frequencies={})
-        assert ft.postprocess_prediction(Tensor([0.2, 0.4, 0.4]), "category", meta) == "x"
+        assert ft.postprocess_prediction(np.array([[0.2, 0.4, 0.4]]), "category", meta) == ["x"]
 
     def test_binary_threshold(self):
         meta = ft.BinaryMetadata()
-        assert ft.postprocess_prediction(Tensor([0.5]), "binary", meta) == "true"
-        assert ft.postprocess_prediction(Tensor([0.49]), "binary", meta) == "false"
+        assert ft.postprocess_prediction(np.array([[0.5]]), "binary", meta) == ["true"]
+        assert ft.postprocess_prediction(np.array([[0.49]]), "binary", meta) == ["false"]
 
     def test_set_threshold_and_empty_result(self):
         meta = ft.build_metadata(["x y"], "set", params())
-        low = Tensor(np.full(meta.vocab_size, 0.4))
-        assert ft.postprocess_prediction(low, "set", meta) == []
+        low = np.full((1, meta.vocab_size), 0.4)
+        assert ft.postprocess_prediction(low, "set", meta) == [[]]
         probs = np.full(meta.vocab_size, 0.1)
         probs[meta.token2id["y"]] = 0.9
-        assert ft.postprocess_prediction(Tensor(probs), "set", meta) == ["y"]
+        assert ft.postprocess_prediction(probs[np.newaxis], "set", meta) == [["y"]]
 
     def test_sequence_strips_trailing_padding(self):
         meta = ft.build_metadata(["a b", "b a"], "sequence", params())
         rows = np.zeros((2, meta.vocab_size))
         rows[0, meta.token2id["a"]] = 1.0
         rows[1, meta.token2id[ft.PAD]] = 1.0
-        assert ft.postprocess_prediction(Tensor(rows), "sequence", meta) == ["a"]
+        assert ft.postprocess_prediction(rows[np.newaxis], "sequence", meta) == [["a"]]
 
     def test_dims_mismatch_is_shape_error(self):
         meta = ft.build_metadata(["a"], "category", params())
         with pytest.raises(ShapeError):
-            ft.postprocess_prediction(Tensor([0.1, 0.2, 0.3, 0.4]), "category", meta)
+            ft.postprocess_prediction(np.array([[0.1, 0.2, 0.3, 0.4]]), "category", meta)
 
     def test_category_round_trip_through_one_hot(self):
         column = ["red", "green", "blue", "red"]
         meta = ft.build_metadata(column, "category", params())
         for token in ("red", "green", "blue"):
             encoded = ft.preprocess_value(token, "category", meta, params())
-            one_hot = np.zeros(meta.vocab_size)
-            one_hot[int(encoded.array[0])] = 1.0
-            assert ft.postprocess_prediction(Tensor(one_hot), "category", meta) == token
+            one_hot = np.zeros((1, meta.vocab_size))
+            one_hot[0, int(encoded.array[0])] = 1.0
+            assert ft.postprocess_prediction(one_hot, "category", meta) == [token]
 
 
 class TestMetrics:

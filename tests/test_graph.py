@@ -296,6 +296,22 @@ class TestForward:
                                       second.predictions["label"].array)
         assert first.combined_loss == second.combined_loss
 
+    def test_no_grad_forward_equals_the_taped_one(self):
+        model = build(TWO_OUTPUT, two_output_meta())
+        batch = {"x": np.linspace(-1, 1, 8).reshape(8, 1)}
+        targets = {"label": np.ones((8, 1)), "score": np.zeros((8, 1))}
+        taped = model.forward(batch, targets)
+        bare = model.forward(batch, targets, grad=False)
+        for name in model.decoder_order:
+            np.testing.assert_array_equal(bare.predictions[name].array,
+                                          taped.predictions[name].array)
+            assert bare.losses[name] == taped.losses[name]
+            for got, want in zip(bare.loss_rows[name], taped.loss_rows[name]):
+                np.testing.assert_array_equal(got, want)
+        assert bare.combined is None and bare.tape.nodes is None
+        with pytest.raises(ContractError, match="no loss"):
+            model.backward(bare)
+
     def test_missing_input_feature_is_contract_error(self):
         model = build(TWO_OUTPUT, two_output_meta())
         with pytest.raises(ContractError, match="x"):

@@ -1,22 +1,31 @@
 """End-to-end pipeline behavior: caching, determinism, artifacts, prediction."""
 
+import copy
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecdkit import features as ft
 from ecdkit.cache import FORMAT_VERSION, cache_path_for
 from ecdkit.config import parse_model_definition, resolve_defaults
 from ecdkit.data import load_dataset, split_dataset
 from ecdkit.errors import ArtifactError, DataError, TrainingRuntimeError
+from ecdkit.graph import ECDModel
 from ecdkit.pipelines import (
     ValidationFailed,
+    _forward_chunks,
     collect_metadata,
+    evaluate_split,
     experiment,
     load_model,
     predict,
     preprocess_dataset,
+    preprocess_features,
     save_model,
     train,
 )
@@ -485,3 +494,129 @@ class TestMissingValueStrategies:
         holes = synth.write_rows(tmp_path / "holes.csv", ["x"], [["1.0"], [""], ["2.0"]])
         predictions_path, _ = predict(model_dir, holes, tmp_path / "pred")
         assert len(predictions_path.read_text().strip().splitlines()) == 4  # header + 3
+
+
+# ---------------------------------------------------------------------------
+# chunked, no-gradient evaluation and prediction
+# ---------------------------------------------------------------------------
+
+ALL_OUTPUTS_CONFIG = (
+    "input_features:\n"
+    "  - name: words\n    type: sequence\n    encoder: cnn\n    filter_widths: [3]\n"
+    "  - name: x\n    type: numerical\n"
+    "output_features:\n"
+    "  - name: tags\n    type: sequence\n    decoder: tagger\n"
+    "  - name: label\n    type: category\n"
+    "  - name: ok\n    type: binary\n    dependencies: [label]\n"
+    "  - name: score\n    type: numerical\n"
+    "  - name: picks\n    type: set\n"
+    "training:\n  epochs: 1\n  batch_size: 8\n"
+)
+ALL_OUTPUTS_ROWS = 37
+
+
+def all_outputs_rows(n, seed=4):
+    """Rows for every output type; every ninth row has no tokens, so a
+    one-row chunk can carry a fully masked tagger loss."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        length = 0 if i % 9 == 4 else int(rng.integers(1, 6))
+        tokens = [list(synth.TAG_RULE)[int(j)] for j in rng.integers(6, size=length)]
+        x = float(rng.normal())
+        rows.append([" ".join(tokens), repr(x), " ".join(synth.TAG_RULE[t] for t in tokens),
+                     "hi" if x > 0 else "lo", "true" if length > 3 else "false",
+                     repr(2 * x + 1), " ".join(sorted(set(tokens[:2])))])
+    return rows
+
+
+def evaluation_inputs(model_dir, dataset_path, batch_size):
+    """``evaluate_split``'s arguments for a dataset, at ``batch_size``."""
+    model, definition, metadata = load_model(model_dir)
+    definition = copy.deepcopy(definition)
+    definition.training.batch_size = batch_size
+    dataset = load_dataset(dataset_path)
+    specs = list(definition.input_features) + list(definition.output_features)
+    return model, preprocess_features(dataset, specs, metadata), dataset, definition, metadata
+
+
+@pytest.fixture(scope="module")
+def all_outputs_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("all_outputs")
+    path = synth.write_rows(tmp / "d.csv", ["words", "x", "tags", "label", "ok", "score", "picks"],
+                            all_outputs_rows(ALL_OUTPUTS_ROWS))
+    model_dir, _ = train(resolved(ALL_OUTPUTS_CONFIG), path, tmp / "run", seed=3,
+                         use_cache=False)
+    return model_dir, path
+
+
+class TestChunkedEvaluation:
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch_size=st.integers(1, ALL_OUTPUTS_ROWS + 3))
+    def test_any_chunk_size_matches_one_chunk(self, all_outputs_model, batch_size):
+        one = evaluation_inputs(*all_outputs_model, ALL_OUTPUTS_ROWS)
+        many = evaluation_inputs(*all_outputs_model, batch_size)
+        expected, got = evaluate_split(*one), evaluate_split(*many)
+        assert sorted(got) == sorted(expected)
+        for name, block in expected.items():
+            assert sorted(got[name]) == sorted(block)
+            for kind, value in block.items():
+                assert abs(got[name][kind] - value) <= 1e-12, (name, kind)
+        rows = [_forward_chunks(model, arrays, len(dataset), definition, metadata, True)
+                for model, arrays, dataset, definition, metadata in (one, many)]
+        for name, out in rows[0].items():
+            if name == "score":
+                # a row's BLAS result may differ in the last bit with the batch height
+                np.testing.assert_allclose(rows[1][name].predictions, out.predictions,
+                                           rtol=0, atol=1e-12)
+            else:
+                assert rows[1][name].predictions == out.predictions
+            if out.probabilities is not None:
+                np.testing.assert_allclose(rows[1][name].probabilities, out.probabilities,
+                                           rtol=0, atol=1e-12)
+
+    def test_predict_runs_one_forward_per_chunk(self, all_outputs_model, tmp_path, monkeypatch):
+        model_dir, path = all_outputs_model
+        calls = []
+        real_forward = ECDModel.forward
+
+        def spy(model, batch, targets=None, grad=True):
+            calls.append((len(next(iter(batch.values()))), targets is not None, grad))
+            return real_forward(model, batch, targets, grad)
+
+        monkeypatch.setattr(ECDModel, "forward", spy)
+        _, metrics_path = predict(model_dir, path, tmp_path / "pred")
+        assert metrics_path is not None
+        batch_size = load_model(model_dir)[1].training.batch_size
+        assert len(calls) == math.ceil(ALL_OUTPUTS_ROWS / batch_size)
+        assert sum(rows for rows, _, _ in calls) == ALL_OUTPUTS_ROWS
+        assert all(with_targets and not grad for _, with_targets, grad in calls)
+
+    def test_evaluation_memory_is_bounded_by_the_chunk(self, tmp_path):
+        rng = np.random.default_rng(8)
+        vocab = [f"w{i}" for i in range(40)]
+        rows = []
+        for _ in range(1024):
+            ids = rng.integers(len(vocab), size=int(rng.integers(4, 25)))
+            rows.append([" ".join(vocab[j] for j in ids), " ".join(f"t{j % 7}" for j in ids)])
+        path = synth.write_rows(tmp_path / "d.csv", ["tokens", "tags"], rows)
+        text = ("input_features:\n  - name: tokens\n    type: sequence\n    encoder: cnn\n"
+                "    filter_widths: [3, 5, 7]\n"
+                "output_features:\n  - name: tags\n    type: sequence\n    decoder: tagger\n"
+                "training:\n  epochs: 0\n  batch_size: 128\n")
+        model_dir, _ = train(resolved(text), path, tmp_path / "run", seed=1, use_cache=False)
+        model, arrays, dataset, definition, metadata = evaluation_inputs(model_dir, path, 128)
+
+        def peak(n):
+            split = dataset.subset(list(range(n)))
+            head = {name: array[:n] for name, array in arrays.items()}
+            tracemalloc.start()
+            try:
+                evaluate_split(model, head, split, definition, metadata)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(256), peak(1024)
+        assert large < 1.5 * small, (small, large)
