@@ -2,9 +2,9 @@
 
 Seven feature types are supported: binary, numerical, category, set,
 sequence, text, and vector. Each type knows how to summarize a raw training
-column into metadata (vocabularies, statistics), how to turn a raw cell into
-a tensor using that metadata, how to map a prediction tensor back into raw
-space, and which evaluation metrics apply.
+column into metadata (vocabularies, statistics), how to turn a raw column
+into an array using that metadata, how to map a batch of predictions back
+into raw space, and which evaluation metrics apply.
 
 Vocabulary conventions: sequence and text reserve id 0 for ``<PAD>`` and
 id 1 for ``<UNK>``; category and set reserve id 0 for ``<UNK>``. Remaining
@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 import typing
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError, MetadataError, RegistryError, ShapeError
-from .tensor import Tensor
 
 SUPPORTED_TYPES = ("binary", "numerical", "category", "set", "sequence", "text", "vector")
 OUTPUT_TYPES = ("binary", "numerical", "category", "set", "sequence")
@@ -41,7 +40,7 @@ MISSING_STRATEGIES = ("fill_const", "fill_mean", "drop_row")
 
 @dataclass
 class PreprocParams:
-    """Knobs that change how raw values become tensors."""
+    """Knobs that change how raw values become arrays."""
 
     tokenizer: str = "space"
     max_sequence_length: int = 256
@@ -116,12 +115,13 @@ class NumericalMetadata:
     min: float
     max: float
 
-    def normalize(self, x: float) -> float:
+    def normalize(self, x):
+        """``x``, a float or an array, in normalized space."""
         if self.normalization == "zscore":
             return (x - self.mean) / self.std
         if self.normalization == "minmax":
             span = self.max - self.min
-            return (x - self.min) / span if span > 0 else 0.0
+            return (x - self.min) / span if span > 0 else np.zeros_like(x)
         return x
 
     def denormalize(self, x: float) -> float:
@@ -148,19 +148,13 @@ class VectorMetadata:
 FeatureMetadata = VocabMetadata | NumericalMetadata | BinaryMetadata | VectorMetadata
 
 
-def _column_tokens(column: list[str], ftype: str, params: PreprocParams) -> list[list[str]]:
-    rows = []
-    for raw in column:
-        if is_missing(raw):
-            continue
-        value = raw.lower() if params.lowercase else raw
-        if ftype == "category":
-            rows.append([value])
-        elif ftype == "set":
-            rows.append(value.split())
-        else:  # sequence, text
-            rows.append(tokenize(value, params.tokenizer))
-    return rows
+def _tokens(cell: str, ftype: str, params: PreprocParams) -> list[str]:
+    """The vocabulary tokens of one (lowercased as configured) cell."""
+    if ftype == "category":
+        return [cell]
+    if ftype == "set":
+        return cell.split()
+    return tokenize(cell, params.tokenizer)  # sequence, text
 
 
 def build_metadata(column: list[str], ftype: str, params: PreprocParams,
@@ -199,7 +193,8 @@ def build_metadata(column: list[str], ftype: str, params: PreprocParams,
         length = len(_parse_cells(present[:1], parse_vector)[0])
         return VectorMetadata(type="vector", length=length)
 
-    token_rows = _column_tokens(column, ftype, params)
+    token_rows = [_tokens(raw.lower() if params.lowercase else raw, ftype, params)
+                  for _, raw in present]
     counts = Counter()
     for row in token_rows:
         counts.update(row)
@@ -221,7 +216,7 @@ def build_metadata(column: list[str], ftype: str, params: PreprocParams,
 # raw value parsers
 # ---------------------------------------------------------------------------
 
-def _parse_cells(cells: list[tuple[int, str]], parse) -> list:
+def _parse_cells(cells: Iterable[tuple[int, str]], parse) -> list:
     """``parse`` of each (line, cell) pair; a failure names the line."""
     values = []
     for line, raw in cells:
@@ -252,7 +247,7 @@ def parse_float(raw: str) -> float:
     return value
 
 
-def parse_vector(raw: str) -> list[float]:
+def parse_vector(raw: str, length: int | None = None) -> list[float]:
     parts = raw.split()
     if not parts:
         raise DataError("empty vector value")
@@ -262,54 +257,66 @@ def parse_vector(raw: str) -> list[float]:
         raise DataError(f"unparseable vector value {raw!r}") from None
     if not all(math.isfinite(v) for v in values):
         raise DataError(f"non-finite vector value {raw!r}")
+    if length is not None and len(values) != length:
+        raise DataError(f"vector length {len(values)} != expected {length}")
     return values
 
 
 # ---------------------------------------------------------------------------
-# pre-processing: raw value -> tensor
+# pre-processing: raw column -> array
 # ---------------------------------------------------------------------------
 
-def preprocess_value(raw: str, ftype: str, meta: FeatureMetadata, params: PreprocParams) -> Tensor:
-    """Map one raw cell into the tensor contract of its type.
+def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
+                      meta: FeatureMetadata, params: PreprocParams) -> np.ndarray:
+    """Map a raw column into the [rows x width] float64 array of its type.
 
-    binary -> [1] in {0,1}; numerical -> normalized [1]; category -> [1]
-    integer id; set -> multi-hot over the vocabulary; sequence/text ->
-    [max_len] integer ids right-padded with <PAD>; vector -> fixed-length
-    floats. A missing cell is resolved by the configured strategy first.
+    binary -> {0,1}, numerical -> normalized value, category -> integer id,
+    each of width 1; set -> multi-hot over the vocabulary; sequence/text ->
+    max_len integer ids right-padded with <PAD>; vector -> its fixed length
+    of floats. Missing cells are resolved by the configured strategy first;
+    a cell that does not parse is reported with its line from ``lines``.
     """
-    if is_missing(raw):
-        raw = _fill_missing(ftype, meta, params)
-
+    if ftype not in SUPPORTED_TYPES:
+        raise RegistryError(f"unknown feature type {ftype!r}")
+    cells = _filled_cells(column, ftype, meta, params)
     if ftype == "binary":
-        return Tensor([parse_binary(raw)])
+        return np.array(_parse_cells(zip(lines, cells), parse_binary)).reshape(-1, 1)
     if ftype == "numerical":
-        return Tensor([meta.normalize(parse_float(raw))])
+        values = np.array(_parse_cells(zip(lines, cells), parse_float))
+        return meta.normalize(values).reshape(-1, 1)
     if ftype == "vector":
-        values = parse_vector(raw)
-        if len(values) != meta.length:
-            raise DataError(f"vector length {len(values)} != expected {meta.length}")
-        return Tensor(values)
+        rows = _parse_cells(zip(lines, cells), lambda raw: parse_vector(raw, meta.length))
+        return np.array(rows).reshape(-1, meta.length)
 
-    value = raw.lower() if params.lowercase else raw
+    ids = [[meta.lookup(tok) for tok in _tokens(cell, ftype, params)] for cell in cells]
     if ftype == "category":
-        return Tensor([float(meta.lookup(value))])
+        return np.array(ids, dtype=np.float64).reshape(-1, 1)
     if ftype == "set":
-        hot = np.zeros(meta.vocab_size)
-        for tok in value.split():
-            hot[meta.lookup(tok)] = 1.0
-        return Tensor(hot)
-    if ftype in ("sequence", "text"):
-        ids = [meta.lookup(tok) for tok in tokenize(value, params.tokenizer)]
-        ids = ids[: meta.max_sequence_length]
-        padded = ids + [meta.token2id[PAD]] * (meta.max_sequence_length - len(ids))
-        return Tensor([float(i) for i in padded])
-    raise RegistryError(f"unknown feature type {ftype!r}")
+        hot = np.zeros((len(ids), meta.vocab_size))
+        for i, row in enumerate(ids):
+            hot[i, row] = 1.0
+        return hot
+    width = meta.max_sequence_length  # sequence, text
+    padded = np.full((len(ids), width), float(meta.token2id[PAD]))
+    for i, row in enumerate(ids):
+        padded[i, : min(len(row), width)] = row[:width]
+    return padded
+
+
+def _filled_cells(column: Sequence[str], ftype: str, meta: FeatureMetadata,
+                  params: PreprocParams) -> list[str]:
+    """The cells as preprocessing reads them: missing ones filled by the
+    configured strategy, then all lowercased if so configured."""
+    if any(is_missing(raw) for raw in column):
+        fill = _fill_missing(ftype, meta, params)
+        column = [fill if is_missing(raw) else raw for raw in column]
+    return [raw.lower() for raw in column] if params.lowercase else list(column)
 
 
 def _fill_missing(ftype: str, meta: FeatureMetadata, params: PreprocParams) -> str:
     strategy = params.missing_strategy
     if strategy == "drop_row":
-        raise ContractError("drop_row rows must be filtered before per-value preprocessing")
+        raise ContractError("drop_row rows must be filtered before preprocessing")
     if ftype == "numerical":
         return repr(meta.mean) if strategy == "fill_mean" else "0"
     if strategy == "fill_mean":
@@ -362,24 +369,28 @@ def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata)
     raise RegistryError(f"no post-processor for feature type {ftype!r}")
 
 
-def canonical_truth(raw: str, ftype: str, meta: FeatureMetadata, params: PreprocParams):
-    """Bring a ground-truth cell into the same space post-processing emits.
+def canonical_truths(column: Sequence[str], lines: Sequence[int], ftype: str,
+                     meta: FeatureMetadata, params: PreprocParams) -> list:
+    """Bring a ground-truth column into the same space post-processing emits.
 
     Needed so metrics compare like with like: binary truth "1" must match a
     predicted "true", lowercased category vocabularies must match lowercased
-    truths, and sequence truths become token lists.
+    truths, and sequence truths become token lists. Missing cells take the
+    fill ``preprocess_column`` gives them, so a missing target is scored as
+    its filled value.
     """
+    cells = _filled_cells(column, ftype, meta, params)
     if ftype == "binary":
-        return meta.true_form if parse_binary(raw) == 1.0 else meta.false_form
+        return [meta.true_form if value == 1.0 else meta.false_form
+                for value in _parse_cells(zip(lines, cells), parse_binary)]
     if ftype == "numerical":
-        return parse_float(raw)
-    value = raw.lower() if params.lowercase else raw
+        return _parse_cells(zip(lines, cells), parse_float)
     if ftype == "category":
-        return value
+        return cells
     if ftype == "set":
-        return value.split()
+        return [cell.split() for cell in cells]
     if ftype == "sequence":
-        return tokenize(value, params.tokenizer)[: meta.max_sequence_length]
+        return [tokenize(cell, params.tokenizer)[: meta.max_sequence_length] for cell in cells]
     raise RegistryError(f"no truth canonicalizer for feature type {ftype!r}")
 
 

@@ -48,12 +48,12 @@ from .features import (
     TYPE_METRICS,
     PreprocParams,
     build_metadata,
-    canonical_truth,
+    canonical_truths,
     compute_metric,
     higher_is_better,
     is_missing,
     postprocess_prediction,
-    preprocess_value,
+    preprocess_column,
     tokenize,
 )
 from .graph import ECDModel
@@ -90,16 +90,6 @@ class TrainingStats:
 
 def _preproc_params(spec) -> PreprocParams:
     return PreprocParams(**spec.preprocessing)
-
-
-def _feature_width(spec, meta) -> int:
-    if spec.type in ("binary", "numerical", "category"):
-        return 1
-    if spec.type == "set":
-        return meta.vocab_size
-    if spec.type in ("sequence", "text"):
-        return meta.max_sequence_length
-    return meta.length
 
 
 def collect_metadata(train: Dataset, definition: ModelDefinition) -> dict:
@@ -152,22 +142,15 @@ def _check_tagger_alignment(split: Dataset, definition: ModelDefinition) -> None
 
 
 def preprocess_features(split: Dataset, specs, metadata: dict) -> dict[str, np.ndarray]:
-    """Tensorize the listed features of one split into stacked batch arrays."""
+    """Turn the listed features of one split into [rows x width] batch arrays."""
     arrays: dict[str, np.ndarray] = {}
     for spec in specs:
-        params = _preproc_params(spec)
-        meta = metadata[spec.name]
         column = split.column(spec.name)
-        rows = []
-        for line, raw in zip(split.lines, column):
-            try:
-                rows.append(preprocess_value(raw, spec.type, meta, params).array)
-            except DataError as exc:
-                raise DataError(f"feature {spec.name!r} row {line}: {exc}") from None
-        if rows:
-            arrays[spec.name] = np.stack(rows)
-        else:
-            arrays[spec.name] = np.zeros((0, _feature_width(spec, meta)))
+        try:
+            arrays[spec.name] = preprocess_column(column, split.lines, spec.type,
+                                                  metadata[spec.name], _preproc_params(spec))
+        except DataError as exc:
+            raise DataError(f"feature {spec.name!r} {exc}") from None
     return arrays
 
 
@@ -247,20 +230,20 @@ def _forward_chunks(model: ECDModel, arrays: dict[str, np.ndarray], n: int,
     return outputs
 
 
-def _score(outputs: dict[str, _OutputRows], split: Dataset, definition: ModelDefinition,
+def _score(outputs: dict[str, _OutputRows], split: Dataset, output_specs,
            metadata: dict) -> dict[str, dict[str, float]]:
     """Loss plus every type-appropriate metric, per output feature.
 
     The named metrics score the post-processed predictions against the raw
-    ground truths.
+    ground truths, canonicalized with the specs the targets were
+    preprocessed with.
     """
     report: dict[str, dict[str, float]] = {}
-    for spec in definition.output_features:
+    for spec in output_specs:
         meta = metadata[spec.name]
-        params = _preproc_params(spec)
         out = outputs[spec.name]
-        truths = [canonical_truth(raw, spec.type, meta, params)
-                  for raw in split.column(spec.name)]
+        truths = canonical_truths(split.column(spec.name), split.lines, spec.type, meta,
+                                  _preproc_params(spec))
         block = {"loss": out.loss()}
         for kind in TYPE_METRICS[spec.type]:
             if kind == "cross_entropy":
@@ -280,7 +263,7 @@ def evaluate_split(model: ECDModel, arrays: dict[str, np.ndarray], split: Datase
         return {}
     outputs = _forward_chunks(model, arrays, len(split), definition, metadata,
                               with_targets=True)
-    return _score(outputs, split, definition, metadata)
+    return _score(outputs, split, definition.output_features, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +460,8 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
             raise DataError(f"dataset {dataset.source!r} lacks input column {spec.name!r}")
 
     # missing cells cannot drop rows at prediction time: one output row per input row
-    safe_specs = []
-    for spec in list(definition.input_features) + list(definition.output_features):
-        spec = _with_fill_strategy(spec)
-        safe_specs.append(spec)
-    input_specs = safe_specs[: len(definition.input_features)]
-    output_specs = safe_specs[len(definition.input_features) :]
+    input_specs = [_with_fill_strategy(spec) for spec in definition.input_features]
+    output_specs = [_with_fill_strategy(spec) for spec in definition.output_features]
 
     # targets are parsed and checked first, so a bad cell writes no file
     targets_present = all(s.name in dataset.header for s in definition.output_features)
@@ -492,7 +471,7 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
         arrays.update(preprocess_features(dataset, output_specs, metadata))
     outputs = _forward_chunks(model, arrays, len(dataset), definition, metadata,
                               with_targets=targets_present)
-    metrics = _score(outputs, dataset, definition, metadata) if targets_present else None
+    metrics = _score(outputs, dataset, output_specs, metadata) if targets_present else None
 
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)

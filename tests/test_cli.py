@@ -182,11 +182,11 @@ MIXED_ROWS = [[str(i * 0.25), f"{i % 3} {i % 5 * 0.5} 1", ("red", "green", "blue
 NON_FINITE_CELLS = {"nan": "0.3 nan", "inf": "inf 1 2", "-inf": "0 -inf 1", "1e400": "1e400 0 1"}
 
 
-def write_mixed(path, column=None, cell=None, rows=MIXED_ROWS):
-    """The mixed-type dataset; ``cell`` replaces ``column`` in the first row."""
-    rows = [list(r) for r in rows]
+def write_mixed(path, column=None, cell=None, line=2):
+    """The mixed-type dataset; ``cell`` replaces ``column`` on CSV line ``line``."""
+    rows = [list(r) for r in MIXED_ROWS]
     if column is not None:
-        rows[0][MIXED_HEADER.index(column)] = cell
+        rows[line - 2][MIXED_HEADER.index(column)] = cell
     return synth.write_rows(path, MIXED_HEADER, rows)
 
 
@@ -230,16 +230,17 @@ class TestRowLines:
     """Row errors name the line of the CSV file, not a row's place in its split."""
 
     @pytest.mark.parametrize("line", [2, 7, 19, 35])
-    def test_train_names_the_line_of_a_bad_cell(self, mixed_model, tmp_path, capsys, line):
+    @pytest.mark.parametrize("column,cell", [("num", "nan"), ("label", "maybe"),
+                                             ("vec", "1 2 nan")], ids=["num", "label", "vec"])
+    def test_train_names_the_line_of_a_bad_cell(self, mixed_model, tmp_path, capsys,
+                                                column, cell, line):
         config, _ = mixed_model
-        rows = [list(r) for r in MIXED_ROWS]
-        rows[line - 2][MIXED_HEADER.index("vec")] = "1 2 nan"
-        dataset = synth.write_rows(tmp_path / "bad.csv", MIXED_HEADER, rows)
+        dataset = write_mixed(tmp_path / "bad.csv", column, cell, line)
         capsys.readouterr()
         assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
                     "--seed", 1]) == 3
         err = one_line_error(capsys)
-        assert "'vec'" in err and f"row {line}:" in err
+        assert repr(column) in err and f"row {line}:" in err
 
     def test_train_names_the_line_of_a_misaligned_tag_row(self, tagger_model, tmp_path, capsys):
         config, _ = tagger_model
@@ -291,6 +292,25 @@ class TestPredictChecksTargetsFirst:
         err = one_line_error(capsys)
         assert "row 5:" in err and "1:1" in err
         assert not (tmp_path / "pred").exists()
+
+
+class TestMissingTarget:
+    """A missing target cell is scored as its filled value, in training and in predict."""
+
+    @pytest.mark.parametrize("strategy", ["fill_const", "drop_row"])
+    def test_train_and_predict_score_an_empty_binary_target(self, tmp_path, strategy):
+        config = tmp_path / "model.yaml"
+        config.write_text(MIXED_CONFIG.replace(
+            "type: binary\n", f"type: binary\n    preprocessing:\n"
+                               f"      missing_strategy: {strategy}\n"), encoding="utf-8")
+        dataset = write_mixed(tmp_path / "holes.csv", "label", "", line=19)
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
+                    "--seed", 1, "-q"]) == 0
+        assert run(["predict", "-m", tmp_path / "run" / "model", "-d", dataset,
+                    "-o", tmp_path / "pred"]) == 0
+        lines = (tmp_path / "pred" / "predictions.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 40
+        assert set(json.loads((tmp_path / "pred" / "metrics.json").read_text())) == {"label"}
 
 
 def _drop(payload, feature, key=None):

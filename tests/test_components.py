@@ -4,7 +4,8 @@ The pins hold the SHA-256 of a freshly built model's parameter names and
 weight bytes, and of one forward and backward pass over a fixed batch, for
 definitions that together use every built-in encoder and decoder. A change
 to how a component creates its parameters (their order, names or shapes) or
-computes its outputs moves them.
+computes its outputs moves them. One more pin holds the arrays that
+``preprocess_features`` makes of the fixed columns, and of none of their rows.
 """
 
 import hashlib
@@ -14,9 +15,11 @@ import pytest
 
 from ecdkit import features as ft
 from ecdkit.config import parse_model_definition, resolve_defaults
+from ecdkit.data import Dataset
 from ecdkit.decoders import DECODERS, DEFAULT_LOSSES, DEFAULT_PAYLOADS
 from ecdkit.encoders import ENCODERS
 from ecdkit.graph import ECDModel
+from ecdkit.pipelines import collect_metadata, preprocess_features
 from ecdkit.registry import build_default_registries
 
 REGS = build_default_registries()
@@ -76,8 +79,8 @@ def build(tagged: str):
     params = ft.PreprocParams()
     metadata = {name: ft.build_metadata(column, ftype, params)
                 for name, (ftype, column) in COLUMNS.items()}
-    arrays = {name: np.stack([ft.preprocess_value(cell, ftype, metadata[name], params).array
-                              for cell in column])
+    arrays = {name: ft.preprocess_column(column, range(2, 2 + len(column)), ftype,
+                                         metadata[name], params)
               for name, (ftype, column) in COLUMNS.items()}
     return ECDModel(definition, metadata, REGS, seed=7), arrays
 
@@ -101,6 +104,15 @@ def pass_digest(model: ECDModel, arrays: dict) -> str:
     return h.hexdigest()
 
 
+def arrays_digest(blocks: list[dict]) -> str:
+    h = hashlib.sha256()
+    for arrays in blocks:
+        for name, array in sorted(arrays.items()):
+            h.update(f"{name}\0{array.dtype.str}\0{array.shape}\0".encode() + array.tobytes())
+    return h.hexdigest()
+
+
+PINNED_ARRAYS = "6213df89fcf8721b049e7b91b22d00c8b0ac76d208bddb4ac13826be63ccd46a"
 PINNED = {
     "embed": ("2833fa2d4ab8b27e2183958aec0f179bf6c666bbe7440fe9577697e385f5c9a1",
               "c4c7d2975b03bd065b8b7c2904f089460ded2c412220ca1d7656d62545391963"),
@@ -117,6 +129,19 @@ class TestPinnedComponents:
     def test_parameters_and_pass_are_pinned(self, tagged):
         model, arrays = build(tagged)
         assert (parameter_digest(model), pass_digest(model, arrays)) == PINNED[tagged]
+
+    def test_preprocessed_arrays_are_pinned(self):
+        definition = resolve_defaults(parse_model_definition(definition_text("embed")), REGS)
+        specs = [*definition.input_features, *definition.output_features]
+        rows = [dict(zip(COLUMNS, cells))
+                for cells in zip(*(column for _, column in COLUMNS.values()))]
+        dataset = Dataset("components", list(COLUMNS), rows, list(range(2, 2 + len(rows))))
+        metadata = collect_metadata(dataset, definition)
+        blocks = [preprocess_features(split, specs, metadata)
+                  for split in (dataset, dataset.subset([]))]
+        assert all(array.dtype == np.float64 and array.flags.c_contiguous
+                   for arrays in blocks for array in arrays.values())
+        assert arrays_digest(blocks) == PINNED_ARRAYS
 
     def test_definitions_use_every_builtin_component(self):
         used_encoders, used_decoders = set(), set()

@@ -90,83 +90,149 @@ class TestBuildMetadata:
         assert all(meta.token2id[tok] == i for i, tok in enumerate(meta.id2token))
 
 
-class TestPreprocessValue:
+def one_cell(raw, ftype, meta, p=None):
+    """The one row ``preprocess_column`` gives a one-cell column."""
+    out = ft.preprocess_column([raw], [2], ftype, meta, p or params())
+    assert out.shape[0] == 1
+    return out[0]
+
+
+class TestPreprocessColumn:
 
     def test_binary_true_forms(self):
         meta = ft.BinaryMetadata()
         for raw in ("true", "1", "T", "YES"):
-            assert ft.preprocess_value(raw, "binary", meta, params()).array[0] == 1.0
+            assert one_cell(raw, "binary", meta)[0] == 1.0
         for raw in ("false", "0", "f", "no"):
-            assert ft.preprocess_value(raw, "binary", meta, params()).array[0] == 0.0
+            assert one_cell(raw, "binary", meta)[0] == 0.0
 
     def test_binary_unrecognized_form_is_error(self):
         with pytest.raises(DataError, match="maybe"):
-            ft.preprocess_value("maybe", "binary", ft.BinaryMetadata(), params())
+            one_cell("maybe", "binary", ft.BinaryMetadata())
 
     def test_category_out_of_vocabulary_maps_to_unk(self):
         meta = ft.build_metadata(["a", "b"], "category", params())
-        out = ft.preprocess_value("zebra", "category", meta, params())
-        assert out.array[0] == meta.token2id[ft.UNK]
+        out = one_cell("zebra", "category", meta)
+        assert out[0] == meta.token2id[ft.UNK]
 
     def test_text_mapping_and_padding(self):
         meta = ft.VocabMetadata(type="text", token2id={"<PAD>": 0, "<UNK>": 1, "a": 2, "b": 3},
                                 id2token=["<PAD>", "<UNK>", "a", "b"],
                                 frequencies={}, max_sequence_length=4)
-        out = ft.preprocess_value("a b", "text", meta, params(lowercase=True))
-        np.testing.assert_array_equal(out.array, [2.0, 3.0, 0.0, 0.0])
+        out = one_cell("a b", "text", meta, params(lowercase=True))
+        np.testing.assert_array_equal(out, [2.0, 3.0, 0.0, 0.0])
 
     def test_text_truncation_at_max_length(self):
         meta = ft.build_metadata(["a b c d e f"], "text", params(max_sequence_length=3))
-        out = ft.preprocess_value("a b c d e f", "text", meta, params(max_sequence_length=3))
-        assert out.dims == (3,)
+        out = one_cell("a b c d e f", "text", meta, params(max_sequence_length=3))
+        assert out.shape == (3,)
 
     def test_set_multi_hot(self):
         meta = ft.build_metadata(["x y", "y"], "set", params())
-        out = ft.preprocess_value("y q", "set", meta, params())
-        assert out.dims == (meta.vocab_size,)
-        assert out.array[meta.token2id["y"]] == 1.0
-        assert out.array[meta.token2id[ft.UNK]] == 1.0  # q is unknown
+        out = one_cell("y q", "set", meta)
+        assert out.shape == (meta.vocab_size,)
+        assert out[meta.token2id["y"]] == 1.0
+        assert out[meta.token2id[ft.UNK]] == 1.0  # q is unknown
 
     def test_numerical_zscore(self):
         meta = ft.build_metadata(["1", "2", "3"], "numerical", params())
-        out = ft.preprocess_value("2", "numerical", meta, params())
-        assert abs(out.array[0]) < 1e-12
+        out = one_cell("2", "numerical", meta)
+        assert abs(out[0]) < 1e-12
 
     def test_numerical_unparseable_is_error(self):
         meta = ft.build_metadata(["1"], "numerical", params())
         with pytest.raises(DataError, match="abc"):
-            ft.preprocess_value("abc", "numerical", meta, params())
+            one_cell("abc", "numerical", meta)
 
     def test_vector_fixed_length(self):
         meta = ft.build_metadata(["1 2 3"], "vector", params())
-        out = ft.preprocess_value("4 5 6", "vector", meta, params())
-        np.testing.assert_array_equal(out.array, [4.0, 5.0, 6.0])
+        out = one_cell("4 5 6", "vector", meta)
+        np.testing.assert_array_equal(out, [4.0, 5.0, 6.0])
         with pytest.raises(DataError):
-            ft.preprocess_value("1 2", "vector", meta, params())
+            one_cell("1 2", "vector", meta)
 
     def test_missing_values_fill_defaults(self):
         num_meta = ft.build_metadata(["2", "4"], "numerical", params())
-        filled = ft.preprocess_value("", "numerical", num_meta, params())
-        assert filled.array[0] == num_meta.normalize(0.0)
-        mean_filled = ft.preprocess_value("", "numerical", num_meta,
-                                          params(missing_strategy="fill_mean"))
-        assert abs(mean_filled.array[0]) < 1e-12
+        filled = one_cell("", "numerical", num_meta)
+        assert filled[0] == num_meta.normalize(0.0)
+        mean_filled = one_cell("", "numerical", num_meta, params(missing_strategy="fill_mean"))
+        assert abs(mean_filled[0]) < 1e-12
         cat_meta = ft.build_metadata(["a"], "category", params())
-        assert ft.preprocess_value("", "category", cat_meta, params()).array[0] == 0.0
+        assert one_cell("", "category", cat_meta)[0] == 0.0
 
     @given(st.text(alphabet="abc xyz", max_size=30))
     @settings(max_examples=60)
     def test_purity_and_exact_padding_invariant(self, raw):
         meta = ft.build_metadata(["a b c d e", "x y z"], "sequence", params(max_sequence_length=5))
         p = params(max_sequence_length=5)
-        first = ft.preprocess_value(raw, "sequence", meta, p)
-        second = ft.preprocess_value(raw, "sequence", meta, p)
-        np.testing.assert_array_equal(first.array, second.array)
+        first = one_cell(raw, "sequence", meta, p)
+        second = one_cell(raw, "sequence", meta, p)
+        np.testing.assert_array_equal(first, second)
         max_len = meta.max_sequence_length
-        assert first.dims == (max_len,)
+        assert first.shape == (max_len,)
         n_content = min(len(raw.split()), max_len)
-        assert all(first.array[i] != 0 for i in range(n_content))
-        assert all(first.array[i] == 0 for i in range(n_content, max_len))
+        assert all(first[i] != 0 for i in range(n_content))
+        assert all(first[i] == 0 for i in range(n_content, max_len))
+
+    def test_bad_cell_names_its_line(self):
+        meta = ft.build_metadata(["1 2 3"], "vector", params())
+        with pytest.raises(DataError, match=r"^row 9: non-finite vector value '1 2 nan'$"):
+            ft.preprocess_column(["4 5 6", "1 2 nan"], [4, 9], "vector", meta, params())
+        with pytest.raises(DataError, match=r"^row 4: vector length 2 != expected 3$"):
+            ft.preprocess_column(["4 5", "1 2 3"], [4, 9], "vector", meta, params())
+
+    def test_constant_minmax_column_maps_to_positive_zero(self):
+        meta = ft.build_metadata(["5", "5"], "numerical", params(normalization="minmax"))
+        out = ft.preprocess_column(["-3", "5", "8"], [2, 3, 4], "numerical", meta, params())
+        assert out.tolist() == [[0.0], [0.0], [0.0]]
+        assert not np.signbit(out).any()
+
+    @given(data=st.data(), ftype=st.sampled_from(ft.SUPPORTED_TYPES),
+           n=st.integers(0, 12), lowercase=st.booleans())
+    @settings(max_examples=150)
+    def test_column_is_the_rows_of_its_one_cell_calls(self, data, ftype, n, lowercase):
+        training, cells = PROPERTY_COLUMNS[ftype]
+        fill = data.draw(st.sampled_from(FILLS[ftype]))
+        normalization = data.draw(st.sampled_from(ft.NORMALIZATIONS))
+        p = params(missing_strategy=fill, normalization=normalization, lowercase=lowercase,
+                   max_sequence_length=3)
+        meta = ft.build_metadata(training, ftype, p)
+        column = data.draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n))
+        lines = list(range(2, n + 2))
+        out = ft.preprocess_column(column, lines, ftype, meta, p)
+        rows = [ft.preprocess_column([cell], [line], ftype, meta, p)
+                for line, cell in zip(lines, column)]
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.shape == (n, expected_width(ftype, meta))
+        assert out.tobytes() == b"".join(row.tobytes() for row in rows)
+        if ftype in ft.OUTPUT_TYPES:
+            truths = ft.canonical_truths(column, lines, ftype, meta, p)
+            assert truths == [t for line, cell in zip(lines, column)
+                              for t in ft.canonical_truths([cell], [line], ftype, meta, p)]
+
+
+#: per type: a training column, and the cells a column under test draws from ("" is missing)
+PROPERTY_COLUMNS = {
+    "binary": (["true", "false"], ["true", "0", "YES", "f", ""]),
+    "numerical": (["1.5", "-2", "4"], ["0", "2.25", "-7", "1e3", ""]),
+    "category": (["a", "b", "a", "B"], ["a", "b", "zz", "B", ""]),
+    "set": (["a b", "c", "C"], ["a", "a c", "zz a", "C", "b b", ""]),
+    "sequence": (["a b c", "b", "B"], ["a", "b a c d", "zz", "B a", "a a a a a a", ""]),
+    "text": (["The cat", "a dog sat"], ["the", "A DOG", "x y z w", "cat cat", ""]),
+    "vector": (["1 2 3"], ["0 0 0", "1.5 -2 3", "1e3 2 3", ""]),
+}
+FILLS = {ftype: ("fill_const", "fill_mean") if ftype == "numerical" else ("fill_const",)
+         for ftype in ft.SUPPORTED_TYPES}
+
+
+def expected_width(ftype, meta):
+    if ftype == "set":
+        return meta.vocab_size
+    if ftype in ("sequence", "text"):
+        return meta.max_sequence_length
+    if ftype == "vector":
+        return meta.length
+    return 1
 
 
 class TestParsers:
@@ -196,8 +262,7 @@ class TestZscoreInvariant:
         assume(float(np.std(np.asarray(values))) > 1e-9)  # degenerate columns keep std = 1
         column = [repr(v) for v in values]
         meta = ft.build_metadata(column, "numerical", params())
-        normalized = np.array([ft.preprocess_value(c, "numerical", meta, params()).array[0]
-                               for c in column])
+        normalized = np.array([one_cell(c, "numerical", meta)[0] for c in column])
         assert abs(normalized.mean()) < 1e-9
         assert abs(math.sqrt(((normalized - normalized.mean()) ** 2).mean()) - 1.0) < 1e-9
 
@@ -249,9 +314,9 @@ class TestPostprocess:
         column = ["red", "green", "blue", "red"]
         meta = ft.build_metadata(column, "category", params())
         for token in ("red", "green", "blue"):
-            encoded = ft.preprocess_value(token, "category", meta, params())
+            encoded = one_cell(token, "category", meta)
             one_hot = np.zeros((1, meta.vocab_size))
-            one_hot[0, int(encoded.array[0])] = 1.0
+            one_hot[0, int(encoded[0])] = 1.0
             assert ft.postprocess_prediction(one_hot, "category", meta) == [token]
 
 
@@ -305,31 +370,45 @@ class TestMinmaxNormalization:
 
     def test_maps_training_range_to_unit_interval(self):
         meta = ft.build_metadata(["2", "4", "10"], "numerical", params(normalization="minmax"))
-        assert ft.preprocess_value("2", "numerical", meta, params()).array[0] == 0.0
-        assert ft.preprocess_value("10", "numerical", meta, params()).array[0] == 1.0
-        assert ft.preprocess_value("6", "numerical", meta, params()).array[0] == 0.5
+        assert one_cell("2", "numerical", meta)[0] == 0.0
+        assert one_cell("10", "numerical", meta)[0] == 1.0
+        assert one_cell("6", "numerical", meta)[0] == 0.5
 
     def test_denormalize_inverts(self):
         meta = ft.build_metadata(["2", "4", "10"], "numerical", params(normalization="minmax"))
         for raw in ("2.0", "5.5", "10.0"):
-            encoded = ft.preprocess_value(raw, "numerical", meta, params()).array[0]
+            encoded = one_cell(raw, "numerical", meta)[0]
             assert abs(meta.denormalize(encoded) - float(raw)) < 1e-12
 
     def test_none_normalization_is_identity(self):
         meta = ft.build_metadata(["3", "7"], "numerical", params(normalization="none"))
-        assert ft.preprocess_value("5", "numerical", meta, params()).array[0] == 5.0
+        assert one_cell("5", "numerical", meta)[0] == 5.0
 
 
-class TestCanonicalTruth:
+class TestCanonicalTruths:
 
     def test_binary_forms_normalize(self):
         meta = ft.BinaryMetadata()
-        assert ft.canonical_truth("YES", "binary", meta, params()) == "true"
-        assert ft.canonical_truth("0", "binary", meta, params()) == "false"
+        assert ft.canonical_truths(["YES"], [2], "binary", meta, params()) == ["true"]
+        assert ft.canonical_truths(["0"], [2], "binary", meta, params()) == ["false"]
 
     def test_category_respects_lowercase(self):
         meta = ft.build_metadata(["a"], "category", params())
-        assert ft.canonical_truth("Big", "category", meta, params(lowercase=True)) == "big"
+        assert ft.canonical_truths(["Big"], [2], "category", meta, params(lowercase=True)) == ["big"]
+
+    def test_missing_cell_is_its_filled_value(self):
+        assert ft.canonical_truths(["1", ""], [2, 3], "binary", ft.BinaryMetadata(),
+                                   params()) == ["true", "false"]
+        meta = ft.build_metadata(["2", "5"], "numerical", params())
+        assert ft.canonical_truths(["", "4"], [2, 3], "numerical", meta, params()) == [0.0, 4.0]
+        assert ft.canonical_truths([""], [2], "numerical", meta,
+                                   params(missing_strategy="fill_mean")) == [3.5]
+        meta = ft.build_metadata(["a b"], "sequence", params())
+        assert ft.canonical_truths(["", "b"], [2, 3], "sequence", meta, params()) == [[], ["b"]]
+
+    def test_bad_cell_names_its_line(self):
+        with pytest.raises(DataError, match=r"^row 7: unrecognized binary value 'maybe'"):
+            ft.canonical_truths(["1", "maybe"], [2, 7], "binary", ft.BinaryMetadata(), params())
 
 
 class TestMetadataSerialization:

@@ -163,7 +163,7 @@ class TestPreprocessDataset:
         np.testing.assert_array_equal(cold["train"]["text"], warm["train"]["text"])
         assert cache_file.read_bytes()[4:6] == FORMAT_VERSION.to_bytes(2, "little")
 
-    def test_full_path_matches_direct_preprocess_value(self, text_csv):
+    def test_full_path_matches_direct_preprocess_column(self, text_csv):
         definition = resolved(TEXT_CONFIG)
         ds = load_dataset(text_csv)
         splits = split_dataset(ds, [0.7, 0.1, 0.2], None, seed=3)
@@ -171,9 +171,9 @@ class TestPreprocessDataset:
         tensors = preprocess_dataset(splits, metadata, definition, None, None)
         spec = definition.input_features[0]
         row0 = splits["train"].rows[0]["text"]
-        direct = ft.preprocess_value(row0, "text", metadata["text"],
-                                     ft.PreprocParams(**spec.preprocessing))
-        np.testing.assert_array_equal(tensors["train"]["text"][0], direct.array)
+        direct = ft.preprocess_column([row0], splits["train"].lines[:1], "text", metadata["text"],
+                                      ft.PreprocParams(**spec.preprocessing))
+        np.testing.assert_array_equal(tensors["train"]["text"][0], direct[0])
 
 
 class TestTrain:
