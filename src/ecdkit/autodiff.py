@@ -15,7 +15,14 @@ and its ops attach no closures, so a forward pass on it holds only the
 values the caller keeps. Neither kind of tape can be differentiated again.
 
 Forward values are never mutated by a backward pass; gradients live in a
-separate per-node buffer that is lazily allocated. The loss ops also expose
+separate per-node buffer, allocated when the node receives its first
+contribution. ``TapeNode.accumulate`` stores that first contribution as a
+fresh array and adds every later one in place, in the order the sweep
+reaches the consumers. ``select`` adds into its one slice of the parent's
+buffer (allocated as zeros on first use) instead of building a whole-input
+array per call, so an rnn's backward over s steps costs O(s) slices, not
+O(s) whole inputs. Buffers never hold -0.0, so the sums have the bits of
+adding every contribution to a zero buffer. The loss ops also expose
 their per-row terms as ``node.rows = (terms, weights)``, with the node's value
 equal to ``terms.sum() / weights.sum()``, so a caller can reduce the terms of
 many batches to the value one batch of all their rows would have.
@@ -114,9 +121,12 @@ class TapeNode:
         self.rows: tuple[np.ndarray, np.ndarray] | None = None
 
     def accumulate(self, contribution: np.ndarray) -> None:
+        """Add one gradient contribution. The first is stored as
+        ``contribution + 0.0``, the bits of ``zeros + contribution``."""
         if self.grad is None:
-            self.grad = np.zeros(self.value.dims, dtype=np.float64)
-        self.grad += contribution
+            self.grad = contribution + 0.0
+        else:
+            self.grad += contribution
 
     # Operator sugar used throughout the model graph.
     def __matmul__(self, other: "TapeNode") -> "TapeNode":
@@ -197,7 +207,7 @@ class Tape:
             if node.param_name in grads:
                 grads[node.param_name] = Tensor(grads[node.param_name].array + g)
             else:
-                grads[node.param_name] = Tensor(g.copy())
+                grads[node.param_name] = Tensor(g)
         for node in nodes:
             node.grad = None
             node._backward = None
@@ -333,7 +343,8 @@ def reduce(kind: str, x: TapeNode, axis: int) -> TapeNode:
         out = xv.mean(axis=axis)
     else:
         out = xv.max(axis=axis)
-        argmax = np.argmax(xv, axis=axis)
+        if x.tape.grad:
+            argmax = np.argmax(xv, axis=axis)
     if out.ndim == 0:
         out = out.reshape(1)
     node = x.tape._record(f"reduce_{kind}", (x,), Tensor(out), None)
@@ -412,13 +423,14 @@ def select(x: TapeNode, axis: int, index: int) -> TapeNode:
     if out.ndim == 0:
         out = out.reshape(1)
     node = x.tape._record("select", (x,), Tensor(out), None)
+    # a width-1 slice, so the gradient's part is a view even for rank-1 input
+    slicer = (slice(None),) * axis + (slice(index, index + 1),)
 
     def backward():
-        gx = np.zeros_like(xv)
-        slicer = [slice(None)] * xv.ndim
-        slicer[axis] = index
-        gx[tuple(slicer)] = node.grad.reshape(gx[tuple(slicer)].shape)
-        x.accumulate(gx)
+        if x.grad is None:
+            x.grad = np.zeros(xv.shape)
+        part = x.grad[slicer]
+        part += node.grad.reshape(part.shape)
 
     if node.tape.grad:
         node._backward = backward

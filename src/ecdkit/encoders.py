@@ -1,8 +1,11 @@
 """Per-type encoders: preprocessed feature batch -> hidden representation.
 
 Every encoder reduces its input to a rank-2 [batch x width] hidden tensor.
-Sequence encoders additionally expose their unreduced per-position states
-[batch x steps x width] so sequence-tagging decoders can consume them.
+Sequence encoders can also return their unreduced per-position states
+[batch x steps x width], which a sequence-tagging decoder consumes. They
+build those states only when the caller asks with ``states=True``; the model
+asks only when a decoder reads them, so a classifier's rnn records no
+per-step reshape and no concat, and its cnn no concat of the feature maps.
 
 Encoders accept an open keyword map; each implementation reads the keywords
 it understands and falls back to its declared defaults, so alternative
@@ -28,7 +31,7 @@ from .rng import Lcg
 @dataclass
 class EncoderOutput:
     hidden: ad.TapeNode                 # [b x width]
-    sequence: ad.TapeNode | None = None  # [b x s x seq_width] when available
+    sequence: ad.TapeNode | None = None  # [b x s x seq_width] when asked for
 
 
 class PassthroughEncoder:
@@ -110,9 +113,10 @@ class SequenceEmbedEncoder:
         self.output_width = size
         self.sequence_width = size
 
-    def forward(self, tape: ad.Tape, batch: np.ndarray) -> EncoderOutput:
+    def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False) -> EncoderOutput:
         embedded = _embed_sequence(tape, self.table, batch)
-        return EncoderOutput(ad.reduce("mean", embedded, axis=1), sequence=embedded)
+        return EncoderOutput(ad.reduce("mean", embedded, axis=1),
+                             sequence=embedded if states else None)
 
 
 class SequenceRnnEncoder:
@@ -133,18 +137,19 @@ class SequenceRnnEncoder:
         self.output_width = state
         self.sequence_width = state
 
-    def forward(self, tape: ad.Tape, batch: np.ndarray) -> EncoderOutput:
+    def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False) -> EncoderOutput:
         b, s = batch.shape
         embedded = _embed_sequence(tape, self.table, batch)
         w_in, w_rec = tape.leaf(self.w_in), tape.leaf(self.w_rec)
         bias = tape.leaf(self.bias)
         state = tape.constant(np.zeros((b, self.state_size)))
-        states = []
+        steps = []
         for t in range(s):
             x_t = ad.select(embedded, axis=1, index=t)
             state = ad.rnn_step(x_t, state, w_in, w_rec, bias)
-            states.append(ad.reshape(state, (b, 1, self.state_size)))
-        return EncoderOutput(state, sequence=ad.concat(states, axis=1))
+            if states:
+                steps.append(ad.reshape(state, (b, 1, self.state_size)))
+        return EncoderOutput(state, sequence=ad.concat(steps, axis=1) if states else None)
 
 
 class SequenceCnnEncoder:
@@ -175,7 +180,7 @@ class SequenceCnnEncoder:
         self.output_width = filters * len(widths)
         self.sequence_width = self.output_width
 
-    def forward(self, tape: ad.Tape, batch: np.ndarray) -> EncoderOutput:
+    def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False) -> EncoderOutput:
         embedded = _embed_sequence(tape, self.table, batch)
         maps = []
         pooled = []
@@ -184,7 +189,8 @@ class SequenceCnnEncoder:
                                   ad.conv1d(embedded, tape.leaf(filt), tape.leaf(bias)))
             maps.append(conv)
             pooled.append(ad.reduce("max", conv, axis=1))
-        return EncoderOutput(ad.concat(pooled, axis=1), sequence=ad.concat(maps, axis=2))
+        return EncoderOutput(ad.concat(pooled, axis=1),
+                             sequence=ad.concat(maps, axis=2) if states else None)
 
 
 #: feature type -> {encoder name -> class}

@@ -181,8 +181,13 @@ def build_metadata(column: list[str], ftype: str, params: PreprocParams,
 
     if ftype == "numerical":
         values = np.array(_parse_cells(present, parse_float))
-        mean = float(values.mean())
-        std = float(math.sqrt(float(((values - mean) ** 2).mean())))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(values.mean())
+            std = float(math.sqrt(float(((values - mean) ** 2).mean())))
+            span = float(values.max() - values.min())
+        if not (math.isfinite(mean) and math.isfinite(std) and math.isfinite(span)):
+            raise MetadataError("numerical values too large to summarize: "
+                                "their mean, std or range overflows float64")
         if std == 0.0:
             std = 1.0
         return NumericalMetadata(type="numerical", mean=mean, std=std,

@@ -120,16 +120,27 @@ class ForwardResult:
         return self.combined.value.item() if self.combined is not None else float("nan")
 
 
+class _NoDraws(Lcg):
+    """An init stream that draws nothing: every weight starts as zeros."""
+
+    def uniform_array(self, shape: tuple[int, ...], lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        return np.zeros(shape)
+
+
 class ECDModel:
-    """A built encoder-combiner-decoder instance with its parameter store."""
+    """A built encoder-combiner-decoder instance with its parameter store.
+
+    With ``initialize=False`` every weight starts as zeros and no value is
+    drawn: for a model whose values are restored right after it is built.
+    """
 
     def __init__(self, definition: ModelDefinition, metadata: dict, registries: Registries,
-                 seed: int):
+                 seed: int, initialize: bool = True):
         self.definition = definition
         self.metadata = metadata
         self.seed = seed
         self.store = ad.ParameterStore()
-        rng = Lcg(mix_seed(seed, SALT_INIT))
+        rng = Lcg(mix_seed(seed, SALT_INIT)) if initialize else _NoDraws(0)
 
         self.encoders: dict[str, object] = {}
         self.sequence_feature: str | None = None
@@ -147,6 +158,9 @@ class ECDModel:
         seq_width = None
         if self.sequence_feature is not None:
             seq_width = self.encoders[self.sequence_feature].sequence_width
+        # only a tagger reads the per-position states, so only then are they built
+        self.states_feature = (self.sequence_feature if any(
+            spec.type == "sequence" for spec in definition.output_features) else None)
         self.decoder_order = build_dependency_order(definition.output_features)
         spec_by_name = {spec.name: spec for spec in definition.output_features}
         type_by_name = {spec.name: spec.type for spec in definition.output_features}
@@ -183,10 +197,13 @@ class ECDModel:
         for spec in self.definition.input_features:
             if spec.name not in batch:
                 raise ContractError(f"batch is missing input feature {spec.name!r}")
-            out = self.encoders[spec.name].forward(tape, np.asarray(batch[spec.name]))
-            hiddens.append(out.hidden)
-            if spec.name == self.sequence_feature:
+            encoder, values = self.encoders[spec.name], np.asarray(batch[spec.name])
+            if spec.name == self.states_feature:
+                out = encoder.forward(tape, values, states=True)
                 seq_states = out.sequence
+            else:
+                out = encoder.forward(tape, values)
+            hiddens.append(out.hidden)
         combined = self.combiner.forward(tape, hiddens)
 
         if targets is not None:

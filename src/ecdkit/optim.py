@@ -73,13 +73,26 @@ def optimizer_step(state: OptimizerState, params, grads: dict) -> OptimizerState
             )
         w = param.tensor.array
         if state.kind == "sgd":
-            param.tensor = Tensor(w - state.learning_rate * g)
+            step = np.multiply(g, state.learning_rate)
         else:
             m = state.first_moment.setdefault(param.name, np.zeros_like(w))
             v = state.second_moment.setdefault(param.name, np.zeros_like(w))
-            m[:] = state.beta1 * m + (1.0 - state.beta1) * g
-            v[:] = state.beta2 * v + (1.0 - state.beta2) * g * g
-            m_hat = m / (1.0 - state.beta1 ** t)
-            v_hat = v / (1.0 - state.beta2 ** t)
-            param.tensor = Tensor(w - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
+            # beta1*m + (1-beta1)*g and beta2*v + ((1-beta2)*g)*g, in place
+            step = np.multiply(g, 1.0 - state.beta1)
+            m *= state.beta1
+            m += step
+            np.multiply(g, 1.0 - state.beta2, out=step)
+            step *= g
+            v *= state.beta2
+            v += step
+            # lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1.0 - state.beta1 ** t, out=step)
+            step *= state.learning_rate
+            denom = np.divide(v, 1.0 - state.beta2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += state.epsilon
+            step /= denom
+        # the new weights go into the scratch array; Tensor checks them
+        # before they replace the old ones, which are never written
+        param.tensor = Tensor(np.subtract(w, step, out=step))
     return state

@@ -424,7 +424,8 @@ def load_model(model_dir: str | Path,
             raise ArtifactError(f"{Path(model_dir) / METADATA_FILE} has no {spec.type} "
                                 f"metadata for feature {spec.name!r}")
     definition = resolve_defaults(definition, registries)
-    model = ECDModel(definition, metadata, registries, definition.training.seed)
+    model = ECDModel(definition, metadata, registries, definition.training.seed,
+                     initialize=False)
     expected = set(model.store.names())
     stored = set(weights)
     if expected != stored:

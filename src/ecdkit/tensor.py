@@ -30,7 +30,7 @@ class Tensor:
             arr = arr.reshape(tuple(dims))
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor contains non-finite values")
         self.array = np.ascontiguousarray(arr)
 

@@ -88,6 +88,47 @@ def adam_recurrence(w0: float, grads: list[float], lr: float, beta1: float,
     return w
 
 
+def optimizer_formula(kind: str, w: np.ndarray, grads: list, lr: float, beta1: float,
+                      beta2: float, eps: float):
+    """Weights, first and second moments after one step per gradient.
+
+    Whole-array expressions, one new array per operation: the reference the
+    in-place update must match bit for bit.
+    """
+    m, v = np.zeros_like(w), np.zeros_like(w)
+    for t, g in enumerate(grads, start=1):
+        if kind == "sgd":
+            w = w - lr * g
+        else:
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return w, m, v
+
+
+def select_grad_dense(shape: tuple, picks: list, grads: list, first=None) -> np.ndarray:
+    """Gradient reaching ``x`` from nodes ``select(x, axis, index)``, the dense way.
+
+    ``picks[k]`` is node k's ``(axis, index)`` and ``grads[k]`` its gradient;
+    a reverse sweep visits the nodes last to first. Each contribution is a
+    whole zero array with one slice set, added to a zero buffer after
+    ``first``, a contribution from a consumer the sweep visits earlier.
+    """
+    contributions = [] if first is None else [first]
+    for (axis, index), g in reversed(list(zip(picks, grads))):
+        gx = np.zeros(shape)
+        slicer = [slice(None)] * len(shape)
+        slicer[axis] = index
+        gx[tuple(slicer)] = g.reshape(gx[tuple(slicer)].shape)
+        contributions.append(gx)
+    total = np.zeros(shape)
+    for c in contributions:
+        total += c
+    return total
+
+
 def topological_orders_brute_force(n: int, edges: set[tuple[int, int]]):
     """All permutations of range(n) that respect every edge (u before v)."""
     import itertools

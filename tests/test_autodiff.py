@@ -24,6 +24,7 @@ from oracles import (
     matmul_triple_loop,
     max_relative_error,
     rnn_step_scalar_loop,
+    select_grad_dense,
     sequential_fold_sum,
 )
 
@@ -415,6 +416,59 @@ def test_gradcheck_probe_count_is_at_least_100():
     cases = _op_cases(np.random.default_rng(0))
     total = sum(int(np.prod(shape)) * 8 for shape, _ in cases.values())
     assert total >= 100
+
+
+# ---------------------------------------------------------------------------
+# gradient accumulation: the same bits as adding every contribution to zeros
+# ---------------------------------------------------------------------------
+
+GRAD_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300))
+
+
+def _bits(values: np.ndarray) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+def test_first_contribution_maps_negative_zero_to_positive_zero():
+    node = ad.Tape().constant([1.0, 2.0, 3.0])
+    contribution = np.array([-0.0, 0.0, -1.5])
+    node.accumulate(contribution)
+    assert _bits(node.grad) == _bits(np.zeros(3) + contribution)
+    assert not np.signbit(node.grad[0])
+    assert node.grad is not contribution
+    node.accumulate(contribution)
+    assert _bits(node.grad) == _bits(np.array([0.0, 0.0, -3.0]))
+
+
+@given(data=st.data())
+def test_select_gradient_is_bit_equal_to_the_dense_formula(data):
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    picks = data.draw(st.lists(
+        st.integers(0, len(shape) - 1).flatmap(
+            lambda axis: st.tuples(st.just(axis), st.integers(0, shape[axis] - 1))),
+        min_size=1, max_size=6))
+    grads = []
+    for axis, _ in picks:
+        out_shape = shape[:axis] + shape[axis + 1 :] or (1,)
+        cells = data.draw(st.lists(GRAD_VALUES, min_size=int(np.prod(out_shape)),
+                                   max_size=int(np.prod(out_shape))))
+        grads.append(np.array(cells).reshape(out_shape))
+    first = None
+    if data.draw(st.booleans()):
+        cells = data.draw(st.lists(GRAD_VALUES, min_size=int(np.prod(shape)),
+                                   max_size=int(np.prod(shape))))
+        first = np.array(cells).reshape(shape)
+
+    tape = ad.Tape()
+    x = tape.constant(np.zeros(shape))
+    nodes = [ad.select(x, axis=axis, index=index) for axis, index in picks]
+    if first is not None:  # a consumer the sweep reaches before the selects
+        x.accumulate(first)
+    # the reverse sweep of Tape.backward, with each node's gradient given
+    for node, g in reversed(list(zip(nodes, grads))):
+        node.grad = g
+        node._backward()
+    assert _bits(x.grad) == _bits(select_grad_dense(shape, picks, grads, first))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,31 @@ class TestPredictChecksTargetsFirst:
         err = one_line_error(capsys)
         assert "row 5:" in err and "1:1" in err
         assert not (tmp_path / "pred").exists()
+
+
+class TestHugeNumbers:
+    """Finite cells whose statistics overflow float64 are a data error."""
+
+    @pytest.mark.parametrize("normalization", ["zscore", "minmax"])
+    def test_train_exits_3_naming_the_column_with_no_warning(self, tmp_path, capsys,
+                                                              normalization):
+        config = tmp_path / "model.yaml"
+        config.write_text("input_features:\n  - name: x\n    type: numerical\n"
+                          f"    preprocessing:\n      normalization: {normalization}\n"
+                          "output_features:\n  - name: y\n    type: numerical\n"
+                          "training:\n  epochs: 1\n", encoding="utf-8")
+        cells = ["1.7e308", "-1.7e308", "-1.7e308"]
+        dataset = synth.write_rows(tmp_path / "huge.csv", ["x", "y"],
+                                   [[cells[i % 3], str(i)] for i in range(42)])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
+                        "--seed", 1])
+        assert code == 3
+        assert caught == []
+        err = one_line_error(capsys)
+        assert "column 'x'" in err and "overflows float64" in err
 
 
 class TestMissingTarget:

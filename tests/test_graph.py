@@ -62,9 +62,14 @@ class TestEncoders:
             "output_features:\n  - name: y\n    type: numerical\n", meta)
         for s in (2, 5):
             tape = ad.Tape()
-            out = model.encoders["words"].forward(tape, np.ones((3, s)))
+            out = model.encoders["words"].forward(tape, np.ones((3, s)), states=True)
             assert out.hidden.value.dims == (3, 6)
             assert out.sequence.value.dims == (3, s, 6)
+            np.testing.assert_array_equal(out.sequence.value.array[:, -1, :],
+                                          out.hidden.value.array)
+            unread = model.encoders["words"].forward(ad.Tape(), np.ones((3, s)))
+            assert unread.sequence is None
+            np.testing.assert_array_equal(unread.hidden.value.array, out.hidden.value.array)
 
     def test_cnn_width_is_filters_times_branches(self):
         meta = make_meta(words=("sequence", ["a b c d e f g", "a b c"]),
@@ -74,9 +79,34 @@ class TestEncoders:
             "    num_filters: 5\n    filter_widths: [3, 5, 7]\n"
             "output_features:\n  - name: y\n    type: numerical\n", meta)
         tape = ad.Tape()
-        out = model.encoders["words"].forward(tape, np.ones((2, 7)))
+        out = model.encoders["words"].forward(tape, np.ones((2, 7)), states=True)
         assert out.hidden.value.dims == (2, 15)  # 3 branches x 5 filters
         assert out.sequence.value.dims == (2, 7, 15)
+        np.testing.assert_array_equal(out.sequence.value.array.max(axis=1),
+                                      out.hidden.value.array)
+        assert model.encoders["words"].forward(ad.Tape(), np.ones((2, 7))).sequence is None
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_rnn_records_step_states_only_for_a_tagger(self, tagged):
+        meta = make_meta(words=("sequence", ["a b c d", "c b a"]),
+                         tags=("sequence", ["X Y X Y", "X X Y"]),
+                         y=("category", ["p", "q"]))
+        output = "  - name: tags\n    type: sequence\n" if tagged else ""
+        model = build(
+            "input_features:\n  - name: words\n    type: sequence\n    encoder: rnn\n"
+            "    state_size: 6\n"
+            "output_features:\n  - name: y\n    type: category\n" + output, meta)
+        result = model.forward({"words": np.array([[2.0, 3.0, 4.0, 5.0], [4.0, 3.0, 2.0, 0.0]])})
+        kinds = [node.op_kind for node in result.tape.nodes]
+        after = kinds[kinds.index("reshape") + 1 :]  # past the embedding's reshape
+        if tagged:
+            assert after.count("concat") >= 1
+            state_reshapes = [n for n in result.tape.nodes
+                              if n.op_kind == "reshape" and n.value.dims == (2, 1, 6)]
+            assert len(state_reshapes) == 4
+        else:
+            assert "reshape" not in after and "concat" not in after
+        assert after.count("select") == 4
 
     def test_set_encoder_sums_member_embeddings(self):
         meta = make_meta(tags=("set", ["x y", "y z"]), y=("numerical", ["1", "2"]))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from ecdkit.autodiff import Parameter, ParameterStore
-from ecdkit.errors import ConfigError, ContractError
+from ecdkit.errors import ConfigError, ContractError, NonFiniteError
 from ecdkit.optim import make_optimizer, optimizer_step
 from ecdkit.tensor import Tensor
 
-from oracles import adam_recurrence
+from oracles import adam_recurrence, optimizer_formula
 
 
 def store_with(name="w", value=1.0):
@@ -65,6 +65,36 @@ class TestAdam:
         optimizer_step(state, store, {"m": np.ones((3, 4))})
         assert state.first_moment["m"].shape == (3, 4)
         assert state.second_moment["m"].shape == (3, 4)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_in_place_update_is_bit_equal_to_the_formula(kind):
+    r = np.random.default_rng(5)
+    w0 = r.normal(size=(1000, 64))
+    grads = [r.normal(size=(1000, 64)) * 10.0 ** r.integers(-6, 3) for _ in range(5)]
+    store = ParameterStore()
+    store.create("w", w0)
+    state = make_optimizer(kind, learning_rate=0.03)
+    for g in grads:
+        optimizer_step(state, store, {"w": g})
+    w, m, v = optimizer_formula(kind, w0, grads, 0.03, state.beta1, state.beta2,
+                                state.epsilon)
+    assert store["w"].tensor.array.tobytes() == w.tobytes()
+    if kind == "adam":
+        assert state.first_moment["w"].tobytes() == m.tobytes()
+        assert state.second_moment["w"].tobytes() == v.tobytes()
+    else:
+        assert state.first_moment == {} and state.second_moment == {}
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_non_finite_update_raises_before_the_weights_change(kind):
+    store = store_with(value=1.0)
+    before = store["w"].tensor
+    state = make_optimizer(kind, learning_rate=1e308)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        optimizer_step(state, store, {"w": np.array([10.0])})
+    assert store["w"].tensor is before and before.array.tolist() == [1.0]
 
 
 class TestContracts:

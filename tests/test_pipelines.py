@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecdkit import features as ft
+from ecdkit.artifacts import read_weights, write_weights
+from ecdkit.autodiff import ParameterStore
 from ecdkit.cache import FORMAT_VERSION, cache_path_for
 from ecdkit.config import parse_model_definition, resolve_defaults
 from ecdkit.data import load_dataset, split_dataset
@@ -30,6 +32,7 @@ from ecdkit.pipelines import (
     train,
 )
 from ecdkit.registry import build_default_registries
+from ecdkit.rng import Lcg
 
 import synth
 from oracles import as_version_1
@@ -264,6 +267,40 @@ class TestSaveLoad:
             (model_dir / victim).unlink()
             with pytest.raises(ArtifactError, match=victim):
                 load_model(model_dir)
+
+    def test_load_draws_no_weights(self, tmp_path, binary_csv, monkeypatch):
+        model_dir = self.trained(tmp_path, binary_csv)
+        draws = []
+        uniform_array = Lcg.uniform_array
+        monkeypatch.setattr(Lcg, "uniform_array",
+                            lambda rng, *args: draws.append(args) or uniform_array(rng, *args))
+        model, _, _ = load_model(model_dir)
+        assert draws == []
+        stored = read_weights(model_dir / "weights.bin")
+        assert model.store.names() == list(stored)
+        for param in model.store:
+            assert param.tensor.array.tobytes() == stored[param.name].tobytes()
+
+    def test_weights_that_do_not_fit_are_named(self, tmp_path, binary_csv):
+        model_dir = self.trained(tmp_path, binary_csv)
+        model, _, _ = load_model(model_dir)
+        first = model.store.names()[0]
+        dims = model.store[first].tensor.dims
+        renamed = ParameterStore()
+        for param in model.store:
+            renamed.create("extra.w" if param.name == first else param.name, param.tensor.array)
+        write_weights(model_dir / "weights.bin", renamed)
+        with pytest.raises(ArtifactError) as err:
+            load_model(model_dir)
+        assert str(err.value) == ("weights do not match the model definition; "
+                                  f"missing: {[first]}, unexpected: ['extra.w']")
+        reshaped = ParameterStore()
+        for param in model.store:
+            reshaped.create(param.name, np.zeros(7) if param.name == first else param.tensor.array)
+        write_weights(model_dir / "weights.bin", reshaped)
+        with pytest.raises(ArtifactError) as err:
+            load_model(model_dir)
+        assert str(err.value) == f"weights for {first!r} have dims (7,), expected {dims}"
 
     def test_artifact_is_relocatable(self, tmp_path, binary_csv):
         import shutil
