@@ -6,7 +6,7 @@ encoder-combiner-decoder model with no user code.
 """
 
 from .autodiff import Parameter, ParameterStore, Tape
-from .config import Diagnostic, parse_model_definition, resolve_defaults, serialize_model_definition, validate
+from .config import Diagnostic, parse_model_definition, resolve_defaults, validate
 from .definition import CombinerSpec, DecoderSpec, EncoderSpec, ModelDefinition, TrainingParams
 from .graph import ECDModel, build_dependency_order, combined_loss
 from .pipelines import TrainingStats, ValidationFailed, experiment, load_model, predict, save_model, train
@@ -41,7 +41,6 @@ __all__ = [
     "register_component",
     "resolve_defaults",
     "save_model",
-    "serialize_model_definition",
     "train",
     "validate",
 ]

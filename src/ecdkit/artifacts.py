@@ -1,11 +1,13 @@
 """Persisted model artifacts: weights file, metadata, resolved definition.
 
 A model directory contains exactly three files — ``metadata.json``,
-``model_definition.yaml``, ``weights.bin`` — and is relocatable (no absolute
-paths inside). Weights use the record container of ``cache`` (one record
+``model_definition.json``, ``weights.bin`` — and is relocatable (no absolute
+paths inside). The definition is stored resolved and read back through the
+schema walk of a user's YAML definition. Every JSON file goes through
+``write_json``. Weights use the record container of ``cache`` (one record
 per parameter, float64 round-tripped exactly) with magic ``ECDW`` and an
 empty header. This is weights version 2; a model saved with version 1
-(FNV-1a trailer) is rejected by its version field and must be retrained.
+(FNV-1a trailer), or with a ``model_definition.yaml``, must be retrained.
 Loading an artifact reproduces forward outputs bit-identically.
 """
 
@@ -18,16 +20,16 @@ import numpy as np
 
 from .autodiff import ParameterStore
 from .cache import read_container, write_container
-from .config import parse_model_definition, serialize_model_definition
+from .config import definition_from_dict
 from .definition import ModelDefinition
-from .errors import ArtifactError, DataError
+from .errors import ArtifactError, DataError, SchemaError
 from .features import FeatureMetadata, metadata_from_dict, metadata_to_dict
 
 WEIGHTS_MAGIC = b"ECDW"
 WEIGHTS_VERSION = 2
 
 METADATA_FILE = "metadata.json"
-DEFINITION_FILE = "model_definition.yaml"
+DEFINITION_FILE = "model_definition.json"
 WEIGHTS_FILE = "weights.bin"
 
 
@@ -48,8 +50,7 @@ def save_artifact(model_dir: str | Path, metadata: dict[str, FeatureMetadata],
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     write_metadata(model_dir / METADATA_FILE, metadata)
-    (model_dir / DEFINITION_FILE).write_text(serialize_model_definition(definition),
-                                             encoding="utf-8")
+    write_json(model_dir / DEFINITION_FILE, definition.to_dict())
     write_weights(model_dir / WEIGHTS_FILE, store)
     return model_dir
 
@@ -65,24 +66,37 @@ def load_artifact(model_dir: str | Path):
         raise ArtifactError(f"model directory {model_dir} is incomplete; "
                             f"missing: {', '.join(missing)}")
     metadata = read_metadata(model_dir / METADATA_FILE)
-    definition = parse_model_definition((model_dir / DEFINITION_FILE).read_text(encoding="utf-8"))
+    definition_path = model_dir / DEFINITION_FILE
+    try:
+        definition = definition_from_dict(read_json(definition_path))
+    except SchemaError as exc:
+        raise ArtifactError(f"{definition_path}: {exc}") from None
     weights = read_weights(model_dir / WEIGHTS_FILE)
     return metadata, definition, weights
 
 
+def write_json(path: str | Path, payload) -> None:
+    """The one JSON writer: sorted keys, two-space indent, a final newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
+
+
+def read_json(path: Path):
+    """The one JSON reader; bad content is an ArtifactError naming the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{path} is not valid JSON: {exc}") from None
+
+
 def write_metadata(path: str | Path, metadata: dict[str, FeatureMetadata]) -> None:
-    payload = {name: metadata_to_dict(meta) for name, meta in metadata.items()}
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_json(path, {name: metadata_to_dict(meta) for name, meta in metadata.items()})
 
 
 def read_metadata(path: str | Path) -> dict[str, FeatureMetadata]:
     """Per-feature metadata; any malformed content is an ArtifactError naming the file."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"{path} is not valid JSON: {exc}") from None
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ArtifactError(f"{path} must hold an object keyed by feature name, "
                             f"got {type(payload).__name__}")

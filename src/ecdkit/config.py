@@ -18,6 +18,7 @@ import copy
 from dataclasses import dataclass
 
 from . import yamlish
+from .autodiff import UNARY_KINDS
 from .decoders import DECODERS, DEFAULT_LOSSES
 from .definition import (
     PAYLOAD_KINDS,
@@ -46,6 +47,11 @@ _INPUT_RESERVED = frozenset({"name", "type", "encoder", "preprocessing"})
 _OUTPUT_RESERVED = frozenset({"name", "type", "decoder", "loss", "loss_weight",
                               "dependencies", "dependency_payload", "preprocessing"})
 
+#: the integer-size hyperparameters of the built-in components
+_SIZE_KEYWORDS = ("embedding_size", "state_size", "num_filters")
+#: diagnostic for a value that ``resolve_defaults`` would have set
+_MISSING = "missing value"
+
 TRAINING_DEFAULTS = {
     "epochs": 100,
     "batch_size": 128,
@@ -71,7 +77,16 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 
 def parse_model_definition(text: str) -> ModelDefinition:
-    doc = yamlish.loads(text)
+    """Parse a definition written in the YAML subset of ``yamlish``."""
+    return definition_from_dict(yamlish.loads(text))
+
+
+def definition_from_dict(doc) -> ModelDefinition:
+    """Walk a parsed document through the strict schema.
+
+    Both a user's YAML definition and the JSON one a model directory stores
+    pass through here, so both get the same checks.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("model definition must be a mapping at the top level")
     for key in doc:
@@ -215,10 +230,6 @@ def _parse_training(section) -> TrainingParams:
     return TrainingParams(**kwargs)
 
 
-def serialize_model_definition(definition: ModelDefinition) -> str:
-    return yamlish.dumps(definition.to_dict())
-
-
 # ---------------------------------------------------------------------------
 # defaults resolution
 # ---------------------------------------------------------------------------
@@ -342,7 +353,7 @@ def validate(definition: ModelDefinition, header: list[str],
         if spec.loss != DEFAULT_LOSSES.get(spec.type):
             diags.append(Diagnostic(path, f"loss {spec.loss!r} is not valid for type "
                                           f"{spec.type!r}; expected {DEFAULT_LOSSES.get(spec.type)!r}"))
-        if spec.loss_weight is not None and spec.loss_weight <= 0:
+        if spec.loss_weight is None or spec.loss_weight <= 0:
             diags.append(Diagnostic(path, f"loss_weight must be positive, got {spec.loss_weight}"))
         for dep in spec.dependencies:
             if dep == spec.name:
@@ -372,30 +383,43 @@ def _check_keywords(path: str, params: dict, cls) -> list[Diagnostic]:
     accepted = getattr(cls, "ACCEPTED", None)
     if accepted is None:
         return []
-    out = []
+    out = [Diagnostic(f"{path}.{key}", _MISSING) for key in getattr(cls, "DEFAULTS", {})
+           if key not in params]
     for key in params:
         if key not in accepted:
             out.append(Diagnostic(f"{path}.{key}",
                                   f"keyword {key!r} is not accepted by {cls.__name__}; "
                                   f"accepted: {', '.join(sorted(accepted))}"))
+    for key in _SIZE_KEYWORDS:
+        if key in params and _bad_size(params[key]):
+            out.append(Diagnostic(f"{path}.{key}",
+                                  f"{key} must be a positive integer, got {params[key]!r}"))
     if "fc_sizes" in params and _bad_size_list(params["fc_sizes"]):
         out.append(Diagnostic(f"{path}.fc_sizes",
                               f"fc_sizes must be a list of positive integers, got {params['fc_sizes']!r}"))
     if "filter_widths" in params:
         widths = params["filter_widths"]
-        if _bad_size_list(widths) or any(w % 2 == 0 for w in widths if isinstance(w, int)):
+        if _bad_size_list(widths) or not widths or any(w % 2 == 0 for w in widths):
             out.append(Diagnostic(f"{path}.filter_widths",
                                   f"filter widths must be odd positive integers, got {widths!r}"))
+    if "activation" in params and params["activation"] not in UNARY_KINDS:
+        out.append(Diagnostic(f"{path}.activation",
+                              f"unknown activation {params['activation']!r}; "
+                              f"available: {', '.join(UNARY_KINDS)}"))
     return out
 
 
+def _bad_size(value) -> bool:
+    return not isinstance(value, int) or isinstance(value, bool) or value <= 0
+
+
 def _bad_size_list(value) -> bool:
-    return not isinstance(value, list) or any(
-        not isinstance(v, int) or isinstance(v, bool) or v <= 0 for v in value)
+    return not isinstance(value, list) or any(_bad_size(v) for v in value)
 
 
 def _check_preprocessing(path: str, ftype: str, params: dict) -> list[Diagnostic]:
-    out = []
+    out = [Diagnostic(f"{path}.preprocessing.{key}", _MISSING)
+           for key in TYPE_PREPROC_DEFAULTS[ftype] if params.get(key) is None]
     strategy = params.get("missing_strategy")
     if strategy is not None and strategy not in MISSING_STRATEGIES:
         out.append(Diagnostic(f"{path}.preprocessing", f"unknown missing_strategy {strategy!r}; "
@@ -413,7 +437,7 @@ def _check_preprocessing(path: str, ftype: str, params: dict) -> list[Diagnostic
                                                        f"available: {', '.join(sorted(TOKENIZERS))}"))
     for key in ("max_sequence_length", "vocab_size"):
         value = params.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 1):
+        if value is not None and _bad_size(value):
             out.append(Diagnostic(f"{path}.preprocessing", f"{key} must be a positive integer"))
     return out
 
@@ -448,8 +472,6 @@ def _check_tagger(definition: ModelDefinition) -> list[Diagnostic]:
 
 def _check_combiner(definition: ModelDefinition, registries: Registries) -> list[Diagnostic]:
     name = definition.combiner.name
-    if name is None:
-        return []
     if not registries.combiners.has(name):
         return [Diagnostic("combiner", f"unknown combiner {name!r}; "
                                        f"registered: {', '.join(registries.combiners.names())}")]
@@ -458,8 +480,11 @@ def _check_combiner(definition: ModelDefinition, registries: Registries) -> list
 
 
 def _check_training(definition: ModelDefinition, header_set: set, output_names: list) -> list[Diagnostic]:
-    out = []
     tr = definition.training
+    # every field but split_column is set once resolved; split only without it
+    out = [Diagnostic(f"training.{key}", _MISSING) for key in TrainingParams.FIELDS
+           if getattr(tr, key) is None and key != "split_column"
+           and (key != "split" or tr.split_column is None)]
     if tr.epochs is not None and tr.epochs < 0:
         out.append(Diagnostic("training.epochs", "epochs must be >= 0"))
     if tr.batch_size is not None and tr.batch_size < 1:

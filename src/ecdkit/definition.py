@@ -2,8 +2,9 @@
 
 A definition exists in two states: as parsed (user-provided values only,
 everything else ``None`` or empty) and as resolved (every default filled in).
-``to_dict`` emits only what is set, so serializing either state and parsing
-it back yields an equal definition.
+``to_dict`` emits only what is set, so ``config.definition_from_dict`` reads
+either state back to an equal definition. A model directory stores the
+resolved state's dict as JSON.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import json
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cache as cache_io
-from .artifacts import METADATA_FILE, load_artifact, save_artifact
+from .artifacts import DEFINITION_FILE, METADATA_FILE, load_artifact, save_artifact, write_json
 from .config import Diagnostic, resolve_defaults, validate
 from .data import SPLIT_NAMES, Dataset, load_dataset, split_dataset
 from .definition import ModelDefinition
@@ -376,8 +375,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     model_dir = save_artifact(output_dir / MODEL_SUBDIR, metadata, resolved, model.store)
-    (output_dir / STATS_FILE).write_text(
-        json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(output_dir / STATS_FILE, stats.to_dict())
     return _RunContext(resolved, metadata, splits, tensors, model, stats, model_dir)
 
 
@@ -398,14 +396,17 @@ def train(definition: ModelDefinition, dataset_path: str | Path, output_dir: str
 def experiment(definition: ModelDefinition, dataset_path: str | Path, output_dir: str | Path,
                seed: int | None = None, use_cache: bool = True, log=None,
                registries: Registries | None = None) -> tuple[Path, TrainingStats, dict]:
-    """Train, then evaluate the best checkpoint on all three splits."""
+    """Train, then report the best checkpoint's metrics on all three splits."""
     run = _run_training(definition, dataset_path, output_dir, seed, use_cache, log, registries)
     metrics = {}
+    if run.stats.best_epoch is not None:  # training scored these on the best checkpoint
+        best = run.stats.epochs[run.stats.best_epoch]
+        metrics = {"train": best["train_metrics"], "validation": best["validation_metrics"]}
     for name in SPLIT_NAMES:
-        metrics[name] = evaluate_split(run.model, run.tensors[name], run.splits[name],
-                                       run.definition, run.metadata)
-    path = Path(output_dir) / METRICS_FILE
-    path.write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        if name not in metrics:
+            metrics[name] = evaluate_split(run.model, run.tensors[name], run.splits[name],
+                                           run.definition, run.metadata)
+    write_json(Path(output_dir) / METRICS_FILE, metrics)
     return run.model_dir, run.stats, metrics
 
 
@@ -415,15 +416,26 @@ def experiment(definition: ModelDefinition, dataset_path: str | Path, output_dir
 
 def load_model(model_dir: str | Path,
                registries: Registries | None = None) -> tuple[ECDModel, ModelDefinition, dict]:
-    """Rebuild the exact trained model from a persisted artifact directory."""
+    """Rebuild the exact trained model from a persisted artifact directory.
+
+    The stored definition is validated as it is: a hole is reported, not filled.
+    """
     registries = registries or build_default_registries()
     metadata, definition, weights = load_artifact(model_dir)
-    for spec in list(definition.input_features) + list(definition.output_features):
+    specs = list(definition.input_features) + list(definition.output_features)
+    for spec in specs:
         meta = metadata.get(spec.name)
         if meta is None or meta.type != spec.type:
             raise ArtifactError(f"{Path(model_dir) / METADATA_FILE} has no {spec.type} "
                                 f"metadata for feature {spec.name!r}")
-    definition = resolve_defaults(definition, registries)
+    # the model's own columns are its header; a split column is one too
+    header = [spec.name for spec in specs]
+    if definition.training.split_column is not None:
+        header.append(definition.training.split_column)
+    diagnostics = validate(definition, header, registries)
+    if diagnostics:
+        raise ArtifactError(f"{Path(model_dir) / DEFINITION_FILE} is not a valid resolved "
+                            f"definition: {'; '.join(str(d) for d in diagnostics)}")
     model = ECDModel(definition, metadata, registries, definition.training.seed,
                      initialize=False)
     expected = set(model.store.names())
@@ -481,8 +493,7 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
     metrics_path = None
     if metrics is not None:
         metrics_path = output_dir / METRICS_FILE
-        metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n",
-                                encoding="utf-8")
+        write_json(metrics_path, metrics)
     return predictions_path, metrics_path
 
 

@@ -3,8 +3,8 @@ sequences, flow lists of scalars, scalars, and comments.
 
 Deliberately excluded: anchors, aliases, tags, flow maps, block scalars, and
 multi-document streams; encountering any of them is a parse error. Errors
-carry the offending line number. ``dumps`` emits documents that ``loads``
-round-trips exactly.
+carry the offending line number. The package only reads this language, from
+the definitions users write; everything it writes is JSON.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from .errors import ParseError
 
 _INT_RE = re.compile(r"^[-+]?\d+$")
 _FLOAT_RE = re.compile(r"^[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?$")
-_PLAIN_KEY_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
-_NEEDS_QUOTE = set(":#[]{}&*!|>'\"%@`,")
 
 
 class _Line:
@@ -267,115 +265,3 @@ def _parse_flow_list(s: str, number: int):
             token.append(ch)
     items.append("".join(token))
     return [_parse_scalar(item, number) for item in items]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def dumps(value) -> str:
-    if not isinstance(value, dict):
-        raise ParseError("only mapping documents can be serialized")
-    out: list[str] = []
-    _dump_mapping(value, 0, out)
-    return "\n".join(out) + "\n"
-
-
-def _dump_mapping(mapping: dict, indent: int, out: list[str]) -> None:
-    pad = " " * indent
-    for key, value in mapping.items():
-        label = _format_key(key)
-        if isinstance(value, dict):
-            if not value:
-                raise ParseError(f"cannot serialize empty mapping under {key!r}")
-            out.append(f"{pad}{label}:")
-            _dump_mapping(value, indent + 2, out)
-        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
-            out.append(f"{pad}{label}:")
-            for item in value:
-                _dump_sequence_item(item, indent + 2, out)
-        else:
-            out.append(f"{pad}{label}: {_format_scalar_or_flow(value)}")
-
-
-def _dump_sequence_item(item: dict, indent: int, out: list[str]) -> None:
-    pad = " " * indent
-    first = True
-    for key, value in item.items():
-        label = _format_key(key)
-        lead = f"{pad}- " if first else f"{pad}  "
-        if isinstance(value, dict):
-            if not value:
-                raise ParseError(f"cannot serialize empty mapping under {key!r}")
-            out.append(f"{lead}{label}:")
-            _dump_mapping(value, indent + 4, out)
-        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
-            raise ParseError("nested sequences of mappings are not supported")
-        else:
-            out.append(f"{lead}{label}: {_format_scalar_or_flow(value)}")
-        first = False
-    if first:
-        raise ParseError("cannot serialize an empty mapping item")
-
-
-def _format_scalar_or_flow(value) -> str:
-    if isinstance(value, list):
-        return "[" + ", ".join(_format_scalar(v) for v in value) + "]"
-    return _format_scalar(value)
-
-
-def _format_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, str):
-        return _format_string(value)
-    raise ParseError(f"unserializable value of type {type(value).__name__}")
-
-
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
-
-
-def _format_string(s: str) -> str:
-    if s and not _needs_quoting(s):
-        return s
-    out = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 32 or ch in "\x7f\x85  ":
-            raise ParseError(f"unserializable control character {ch!r} in string")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def _needs_quoting(s: str) -> bool:
-    if s != s.strip() or s in ("true", "false", "null", "~"):
-        return True
-    if _INT_RE.match(s) or _FLOAT_RE.match(s):
-        return True
-    if s.startswith("- ") or s == "-" or s.startswith("---") or s.startswith("..."):
-        return True
-    if any(ch in _NEEDS_QUOTE or ord(ch) < 32 or ch in "\x7f\x85  " for ch in s):
-        return True
-    if ": " in s or s.endswith(":"):
-        return True
-    return False
-
-
-def _format_key(key) -> str:
-    if not isinstance(key, str):
-        raise ParseError(f"mapping keys must be strings, got {type(key).__name__}")
-    if _PLAIN_KEY_RE.match(key) and not _needs_quoting(key):
-        return key
-    escaped = key.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'

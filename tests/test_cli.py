@@ -46,7 +46,7 @@ class TestTrainCommand:
         tmp, config, dataset = workspace
         code = run(["train", "-c", config, "-d", dataset, "-o", tmp / "run", "--seed", 1])
         assert code == 0
-        for name in ("metadata.json", "model_definition.yaml", "weights.bin"):
+        for name in ("metadata.json", "model_definition.json", "weights.bin"):
             assert (tmp / "run" / "model" / name).exists()
         assert (tmp / "run" / "training_stats.json").exists()
         out = capsys.readouterr().out
@@ -386,6 +386,72 @@ class TestMalformedMetadata:
         assert run(["predict", "-m", model_dir, "-d", write_mixed(tmp_path / "d.csv"),
                     "-o", tmp_path / "pred"]) == 3
         assert "no numerical metadata for feature 'num'" in one_line_error(capsys)
+
+
+class TestBadHyperparameters:
+    """A bad size or activation is a validation error, reported before any work."""
+
+    @pytest.mark.parametrize("encoder,key,value", [
+        ("embed", "embedding_size", "-1"),
+        ("embed", "embedding_size", "0.5"),
+        ("rnn", "state_size", "0"),
+        ("cnn", "num_filters", "-1"),
+        ("cnn", "activation", "bogus"),
+    ], ids=["negative_embedding", "fractional_embedding", "zero_state", "negative_filters",
+            "unknown_activation"])
+    def test_train_exits_2_with_one_line(self, tmp_path, capsys, encoder, key, value):
+        dataset = synth.keyword_text(tmp_path / "text.csv", n=10, seed=0)
+        config = tmp_path / "model.yaml"
+        config.write_text("input_features:\n  - name: text\n    type: text\n"
+                          f"    encoder: {encoder}\n    {key}: {value}\n"
+                          "output_features:\n  - name: label\n    type: category\n"
+                          "training:\n  epochs: 1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run"]) == 2
+        assert f"input_features.text.{key}: " in one_line_error(capsys)
+        assert not (tmp_path / "run").exists()
+
+
+def _damage_definition(text):
+    doc = json.loads(text)
+    doc["input_features"][0]["fc_sizes"] = 7
+    return json.dumps(doc)
+
+
+class TestDamagedDefinition:
+    """A model directory's definition that cannot be used exits 3 naming the file."""
+
+    @pytest.mark.parametrize("corrupt,expected", [
+        (lambda text: text[: len(text) // 2], "is not valid JSON"),
+        (lambda text: text.replace('"encoder": "passthrough"', '"encoder": "bogus"', 1),
+         "unknown encoder 'bogus'"),
+        (_damage_definition, "fc_sizes must be a list of positive integers, got 7"),
+        (lambda text: text.replace('"type": "numerical"', '"type": "image"', 1),
+         "unknown type 'image'"),
+    ], ids=["truncated", "unknown_encoder", "fc_sizes_not_a_list", "schema"])
+    def test_predict_exits_3_with_one_line(self, mixed_model, tmp_path, capsys,
+                                           corrupt, expected):
+        _, trained = mixed_model
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained, model_dir)
+        definition = model_dir / "model_definition.json"
+        definition.write_text(corrupt(definition.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", "-m", model_dir, "-d", write_mixed(tmp_path / "d.csv"),
+                    "-o", tmp_path / "pred"]) == 3
+        err = one_line_error(capsys)
+        assert expected in err and str(definition) in err
+
+    def test_model_with_a_yaml_definition_must_be_retrained(self, mixed_model, tmp_path, capsys):
+        config, trained = mixed_model
+        model_dir = tmp_path / "model"
+        shutil.copytree(trained, model_dir)
+        (model_dir / "model_definition.json").unlink()
+        shutil.copy(config, model_dir / "model_definition.yaml")
+        capsys.readouterr()
+        assert run(["predict", "-m", model_dir, "-d", write_mixed(tmp_path / "d.csv"),
+                    "-o", tmp_path / "pred"]) == 3
+        assert "missing: model_definition.json" in one_line_error(capsys)
 
 
 class TestExperimentCommand:

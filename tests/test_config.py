@@ -2,10 +2,11 @@
 
 import pytest
 
+from ecdkit.artifacts import read_json, write_json
 from ecdkit.config import (
+    definition_from_dict,
     parse_model_definition,
     resolve_defaults,
-    serialize_model_definition,
     validate,
 )
 from ecdkit.errors import RegistryError, SchemaError
@@ -57,6 +58,16 @@ def registries():
     return build_default_registries()
 
 
+@pytest.fixture()
+def json_round_trip(tmp_path):
+    """A definition written and read back as a model directory stores it."""
+    def round_trip(definition):
+        path = tmp_path / "model_definition.json"
+        write_json(path, definition.to_dict())
+        return definition_from_dict(read_json(path))
+    return round_trip
+
+
 class TestParse:
 
     def test_minimal_definition(self):
@@ -98,15 +109,14 @@ class TestParse:
         d = parse_model_definition(FULL)
         assert d.input_features[0].params == {"num_filters": 16, "filter_widths": [3, 5]}
 
-    def test_round_trip_full_config(self):
+    def test_round_trip_full_config(self, json_round_trip):
         d = parse_model_definition(FULL)
-        assert parse_model_definition(serialize_model_definition(d)) == d
+        assert json_round_trip(d) == d
 
-    def test_parse_serialize_parse_is_fixpoint(self, registries):
+    def test_parse_serialize_parse_is_fixpoint(self, json_round_trip):
         for text in (MINIMAL, FULL):
-            once = serialize_model_definition(parse_model_definition(text))
-            twice = serialize_model_definition(parse_model_definition(once))
-            assert once == twice
+            once = json_round_trip(parse_model_definition(text))
+            assert json_round_trip(once).to_dict() == once.to_dict()
 
 
 class TestResolveDefaults:
@@ -182,10 +192,9 @@ class TestResolveDefaults:
         tr = resolve_defaults(d, registries).training
         assert tr.split is None and tr.split_column == "fold"
 
-    def test_resolved_definition_round_trips(self, registries):
+    def test_resolved_definition_round_trips(self, registries, json_round_trip):
         resolved = resolve_defaults(parse_model_definition(FULL), registries)
-        reparsed = parse_model_definition(serialize_model_definition(resolved))
-        assert reparsed == resolved
+        assert json_round_trip(resolved) == resolved
 
 
 class TestValidate:

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecdkit import features as ft
+from ecdkit import pipelines
 from ecdkit.artifacts import read_weights, write_weights
 from ecdkit.autodiff import ParameterStore
 from ecdkit.cache import FORMAT_VERSION, cache_path_for
 from ecdkit.config import parse_model_definition, resolve_defaults
-from ecdkit.data import load_dataset, split_dataset
+from ecdkit.data import SPLIT_NAMES, load_dataset, split_dataset
 from ecdkit.errors import ArtifactError, DataError, TrainingRuntimeError
 from ecdkit.graph import ECDModel
 from ecdkit.pipelines import (
@@ -50,6 +51,10 @@ BINARY_CONFIG = (
     "  batch_size: 32\n"
     "  learning_rate: 0.02\n"
 )
+
+# on ``binary_csv`` with seed 3 this stops after five epochs, the third the best
+EARLY_STOP_CONFIG = (BINARY_CONFIG.replace("learning_rate: 0.02", "learning_rate: 3.0")
+                     + "  patience: 2\n")
 
 TEXT_CONFIG = (
     "input_features:\n"
@@ -262,7 +267,7 @@ class TestSaveLoad:
         np.testing.assert_array_equal(before, after)
 
     def test_deleting_any_artifact_file_fails_loudly(self, tmp_path, binary_csv):
-        for victim in ("metadata.json", "model_definition.yaml", "weights.bin"):
+        for victim in ("metadata.json", "model_definition.json", "weights.bin"):
             model_dir = self.trained(tmp_path / victim.replace(".", "_"), binary_csv)
             (model_dir / victim).unlink()
             with pytest.raises(ArtifactError, match=victim):
@@ -402,6 +407,42 @@ class TestExperiment:
         experiment(resolved(BINARY_CONFIG), binary_csv, a, seed=8, use_cache=True)
         experiment(resolved(BINARY_CONFIG), binary_csv, b, seed=8, use_cache=False)
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("config", [BINARY_CONFIG, EARLY_STOP_CONFIG],
+                             ids=["last_epoch_best", "early_stop"])
+    def test_only_test_is_evaluated_after_training(self, tmp_path, binary_csv, monkeypatch,
+                                                   config):
+        calls = []
+        monkeypatch.setattr(pipelines, "evaluate_split",
+                            lambda *args: calls.append(args[2]) or evaluate_split(*args))
+        _, stats, metrics = experiment(resolved(config), binary_csv, tmp_path / "run", seed=3)
+        assert len(calls) == 2 * len(stats.epochs) + 1
+        best = stats.epochs[stats.best_epoch]
+        assert metrics["train"] == best["train_metrics"]
+        assert metrics["validation"] == best["validation_metrics"]
+
+    @pytest.mark.parametrize("config", [BINARY_CONFIG, EARLY_STOP_CONFIG],
+                             ids=["last_epoch_best", "early_stop"])
+    def test_metrics_file_equals_a_fresh_evaluation_of_every_split(self, tmp_path, binary_csv,
+                                                                   config):
+        definition = resolved(config)
+        run = pipelines._run_training(definition, binary_csv, tmp_path / "a", 3, True, None, None)
+        fresh = {name: evaluate_split(run.model, run.tensors[name], run.splits[name],
+                                      run.definition, run.metadata) for name in SPLIT_NAMES}
+        experiment(definition, binary_csv, tmp_path / "b", seed=3)
+        assert (tmp_path / "b" / "metrics.json").read_text(encoding="utf-8") == \
+            json.dumps(fresh, sort_keys=True, indent=2) + "\n"
+
+    def test_without_epochs_every_split_is_evaluated(self, tmp_path, binary_csv, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipelines, "evaluate_split",
+                            lambda *args: calls.append(args[2]) or evaluate_split(*args))
+        definition = resolved(BINARY_CONFIG.replace("epochs: 6", "epochs: 0"))
+        _, stats, metrics = experiment(definition, binary_csv, tmp_path / "run", seed=3)
+        assert stats.epochs == [] and stats.best_epoch is None
+        assert len(calls) == 3
+        assert sorted(metrics) == sorted(SPLIT_NAMES)
+        assert all("accuracy" in metrics[name]["label"] for name in SPLIT_NAMES)
 
     def test_test_metrics_equal_independent_recomputation(self, tmp_path, text_csv):
         definition = resolved(TEXT_CONFIG)

@@ -1,8 +1,6 @@
-"""Parser and serializer for the block-style config document subset."""
+"""Parser for the block-style config document subset."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ecdkit import yamlish
 from ecdkit.errors import ParseError
@@ -93,42 +91,3 @@ class TestErrors:
     def test_sequence_item_inside_mapping(self):
         with pytest.raises(ParseError):
             yamlish.loads("a: 1\n- b\n")
-
-
-class TestRoundTrip:
-
-    def test_dump_then_load(self):
-        doc = {
-            "input_features": [
-                {"name": "t", "type": "text", "fc_sizes": [8, 4], "lowercase": True},
-            ],
-            "output_features": [{"name": "y", "type": "category"}],
-            "training": {"learning_rate": 0.001, "epochs": 10, "note": "a b", "empty": []},
-        }
-        assert yamlish.loads(yamlish.dumps(doc)) == doc
-
-    def test_strings_needing_quotes_survive(self):
-        doc = {"training": {"a": "true", "b": "1.5", "c": "x: y", "d": "has # hash",
-                            "e": "- dashed", "f": 'quote " inside', "g": "two\nlines\tand tab"}}
-        assert yamlish.loads(yamlish.dumps(doc)) == doc
-
-    scalars = st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(-10**6, 10**6),
-        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-        st.text(alphabet=st.characters(codec="ascii", min_codepoint=32, max_codepoint=126),
-                max_size=12),
-    )
-    keys = st.text(alphabet=st.characters(codec="ascii", min_codepoint=32, max_codepoint=126),
-                   min_size=1, max_size=8)
-
-    @given(st.dictionaries(keys, st.one_of(
-        scalars,
-        st.lists(scalars, max_size=4),
-        st.dictionaries(keys, scalars, min_size=1, max_size=4),
-        st.lists(st.dictionaries(keys, scalars, min_size=1, max_size=4), min_size=1, max_size=3),
-    ), max_size=6))
-    @settings(max_examples=150)
-    def test_round_trip_property(self, doc):
-        assert yamlish.loads(yamlish.dumps(doc)) == doc
