@@ -7,12 +7,20 @@ a closure that scatters gradient contributions back to the node's parents;
 gradient per named parameter. Node ids grow monotonically, so the tape is
 topologically ordered by construction and a single reverse sweep suffices.
 
-``backward`` consumes its tape: after the sweep it drops every closure and
-the node list, so the nodes, and the arrays the closures captured, are freed
-by reference counting as soon as the caller lets go of them. A
-``Tape(grad=False)`` records nothing from the start: it keeps no node list
-and its ops attach no closures, so a forward pass on it holds only the
-values the caller keeps. Neither kind of tape can be differentiated again.
+``backward`` consumes its tape. An interior node's gradient and closure are
+dropped as soon as its closure has run, since every consumer of the node
+has run before it; parameter leaves keep their gradients until the sweep
+ends. After the sweep the node list goes too, so the nodes, and the arrays
+the closures captured, are freed by reference counting as soon as the
+caller lets go of them. A ``Tape(grad=False)`` records nothing from the
+start: it keeps no node list and its ops attach no closures, so a forward
+pass on it holds only the values the caller keeps. Neither kind of tape can
+be differentiated again.
+
+Op outputs are wrapped with ``Tensor.wrap``, unscanned: finiteness is
+checked at the tape's edges. ``Tensor(...)`` checks the constants and
+parameters that enter it, and ``backward`` raises ``NonFiniteError`` for a
+non-finite loss or a non-finite parameter gradient, naming the parameter.
 
 Forward values are never mutated by a backward pass; gradients live in a
 separate per-node buffer, allocated when the node receives its first
@@ -21,11 +29,14 @@ fresh array and adds every later one in place, in the order the sweep
 reaches the consumers. ``select`` adds into its one slice of the parent's
 buffer (allocated as zeros on first use) instead of building a whole-input
 array per call, so an rnn's backward over s steps costs O(s) slices, not
-O(s) whole inputs. Buffers never hold -0.0, so the sums have the bits of
-adding every contribution to a zero buffer. The loss ops also expose
-their per-row terms as ``node.rows = (terms, weights)``, with the node's value
-equal to ``terms.sum() / weights.sum()``, so a caller can reduce the terms of
-many batches to the value one batch of all their rows would have.
+O(s) whole inputs. ``embedding_lookup`` scatters its rows' gradients into
+the table with one ``np.bincount`` over the flat (id x width + column)
+index, which adds each cell's rows in order to 0.0, as ``np.add.at`` into
+zeros does. Buffers never hold -0.0, so the sums have the bits of adding
+every contribution to a zero buffer. The loss ops also expose their per-row
+terms as ``node.rows = (terms, weights)``, with the node's value equal to
+``terms.sum() / weights.sum()``, so a caller can reduce the terms of many
+batches to the value one batch of all their rows would have.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from .errors import (
     RegistryError,
     ShapeError,
 )
-from .tensor import Tensor
+from .tensor import Tensor, check_finite
 
 UNARY_KINDS = ("relu", "sigmoid", "tanh")
 REDUCE_KINDS = ("sum", "mean", "max")
@@ -183,8 +194,9 @@ class Tape:
 
         Returns one gradient tensor per parameter leaf on the tape; leaves
         that do not influence the root get zeros. Fan-out contributions
-        accumulate. Forward values are left untouched. Afterwards the tape
-        holds no nodes and no node holds a closure, so a second call raises.
+        accumulate. Forward values are left untouched. A non-finite root or
+        gradient raises ``NonFiniteError``. Afterwards the tape holds no nodes
+        and no node holds a gradient or a closure, so a second call raises.
         """
         if root.tape is not self:
             raise ContractError("root node belongs to a different tape")
@@ -193,25 +205,27 @@ class Tape:
                                 "or already consumed by backward")
         if root.value.array.size != 1:
             raise ContractError(f"backward root must be scalar, got dims {root.value.dims}")
+        check_finite(root.value.array, "loss")
         nodes, self.nodes = self.nodes, None
         root.accumulate(np.ones(root.value.dims, dtype=np.float64))
         for node in reversed(nodes[: root.id + 1]):
             if node.grad is None or node._backward is None:
                 continue
             node._backward()
-        grads: dict[str, Tensor] = {}
+            # every consumer of an interior node has run: its gradient is spent
+            node.grad = node._backward = None
+        grads: dict[str, np.ndarray] = {}
         for node in nodes:
-            if node.param_name is None:
+            name = node.param_name
+            if name is None:
                 continue
             g = node.grad if node.grad is not None else np.zeros(node.value.dims)
-            if node.param_name in grads:
-                grads[node.param_name] = Tensor(grads[node.param_name].array + g)
-            else:
-                grads[node.param_name] = Tensor(g)
+            grads[name] = grads[name] + g if name in grads else g
         for node in nodes:
             node.grad = None
             node._backward = None
-        return grads
+        return {name: Tensor.wrap(check_finite(g, f"gradient for parameter {name!r}"))
+                for name, g in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +239,7 @@ def matmul(a: TapeNode, b: TapeNode) -> TapeNode:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.value.dims} and {b.value.dims}")
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.value.dims} vs {b.value.dims}")
-    out = Tensor(av @ bv)
+    out = Tensor.wrap(av @ bv)
     node = a.tape._record("matmul", (a, b), out, None)
 
     def backward():
@@ -247,7 +261,7 @@ def add(a: TapeNode, b: TapeNode) -> TapeNode:
         broadcast = True
     else:
         raise ShapeError(f"add dims mismatch: {a.value.dims} vs {b.value.dims}")
-    out = Tensor(av + bv)
+    out = Tensor.wrap(av + bv)
     node = a.tape._record("add", (a, b), out, None)
 
     def backward():
@@ -265,7 +279,7 @@ def add(a: TapeNode, b: TapeNode) -> TapeNode:
 
 def scale(a: TapeNode, factor: float) -> TapeNode:
     factor = float(factor)
-    out = Tensor(a.value.array * factor)
+    out = Tensor.wrap(a.value.array * factor)
     node = a.tape._record("scale", (a,), out, None)
 
     def backward():
@@ -287,7 +301,7 @@ def apply_unary(kind: str, x: TapeNode) -> TapeNode:
         out = _stable_sigmoid(xv)
     else:
         out = np.tanh(xv)
-    node = x.tape._record(kind, (x,), Tensor(out), None)
+    node = x.tape._record(kind, (x,), Tensor.wrap(out), None)
 
     def backward():
         g = node.grad
@@ -347,7 +361,7 @@ def reduce(kind: str, x: TapeNode, axis: int) -> TapeNode:
             argmax = np.argmax(xv, axis=axis)
     if out.ndim == 0:
         out = out.reshape(1)
-    node = x.tape._record(f"reduce_{kind}", (x,), Tensor(out), None)
+    node = x.tape._record(f"reduce_{kind}", (x,), Tensor.wrap(out), None)
 
     def backward():
         g = node.grad.reshape(reduced_shape)
@@ -380,7 +394,7 @@ def concat(parts: Sequence[TapeNode], axis: int = 1) -> TapeNode:
                 f"concat dims mismatch along axis {axis}: "
                 f"{[tuple(a.shape) for a in arrays]}"
             )
-    out = Tensor(np.concatenate(arrays, axis=axis))
+    out = Tensor.wrap(np.concatenate(arrays, axis=axis))
     node = parts[0].tape._record("concat", tuple(parts), out, None)
     widths = [a.shape[axis] for a in arrays]
 
@@ -402,7 +416,7 @@ def reshape(x: TapeNode, dims: Sequence[int]) -> TapeNode:
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != x.value.array.size:
         raise ShapeError(f"cannot reshape {x.value.dims} into {dims}")
-    node = x.tape._record("reshape", (x,), Tensor(x.value.array.reshape(dims)), None)
+    node = x.tape._record("reshape", (x,), Tensor.wrap(x.value.array.reshape(dims)), None)
 
     def backward():
         x.accumulate(node.grad.reshape(x.value.dims))
@@ -422,7 +436,7 @@ def select(x: TapeNode, axis: int, index: int) -> TapeNode:
     out = np.take(xv, index, axis=axis)
     if out.ndim == 0:
         out = out.reshape(1)
-    node = x.tape._record("select", (x,), Tensor(out), None)
+    node = x.tape._record("select", (x,), Tensor.wrap(out), None)
     # a width-1 slice, so the gradient's part is a view even for rank-1 input
     slicer = (slice(None),) * axis + (slice(index, index + 1),)
 
@@ -450,12 +464,15 @@ def embedding_lookup(table: TapeNode, ids: Sequence[int]) -> TapeNode:
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         bad = idx[(idx < 0) | (idx >= vocab)][0]
         raise IndexOutOfRangeError(f"embedding id {int(bad)} outside [0, {vocab})")
-    node = table.tape._record("embedding_lookup", (table,), Tensor(tv[idx]), None)
+    node = table.tape._record("embedding_lookup", (table,), Tensor.wrap(tv[idx]), None)
 
     def backward():
-        gt = np.zeros_like(tv)
-        np.add.at(gt, idx, node.grad)
-        table.accumulate(gt)
+        # one pass over the flat (id x width + column) index: each cell sums
+        # its rows in order from 0.0, the bits of np.add.at into zeros
+        v, h = tv.shape
+        flat = (idx[:, np.newaxis] * h + np.arange(h)).reshape(-1)
+        table.accumulate(np.bincount(flat, weights=node.grad.reshape(-1),
+                                     minlength=v * h).reshape(v, h))
 
     if node.tape.grad:
         node._backward = backward
@@ -470,7 +487,7 @@ def softmax(x: TapeNode) -> TapeNode:
     shifted = xv - xv.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    node = x.tape._record("softmax", (x,), Tensor(p), None)
+    node = x.tape._record("softmax", (x,), Tensor.wrap(p), None)
 
     def backward():
         g = node.grad
@@ -514,7 +531,7 @@ def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode) -> TapeNode:
     for k in range(w):
         window = xpad[:, k : k + s, :]
         out += (window.reshape(b * s, h) @ fv[k]).reshape(b, s, f)
-    value = Tensor(out[0] if squeeze else out)
+    value = Tensor.wrap(out[0] if squeeze else out)
     node = x.tape._record("conv1d", (x, filters, bias), value, None)
 
     def backward():
@@ -578,7 +595,7 @@ def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int],
     shifted = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
     terms = (lse - lv[np.arange(b), ids]) * wts
-    value = Tensor([float(terms.sum() / total)])
+    value = Tensor.wrap(np.array([terms.sum() / total]))
     node = logits.tape._record("softmax_cross_entropy", (logits,), value, None)
     node.rows = (terms, wts)
 
@@ -605,7 +622,7 @@ def sigmoid_bce(logits: TapeNode, targets) -> TapeNode:
     n = lv.size
     # stable formulation: max(z,0) - z*t + log(1 + exp(-|z|))
     per = np.maximum(lv, 0.0) - lv * tv + np.log1p(np.exp(-np.abs(lv)))
-    value = Tensor([float(per.sum() / n)])
+    value = Tensor.wrap(np.array([per.sum() / n]))
     node = logits.tape._record("sigmoid_bce", (logits,), value, None)
     node.rows = (per, np.ones(per.shape))
 
@@ -627,7 +644,7 @@ def mse(prediction: TapeNode, targets) -> TapeNode:
     n = pv.size
     diff = pv - tv
     terms = diff * diff
-    value = Tensor([float(terms.sum() / n)])
+    value = Tensor.wrap(np.array([terms.sum() / n]))
     node = prediction.tape._record("mse", (prediction,), value, None)
     node.rows = (terms, np.ones(terms.shape))
 

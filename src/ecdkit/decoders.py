@@ -1,11 +1,12 @@
 """Per-type decoders: combined representation -> predictions and loss.
 
 A decoder owns an optional fc stack plus a final projection. Its forward
-pass returns the prediction tensor (probabilities where the type has them),
-the last hidden representation before projection, and, when a target batch
-is supplied, a scalar loss node. The last hidden state and the prediction
-probabilities are the two payload kinds another decoder may consume through
-an output dependency.
+pass returns its output node (probabilities where the type has them, else
+the raw prediction), that node's value in the output's shape, the last
+hidden representation before projection, and, when a target batch is
+supplied, a scalar loss node. The last hidden state and the output are the
+two payload kinds another decoder may consume through an output dependency;
+the tagger builds its pooled last hidden state only when asked to.
 
 The built-in decoders share one body and differ only in data: the output
 width follows from the metadata, the output op is the class's ``OUTPUT``,
@@ -25,16 +26,22 @@ from .errors import ConfigError, ContractError, ShapeError
 from .features import VocabMetadata
 from .layers import FcStack, make_bias, make_weight
 from .rng import Lcg
+from .tensor import Tensor
 
 PAD_ID = 0
 
 
 @dataclass
 class DecodeResult:
-    predictions: ad.TapeNode
-    last_hidden: ad.TapeNode
+    """``output`` is what a dependent reads as the probabilities payload;
+    ``predictions`` its value in the output's shape, and ``probabilities``
+    that same value for the types that report probabilities."""
+
+    output: ad.TapeNode
+    last_hidden: ad.TapeNode | None
     loss: ad.TapeNode | None
-    probabilities: ad.TapeNode | None
+    predictions: Tensor
+    probabilities: Tensor | None
 
 
 class _ProjectionDecoder:
@@ -69,13 +76,14 @@ class _ProjectionDecoder:
         logits = ad.add(ad.matmul(hidden, tape.leaf(self.proj_w)), tape.leaf(self.proj_b))
         return hidden, logits
 
-    def forward(self, tape, x, target=None, seq_states=None) -> DecodeResult:
+    def forward(self, tape, x, target=None, seq_states=None, last_hidden=True) -> DecodeResult:
         hidden, logits = self.project(tape, x)
-        probs = getattr(ad, self.OUTPUT)(logits) if self.OUTPUT else None
+        output = getattr(ad, self.OUTPUT)(logits) if self.OUTPUT else logits
         loss = None
         if target is not None:
             loss = getattr(ad, self.loss_op)(logits, target)
-        return DecodeResult(logits if probs is None else probs, hidden, loss, probs)
+        return DecodeResult(output, hidden, loss, output.value,
+                            output.value if self.OUTPUT else None)
 
 
 class CategoryClassifierDecoder(_ProjectionDecoder):
@@ -99,6 +107,8 @@ class SequenceTaggerDecoder(_ProjectionDecoder):
 
     Ignores the combined representation: its input is the [b x s x w] state
     tensor of the tagged input feature. Loss masks padded target positions.
+    Its predictions are the [b x s x vocab] per-position probabilities; it
+    reports no probabilities besides, as none are written or scored.
     """
 
     def __init__(self, feature: str, meta: VocabMetadata, store, rng: Lcg,
@@ -113,12 +123,12 @@ class SequenceTaggerDecoder(_ProjectionDecoder):
             raise ConfigError("sequence origins only provide last_hidden payloads")
         return self.hidden_width
 
-    def forward(self, tape, x, target=None, seq_states=None) -> DecodeResult:
+    def forward(self, tape, x, target=None, seq_states=None, last_hidden=True) -> DecodeResult:
         if seq_states is None:
             raise ContractError("tagger decoder needs the unreduced sequence states")
         b, s, w = seq_states.value.dims
         hidden, logits = self.project(tape, ad.reshape(seq_states, (b * s, w)))
-        probs = ad.reshape(ad.softmax(logits), (b, s, self.out_width))
+        probs = ad.softmax(logits)
         loss = None
         if target is not None:
             ids = np.asarray(target).astype(np.int64)
@@ -127,9 +137,12 @@ class SequenceTaggerDecoder(_ProjectionDecoder):
             flat_ids = ids.reshape(-1)
             mask = (flat_ids != PAD_ID).astype(np.float64)
             loss = ad.softmax_cross_entropy(logits, flat_ids, weights=mask)
-        # per-position hidden states pooled so the payload stays rank 2
-        hidden_rows = ad.reshape(hidden, (b, s, self.hidden_width))
-        return DecodeResult(probs, ad.reduce("mean", hidden_rows, axis=1), loss, probs)
+        pooled = None
+        if last_hidden:
+            # per-position hidden states pooled so the payload stays rank 2
+            pooled = ad.reduce("mean", ad.reshape(hidden, (b, s, self.hidden_width)), axis=1)
+        predictions = Tensor.wrap(probs.value.array.reshape(b, s, self.out_width))
+        return DecodeResult(probs, pooled, loss, predictions, None)
 
 
 #: feature type -> {decoder name -> class}

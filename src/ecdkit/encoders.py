@@ -2,10 +2,13 @@
 
 Every encoder reduces its input to a rank-2 [batch x width] hidden tensor.
 Sequence encoders can also return their unreduced per-position states
-[batch x steps x width], which a sequence-tagging decoder consumes. They
-build those states only when the caller asks with ``states=True``; the model
-asks only when a decoder reads them, so a classifier's rnn records no
-per-step reshape and no concat, and its cnn no concat of the feature maps.
+[batch x steps x width], which a sequence-tagging decoder consumes. A
+sequence encoder builds only the nodes its caller reads: the states only
+with ``states=True``, the hidden tensor only with ``hidden=True`` (the
+default). The model asks for each only when some output reads it, so a
+classifier's rnn records no per-step reshape and no concat, its cnn no
+concat of the feature maps, and a tagger's cnn no max pools and no concat of
+them.
 
 Encoders accept an open keyword map; each implementation reads the keywords
 it understands and falls back to its declared defaults, so alternative
@@ -30,7 +33,7 @@ from .rng import Lcg
 
 @dataclass
 class EncoderOutput:
-    hidden: ad.TapeNode                 # [b x width]
+    hidden: ad.TapeNode | None          # [b x width] unless not asked for
     sequence: ad.TapeNode | None = None  # [b x s x seq_width] when asked for
 
 
@@ -113,9 +116,10 @@ class SequenceEmbedEncoder:
         self.output_width = size
         self.sequence_width = size
 
-    def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False) -> EncoderOutput:
+    def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False,
+                hidden: bool = True) -> EncoderOutput:
         embedded = _embed_sequence(tape, self.table, batch)
-        return EncoderOutput(ad.reduce("mean", embedded, axis=1),
+        return EncoderOutput(ad.reduce("mean", embedded, axis=1) if hidden else None,
                              sequence=embedded if states else None)
 
 
@@ -137,7 +141,9 @@ class SequenceRnnEncoder:
         self.output_width = state
         self.sequence_width = state
 
-    def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False) -> EncoderOutput:
+    def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False,
+                hidden: bool = True) -> EncoderOutput:
+        # the final state is a step the states hold anyway: ``hidden`` costs nothing
         b, s = batch.shape
         embedded = _embed_sequence(tape, self.table, batch)
         w_in, w_rec = tape.leaf(self.w_in), tape.leaf(self.w_rec)
@@ -180,17 +186,14 @@ class SequenceCnnEncoder:
         self.output_width = filters * len(widths)
         self.sequence_width = self.output_width
 
-    def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False) -> EncoderOutput:
+    def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False,
+                hidden: bool = True) -> EncoderOutput:
         embedded = _embed_sequence(tape, self.table, batch)
-        maps = []
-        pooled = []
-        for filt, bias in self.branches:
-            conv = ad.apply_unary(self.activation,
-                                  ad.conv1d(embedded, tape.leaf(filt), tape.leaf(bias)))
-            maps.append(conv)
-            pooled.append(ad.reduce("max", conv, axis=1))
-        return EncoderOutput(ad.concat(pooled, axis=1),
-                             sequence=ad.concat(maps, axis=2) if states else None)
+        maps = [ad.apply_unary(self.activation,
+                               ad.conv1d(embedded, tape.leaf(filt), tape.leaf(bias)))
+                for filt, bias in self.branches]
+        pooled = ad.concat([ad.reduce("max", m, axis=1) for m in maps], axis=1) if hidden else None
+        return EncoderOutput(pooled, sequence=ad.concat(maps, axis=2) if states else None)
 
 
 #: feature type -> {encoder name -> class}

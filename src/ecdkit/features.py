@@ -339,13 +339,15 @@ def _fill_missing(ftype: str, meta: FeatureMetadata, params: PreprocParams) -> s
 # post-processing: prediction tensor -> raw value
 # ---------------------------------------------------------------------------
 
-def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata) -> list:
+def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata,
+                           lengths: np.ndarray | None = None) -> list:
     """Map a batch of prediction rows back into raw data space, one entry per row.
 
     category and set take [b x vocab] probabilities, binary and numerical
     [b x 1] values, sequence [b x s x vocab] per-position probabilities.
     Argmax ties go to the lowest id; thresholds are >= 0.5; a sequence row
-    loses its trailing ``<PAD>`` tokens.
+    is cut to its entry of ``lengths`` (its input's token count) when given,
+    then loses its trailing ``<PAD>`` tokens.
     """
     arr = np.asarray(batch)
     if ftype in ("binary", "numerical"):
@@ -366,7 +368,10 @@ def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata)
             raise ShapeError(f"sequence prediction dims {arr.shape} incompatible with vocabulary")
         pad = meta.token2id[PAD]
         rows = []
-        for ids in np.argmax(arr, axis=2).tolist():
+        tags = np.argmax(arr, axis=2).tolist()
+        if lengths is not None:
+            tags = [ids[:n] for ids, n in zip(tags, lengths.tolist())]
+        for ids in tags:
             while ids and ids[-1] == pad:
                 ids.pop()
             rows.append([meta.id2token[i] for i in ids])

@@ -6,6 +6,12 @@ feature, wired in a topological order of the declared output dependencies.
 Training minimizes the weighted sum of the per-output losses, and dependency
 payloads are routed as probabilities (never hard argmax) so the whole graph
 stays differentiable end to end.
+
+The model decides once, when it is built, which nodes some output reads, and
+its forward pass builds only those. A tagger reads the per-position states
+of its input sequence, not the combined representation: when every output is
+a tagger, no other encoder, no pooling and no combiner runs, and their
+parameters get zero gradients.
 """
 
 from __future__ import annotations
@@ -95,7 +101,8 @@ def combined_loss(losses: dict[str, ad.TapeNode], weights: dict[str, float]) -> 
             f"loss/weight key mismatch: {sorted(losses)} vs {sorted(weights)}")
     total = None
     for name, loss in losses.items():
-        term = ad.scale(loss, weights[name])
+        # a unit weight needs no node: the loss times 1.0 has the loss's bits
+        term = loss if weights[name] == 1.0 else ad.scale(loss, weights[name])
         total = term if total is None else ad.add(total, term)
     if total is None:
         raise ContractError("combined loss needs at least one output feature")
@@ -158,9 +165,10 @@ class ECDModel:
         seq_width = None
         if self.sequence_feature is not None:
             seq_width = self.encoders[self.sequence_feature].sequence_width
-        # only a tagger reads the per-position states, so only then are they built
-        self.states_feature = (self.sequence_feature if any(
-            spec.type == "sequence" for spec in definition.output_features) else None)
+        # a tagger reads the per-position states, every other decoder the
+        # combined representation and its dependencies' payloads
+        taggers = {spec.name for spec in definition.output_features if spec.type == "sequence"}
+        self.states_feature = self.sequence_feature if taggers else None
         self.decoder_order = build_dependency_order(definition.output_features)
         spec_by_name = {spec.name: spec for spec in definition.output_features}
         type_by_name = {spec.name: spec.type for spec in definition.output_features}
@@ -178,6 +186,10 @@ class ECDModel:
             cls = registries.decoders.lookup(spec.decoder, scope=spec.type)
             self.decoders[name] = cls(name, metadata[name], self.store, rng, width,
                                       seq_width=seq_width, **spec.params)
+        self.input_readers = [name for name in self.decoder_order if name not in taggers]
+        self.hidden_read = {dep for name in self.input_readers
+                            for dep, kind in self.payload_kinds[name].items()
+                            if kind == "last_hidden"}
 
         self.loss_weights = {spec.name: float(spec.loss_weight) for spec in definition.output_features}
 
@@ -194,17 +206,20 @@ class ECDModel:
         tape = ad.Tape(grad=grad)
         hiddens = []
         seq_states = None
+        combined_read = bool(self.input_readers)
         for spec in self.definition.input_features:
             if spec.name not in batch:
                 raise ContractError(f"batch is missing input feature {spec.name!r}")
             encoder, values = self.encoders[spec.name], np.asarray(batch[spec.name])
             if spec.name == self.states_feature:
-                out = encoder.forward(tape, values, states=True)
+                out = encoder.forward(tape, values, states=True, hidden=combined_read)
                 seq_states = out.sequence
-            else:
+            elif combined_read:
                 out = encoder.forward(tape, values)
+            else:
+                continue
             hiddens.append(out.hidden)
-        combined = self.combiner.forward(tape, hiddens)
+        combined = self.combiner.forward(tape, hiddens) if combined_read else None
 
         if targets is not None:
             for spec in self.definition.output_features:
@@ -214,19 +229,16 @@ class ECDModel:
         results: dict[str, object] = {}
         loss_nodes: dict[str, ad.TapeNode] = {}
         for name in self.decoder_order:
-            spec = self.definition.output_by_name(name)
-            payloads = []
-            for dep in spec.dependencies:
-                kind = self.payload_kinds[name][dep]
-                origin = results[dep]
-                if kind == "probabilities":
-                    # regressors have no probabilities; their prediction is the payload
-                    payloads.append(origin.probabilities or origin.predictions)
-                else:
-                    payloads.append(origin.last_hidden)
-            x = combined if not payloads else ad.concat([combined] + payloads, axis=1)
+            x = None
+            if name in self.input_readers:
+                # a regressor's output, the "probabilities" payload, is its prediction
+                payloads = [results[dep].output if kind == "probabilities"
+                            else results[dep].last_hidden
+                            for dep, kind in self.payload_kinds[name].items()]
+                x = combined if not payloads else ad.concat([combined] + payloads, axis=1)
             target = targets.get(name) if targets is not None else None
-            result = self.decoders[name].forward(tape, x, target=target, seq_states=seq_states)
+            result = self.decoders[name].forward(tape, x, target=target, seq_states=seq_states,
+                                                 last_hidden=name in self.hidden_read)
             results[name] = result
             if result.loss is not None:
                 loss_nodes[name] = result.loss
@@ -236,10 +248,8 @@ class ECDModel:
             combined_node = combined_loss(loss_nodes, self.loss_weights)
         return ForwardResult(
             tape=tape,
-            predictions={n: results[n].predictions.value for n in self.decoder_order},
-            probabilities={n: (results[n].probabilities.value
-                               if results[n].probabilities is not None else None)
-                           for n in self.decoder_order},
+            predictions={n: results[n].predictions for n in self.decoder_order},
+            probabilities={n: results[n].probabilities for n in self.decoder_order},
             losses={n: loss_nodes[n].value.item() for n in loss_nodes},
             combined=combined_node,
             loss_rows={n: loss_nodes[n].rows for n in loss_nodes},
@@ -249,4 +259,9 @@ class ECDModel:
         if result.combined is None:
             raise ContractError("forward pass was run without targets or gradients; "
                                 "no loss to differentiate")
-        return result.tape.backward(result.combined)
+        grads = result.tape.backward(result.combined)
+        # a parameter no output reads has no leaf on the tape
+        for param in self.store:
+            if param.name not in grads:
+                grads[param.name] = Tensor.zeros(param.tensor.dims)
+        return grads

@@ -1,8 +1,9 @@
 """Gradient-descent optimizers: plain SGD and bias-corrected Adam.
 
-``optimizer_step`` mutates parameter tensors in place and advances the state
-by exactly one step; given identical (state, params, grads) it always
-produces identical results.
+``optimizer_step`` replaces each trainable parameter's tensor and advances
+the state by exactly one step; given identical (state, params, grads) it
+always produces identical results. A parameter whose new weights are not
+all finite keeps its old ones, and ``NonFiniteError`` names it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .autodiff import Parameter
 from .errors import ConfigError, ContractError
-from .tensor import Tensor
+from .tensor import Tensor, check_finite
 
 SGD_DEFAULT_LR = 1e-2
 ADAM_DEFAULT_LR = 1e-3
@@ -92,7 +93,8 @@ def optimizer_step(state: OptimizerState, params, grads: dict) -> OptimizerState
             np.sqrt(denom, out=denom)
             denom += state.epsilon
             step /= denom
-        # the new weights go into the scratch array; Tensor checks them
-        # before they replace the old ones, which are never written
-        param.tensor = Tensor(np.subtract(w, step, out=step))
+        # the new weights go into the scratch array and are checked before
+        # they replace the old ones, which are never written
+        new = np.subtract(w, step, out=step)
+        param.tensor = Tensor.wrap(check_finite(new, f"update for parameter {param.name!r}"))
     return state

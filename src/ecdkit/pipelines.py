@@ -35,6 +35,7 @@ from . import cache as cache_io
 from .artifacts import DEFINITION_FILE, METADATA_FILE, load_artifact, save_artifact, write_json
 from .config import Diagnostic, resolve_defaults, validate
 from .data import SPLIT_NAMES, Dataset, load_dataset, split_dataset
+from .decoders import PAD_ID
 from .definition import ModelDefinition
 from .errors import (
     ArtifactError,
@@ -59,6 +60,7 @@ from .graph import ECDModel
 from .optim import make_optimizer, optimizer_step
 from .registry import Registries, build_default_registries
 from .rng import SALT_EPOCH, Lcg, mix_seed
+from .tensor import check_finite
 
 MODEL_SUBDIR = "model"
 STATS_FILE = "training_stats.json"
@@ -195,38 +197,55 @@ class _OutputRows:
         return float(self.loss_terms.sum() / total) if total > 0 else 0.0
 
 
+@np.errstate(all="ignore")  # finiteness is checked, not warned about
 def _forward_chunks(model: ECDModel, arrays: dict[str, np.ndarray], n: int,
                     definition: ModelDefinition, metadata: dict,
                     with_targets: bool) -> dict[str, _OutputRows]:
     """Run ``n`` rows forward in ``batch_size`` chunks on no-gradient tapes.
 
-    Per output: the post-processed predictions, the probability rows of the
-    types that have them (a tagger's per-position probabilities are neither
-    written nor scored), and, with targets, the loss terms and weights.
+    Per output: the post-processed predictions (a tagger's cut to each row's
+    input tokens), the probability rows of the types that have them, and,
+    with targets, the loss terms and weights. These are the values that
+    leave the tape, so each chunk's are checked for finiteness here, and a
+    numerical output's again once denormalized.
     """
     names = [spec.name for spec in definition.output_features]
     predictions: dict[str, list] = {name: [] for name in names}
     parts: dict[str, tuple[list, list, list]] = {name: ([], [], []) for name in names}
     batch_size = definition.training.batch_size
+    source = model.states_feature
     for start in range(0, n, batch_size):
         rows = slice(start, start + batch_size)
         inputs = {s.name: arrays[s.name][rows] for s in definition.input_features}
         targets = {name: arrays[name][rows] for name in names} if with_targets else None
         result = model.forward(inputs, targets, grad=False)
+        lengths = _token_counts(inputs[source]) if source is not None else None
         for spec in definition.output_features:
             probs, terms, weights = parts[spec.name]
-            predictions[spec.name].extend(postprocess_prediction(
-                result.predictions[spec.name].array, spec.type, metadata[spec.name]))
-            if result.probabilities[spec.name] is not None and spec.type != "sequence":
-                probs.append(result.probabilities[spec.name].array)
+            what = f"for output {spec.name!r}"
+            values = check_finite(result.predictions[spec.name].array, f"predictions {what}")
+            processed = postprocess_prediction(values, spec.type, metadata[spec.name], lengths)
+            if spec.type == "numerical":
+                check_finite(np.array(processed), f"predictions {what}")
+            predictions[spec.name].extend(processed)
+            if result.probabilities[spec.name] is not None:
+                probs.append(check_finite(result.probabilities[spec.name].array,
+                                          f"probabilities {what}"))
             if with_targets:
-                terms.append(result.loss_rows[spec.name][0])
+                terms.append(check_finite(result.loss_rows[spec.name][0], f"loss terms {what}"))
                 weights.append(result.loss_rows[spec.name][1])
     outputs = {}
     for name in names:
         probs, terms, weights = (np.concatenate(part) if part else None for part in parts[name])
         outputs[name] = _OutputRows(predictions[name], probs, terms, weights)
     return outputs
+
+
+def _token_counts(ids: np.ndarray) -> np.ndarray:
+    """Tokens per row of padded sequence ids: the position after the last
+    non-PAD id, so the count after ``max_sequence_length`` truncation."""
+    real = ids != PAD_ID
+    return np.where(real.any(axis=1), real.shape[1] - np.argmax(real[:, ::-1], axis=1), 0)
 
 
 def _score(outputs: dict[str, _OutputRows], split: Dataset, output_specs,
@@ -334,12 +353,13 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
             batch = {name: train_arrays[name][idx] for name in input_names}
             targets = {name: train_arrays[name][idx] for name in output_names}
             try:
-                result = model.forward(batch, targets)
-                grads = model.backward(result)
-                optimizer_step(optimizer, model.store, grads)
+                # the loss, gradients and new weights are checked, not warned about
+                with np.errstate(all="ignore"):
+                    result = model.forward(batch, targets)
+                    grads = model.backward(result)
+                    optimizer_step(optimizer, model.store, grads)
             except NonFiniteError as exc:
-                raise TrainingRuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}: {exc}") from exc
+                raise TrainingRuntimeError(f"{exc} at epoch {epoch}, batch {batch_index}") from exc
             loss_sum += result.combined_loss * len(idx)
         train_loss = loss_sum / n_train
 

@@ -1,9 +1,15 @@
 """Dense float64 tensor.
 
 A tensor is a row-major array of 64-bit floats with rank >= 1; scalars are
-represented as rank-1 tensors of extent 1. Construction validates that every
-element is finite, so any operation that would produce NaN or infinity fails
-loudly instead of propagating poison values.
+represented as rank-1 tensors of extent 1.
+
+Finiteness is checked where values enter or leave the autodiff tape, never
+inside it. The public constructor checks every element, so constants,
+parameters and restored weights are finite; ``Tensor.wrap`` takes an op's
+output as it is. On the way out, ``check_finite`` guards the loss and the
+gradients of a backward sweep, the weights an optimizer step writes, and the
+predictions, probabilities and loss terms of an inference pass, each naming
+what it found non-finite.
 """
 
 from __future__ import annotations
@@ -30,11 +36,17 @@ class Tensor:
             arr = arr.reshape(tuple(dims))
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("tensor contains non-finite values")
-        self.array = np.ascontiguousarray(arr)
+        self.array = np.ascontiguousarray(check_finite(arr, "tensor values"))
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def wrap(cls, array: np.ndarray) -> "Tensor":
+        """Take a contiguous float64 array of rank >= 1 as it is: no copy and
+        no finiteness scan. For op outputs, checked at the tape's edges."""
+        tensor = cls.__new__(cls)
+        tensor.array = array
+        return tensor
 
     @classmethod
     def zeros(cls, dims: Sequence[int]) -> "Tensor":
@@ -73,3 +85,10 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(dims={self.dims})"
+
+
+def check_finite(array: np.ndarray, what: str) -> np.ndarray:
+    """Return ``array`` if every element is finite; else raise, naming ``what``."""
+    if not np.isfinite(array).all():
+        raise NonFiniteError(f"non-finite {what}")
+    return array

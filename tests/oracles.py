@@ -129,6 +129,14 @@ def select_grad_dense(shape: tuple, picks: list, grads: list, first=None) -> np.
     return total
 
 
+def embedding_grad_add_at(vocab: int, ids: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient reaching a [vocab x width] table from the rows ``table[ids]``:
+    ``np.add.at`` of each gradient row into a zero table, in row order."""
+    table = np.zeros((vocab, grad.shape[1]))
+    np.add.at(table, np.asarray(ids, dtype=np.int64), grad)
+    return table
+
+
 def topological_orders_brute_force(n: int, edges: set[tuple[int, int]]):
     """All permutations of range(n) that respect every edge (u before v)."""
     import itertools

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ecdkit import autodiff as ad
@@ -20,6 +20,7 @@ from ecdkit.tensor import Tensor
 from oracles import (
     conv1d_sliding_window,
     cross_entropy_logsumexp,
+    embedding_grad_add_at,
     finite_difference_grad,
     matmul_triple_loop,
     max_relative_error,
@@ -469,6 +470,53 @@ def test_select_gradient_is_bit_equal_to_the_dense_formula(data):
         node.grad = g
         node._backward()
     assert _bits(x.grad) == _bits(select_grad_dense(shape, picks, grads, first))
+
+
+@given(data=st.data())
+@example(data=None)  # the tabular workload's 941 x 64 store table, 32 ids
+def test_embedding_gradient_is_bit_equal_to_add_at(data):
+    if data is None:
+        draws = np.random.default_rng(3)
+        vocab, width = 941, 64
+        ids = draws.integers(vocab, size=32)
+        grad = draws.normal(size=(32, width))
+        grad[::5, ::3] = -0.0
+    else:
+        vocab = data.draw(st.integers(1, 6))
+        width = data.draw(st.integers(1, 4))
+        # few ids, so repeats are common; empty lists included
+        ids = np.array(data.draw(st.lists(st.integers(0, vocab - 1), max_size=8)), dtype=np.int64)
+        cells = data.draw(st.lists(GRAD_VALUES, min_size=ids.size * width,
+                                   max_size=ids.size * width))
+        grad = np.array(cells, dtype=np.float64).reshape(ids.size, width)
+    tape = ad.Tape()
+    table = leaf(tape, np.zeros((vocab, width)))
+    node = ad.embedding_lookup(table, ids)
+    node.grad = grad
+    node._backward()
+    assert _bits(table.grad) == _bits(embedding_grad_add_at(vocab, ids, grad))
+
+
+def test_backward_frees_each_interior_gradient_once_its_closure_has_run():
+    tape = ad.Tape()
+    x = leaf(tape, [[1.0, -2.0, 3.0]])
+    hidden = ad.apply_unary("tanh", x)
+    scaled = ad.scale(hidden, 2.0)
+    root = ad.reduce("sum", scaled, axis=1)
+    seen = {}
+    sweep_hidden = hidden._backward
+
+    def spy():
+        seen["scaled"], seen["root"] = scaled.grad, root.grad
+        seen["hidden"] = hidden.grad is not None
+        sweep_hidden()
+
+    hidden._backward = spy
+    grads = tape.backward(root)
+    # the consumers were swept before their parent, and their gradients dropped
+    assert seen == {"scaled": None, "root": None, "hidden": True}
+    assert hidden.grad is None and hidden._backward is None
+    np.testing.assert_allclose(grads["p"].array, 2.0 * (1.0 - np.tanh([[1.0, -2.0, 3.0]]) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import csv
 import json
 import shutil
 import struct
@@ -8,6 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+from ecdkit.artifacts import read_weights, write_weights
+from ecdkit.autodiff import ParameterStore
 from ecdkit.cache import digest64
 from ecdkit.cli import main
 
@@ -70,18 +75,22 @@ class TestTrainCommand:
         tmp, config, _ = workspace
         assert run(["train", "-c", config, "-d", tmp / "nope.csv", "-o", tmp / "run"]) == 3
 
-    def test_runtime_error_exits_4(self, workspace, capsys):
-        import numpy as np
+    def test_runtime_error_exits_4_naming_the_parameter(self, workspace, capsys):
         tmp, config, dataset = workspace
         config.write_text(
             CONFIG.replace("  batch_size: 32\n",
                            "  batch_size: 32\n  learning_rate: 1e18\n  optimizer: sgd\n")
             .replace("type: binary", "type: binary\n    loss_weight: 1e300"),
             encoding="utf-8")
-        with np.errstate(all="ignore"):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run(["train", "-c", config, "-d", dataset, "-o", tmp / "run"])
         assert code == 4
-        assert "non-finite" in capsys.readouterr().err
+        assert caught == []
+        err = one_line_error(capsys)
+        assert err.startswith("error: non-finite update for parameter '")
+        assert err.endswith("' at epoch 0, batch 0\n")
 
     def test_quiet_suppresses_progress_but_not_diagnostics(self, workspace, capsys):
         tmp, config, dataset = workspace
@@ -318,6 +327,64 @@ class TestHugeNumbers:
         assert caught == []
         err = one_line_error(capsys)
         assert "column 'x'" in err and "overflows float64" in err
+
+
+class TestNonFiniteForward:
+    """Finite weights whose forward pass overflows exit 4 with one line."""
+
+    @pytest.mark.parametrize("decoder,targets,scale,found", [
+        ("", True, 1.0, "loss terms"),  # the prediction itself stays finite
+        ("    fc_sizes: [2]\n", True, 1.0, "predictions"),
+        ("    fc_sizes: [2]\n", False, 1.0, "predictions"),
+        ("", False, 1e10, "predictions"),  # finite until denormalized
+    ], ids=["finite-prediction", "with-targets", "inputs-only", "denormalized"])
+    def test_predict_exits_4_naming_the_output(self, tmp_path, capsys, decoder, targets,
+                                               scale, found):
+        config = tmp_path / "model.yaml"
+        config.write_text("input_features:\n  - name: x\n    type: numerical\n"
+                          "output_features:\n  - name: y\n    type: numerical\n" + decoder +
+                          "training:\n  epochs: 1\n", encoding="utf-8")
+        rows = [[repr(i / 7), repr(scale * (3 * i / 7 + 1))] for i in range(40)]
+        dataset = synth.write_rows(tmp_path / "xy.csv", ["x", "y"], rows)
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
+                    "--seed", 1, "-q"]) == 0
+        weights = tmp_path / "run" / "model" / "weights.bin"
+        huge = ParameterStore()
+        for name, values in read_weights(weights).items():
+            huge.create(name, np.full(values.shape, 1e300))
+        write_weights(weights, huge)
+        if not targets:
+            dataset = synth.write_rows(tmp_path / "x.csv", ["x"], [row[:1] for row in rows])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["predict", "-m", weights.parent, "-d", dataset,
+                        "-o", tmp_path / "pred"])
+        assert code == 4
+        assert caught == []
+        assert one_line_error(capsys) == f"error: non-finite {found} for output 'y'\n"
+        assert not (tmp_path / "pred").exists()
+
+
+class TestTaggerPredictions:
+
+    def test_one_tag_per_input_token(self, tmp_path):
+        config = tmp_path / "model.yaml"
+        config.write_text("input_features:\n  - name: tokens\n    type: sequence\n"
+                          "output_features:\n  - name: tags\n    type: sequence\n"
+                          "preprocessing:\n  sequence:\n    max_sequence_length: 6\n"
+                          "training:\n  epochs: 3\n  batch_size: 16\n", encoding="utf-8")
+        dataset = synth.token_tagging(tmp_path / "data.csv", n=80, seed=1)
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
+                    "--seed", 1, "-q"]) == 0
+        tokens = ["red", "", "owl blue", "dog cat owl red green blue dog cat"]
+        requests = synth.write_rows(tmp_path / "req.csv", ["tokens"], [[t] for t in tokens])
+        assert run(["predict", "-m", tmp_path / "run" / "model", "-d", requests,
+                    "-o", tmp_path / "pred", "-q"]) == 0
+        with open(tmp_path / "pred" / "predictions.csv", newline="") as handle:
+            tags = [row["tags"].split() for row in csv.DictReader(handle)]
+        # the last row is cut to max_sequence_length tokens
+        assert [len(row) for row in tags] == [1, 0, 2, 6]
 
 
 class TestMissingTarget:

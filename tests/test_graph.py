@@ -1,5 +1,7 @@
 """Model assembly: encoders, combiner, dependency order, decoders, forward."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,69 @@ class TestEncoders:
         out = model.encoders["tags"].forward(tape, hot)
         np.testing.assert_allclose(out.hidden.value.array, (table[1] + table[2])[None, :],
                                    atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# only the nodes some output reads
+# ---------------------------------------------------------------------------
+
+#: the tagger_cnn benchmark workload's definition
+TAGGER_CNN = (
+    "input_features:\n  - name: tokens\n    type: sequence\n    encoder: cnn\n"
+    "    filter_widths: [3, 5, 7]\n"
+    "output_features:\n  - name: tags\n    type: sequence\n    decoder: tagger\n"
+)
+TOKENS = np.array([[2.0, 3.0, 4.0, 0.0], [4.0, 3.0, 2.0, 5.0]])
+TAGS = np.array([[2.0, 3.0, 2.0, 0.0], [3.0, 3.0, 2.0, 3.0]])
+
+
+def tagger_meta(**extra):
+    return make_meta(tokens=("sequence", ["a b c", "c b a d"]),
+                     tags=("sequence", ["X Y X", "Y Y X Y"]), **extra)
+
+
+def kinds(result) -> dict[str, int]:
+    return dict(Counter(node.op_kind for node in result.tape.nodes))
+
+
+class TestReadNodesOnly:
+
+    def test_a_tagger_alone_builds_no_pools_no_combiner_and_no_mean(self):
+        model = build(TAGGER_CNN, tagger_meta())
+        result = model.forward({"tokens": TOKENS}, {"tags": TAGS})
+        # no max pools or their concat, no pooled mean or its reshape, no
+        # reshape of the probabilities and no scale by the unit loss weight
+        assert len(result.tape.nodes) == 23
+        assert kinds(result) == {"param": 9, "embedding_lookup": 1, "reshape": 2,
+                                 "conv1d": 3, "relu": 3, "concat": 1, "matmul": 1,
+                                 "add": 1, "softmax": 1, "softmax_cross_entropy": 1}
+        assert result.predictions["tags"].dims == (2, 4, model.decoders["tags"].out_width)
+
+    def test_other_inputs_and_the_combiner_get_zero_gradients(self):
+        text = TAGGER_CNN.replace("output_features:", "  - name: x\n    type: numerical\n"
+                                  "    fc_sizes: [2]\ncombiner:\n  fc_sizes: [8]\n"
+                                  "output_features:")
+        model = build(text, tagger_meta(x=("numerical", ["1", "2"])))
+        result = model.forward({"tokens": TOKENS, "x": np.ones((2, 1))}, {"tags": TAGS})
+        on_tape = {node.param_name for node in result.tape.nodes if node.op_kind == "param"}
+        grads = model.backward(result)
+        assert set(grads) == set(model.store.names())
+        unread = set(grads) - on_tape
+        assert unread == {"encoders.x.fc0.weight", "encoders.x.fc0.bias",
+                          "combiner.fc0.weight", "combiner.fc0.bias"}
+        for name in unread:
+            assert not grads[name].array.any()
+            assert grads[name].dims == model.store[name].tensor.dims
+
+    @pytest.mark.parametrize("payload", [None, "last_hidden"])
+    def test_the_tagger_pools_its_hidden_states_only_for_a_dependent(self, payload):
+        dependent = ("    dependencies: [tags]\n    dependency_payload: last_hidden\n"
+                     if payload else "")
+        text = TAGGER_CNN + "  - name: y\n    type: category\n" + dependent
+        model = build(text, tagger_meta(y=("category", ["p", "q"])))
+        counts = kinds(model.forward({"tokens": TOKENS}))
+        assert counts.get("reduce_mean", 0) == (1 if payload else 0)
+        assert counts["reduce_max"] == 3  # the classifier reads the pooled cnn
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior: caching, determinism, artifacts, prediction."""
 
 import copy
+import hashlib
 import json
 import math
 import tracemalloc
@@ -217,9 +218,9 @@ class TestTrain:
         text = BINARY_CONFIG.replace("learning_rate: 0.02", "learning_rate: 1e18") \
                             .replace("type: binary", "type: binary\n    loss_weight: 1e300")
         definition = parse_model_definition(text)
-        with np.errstate(all="ignore"):
-            with pytest.raises(TrainingRuntimeError, match=r"epoch \d+, batch \d+"):
-                train(definition, binary_csv, tmp_path / "run", seed=1)
+        with pytest.raises(TrainingRuntimeError,
+                           match=r"^non-finite update for parameter '[\w.]+' at epoch 0, batch 0$"):
+            train(definition, binary_csv, tmp_path / "run", seed=1)
 
     def test_tiny_learning_rate_stops_after_patience(self, tmp_path, binary_csv):
         text = BINARY_CONFIG.replace("learning_rate: 0.02", "learning_rate: 1e-15")
@@ -572,6 +573,43 @@ class TestMissingValueStrategies:
         holes = synth.write_rows(tmp_path / "holes.csv", ["x"], [["1.0"], [""], ["2.0"]])
         predictions_path, _ = predict(model_dir, holes, tmp_path / "pred")
         assert len(predictions_path.read_text().strip().splitlines()) == 4  # header + 3
+
+
+# ---------------------------------------------------------------------------
+# a tagger reads neither the combiner nor the other inputs
+# ---------------------------------------------------------------------------
+
+TAGGER_WITH_UNREAD_PARTS = (
+    "input_features:\n"
+    "  - name: tokens\n    type: sequence\n    encoder: cnn\n    filter_widths: [3, 5]\n"
+    "  - name: x\n    type: numerical\n"
+    "combiner:\n  fc_sizes: [8]\n"
+    "output_features:\n  - name: tags\n    type: sequence\n    decoder: tagger\n"
+    "training:\n  epochs: 2\n  batch_size: 16\n"
+)
+# the weights of a graph that runs every part each step: the unread parts
+# move no trained weight, and theirs stay as initialized
+UNREAD_PARTS_WEIGHTS = {
+    "adam": "1fa11043ffa0ad4c2967b21a11cdf10c857c42bf6981c7fded78b9e1e17cb271",
+    "sgd": "cd1c97b347b9572d90a9179efe15969a0457378592bc91cf44980349f706ef37",
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(UNREAD_PARTS_WEIGHTS))
+def test_tagger_with_unread_parts_trains_to_pinned_weights(tmp_path, optimizer):
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(48):
+        ids = rng.integers(6, size=int(rng.integers(1, 7)))
+        tokens = [list(synth.TAG_RULE)[int(j)] for j in ids]
+        rows.append([" ".join(tokens), repr(float(rng.normal())),
+                     " ".join(synth.TAG_RULE[t] for t in tokens)])
+    path = synth.write_rows(tmp_path / "d.csv", ["tokens", "x", "tags"], rows)
+    text = TAGGER_WITH_UNREAD_PARTS + f"  optimizer: {optimizer}\n"
+    model_dir, _ = train(parse_model_definition(text), path, tmp_path / "run", seed=3,
+                         use_cache=False)
+    digest = hashlib.sha256((model_dir / "weights.bin").read_bytes()).hexdigest()
+    assert digest == UNREAD_PARTS_WEIGHTS[optimizer]
 
 
 # ---------------------------------------------------------------------------
