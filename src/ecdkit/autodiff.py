@@ -1,21 +1,27 @@
 """Reverse-mode automatic differentiation over dense tensors.
 
 Every trainable computation in the toolkit is expressed as operations on a
-``Tape``. Each operation appends a ``TapeNode`` holding the forward value and
-a closure that scatters gradient contributions back to the node's parents;
-``Tape.backward`` replays those closures in reverse id order and returns one
-gradient per named parameter. Node ids grow monotonically, so the tape is
+``Tape``. An op computes its output array and a closure ``backward(g)``
+that takes the gradient of the output and scatters its contributions into
+the op's inputs with ``TapeNode.accumulate``, then hands both to
+``Tape._record``. ``_record`` is the one place that wraps an output in a
+``TapeNode`` and the one place that attaches a closure, and it attaches one
+only on a gradient tape. ``Tape.backward`` replays the closures in reverse
+id order, calling ``node._backward(node.grad)``, and returns one gradient
+per named parameter. Node ids grow monotonically, so the tape is
 topologically ordered by construction and a single reverse sweep suffices.
 
 ``backward`` consumes its tape. An interior node's gradient and closure are
 dropped as soon as its closure has run, since every consumer of the node
 has run before it; parameter leaves keep their gradients until the sweep
-ends. After the sweep the node list goes too, so the nodes, and the arrays
-the closures captured, are freed by reference counting as soon as the
-caller lets go of them. A ``Tape(grad=False)`` records nothing from the
-start: it keeps no node list and its ops attach no closures, so a forward
-pass on it holds only the values the caller keeps. Neither kind of tape can
-be differentiated again.
+ends. After the sweep the tape drops its node list, which ends the
+reference cycle between the tape and its nodes (each node points back at
+its tape), and every node's gradient and closure are cleared, so the arrays
+the closures captured are freed by reference counting even while the caller
+still holds the root. A ``Tape(grad=False)`` records nothing from the
+start: it keeps no node list and attaches no closures, so a forward pass on
+it holds only the values the caller keeps. Neither kind of tape can be
+differentiated again.
 
 Op outputs are wrapped with ``Tensor.wrap``, unscanned: finiteness is
 checked at the tape's edges. ``Tensor(...)`` checks the constants and
@@ -58,6 +64,8 @@ from .tensor import Tensor, check_finite
 UNARY_KINDS = ("relu", "sigmoid", "tanh")
 REDUCE_KINDS = ("sum", "mean", "max")
 
+Backward = Callable[[np.ndarray], None]
+
 
 @dataclass
 class Parameter:
@@ -65,7 +73,6 @@ class Parameter:
 
     name: str
     tensor: Tensor
-    trainable: bool = True
 
     def __post_init__(self):
         if not self.name or any(not part for part in self.name.split(".")):
@@ -84,14 +91,11 @@ class ParameterStore:
         self._params[param.name] = param
         return param
 
-    def create(self, name: str, values, trainable: bool = True) -> Parameter:
-        return self.add(Parameter(name, Tensor(values), trainable))
+    def create(self, name: str, values) -> Parameter:
+        return self.add(Parameter(name, Tensor(values)))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __iter__(self):
         return iter(self._params.values())
@@ -114,21 +118,17 @@ class ParameterStore:
 class TapeNode:
     """One recorded operation: forward value plus backward bookkeeping."""
 
-    __slots__ = ("id", "op_kind", "parent_ids", "value", "grad", "param_name", "_backward", "tape",
-                 "rows")
+    __slots__ = ("id", "op_kind", "value", "grad", "param_name", "_backward", "tape", "rows")
 
-    def __init__(self, tape: "Tape", node_id: int, op_kind: str,
-                 parent_ids: tuple[int, ...], value: Tensor,
-                 backward: Callable[[], None] | None = None,
+    def __init__(self, tape: "Tape", node_id: int, op_kind: str, value: Tensor,
                  param_name: str | None = None):
         self.tape = tape
         self.id = node_id
         self.op_kind = op_kind
-        self.parent_ids = parent_ids
         self.value = value
         self.grad: np.ndarray | None = None
         self.param_name = param_name
-        self._backward = backward
+        self._backward: Backward | None = None
         self.rows: tuple[np.ndarray, np.ndarray] | None = None
 
     def accumulate(self, contribution: np.ndarray) -> None:
@@ -138,18 +138,6 @@ class TapeNode:
             self.grad = contribution + 0.0
         else:
             self.grad += contribution
-
-    # Operator sugar used throughout the model graph.
-    def __matmul__(self, other: "TapeNode") -> "TapeNode":
-        return matmul(self, other)
-
-    def __add__(self, other: "TapeNode") -> "TapeNode":
-        return add(self, other)
-
-    def __mul__(self, scalar: float) -> "TapeNode":
-        return scale(self, scalar)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"TapeNode(id={self.id}, op={self.op_kind}, dims={self.value.dims})"
@@ -171,23 +159,31 @@ class Tape:
         """Whether ops record backward closures: false once consumed."""
         return self.nodes is not None
 
-    def _record(self, op_kind: str, parents: Sequence[TapeNode], value: Tensor,
-                backward: Callable[[], None] | None, param_name: str | None = None) -> TapeNode:
-        node = TapeNode(self, self._next_id, op_kind,
-                        tuple(p.id for p in parents), value, backward, param_name)
+    def _record(self, op_kind: str, value: np.ndarray, backward: Backward | None = None,
+                param_name: str | None = None) -> TapeNode:
+        """Wrap an op's output array in a new node and return it.
+
+        ``value`` must be a contiguous float64 array of rank >= 1; it is
+        wrapped as it is, without a copy or a finiteness scan. ``backward(g)``
+        receives the gradient of ``value`` and adds the op's contributions to
+        its inputs; it is attached, and the node kept, only on a gradient
+        tape, so a ``grad=False`` tape drops the closure and what it captured.
+        """
+        node = TapeNode(self, self._next_id, op_kind, Tensor.wrap(value), param_name)
         self._next_id += 1
         if self.nodes is not None:
+            node._backward = backward
             self.nodes.append(node)
         return node
 
     def constant(self, values) -> TapeNode:
         """Leaf holding a value with no gradient of interest."""
         t = values if isinstance(values, Tensor) else Tensor(values)
-        return self._record("const", (), t, None)
+        return self._record("const", t.array)
 
     def leaf(self, param: Parameter) -> TapeNode:
         """Leaf bound to a named parameter; backward reports its gradient."""
-        return self._record("param", (), param.tensor, None, param_name=param.name)
+        return self._record("param", param.tensor.array, param_name=param.name)
 
     def backward(self, root: TapeNode) -> dict[str, Tensor]:
         """Reverse sweep from a scalar root; consumes the tape.
@@ -211,7 +207,7 @@ class Tape:
         for node in reversed(nodes[: root.id + 1]):
             if node.grad is None or node._backward is None:
                 continue
-            node._backward()
+            node._backward(node.grad)
             # every consumer of an interior node has run: its gradient is spent
             node.grad = node._backward = None
         grads: dict[str, np.ndarray] = {}
@@ -239,17 +235,12 @@ def matmul(a: TapeNode, b: TapeNode) -> TapeNode:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.value.dims} and {b.value.dims}")
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.value.dims} vs {b.value.dims}")
-    out = Tensor.wrap(av @ bv)
-    node = a.tape._record("matmul", (a, b), out, None)
 
-    def backward():
-        g = node.grad
+    def backward(g):
         a.accumulate(g @ bv.T)
         b.accumulate(av.T @ g)
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return a.tape._record("matmul", av @ bv, backward)
 
 
 def add(a: TapeNode, b: TapeNode) -> TapeNode:
@@ -261,33 +252,24 @@ def add(a: TapeNode, b: TapeNode) -> TapeNode:
         broadcast = True
     else:
         raise ShapeError(f"add dims mismatch: {a.value.dims} vs {b.value.dims}")
-    out = Tensor.wrap(av + bv)
-    node = a.tape._record("add", (a, b), out, None)
 
-    def backward():
-        g = node.grad
+    def backward(g):
         a.accumulate(g)
         if broadcast:
             b.accumulate(g.reshape(-1, bv.shape[0]).sum(axis=0))
         else:
             b.accumulate(g)
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return a.tape._record("add", av + bv, backward)
 
 
 def scale(a: TapeNode, factor: float) -> TapeNode:
     factor = float(factor)
-    out = Tensor.wrap(a.value.array * factor)
-    node = a.tape._record("scale", (a,), out, None)
 
-    def backward():
-        a.accumulate(node.grad * factor)
+    def backward(g):
+        a.accumulate(g * factor)
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return a.tape._record("scale", a.value.array * factor, backward)
 
 
 def apply_unary(kind: str, x: TapeNode) -> TapeNode:
@@ -301,10 +283,8 @@ def apply_unary(kind: str, x: TapeNode) -> TapeNode:
         out = _stable_sigmoid(xv)
     else:
         out = np.tanh(xv)
-    node = x.tape._record(kind, (x,), Tensor.wrap(out), None)
 
-    def backward():
-        g = node.grad
+    def backward(g):
         if kind == "relu":
             x.accumulate(g * (xv > 0.0))
         elif kind == "sigmoid":
@@ -312,13 +292,7 @@ def apply_unary(kind: str, x: TapeNode) -> TapeNode:
         else:
             x.accumulate(g * (1.0 - out * out))
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
-
-
-def relu(x: TapeNode) -> TapeNode:
-    return apply_unary("relu", x)
+    return x.tape._record(kind, out, backward)
 
 
 def sigmoid(x: TapeNode) -> TapeNode:
@@ -361,10 +335,9 @@ def reduce(kind: str, x: TapeNode, axis: int) -> TapeNode:
             argmax = np.argmax(xv, axis=axis)
     if out.ndim == 0:
         out = out.reshape(1)
-    node = x.tape._record(f"reduce_{kind}", (x,), Tensor.wrap(out), None)
 
-    def backward():
-        g = node.grad.reshape(reduced_shape)
+    def backward(g):
+        g = g.reshape(reduced_shape)
         if kind == "sum":
             x.accumulate(np.repeat(np.expand_dims(g, axis), extent, axis=axis))
         elif kind == "mean":
@@ -375,9 +348,7 @@ def reduce(kind: str, x: TapeNode, axis: int) -> TapeNode:
                               np.expand_dims(g, axis), axis=axis)
             x.accumulate(gx)
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return x.tape._record(f"reduce_{kind}", out, backward)
 
 
 def concat(parts: Sequence[TapeNode], axis: int = 1) -> TapeNode:
@@ -394,12 +365,9 @@ def concat(parts: Sequence[TapeNode], axis: int = 1) -> TapeNode:
                 f"concat dims mismatch along axis {axis}: "
                 f"{[tuple(a.shape) for a in arrays]}"
             )
-    out = Tensor.wrap(np.concatenate(arrays, axis=axis))
-    node = parts[0].tape._record("concat", tuple(parts), out, None)
     widths = [a.shape[axis] for a in arrays]
 
-    def backward():
-        g = node.grad
+    def backward(g):
         offset = 0
         for part, width in zip(parts, widths):
             index = [slice(None)] * g.ndim
@@ -407,23 +375,18 @@ def concat(parts: Sequence[TapeNode], axis: int = 1) -> TapeNode:
             part.accumulate(g[tuple(index)])
             offset += width
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return parts[0].tape._record("concat", np.concatenate(arrays, axis=axis), backward)
 
 
 def reshape(x: TapeNode, dims: Sequence[int]) -> TapeNode:
     dims = tuple(int(d) for d in dims)
     if int(np.prod(dims)) != x.value.array.size:
         raise ShapeError(f"cannot reshape {x.value.dims} into {dims}")
-    node = x.tape._record("reshape", (x,), Tensor.wrap(x.value.array.reshape(dims)), None)
 
-    def backward():
-        x.accumulate(node.grad.reshape(x.value.dims))
+    def backward(g):
+        x.accumulate(g.reshape(x.value.dims))
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return x.tape._record("reshape", x.value.array.reshape(dims), backward)
 
 
 def select(x: TapeNode, axis: int, index: int) -> TapeNode:
@@ -436,19 +399,16 @@ def select(x: TapeNode, axis: int, index: int) -> TapeNode:
     out = np.take(xv, index, axis=axis)
     if out.ndim == 0:
         out = out.reshape(1)
-    node = x.tape._record("select", (x,), Tensor.wrap(out), None)
     # a width-1 slice, so the gradient's part is a view even for rank-1 input
     slicer = (slice(None),) * axis + (slice(index, index + 1),)
 
-    def backward():
+    def backward(g):
         if x.grad is None:
             x.grad = np.zeros(xv.shape)
         part = x.grad[slicer]
-        part += node.grad.reshape(part.shape)
+        part += g.reshape(part.shape)
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return x.tape._record("select", out, backward)
 
 
 def embedding_lookup(table: TapeNode, ids: Sequence[int]) -> TapeNode:
@@ -464,19 +424,16 @@ def embedding_lookup(table: TapeNode, ids: Sequence[int]) -> TapeNode:
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         bad = idx[(idx < 0) | (idx >= vocab)][0]
         raise IndexOutOfRangeError(f"embedding id {int(bad)} outside [0, {vocab})")
-    node = table.tape._record("embedding_lookup", (table,), Tensor.wrap(tv[idx]), None)
 
-    def backward():
+    def backward(g):
         # one pass over the flat (id x width + column) index: each cell sums
         # its rows in order from 0.0, the bits of np.add.at into zeros
         v, h = tv.shape
         flat = (idx[:, np.newaxis] * h + np.arange(h)).reshape(-1)
-        table.accumulate(np.bincount(flat, weights=node.grad.reshape(-1),
+        table.accumulate(np.bincount(flat, weights=g.reshape(-1),
                                      minlength=v * h).reshape(v, h))
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return table.tape._record("embedding_lookup", tv[idx], backward)
 
 
 def softmax(x: TapeNode) -> TapeNode:
@@ -487,16 +444,12 @@ def softmax(x: TapeNode) -> TapeNode:
     shifted = xv - xv.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    node = x.tape._record("softmax", (x,), Tensor.wrap(p), None)
 
-    def backward():
-        g = node.grad
+    def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
         x.accumulate(p * (g - dot))
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return x.tape._record("softmax", p, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +484,8 @@ def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode) -> TapeNode:
     for k in range(w):
         window = xpad[:, k : k + s, :]
         out += (window.reshape(b * s, h) @ fv[k]).reshape(b, s, f)
-    value = Tensor.wrap(out[0] if squeeze else out)
-    node = x.tape._record("conv1d", (x, filters, bias), value, None)
 
-    def backward():
-        g = node.grad
+    def backward(g):
         g3 = g[np.newaxis] if squeeze else g
         gxpad = np.zeros_like(xpad)
         gf = np.zeros_like(fv)
@@ -548,9 +498,7 @@ def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode) -> TapeNode:
         filters.accumulate(gf)
         bias.accumulate(g3.sum(axis=(0, 1)))
 
-    if node.tape.grad:
-        node._backward = backward
-    return node
+    return x.tape._record("conv1d", out[0] if squeeze else out, backward)
 
 
 def rnn_step(x_t: TapeNode, h_prev: TapeNode, w_in: TapeNode, w_rec: TapeNode,
@@ -595,19 +543,15 @@ def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int],
     shifted = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
     terms = (lse - lv[np.arange(b), ids]) * wts
-    value = Tensor.wrap(np.array([terms.sum() / total]))
-    node = logits.tape._record("softmax_cross_entropy", (logits,), value, None)
-    node.rows = (terms, wts)
 
-    def backward():
-        g = node.grad[0]
+    def backward(g):
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(b), ids] -= 1.0
-        logits.accumulate(g * p * (wts / total)[:, np.newaxis])
+        logits.accumulate(g[0] * p * (wts / total)[:, np.newaxis])
 
-    if node.tape.grad:
-        node._backward = backward
+    node = logits.tape._record("softmax_cross_entropy", np.array([terms.sum() / total]), backward)
+    node.rows = (terms, wts)
     return node
 
 
@@ -622,16 +566,12 @@ def sigmoid_bce(logits: TapeNode, targets) -> TapeNode:
     n = lv.size
     # stable formulation: max(z,0) - z*t + log(1 + exp(-|z|))
     per = np.maximum(lv, 0.0) - lv * tv + np.log1p(np.exp(-np.abs(lv)))
-    value = Tensor.wrap(np.array([per.sum() / n]))
-    node = logits.tape._record("sigmoid_bce", (logits,), value, None)
+
+    def backward(g):
+        logits.accumulate(g[0] * (_stable_sigmoid(lv) - tv) / n)
+
+    node = logits.tape._record("sigmoid_bce", np.array([per.sum() / n]), backward)
     node.rows = (per, np.ones(per.shape))
-
-    def backward():
-        g = node.grad[0]
-        logits.accumulate(g * (_stable_sigmoid(lv) - tv) / n)
-
-    if node.tape.grad:
-        node._backward = backward
     return node
 
 
@@ -644,13 +584,10 @@ def mse(prediction: TapeNode, targets) -> TapeNode:
     n = pv.size
     diff = pv - tv
     terms = diff * diff
-    value = Tensor.wrap(np.array([terms.sum() / n]))
-    node = prediction.tape._record("mse", (prediction,), value, None)
+
+    def backward(g):
+        prediction.accumulate(g[0] * 2.0 * diff / n)
+
+    node = prediction.tape._record("mse", np.array([terms.sum() / n]), backward)
     node.rows = (terms, np.ones(terms.shape))
-
-    def backward():
-        prediction.accumulate(node.grad[0] * 2.0 * diff / n)
-
-    if node.tape.grad:
-        node._backward = backward
     return node

@@ -46,19 +46,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ecdkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="{train,predict,experiment}")
 
-    def common(p, needs_config: bool):
-        if needs_config:
-            p.add_argument("-c", "--config", required=True, help="model definition file")
+    def common(p, trains: bool):
+        """-d, -o and -q for every subcommand; -c, --seed and --no-cache
+        for the two that train."""
         p.add_argument("-d", "--dataset", required=True, help="CSV dataset path")
         p.add_argument("-o", "--output-dir", default=None,
                        help="run directory (default ./results/run_<timestamp>)")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"random seed (falls back to ${SEED_ENV_VAR}, then the "
-                            f"definition, then {DEFAULT_SEED})")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable the preprocessed-tensor cache")
         p.add_argument("-q", "--quiet", action="store_true",
                        help="suppress progress output (never diagnostics)")
+        if trains:
+            p.add_argument("-c", "--config", required=True, help="model definition file")
+            p.add_argument("--seed", type=int, default=None,
+                           help=f"random seed (falls back to ${SEED_ENV_VAR}, then the "
+                                f"definition, then {DEFAULT_SEED})")
+            p.add_argument("--no-cache", action="store_true",
+                           help="disable the preprocessed-tensor cache")
 
     common(sub.add_parser("train", help="train a model from a definition"), True)
     p_predict = sub.add_parser("predict", help="predict with a saved model")

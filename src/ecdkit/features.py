@@ -495,13 +495,10 @@ def higher_is_better(kind: str) -> bool:
     return _METRICS[kind][1]
 
 
-def compute_metric(kind: str, truths: list, preds: list, ftype: str | None = None) -> float:
+def compute_metric(kind: str, truths: list, preds: list) -> float:
     """Score predictions against ground truths with one named metric."""
     if kind not in _METRICS:
         raise RegistryError(f"unknown metric {kind!r}; available: {', '.join(_METRICS)}")
-    if ftype is not None and kind not in TYPE_METRICS.get(ftype, ()):
-        raise RegistryError(f"metric {kind!r} is not valid for feature type {ftype!r}; "
-                            f"valid: {', '.join(TYPE_METRICS.get(ftype, ()))}")
     if len(truths) != len(preds):
         raise ContractError(f"metric inputs differ in length: {len(truths)} vs {len(preds)}")
     if not truths:

@@ -263,5 +263,5 @@ class ECDModel:
         # a parameter no output reads has no leaf on the tape
         for param in self.store:
             if param.name not in grads:
-                grads[param.name] = Tensor.zeros(param.tensor.dims)
+                grads[param.name] = Tensor.wrap(np.zeros(param.tensor.dims))
         return grads

@@ -1,6 +1,6 @@
 """Gradient-descent optimizers: plain SGD and bias-corrected Adam.
 
-``optimizer_step`` replaces each trainable parameter's tensor and advances
+``optimizer_step`` replaces each parameter's tensor and advances
 the state by exactly one step; given identical (state, params, grads) it
 always produces identical results. A parameter whose new weights are not
 all finite keeps its old ones, and ``NonFiniteError`` names it.
@@ -52,20 +52,18 @@ def make_optimizer(kind: str, learning_rate: float | None = None, **hyper) -> Op
 
 
 def optimizer_step(state: OptimizerState, params, grads: dict) -> OptimizerState:
-    """Apply one update to every trainable parameter.
+    """Apply one update to every parameter.
 
     ``params`` is any iterable of Parameter; ``grads`` maps parameter name to
-    its gradient (Tensor or array). A trainable parameter without a gradient
-    is a caller bug and raises.
+    its gradient (Tensor or array). A parameter without a gradient is a
+    caller bug and raises.
     """
     param_list = [p for p in params if isinstance(p, Parameter)]
     state.step_count += 1
     t = state.step_count
     for param in param_list:
-        if not param.trainable:
-            continue
         if param.name not in grads:
-            raise ContractError(f"no gradient supplied for trainable parameter {param.name!r}")
+            raise ContractError(f"no gradient supplied for parameter {param.name!r}")
         g = grads[param.name]
         g = g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
         if g.shape != param.tensor.dims:

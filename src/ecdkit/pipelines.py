@@ -254,7 +254,8 @@ def _score(outputs: dict[str, _OutputRows], split: Dataset, output_specs,
 
     The named metrics score the post-processed predictions against the raw
     ground truths, canonicalized with the specs the targets were
-    preprocessed with.
+    preprocessed with. A loss or metric that is not finite raises
+    ``NonFiniteError`` naming it and the output.
     """
     report: dict[str, dict[str, float]] = {}
     for spec in output_specs:
@@ -265,10 +266,17 @@ def _score(outputs: dict[str, _OutputRows], split: Dataset, output_specs,
         block = {"loss": out.loss()}
         for kind in TYPE_METRICS[spec.type]:
             if kind == "cross_entropy":
-                ids = [meta.lookup(t) for t in truths]
-                block[kind] = compute_metric(kind, ids, list(out.probabilities))
+                scored = ([meta.lookup(t) for t in truths], list(out.probabilities))
             else:
-                block[kind] = compute_metric(kind, truths, out.predictions)
+                scored = (truths, out.predictions)
+            try:
+                block[kind] = compute_metric(kind, *scored)
+            except OverflowError:  # a raw-space error squared past the float range
+                block[kind] = np.inf
+        # a report must be valid JSON, which has no infinity or nan
+        bad = [kind for kind, value in block.items() if not np.isfinite(value)]
+        if bad:
+            raise NonFiniteError(f"non-finite metric {bad[0]!r} for output {spec.name!r}")
         report[spec.name] = block
     return report
 

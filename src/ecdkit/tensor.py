@@ -14,8 +14,6 @@ what it found non-finite.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError
@@ -25,15 +23,8 @@ class Tensor:
 
     __slots__ = ("array",)
 
-    def __init__(self, values, dims: Sequence[int] | None = None):
+    def __init__(self, values):
         arr = np.asarray(values, dtype=np.float64)
-        if dims is not None:
-            expected = int(np.prod(dims))
-            if arr.size != expected:
-                raise ShapeError(
-                    f"cannot shape {arr.size} values into dims {tuple(dims)}"
-                )
-            arr = arr.reshape(tuple(dims))
         if arr.ndim == 0:
             arr = arr.reshape(1)
         self.array = np.ascontiguousarray(check_finite(arr, "tensor values"))
@@ -48,40 +39,16 @@ class Tensor:
         tensor.array = array
         return tensor
 
-    @classmethod
-    def zeros(cls, dims: Sequence[int]) -> "Tensor":
-        return cls(np.zeros(tuple(dims), dtype=np.float64))
-
-    @classmethod
-    def full(cls, dims: Sequence[int], value: float) -> "Tensor":
-        return cls(np.full(tuple(dims), value, dtype=np.float64))
-
-    @classmethod
-    def scalar(cls, value: float) -> "Tensor":
-        return cls(np.array([value], dtype=np.float64))
-
     # -- views ----------------------------------------------------------------
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.array.shape
 
-    @property
-    def rank(self) -> int:
-        return self.array.ndim
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the elements."""
-        return self.array.reshape(-1)
-
     def item(self) -> float:
         if self.array.size != 1:
             raise ShapeError(f"item() on tensor of dims {self.dims}")
         return float(self.array.reshape(-1)[0])
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.array.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(dims={self.dims})"

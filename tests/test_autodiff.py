@@ -1,7 +1,10 @@
 """Tape operations against brute-force oracles and finite differences."""
 
+import ast
 import gc
+import inspect
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,7 +346,7 @@ def gradcheck(build, values: np.ndarray, probes: int = None) -> float:
 def summed(node):
     out = node
     while out.value.array.size > 1:
-        out = ad.reduce("sum", out, axis=out.value.rank - 1)
+        out = ad.reduce("sum", out, axis=out.value.array.ndim - 1)
     return out
 
 
@@ -467,8 +470,7 @@ def test_select_gradient_is_bit_equal_to_the_dense_formula(data):
         x.accumulate(first)
     # the reverse sweep of Tape.backward, with each node's gradient given
     for node, g in reversed(list(zip(nodes, grads))):
-        node.grad = g
-        node._backward()
+        node._backward(g)
     assert _bits(x.grad) == _bits(select_grad_dense(shape, picks, grads, first))
 
 
@@ -492,8 +494,7 @@ def test_embedding_gradient_is_bit_equal_to_add_at(data):
     tape = ad.Tape()
     table = leaf(tape, np.zeros((vocab, width)))
     node = ad.embedding_lookup(table, ids)
-    node.grad = grad
-    node._backward()
+    node._backward(grad)
     assert _bits(table.grad) == _bits(embedding_grad_add_at(vocab, ids, grad))
 
 
@@ -506,10 +507,10 @@ def test_backward_frees_each_interior_gradient_once_its_closure_has_run():
     seen = {}
     sweep_hidden = hidden._backward
 
-    def spy():
+    def spy(g):
         seen["scaled"], seen["root"] = scaled.grad, root.grad
-        seen["hidden"] = hidden.grad is not None
-        sweep_hidden()
+        seen["hidden"] = g is hidden.grad
+        sweep_hidden(g)
 
     hidden._backward = spy
     grads = tape.backward(root)
@@ -517,6 +518,41 @@ def test_backward_frees_each_interior_gradient_once_its_closure_has_run():
     assert seen == {"scaled": None, "root": None, "hidden": True}
     assert hidden.grad is None and hidden._backward is None
     np.testing.assert_allclose(grads["p"].array, 2.0 * (1.0 - np.tanh([[1.0, -2.0, 3.0]]) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# closure contract: ops hand ``backward(g)`` to ``Tape._record``, which alone
+# attaches it
+# ---------------------------------------------------------------------------
+
+def test_only_tape_record_attaches_a_backward_closure():
+    tree = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
+    attaching = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.ClassDef, ast.FunctionDef)):
+            continue
+        for stmt in scope.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Attribute) and t.attr == "_backward"
+                        for t in node.targets) and not (
+                        isinstance(node.value, ast.Constant) and node.value.value is None):
+                    attaching.append(scope.name)
+    # Tape._record is nested in class Tape, so both scopes see its one assignment
+    assert sorted(attaching) == ["Tape", "_record"]
+
+
+def test_every_op_closure_takes_its_gradient():
+    r = np.random.default_rng(2)
+    for name, (shape, build) in _op_cases(np.random.default_rng(0)).items():
+        tape = ad.Tape()
+        build(tape, leaf(tape, r.normal(size=shape)))
+        ops = [node for node in tape.nodes if node.op_kind not in ("const", "param")]
+        assert ops, name
+        for node in ops:
+            params = inspect.signature(node._backward).parameters
+            assert len(params) == 1, (name, node.op_kind)
+        assert all(node._backward is None for node in tape.nodes if node not in ops), name
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,14 @@ class TestPredictCommand:
         assert len(lines) - 1 == 120
         assert (tmp / "pred" / "metrics.json").exists()
 
+    @pytest.mark.parametrize("flag", [["--seed", 1], ["--no-cache"]])
+    def test_training_flags_are_usage_errors(self, workspace, capsys, flag):
+        # predict draws no random numbers and reads no cache
+        tmp, _, dataset = workspace
+        assert run(["predict", "-m", tmp / "ghost", "-d", dataset, "-o", tmp / "pred",
+                    *flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_nonexistent_model_dir_exits_3(self, workspace):
         tmp, config, dataset = workspace
         assert run(["predict", "-m", tmp / "ghost", "-d", dataset, "-o", tmp / "pred"]) == 3
@@ -330,16 +338,19 @@ class TestHugeNumbers:
 
 
 class TestNonFiniteForward:
-    """Finite weights whose forward pass overflows exit 4 with one line."""
+    """Finite weights whose forward pass or scores overflow exit 4 with one line."""
 
-    @pytest.mark.parametrize("decoder,targets,scale,found", [
-        ("", True, 1.0, "loss terms"),  # the prediction itself stays finite
-        ("    fc_sizes: [2]\n", True, 1.0, "predictions"),
-        ("    fc_sizes: [2]\n", False, 1.0, "predictions"),
-        ("", False, 1e10, "predictions"),  # finite until denormalized
-    ], ids=["finite-prediction", "with-targets", "inputs-only", "denormalized"])
+    @pytest.mark.parametrize("decoder,targets,scale,weight,found", [
+        ("", True, 1.0, 1e300, "loss terms"),  # the prediction itself stays finite
+        ("    fc_sizes: [2]\n", True, 1.0, 1e300, "predictions"),
+        ("    fc_sizes: [2]\n", False, 1.0, 1e300, "predictions"),
+        ("", False, 1e10, 1e300, "predictions"),  # finite until denormalized
+        # finite loss terms and predictions, whose ~1e160 raw errors overflow when squared
+        ("", True, 1e10, 1e150, "metric 'mse'"),
+    ], ids=["finite-prediction", "with-targets", "inputs-only", "denormalized",
+            "metric-overflow"])
     def test_predict_exits_4_naming_the_output(self, tmp_path, capsys, decoder, targets,
-                                               scale, found):
+                                               scale, weight, found):
         config = tmp_path / "model.yaml"
         config.write_text("input_features:\n  - name: x\n    type: numerical\n"
                           "output_features:\n  - name: y\n    type: numerical\n" + decoder +
@@ -351,7 +362,7 @@ class TestNonFiniteForward:
         weights = tmp_path / "run" / "model" / "weights.bin"
         huge = ParameterStore()
         for name, values in read_weights(weights).items():
-            huge.create(name, np.full(values.shape, 1e300))
+            huge.create(name, np.full(values.shape, weight))
         write_weights(weights, huge)
         if not targets:
             dataset = synth.write_rows(tmp_path / "x.csv", ["x"], [row[:1] for row in rows])

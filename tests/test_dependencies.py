@@ -1,6 +1,8 @@
 """numpy is the only runtime dependency: the package imports nothing else
 outside the standard library, at module level or inside a function. YAML is
-only read, by ``config`` from a user's definition; the package writes none."""
+only read, by ``config`` from a user's definition; the package writes none.
+Every module-level import is read in its module or listed in ``__all__``, so
+a deletion leaves no import behind."""
 
 import ast
 import sys
@@ -47,3 +49,29 @@ def test_yaml_is_only_read_from_a_users_definition():
     public = [name for name, value in vars(yamlish).items() if not name.startswith("_")
               and callable(value) and value.__module__ == yamlish.__name__]
     assert public == ["loads"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by the module-level imports of one source file that the
+    file never reads and does not list in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_every_module_level_import_is_used():
+    assert [entry for path in sorted(PACKAGE.glob("*.py"))
+            for entry in unused_imports(path)] == []

@@ -356,10 +356,6 @@ class TestMetrics:
         with pytest.raises(ContractError):
             ft.compute_metric("accuracy", ["a"], ["a", "b"])
 
-    def test_invalid_kind_type_pairing(self):
-        with pytest.raises(RegistryError):
-            ft.compute_metric("mse", ["a"], ["a"], ftype="category")
-
     def test_improvement_directions(self):
         assert ft.higher_is_better("accuracy")
         assert not ft.higher_is_better("mse")

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from ecdkit.autodiff import Parameter, ParameterStore
+from ecdkit.autodiff import ParameterStore
 from ecdkit.errors import ConfigError, ContractError, NonFiniteError
 from ecdkit.optim import make_optimizer, optimizer_step
-from ecdkit.tensor import Tensor
 
 from oracles import adam_recurrence, optimizer_formula
 
@@ -103,12 +102,6 @@ class TestContracts:
         store = store_with()
         with pytest.raises(ContractError, match="w"):
             optimizer_step(make_optimizer("sgd"), store, {})
-
-    def test_non_trainable_parameters_are_skipped(self):
-        store = ParameterStore()
-        store.add(Parameter("frozen", Tensor([2.0]), trainable=False))
-        optimizer_step(make_optimizer("sgd"), store, {})
-        assert store["frozen"].tensor.item() == 2.0
 
     def test_gradient_shape_mismatch(self):
         store = store_with()

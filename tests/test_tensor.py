@@ -1,6 +1,5 @@
 """Tensor construction contracts."""
 
-import numpy as np
 import pytest
 
 from ecdkit.errors import NonFiniteError, ShapeError
@@ -11,19 +10,6 @@ def test_scalar_becomes_rank_one():
     t = Tensor(3.5)
     assert t.dims == (1,)
     assert t.item() == 3.5
-
-
-def test_data_is_flat_row_major():
-    t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(t.data, [1.0, 2.0, 3.0, 4.0])
-    assert len(t.data) == int(np.prod(t.dims))
-
-
-def test_dims_argument_reshapes():
-    t = Tensor([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], dims=(2, 3))
-    assert t.dims == (2, 3)
-    with pytest.raises(ShapeError):
-        Tensor([1.0, 2.0], dims=(3,))
 
 
 def test_non_finite_values_rejected():
@@ -37,9 +23,3 @@ def test_item_requires_single_element():
     with pytest.raises(ShapeError):
         Tensor([1.0, 2.0]).item()
 
-
-def test_copy_is_independent():
-    t = Tensor([1.0, 2.0])
-    c = t.copy()
-    c.array[0] = 9.0
-    assert t.array[0] == 1.0
