@@ -21,6 +21,7 @@ import numpy as np
 from .autodiff import ParameterStore
 from .cache import read_container, write_container
 from .config import definition_from_dict
+from .data import read_text
 from .definition import ModelDefinition
 from .errors import ArtifactError, DataError, SchemaError
 from .features import FeatureMetadata, metadata_from_dict, metadata_to_dict
@@ -83,9 +84,10 @@ def write_json(path: str | Path, payload) -> None:
 
 def read_json(path: Path):
     """The one JSON reader; bad content is an ArtifactError naming the file."""
+    text = read_text(path, ArtifactError, "model file")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path} is not valid JSON: {exc}") from None
 
 

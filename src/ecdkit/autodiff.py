@@ -35,7 +35,10 @@ fresh array and adds every later one in place, in the order the sweep
 reaches the consumers. ``select`` adds into its one slice of the parent's
 buffer (allocated as zeros on first use) instead of building a whole-input
 array per call, so an rnn's backward over s steps costs O(s) slices, not
-O(s) whole inputs. ``embedding_lookup`` scatters its rows' gradients into
+O(s) whole inputs. ``rnn_step`` is one op for the whole cell update; its
+closure adds its contributions in the order the sweep reaches them in the
+composed ``tanh(add(add(matmul, matmul), bias))``, so both have the same
+bits. ``embedding_lookup`` scatters its rows' gradients into
 the table with one ``np.bincount`` over the flat (id x width + column)
 index, which adds each cell's rows in order to 0.0, as ``np.add.at`` into
 zeros does. Buffers never hold -0.0, so the sums have the bits of adding
@@ -299,10 +302,6 @@ def sigmoid(x: TapeNode) -> TapeNode:
     return apply_unary("sigmoid", x)
 
 
-def tanh(x: TapeNode) -> TapeNode:
-    return apply_unary("tanh", x)
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -502,9 +501,48 @@ def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode) -> TapeNode:
 
 
 def rnn_step(x_t: TapeNode, h_prev: TapeNode, w_in: TapeNode, w_rec: TapeNode,
-             bias: TapeNode) -> TapeNode:
-    """One vanilla recurrent cell update: h_t = tanh(x_t W + h_prev U + b)."""
-    return tanh(add(add(matmul(x_t, w_in), matmul(h_prev, w_rec)), bias))
+             bias: TapeNode, rows: np.ndarray | slice | None = None) -> TapeNode:
+    """One vanilla recurrent cell update, h_t = tanh(x_t W + h_prev U + b), as one op.
+
+    ``rows``, an index array or a slice, selects the rows whose sequence is
+    still running; every other row carries ``h_prev`` forward unchanged and
+    passes its gradient straight back to it. A slice selects views, with no
+    copies. With ``rows=None`` every row steps. The backward pass adds
+    its contributions in the order the sweep reaches them in
+    ``tanh(add(add(matmul, matmul), bias))``, so both have the same bits.
+    """
+    xv, hv = x_t.value.array, h_prev.value.array
+    wv, uv, bv = w_in.value.array, w_rec.value.array, bias.value.array
+    if xv.ndim != 2 or hv.ndim != 2 or wv.ndim != 2 or uv.ndim != 2:
+        raise ShapeError(f"rnn_step needs rank-2 operands, got {x_t.value.dims}, "
+                         f"{h_prev.value.dims}, {w_in.value.dims} and {w_rec.value.dims}")
+    n = uv.shape[1]
+    if (xv.shape[0] != hv.shape[0] or xv.shape[1] != wv.shape[0] or wv.shape[1] != n
+            or uv.shape[0] != n or hv.shape[1] != n or bv.shape != (n,)):
+        raise ShapeError(f"rnn_step dims mismatch: x {x_t.value.dims}, h {h_prev.value.dims}, "
+                         f"w_in {w_in.value.dims}, w_rec {w_rec.value.dims}, "
+                         f"bias {bias.value.dims}")
+    xa, ha = (xv, hv) if rows is None else (xv[rows], hv[rows])
+    active = np.tanh((xa @ wv + ha @ uv) + bv)
+    out = active if rows is None else _into_rows(hv.copy(), rows, active)
+
+    def backward(g):
+        ga = (g if rows is None else g[rows]) * (1.0 - active * active) + 0.0
+        bias.accumulate(ga.sum(axis=0))
+        gh = ga @ uv.T
+        h_prev.accumulate(gh if rows is None else _into_rows(g.copy(), rows, gh))
+        w_rec.accumulate(ha.T @ ga)
+        gx = ga @ wv.T
+        x_t.accumulate(gx if rows is None else _into_rows(np.zeros(xv.shape), rows, gx))
+        w_in.accumulate(xa.T @ ga)
+
+    return x_t.tape._record("rnn_step", out, backward)
+
+
+def _into_rows(base: np.ndarray, rows: np.ndarray | slice, part: np.ndarray) -> np.ndarray:
+    """``base``, a fresh array, with ``part`` written into its ``rows``."""
+    base[rows] = part
+    return base
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,10 @@ def read_container(path: str | Path, magic: bytes, version: int, header_size: in
     the body raise ``CorruptionError``; a foreign version raises
     ``FormatVersionError``. ``what`` names the file kind in messages.
     """
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CorruptionError(f"cannot read {what} file {path}: {exc.strerror}") from None
     start = len(magic) + 2
     if len(raw) < start + header_size + 4 + 8:
         raise CorruptionError(f"{what} file {path} is truncated")

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 from .config import parse_model_definition
+from .data import read_text
 from .errors import (
     ArtifactError,
     ConfigError,
@@ -94,7 +95,7 @@ def _load_definition(path: str):
     config_path = Path(path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
-    return parse_model_definition(config_path.read_text(encoding="utf-8"))
+    return parse_model_definition(read_text(config_path, ConfigError, "config file"))
 
 
 def main(argv=None) -> int:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, ToolkitError
 from .rng import SALT_SPLIT, Lcg, mix_seed
 
 SPLIT_NAMES = ("train", "validation", "test")
@@ -34,28 +35,43 @@ class Dataset:
                        [self.lines[i] for i in indices])
 
 
+def read_text(path: Path, error: type[ToolkitError], what: str) -> str:
+    """The UTF-8 text of ``path``. A file that cannot be read, such as a
+    directory, or that is not UTF-8 raises ``error`` naming ``what`` and the
+    file, and for bad bytes their line and byte offset."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{what} {path} is not UTF-8: line {line}, "
+                    f"byte offset {exc.start}") from None
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read a CSV file with a header row; every row must match its width."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"dataset file {path} is empty") from None
-        if len(set(header)) != len(header):
-            raise DataError(f"dataset header has duplicate column names: {header}")
-        rows = []
-        lines = []
-        for number, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise DataError(f"row {number} has {len(record)} cells, expected {len(header)}")
-            rows.append(dict(zip(header, record)))
-            lines.append(number)
+    reader = csv.reader(io.StringIO(read_text(path, DataError, "dataset file"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"dataset file {path} is empty") from None
+    if len(set(header)) != len(header):
+        raise DataError(f"dataset header has duplicate column names: {header}")
+    rows = []
+    lines = []
+    for number, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != len(header):
+            raise DataError(f"row {number} has {len(record)} cells, expected {len(header)}")
+        rows.append(dict(zip(header, record)))
+        lines.append(number)
     if not rows:
         raise DataError(f"dataset file {path} has a header but no rows")
     return Dataset(str(path), header, rows, lines)

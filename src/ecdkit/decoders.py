@@ -31,6 +31,14 @@ from .tensor import Tensor
 PAD_ID = 0
 
 
+def token_counts(ids: np.ndarray) -> np.ndarray:
+    """Tokens per row of padded sequence ids: the position after the last
+    non-PAD id, so the count after ``max_sequence_length`` truncation. The
+    one place a row's length is derived from its PAD ids."""
+    real = ids != PAD_ID
+    return np.where(real.any(axis=1), real.shape[1] - np.argmax(real[:, ::-1], axis=1), 0)
+
+
 @dataclass
 class DecodeResult:
     """``output`` is what a dependent reads as the probabilities payload;

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .decoders import token_counts
 from .errors import ConfigError
 from .features import VectorMetadata
 from .layers import FcStack, make_bias, make_weight
@@ -124,7 +125,15 @@ class SequenceEmbedEncoder:
 
 
 class SequenceRnnEncoder:
-    """Vanilla tanh recurrence over token embeddings; hidden = final state."""
+    """Vanilla tanh recurrence over token embeddings; hidden = each row's
+    state at its last real token.
+
+    The recurrent weights start as the identity (Le et al., arXiv 1504.00941),
+    so a token's input reaches the last state undamped and unrotated and the
+    gradient to it is the same however far back the token lies. With a
+    Glorot draw each distance had its own random rotation, and how soon a
+    short run learned to carry a token to the end varied from seed to seed.
+    """
 
     DEFAULTS = {"embedding_size": 32, "state_size": 32}
     ACCEPTED = frozenset(DEFAULTS)
@@ -135,7 +144,7 @@ class SequenceRnnEncoder:
         prefix = f"encoders.{feature}"
         self.table = _embedding(store, rng, feature, meta, emb)
         self.w_in = make_weight(store, rng, f"{prefix}.rnn.w_in", emb, state)
-        self.w_rec = make_weight(store, rng, f"{prefix}.rnn.w_rec", state, state)
+        self.w_rec = store.create(f"{prefix}.rnn.w_rec", np.eye(state))
         self.bias = make_bias(store, f"{prefix}.rnn.bias", state)
         self.state_size = state
         self.output_width = state
@@ -143,19 +152,38 @@ class SequenceRnnEncoder:
 
     def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False,
                 hidden: bool = True) -> EncoderOutput:
-        # the final state is a step the states hold anyway: ``hidden`` costs nothing
+        # Rows are stepped longest first, so the rows still running are a
+        # prefix and each step updates a slice of views; steps stop at the
+        # longest row. A row that has ended carries its state forward, so the
+        # final state is each row's state at its last real token, and the
+        # states past the longest row repeat it. The outputs are gathered
+        # back into batch order by ``embedding_lookup``, the tape's row gather.
         b, s = batch.shape
-        embedded = _embed_sequence(tape, self.table, batch)
+        lengths = token_counts(batch)
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
+        longest = int(lengths[0]) if b else 0
+        running = np.searchsorted(-lengths, -np.arange(longest))  # rows longer than t
+        embedded = _embed_sequence(tape, self.table, batch[order, :longest])
         w_in, w_rec = tape.leaf(self.w_in), tape.leaf(self.w_rec)
         bias = tape.leaf(self.bias)
         state = tape.constant(np.zeros((b, self.state_size)))
         steps = []
-        for t in range(s):
+        for t in range(longest):
             x_t = ad.select(embedded, axis=1, index=t)
-            state = ad.rnn_step(x_t, state, w_in, w_rec, bias)
+            rows = None if running[t] == b else slice(0, int(running[t]))
+            state = ad.rnn_step(x_t, state, w_in, w_rec, bias, rows)
             if states:
                 steps.append(ad.reshape(state, (b, 1, self.state_size)))
-        return EncoderOutput(state, sequence=ad.concat(steps, axis=1) if states else None)
+        restore = np.argsort(order)  # each batch row's sorted position
+        sequence = None
+        if states:
+            last = steps[-1] if steps else ad.reshape(state, (b, 1, self.state_size))
+            flat = ad.reshape(ad.concat(steps + [last] * (s - longest), axis=1),
+                              (b, s * self.state_size))
+            sequence = ad.reshape(ad.embedding_lookup(flat, restore), (b, s, self.state_size))
+        return EncoderOutput(ad.embedding_lookup(state, restore) if hidden else None,
+                             sequence=sequence)
 
 
 class SequenceCnnEncoder:

@@ -2,11 +2,15 @@
 
 Training: metadata collection over the training split only (so nothing leaks
 from validation or test data), dataset preprocessing with an on-disk cache,
-a seeded epoch loop with per-epoch evaluation, early stopping, and a
-best-checkpoint artifact. Prediction: reload the artifact, preprocess new
-rows with the stored metadata, and post-process model outputs back into raw
-data space. ``experiment`` composes both halves and reports metrics for all
-three splits.
+a seeded epoch loop with per-epoch evaluation of the validation split,
+early stopping, and a best-checkpoint artifact. Each epoch's training
+metrics score the predictions of its own training batches, made while the
+weights moved; only without a validation split is the training split
+evaluated in full after each epoch, as it then steers the checkpoint.
+Prediction: reload the artifact, preprocess new rows with the stored
+metadata, and post-process model outputs back into raw data space.
+``experiment`` composes both halves and reports metrics for all three
+splits.
 
 Evaluation and prediction share one loop: ``batch_size``-row chunks run
 forward on tapes that keep no gradients, each chunk's outputs are
@@ -14,7 +18,8 @@ post-processed as a batch, and the losses are reduced once over the
 concatenated per-row terms, so memory stays bounded by the chunk and the
 result equals that of one batch holding every row. ``predict`` parses the
 targets before its single pass and scores that same pass, so a bad target
-cell writes no file. Row errors name the line of the CSV file.
+cell writes no file. Training collects its batches' rows with the same
+collector. Row errors name the line of the CSV file.
 
 Every run is single-threaded and fully determined by (definition, dataset,
 seed); rerunning with equal inputs produces byte-identical artifacts.
@@ -35,7 +40,7 @@ from . import cache as cache_io
 from .artifacts import DEFINITION_FILE, METADATA_FILE, load_artifact, save_artifact, write_json
 from .config import Diagnostic, resolve_defaults, validate
 from .data import SPLIT_NAMES, Dataset, load_dataset, split_dataset
-from .decoders import PAD_ID
+from .decoders import token_counts
 from .definition import ModelDefinition
 from .errors import (
     ArtifactError,
@@ -197,78 +202,100 @@ class _OutputRows:
         return float(self.loss_terms.sum() / total) if total > 0 else 0.0
 
 
-@np.errstate(all="ignore")  # finiteness is checked, not warned about
-def _forward_chunks(model: ECDModel, arrays: dict[str, np.ndarray], n: int,
-                    definition: ModelDefinition, metadata: dict,
-                    with_targets: bool) -> dict[str, _OutputRows]:
-    """Run ``n`` rows forward in ``batch_size`` chunks on no-gradient tapes.
+class _RowCollector:
+    """The rows of consecutive forward passes, per output feature.
 
     Per output: the post-processed predictions (a tagger's cut to each row's
     input tokens), the probability rows of the types that have them, and,
     with targets, the loss terms and weights. These are the values that
-    leave the tape, so each chunk's are checked for finiteness here, and a
-    numerical output's again once denormalized.
+    leave the tape, so they are checked for finiteness here: each pass's
+    predictions before they are post-processed, and a numerical output's
+    again once denormalized; the probabilities and loss terms once, over
+    every row.
     """
+
+    def __init__(self, model: ECDModel, definition: ModelDefinition, metadata: dict,
+                 with_targets: bool):
+        self.specs = definition.output_features
+        self.source = model.states_feature
+        self.metadata = metadata
+        self.with_targets = with_targets
+        self.predictions: dict[str, list] = {spec.name: [] for spec in self.specs}
+        self.parts: dict[str, tuple[list, list, list]] = {spec.name: ([], [], [])
+                                                          for spec in self.specs}
+
+    def add(self, result, inputs: dict[str, np.ndarray]) -> None:
+        lengths = token_counts(inputs[self.source]) if self.source is not None else None
+        for spec in self.specs:
+            probs, terms, weights = self.parts[spec.name]
+            what = f"for output {spec.name!r}"
+            values = check_finite(result.predictions[spec.name].array, f"predictions {what}")
+            processed = postprocess_prediction(values, spec.type, self.metadata[spec.name],
+                                               lengths)
+            if spec.type == "numerical":
+                check_finite(np.array(processed), f"predictions {what}")
+            self.predictions[spec.name].extend(processed)
+            if result.probabilities[spec.name] is not None:
+                probs.append(result.probabilities[spec.name].array)
+            if self.with_targets:
+                terms.append(result.loss_rows[spec.name][0])
+                weights.append(result.loss_rows[spec.name][1])
+
+    def outputs(self) -> dict[str, _OutputRows]:
+        outputs = {}
+        for name, parts in self.parts.items():
+            probs, terms, weights = (np.concatenate(part) if part else None for part in parts)
+            for values, kind in ((probs, "probabilities"), (terms, "loss terms")):
+                if values is not None:
+                    check_finite(values, f"{kind} for output {name!r}")
+            outputs[name] = _OutputRows(self.predictions[name], probs, terms, weights)
+        return outputs
+
+
+@np.errstate(all="ignore")  # finiteness is checked, not warned about
+def _forward_chunks(model: ECDModel, arrays: dict[str, np.ndarray], n: int,
+                    definition: ModelDefinition, metadata: dict,
+                    with_targets: bool) -> dict[str, _OutputRows]:
+    """Run ``n`` rows forward in ``batch_size`` chunks on no-gradient tapes
+    and collect their rows."""
     names = [spec.name for spec in definition.output_features]
-    predictions: dict[str, list] = {name: [] for name in names}
-    parts: dict[str, tuple[list, list, list]] = {name: ([], [], []) for name in names}
+    collector = _RowCollector(model, definition, metadata, with_targets)
     batch_size = definition.training.batch_size
-    source = model.states_feature
     for start in range(0, n, batch_size):
         rows = slice(start, start + batch_size)
         inputs = {s.name: arrays[s.name][rows] for s in definition.input_features}
         targets = {name: arrays[name][rows] for name in names} if with_targets else None
-        result = model.forward(inputs, targets, grad=False)
-        lengths = _token_counts(inputs[source]) if source is not None else None
-        for spec in definition.output_features:
-            probs, terms, weights = parts[spec.name]
-            what = f"for output {spec.name!r}"
-            values = check_finite(result.predictions[spec.name].array, f"predictions {what}")
-            processed = postprocess_prediction(values, spec.type, metadata[spec.name], lengths)
-            if spec.type == "numerical":
-                check_finite(np.array(processed), f"predictions {what}")
-            predictions[spec.name].extend(processed)
-            if result.probabilities[spec.name] is not None:
-                probs.append(check_finite(result.probabilities[spec.name].array,
-                                          f"probabilities {what}"))
-            if with_targets:
-                terms.append(check_finite(result.loss_rows[spec.name][0], f"loss terms {what}"))
-                weights.append(result.loss_rows[spec.name][1])
-    outputs = {}
-    for name in names:
-        probs, terms, weights = (np.concatenate(part) if part else None for part in parts[name])
-        outputs[name] = _OutputRows(predictions[name], probs, terms, weights)
-    return outputs
+        collector.add(model.forward(inputs, targets, grad=False), inputs)
+    return collector.outputs()
 
 
-def _token_counts(ids: np.ndarray) -> np.ndarray:
-    """Tokens per row of padded sequence ids: the position after the last
-    non-PAD id, so the count after ``max_sequence_length`` truncation."""
-    real = ids != PAD_ID
-    return np.where(real.any(axis=1), real.shape[1] - np.argmax(real[:, ::-1], axis=1), 0)
+def _truths(split: Dataset, output_specs, metadata: dict) -> dict[str, list]:
+    """Each output's raw ground truths, canonicalized with the specs the
+    targets were preprocessed with; a row's truth depends on no other row."""
+    return {spec.name: canonical_truths(split.column(spec.name), split.lines, spec.type,
+                                        metadata[spec.name], _preproc_params(spec))
+            for spec in output_specs}
 
 
-def _score(outputs: dict[str, _OutputRows], split: Dataset, output_specs,
+def _score(outputs: dict[str, _OutputRows], truths: dict[str, list], output_specs,
            metadata: dict) -> dict[str, dict[str, float]]:
     """Loss plus every type-appropriate metric, per output feature.
 
-    The named metrics score the post-processed predictions against the raw
-    ground truths, canonicalized with the specs the targets were
-    preprocessed with. A loss or metric that is not finite raises
-    ``NonFiniteError`` naming it and the output.
+    The named metrics score the post-processed predictions against the
+    ``truths`` of the same rows (see ``_truths``). A loss or metric that is
+    not finite raises ``NonFiniteError`` naming it and the output.
     """
     report: dict[str, dict[str, float]] = {}
     for spec in output_specs:
         meta = metadata[spec.name]
         out = outputs[spec.name]
-        truths = canonical_truths(split.column(spec.name), split.lines, spec.type, meta,
-                                  _preproc_params(spec))
+        truth = truths[spec.name]
         block = {"loss": out.loss()}
         for kind in TYPE_METRICS[spec.type]:
             if kind == "cross_entropy":
-                scored = ([meta.lookup(t) for t in truths], list(out.probabilities))
+                scored = ([meta.lookup(t) for t in truth], list(out.probabilities))
             else:
-                scored = (truths, out.predictions)
+                scored = (truth, out.predictions)
             try:
                 block[kind] = compute_metric(kind, *scored)
             except OverflowError:  # a raw-space error squared past the float range
@@ -289,7 +316,8 @@ def evaluate_split(model: ECDModel, arrays: dict[str, np.ndarray], split: Datase
         return {}
     outputs = _forward_chunks(model, arrays, len(split), definition, metadata,
                               with_targets=True)
-    return _score(outputs, split, definition.output_features, metadata)
+    specs = definition.output_features
+    return _score(outputs, _truths(split, specs, metadata), specs, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +335,18 @@ class _RunContext:
     model_dir: Path
 
 
+def _check_output_dir(path: Path) -> None:
+    """Fail before any work when ``path`` cannot become a directory because
+    it, or its nearest existing ancestor, is not one."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(f"output directory {path} cannot be created: "
+                        f"{existing} is not a directory")
+
+
 def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_dir: str | Path,
                   seed: int | None, use_cache: bool, log, registries: Registries | None) -> _RunContext:
+    _check_output_dir(Path(output_dir))
     registries = registries or build_default_registries()
     resolved = resolve_defaults(definition, registries)
     dataset = load_dataset(dataset_path)
@@ -344,6 +382,10 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
     n_train = len(splits["train"])
     higher = higher_is_better(tr.validation_metric)
 
+    # with a validation split to steer by, the training split is scored on
+    # the epoch's own batches; without one, it is evaluated in full and steers
+    running = len(splits["validation"]) > 0
+    train_truths = _truths(splits["train"], resolved.output_features, metadata) if running else {}
     stats = TrainingStats()
     started = time.monotonic()
     best_value = None
@@ -356,6 +398,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
         order = list(range(n_train))
         Lcg(mix_seed(epoch_rng_seed, epoch)).shuffle(order)
         loss_sum = 0.0
+        collector = _RowCollector(model, resolved, metadata, with_targets=True)
         for batch_index, start in enumerate(range(0, n_train, tr.batch_size)):
             idx = order[start : start + tr.batch_size]
             batch = {name: train_arrays[name][idx] for name in input_names}
@@ -364,6 +407,8 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
                 # the loss, gradients and new weights are checked, not warned about
                 with np.errstate(all="ignore"):
                     result = model.forward(batch, targets)
+                    if running:
+                        collector.add(result, batch)
                     grads = model.backward(result)
                     optimizer_step(optimizer, model.store, grads)
             except NonFiniteError as exc:
@@ -371,15 +416,20 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
             loss_sum += result.combined_loss * len(idx)
         train_loss = loss_sum / n_train
 
-        train_metrics = evaluate_split(model, tensors["train"], splits["train"],
-                                       resolved, metadata)
-        val_metrics = evaluate_split(model, tensors["validation"], splits["validation"],
-                                     resolved, metadata)
+        if running:
+            truths = {name: [column[i] for i in order] for name, column in train_truths.items()}
+            train_metrics = _score(collector.outputs(), truths, resolved.output_features,
+                                   metadata)
+            val_metrics = evaluate_split(model, tensors["validation"], splits["validation"],
+                                         resolved, metadata)
+        else:
+            train_metrics = evaluate_split(model, tensors["train"], splits["train"],
+                                           resolved, metadata)
+            val_metrics = {}
         stats.epochs.append({"epoch": epoch, "train_loss": train_loss,
                              "train_metrics": train_metrics,
                              "validation_metrics": val_metrics})
-        # empty validation split: steer by the training metric instead
-        steering = val_metrics if val_metrics else train_metrics
+        steering = val_metrics if running else train_metrics
         value = steering[tr.validation_feature][tr.validation_metric]
         if log is not None:
             log(f"epoch {epoch}: train loss {train_loss:.6f}, "
@@ -424,12 +474,16 @@ def train(definition: ModelDefinition, dataset_path: str | Path, output_dir: str
 def experiment(definition: ModelDefinition, dataset_path: str | Path, output_dir: str | Path,
                seed: int | None = None, use_cache: bool = True, log=None,
                registries: Registries | None = None) -> tuple[Path, TrainingStats, dict]:
-    """Train, then report the best checkpoint's metrics on all three splits."""
+    """Train, then report the best checkpoint's metrics on all three splits.
+
+    Training scored the validation split on the best checkpoint already; the
+    training and test splits are evaluated once here, on the restored best
+    checkpoint.
+    """
     run = _run_training(definition, dataset_path, output_dir, seed, use_cache, log, registries)
     metrics = {}
-    if run.stats.best_epoch is not None:  # training scored these on the best checkpoint
-        best = run.stats.epochs[run.stats.best_epoch]
-        metrics = {"train": best["train_metrics"], "validation": best["validation_metrics"]}
+    if run.stats.best_epoch is not None:
+        metrics["validation"] = run.stats.epochs[run.stats.best_epoch]["validation_metrics"]
     for name in SPLIT_NAMES:
         if name not in metrics:
             metrics[name] = evaluate_split(run.model, run.tensors[name], run.splits[name],
@@ -493,6 +547,7 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
     When the dataset carries every target column, a metrics report is
     produced alongside; otherwise predictions only.
     """
+    _check_output_dir(Path(output_dir))
     registries = registries or build_default_registries()
     model, definition, metadata = load_model(model_dir, registries)
     dataset = load_dataset(dataset_path)
@@ -512,7 +567,10 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
         arrays.update(preprocess_features(dataset, output_specs, metadata))
     outputs = _forward_chunks(model, arrays, len(dataset), definition, metadata,
                               with_targets=targets_present)
-    metrics = _score(outputs, dataset, output_specs, metadata) if targets_present else None
+    metrics = None
+    if targets_present:
+        metrics = _score(outputs, _truths(dataset, output_specs, metadata), output_specs,
+                         metadata)
 
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)

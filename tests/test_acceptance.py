@@ -4,7 +4,8 @@ Criteria covered:
   1. Config conciseness of the committed fixture definitions.
   2. Encoder interchangeability: same config, encoder name swapped, all run.
   3. Gradient correctness: per-op and end-to-end finite-difference checks.
-  4. Training convergence on three synthetic tasks (a, b, c).
+  4. Training convergence on three synthetic tasks (a, b, c), and (d) rnn
+     accuracy that one long row's padding does not move.
   5. Multi-task output dependency helps, plus exhaustive DAG ordering.
   6. Pipeline invariants: determinism, cache transparency, save/load,
      no metadata leakage.
@@ -262,6 +263,35 @@ def test_criterion_4c_deterministic_tagging(tmp_path):
     report("criterion 4c deterministic tagging",
            token_acc >= 0.95 and elapsed < 120.0,
            f"test token accuracy {token_acc:.3f}, {elapsed:.1f}s")
+
+
+def test_criterion_4d_padding_does_not_move_rnn_accuracy(tmp_path):
+    started = time.monotonic()
+    short = synth.keyword_text(tmp_path / "kw.csv", n=1000, seed=0)
+    long = tmp_path / "kw_long.csv"
+    long.write_text(short.read_text(encoding="utf-8") + " ".join(["alpha"] * 120) + ",miss\n",
+                    encoding="utf-8")
+    config = (
+        "input_features:\n"
+        "  - name: text\n    type: text\n    encoder: rnn\n"
+        "output_features:\n"
+        "  - name: label\n    type: category\n"
+        "training:\n"
+        "  epochs: 15\n"
+        "  batch_size: 32\n"
+        "  learning_rate: 0.005\n"
+    )
+    accuracy, widths = [], []
+    for path in (short, long):
+        out = tmp_path / path.stem
+        _, _, metrics = experiment(parse_model_definition(config), path, out, seed=42)
+        accuracy.append(metrics["test"]["label"]["accuracy"])
+        widths.append(load_model(out / "model")[2]["text"].max_sequence_length)
+    elapsed = time.monotonic() - started
+    report("criterion 4d rnn accuracy independent of padding",
+           widths == [8, 120] and abs(accuracy[0] - accuracy[1]) <= 0.02 and elapsed < 120.0,
+           f"test accuracy {accuracy[0]:.3f} at width {widths[0]}, "
+           f"{accuracy[1]:.3f} at width {widths[1]}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

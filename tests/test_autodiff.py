@@ -229,6 +229,61 @@ class TestRnnStep:
         np.testing.assert_allclose(out.value.array,
                                    rnn_step_scalar_loop(x, h, w, u, b), atol=1e-12)
 
+    def test_equals_the_tape_ops_bit_for_bit(self):
+        """Two steps sharing their weights: the value and all five gradients
+        have the bits of tanh(add(add(matmul, matmul), bias))."""
+        r = np.random.default_rng(3)
+        values = {"x": r.normal(size=(4, 5)), "h": r.normal(size=(4, 3)),
+                  "w_in": r.normal(size=(5, 3)), "w_rec": r.normal(size=(3, 3)),
+                  "bias": r.normal(size=3)}
+
+        def run(step):
+            tape = ad.Tape()
+            x, h, w, u, b = (leaf(tape, v, name) for name, v in values.items())
+            out = step(x, step(x, h, w, u, b), w, u, b)
+            root = ad.reduce("sum", ad.reduce("sum", ad.apply_unary("sigmoid", out), 1), 0)
+            grads = tape.backward(root)
+            return out.value.array.tobytes(), {n: g.array.tobytes() for n, g in grads.items()}
+
+        fused = run(ad.rnn_step)
+        composed = run(lambda x, h, w, u, b: ad.apply_unary(
+            "tanh", ad.add(ad.add(ad.matmul(x, w), ad.matmul(h, u)), b)))
+        assert fused[0] == composed[0]
+        assert sorted(fused[1]) == sorted(values)
+        assert fused[1] == composed[1]
+
+    @pytest.mark.parametrize("rows", [np.array([0, 1]), slice(0, 2)], ids=["index", "slice"])
+    def test_inactive_rows_carry_their_state_and_gradient(self, rows):
+        r = np.random.default_rng(4)
+        x, h = r.normal(size=(4, 2)), r.normal(size=(4, 3))
+        w, u, b = r.normal(size=(2, 3)), r.normal(size=(3, 3)), r.normal(size=3)
+        g = r.normal(size=(4, 3))
+        tape = ad.Tape()
+        nodes = [leaf(tape, v, name) for name, v in zip("xhwub", (x, h, w, u, b))]
+        out = ad.rnn_step(*nodes, rows=rows)
+        full = rnn_step_scalar_loop(x, h, w, u, b)
+        np.testing.assert_allclose(out.value.array[:2], full[:2], atol=1e-12)
+        np.testing.assert_array_equal(out.value.array[2:], h[2:])
+        # the gradient of sum(g * out): inactive rows pass g straight back to h
+        weighted = ad.matmul(ad.reshape(out, (1, 12)), tape.constant(g.reshape(12, 1)))
+        grads = tape.backward(ad.reduce("sum", weighted, 1))
+        np.testing.assert_array_equal(grads["h"].array[2:], g[2:])
+        np.testing.assert_array_equal(grads["x"].array[2:], 0.0)
+
+    @pytest.mark.parametrize("dims", [
+        ((4, 2), (3, 3), (2, 3), (3, 3), (3,)),     # x and h disagree on the batch
+        ((4, 5), (4, 3), (2, 3), (3, 3), (3,)),     # x width is not w_in's rows
+        ((4, 2), (4, 3), (2, 4), (3, 3), (3,)),     # w_in and w_rec widths differ
+        ((4, 2), (4, 3), (2, 3), (3, 4), (3,)),     # w_rec is not square
+        ((4, 2), (4, 2), (2, 3), (3, 3), (3,)),     # h width is not the state width
+        ((4, 2), (4, 3), (2, 3), (3, 3), (4,)),     # bias width
+        ((4, 2, 1), (4, 3), (2, 3), (3, 3), (3,)),  # rank-3 input
+    ])
+    def test_mismatched_operands_raise_shape_error(self, dims):
+        tape = ad.Tape()
+        with pytest.raises(ShapeError, match="rnn_step"):
+            ad.rnn_step(*(tape.constant(np.zeros(d)) for d in dims))
+
 
 class TestLosses:
 
@@ -353,14 +408,25 @@ def summed(node):
 def _op_cases(r: np.random.Generator) -> dict:
     """Each case closes over constants drawn once, so finite differences and
     the analytic pass see the same function."""
-    m34, m42, m43, m33 = (r.normal(size=s) for s in ((3, 4), (4, 2), (4, 3), (3, 3)))
-    b34, h13, x14 = r.normal(size=(3, 4)), r.normal(size=(1, 3)), r.normal(size=(1, 4))
+    m34, m42 = (r.normal(size=s) for s in ((3, 4), (4, 2)))
+    b34 = r.normal(size=(3, 4))
     c33 = r.normal(size=(3, 3))
     cf32, cb2 = r.normal(size=(3, 3, 2)), r.normal(size=2)
     cx52, cf324, cb4 = r.normal(size=(5, 2)), r.normal(size=(3, 2, 4)), r.normal(size=4)
-    rb3 = r.normal(size=3)
     bce_targets = (r.normal(size=(5, 2)) > 0).astype(float)
     mse_targets = r.normal(size=(5, 1))
+    rnn_operands = [r.normal(size=s) for s in ((4, 3), (4, 2), (3, 2), (2, 2), (2,))]
+    rnn_readout = r.normal(size=(2, 3))
+
+    def ragged_rnn(t, x, slot):
+        """Two steps over four rows sharing every operand, ``x`` in ``slot``:
+        rows 0 and 3 run both, row 1 the first only, row 2 neither (all PAD)."""
+        ops = [t.constant(v) for v in rnn_operands]
+        ops[slot] = x
+        first = ad.rnn_step(*ops, rows=np.array([0, 1, 3]))
+        second = ad.rnn_step(ops[0], first, *ops[2:], rows=np.array([0, 3]))
+        return summed(ad.matmul(second, t.constant(rnn_readout)))
+
     return {
         "matmul_left": ((3, 4), lambda t, x: summed(ad.matmul(x, t.constant(m42)))),
         "matmul_right": ((4, 2), lambda t, x: summed(ad.matmul(t.constant(m34), x))),
@@ -384,10 +450,11 @@ def _op_cases(r: np.random.Generator) -> dict:
             t.constant(cx52), x, t.constant(cb4)))),
         "conv1d_bias": ((4,), lambda t, x: summed(ad.conv1d(
             t.constant(cx52), t.constant(cf324), x))),
-        "rnn_step_x": ((1, 4), lambda t, x: summed(ad.rnn_step(
-            x, t.constant(h13), t.constant(m43), t.constant(m33), t.constant(rb3)))),
-        "rnn_step_weights": ((4, 3), lambda t, x: summed(ad.rnn_step(
-            t.constant(x14), t.constant(h13), x, t.constant(m33), t.constant(rb3)))),
+        "rnn_step_x": ((4, 3), lambda t, x: ragged_rnn(t, x, 0)),
+        "rnn_step_h": ((4, 2), lambda t, x: ragged_rnn(t, x, 1)),
+        "rnn_step_weights": ((3, 2), lambda t, x: ragged_rnn(t, x, 2)),
+        "rnn_step_w_rec": ((2, 2), lambda t, x: ragged_rnn(t, x, 3)),
+        "rnn_step_bias": ((2,), lambda t, x: ragged_rnn(t, x, 4)),
         "cross_entropy": ((6, 4), lambda t, x: ad.softmax_cross_entropy(x, [0, 1, 2, 3, 0, 1])),
         "cross_entropy_masked": ((6, 4), lambda t, x: ad.softmax_cross_entropy(
             x, [0, 1, 2, 3, 0, 1], weights=np.array([1, 0, 1, 1, 0, 1.0]))),

@@ -563,6 +563,64 @@ class TestExperimentCommand:
         assert (runs[0] / "model" / "weights.bin").exists()
 
 
+class TestUnreadableFiles:
+    """Bad paths and bad bytes end in one line and exit 2 or 3, not a traceback."""
+
+    def test_config_that_is_not_utf8_exits_2_naming_its_line(self, workspace, capsys):
+        tmp, config, dataset = workspace
+        config.write_bytes(CONFIG.encode("utf-8").replace(b"binary", b"bin\xe4ry"))
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp / "run"]) == 2
+        err = one_line_error(capsys)
+        assert str(config) in err and "not UTF-8: line 12, byte offset" in err
+        assert not (tmp / "run").exists()
+
+    def test_directory_as_config_exits_2(self, workspace, capsys):
+        tmp, _, dataset = workspace
+        (tmp / "configs").mkdir()
+        assert run(["train", "-c", tmp / "configs", "-d", dataset, "-o", tmp / "run"]) == 2
+        assert f"cannot read config file {tmp / 'configs'}" in one_line_error(capsys)
+
+    def test_dataset_that_is_not_utf8_exits_3_naming_its_line(self, workspace, capsys):
+        tmp, config, dataset = workspace
+        lines = dataset.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b"false", b"f\xe4lse").replace(b"true", b"tr\xfce")
+        dataset.write_bytes(b"\n".join(lines))
+        assert run(["experiment", "-c", config, "-d", dataset, "-o", tmp / "run"]) == 3
+        err = one_line_error(capsys)
+        assert str(dataset) in err and "not UTF-8: line 5, byte offset" in err
+
+    @pytest.mark.parametrize("command", ["experiment", "predict"])
+    def test_directory_as_dataset_exits_3(self, workspace, capsys, command):
+        tmp, config, dataset = workspace
+        (tmp / "rows").mkdir()
+        if command == "predict":
+            assert run(["train", "-c", config, "-d", dataset, "-o", tmp / "m", "-q"]) == 0
+            args = ["predict", "-m", tmp / "m" / "model"]
+        else:
+            args = ["experiment", "-c", config]
+        assert run(args + ["-d", tmp / "rows", "-o", tmp / "run"]) == 3
+        assert f"cannot read dataset file {tmp / 'rows'}" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("name", ["metadata.json", "model_definition.json", "weights.bin"])
+    def test_model_file_that_is_a_directory_exits_3(self, workspace, capsys, name):
+        tmp, config, dataset = workspace
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp / "m", "-q"]) == 0
+        (tmp / "m" / "model" / name).unlink()
+        (tmp / "m" / "model" / name).mkdir()
+        assert run(["predict", "-m", tmp / "m" / "model", "-d", dataset, "-o", tmp / "p"]) == 3
+        assert f"{tmp / 'm' / 'model' / name}: Is a directory" in one_line_error(capsys)
+
+    def test_existing_file_as_output_dir_exits_3_before_training(self, workspace, capsys):
+        tmp, config, dataset = workspace
+        (tmp / "taken").write_text("keep\n", encoding="utf-8")
+        assert run(["experiment", "-c", config, "-d", dataset, "-o", tmp / "taken"]) == 3
+        out, err = capsys.readouterr()
+        assert "epoch" not in out and "Traceback" not in err and err.count("\n") == 1
+        assert f"output directory {tmp / 'taken'} cannot be created" in err
+        assert (tmp / "taken").read_text(encoding="utf-8") == "keep\n"
+        assert not (tmp / "data.csv.ecdc").exists()  # nothing was preprocessed
+
+
 class TestFixtureConfigs:
 
     def test_committed_tagger_definition_runs_end_to_end(self, tmp_path):

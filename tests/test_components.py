@@ -114,12 +114,12 @@ def arrays_digest(blocks: list[dict]) -> str:
 
 PINNED_ARRAYS = "6213df89fcf8721b049e7b91b22d00c8b0ac76d208bddb4ac13826be63ccd46a"
 PINNED = {
-    "embed": ("2833fa2d4ab8b27e2183958aec0f179bf6c666bbe7440fe9577697e385f5c9a1",
-              "c4c7d2975b03bd065b8b7c2904f089460ded2c412220ca1d7656d62545391963"),
-    "rnn": ("92fb935196c3a1307b84a968a5dbb3eb64304681fcbd896d2c5bae2243776133",
-            "d8d464e4ffbe6c3e28dda1eb1662d7bc408f124edddb6e7ec5c2081b00a3f645"),
-    "cnn": ("5ab7b8921afd8131bfbf5811bc6b0a3b08b00cefd4fb766b25ef6e50c20eeea4",
-            "3f121d7789c3519a6493d25a7c5d3358ad6d923983b9f66fdcb9b94331b055d0"),
+    "embed": ("af1c4878b1d1487b8bed1b58be83dbde9daf1fd140b0d1af31fd7cade8144603",
+              "0d76ab82ef96adc9a5cb3a2e8f015696d9df063e7048ee3076fb27c76f5658a4"),
+    "rnn": ("161cd76ca69400e21e2b021a3d96085d32f77f172d88afd2aa75b41eb03813de",
+            "0ae04f8f4a49cfbcfe1f5d758d5cf9458501875549ca06bcda01ee102af6238a"),
+    "cnn": ("e3c4066b5e5cd7d56b05d3167fa6bf7ad5f238f8b6b1ae2f698a16fef8c96194",
+            "b03b20e03bcc7ec5bdaf60014d075c9a37dd8f29482685291edb1c168c45de58"),
 }
 
 

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecdkit import autodiff as ad
 from ecdkit import features as ft
@@ -72,6 +74,64 @@ class TestEncoders:
             unread = model.encoders["words"].forward(ad.Tape(), np.ones((3, s)))
             assert unread.sequence is None
             np.testing.assert_array_equal(unread.hidden.value.array, out.hidden.value.array)
+
+    def test_rnn_steps_to_the_longest_row_and_repeats_its_final_state(self):
+        meta = make_meta(words=("sequence", ["a b c d e", "a b"]),
+                         y=("numerical", ["1", "2"]))
+        model = build(
+            "input_features:\n  - name: words\n    type: sequence\n    encoder: rnn\n"
+            "    state_size: 6\n"
+            "output_features:\n  - name: y\n    type: numerical\n", meta)
+        tape = ad.Tape()
+        batch = np.array([[2.0, 3.0, 4.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0, 0.0]])
+        out = model.encoders["words"].forward(tape, batch, states=True)
+        assert [n.op_kind for n in tape.nodes].count("rnn_step") == 3
+        states, hidden = out.sequence.value.array, out.hidden.value.array
+        assert states.shape == (2, 5, 6)
+        for t in (3, 4):  # past the longest row
+            np.testing.assert_array_equal(states[:, t], hidden)
+        np.testing.assert_array_equal(states[1, 1], states[1, 0])  # row 1 ended
+        np.testing.assert_array_equal(hidden[1], states[1, 0])
+        empty = model.encoders["words"].forward(ad.Tape(), np.zeros((2, 4)), states=True)
+        np.testing.assert_array_equal(empty.hidden.value.array, np.zeros((2, 6)))
+        np.testing.assert_array_equal(empty.sequence.value.array, np.zeros((2, 4, 6)))
+
+    def test_rnn_recurrent_weights_start_as_the_identity(self):
+        meta = make_meta(words=("sequence", ["a b c"]), y=("numerical", ["1", "2"]))
+        model = build(
+            "input_features:\n  - name: words\n    type: sequence\n    encoder: rnn\n"
+            "    state_size: 6\n"
+            "output_features:\n  - name: y\n    type: numerical\n", meta)
+        np.testing.assert_array_equal(model.encoders["words"].w_rec.tensor.array, np.eye(6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rnn_hidden_does_not_depend_on_padding_or_batch(self, data):
+        """A row's final state alone, padded wider, and among rows of other
+        lengths agree within 1e-12."""
+        meta = make_meta(words=("sequence", ["a b c d e f g h"]),
+                         y=("numerical", ["1", "2"]))
+        model = build(
+            "input_features:\n  - name: words\n    type: sequence\n    encoder: rnn\n"
+            "    embedding_size: 4\n    state_size: 5\n"
+            "output_features:\n  - name: y\n    type: numerical\n", meta)
+        tokens = st.lists(st.integers(1, meta["words"].vocab_size - 1), max_size=7)
+        row = data.draw(tokens, label="row")
+        others = data.draw(st.lists(tokens, max_size=5), label="others")
+        position = data.draw(st.integers(0, len(others)), label="position")
+        rows = others[:position] + [row] + others[position:]
+        width = max(1, *map(len, rows)) + data.draw(st.integers(0, 4), label="padding")
+
+        def hidden(batch_rows, width):
+            ids = np.zeros((len(batch_rows), width))
+            for i, r in enumerate(batch_rows):
+                ids[i, : len(r)] = r
+            out = model.encoders["words"].forward(ad.Tape(grad=False), ids)
+            return out.hidden.value.array
+
+        alone = hidden([row], max(1, len(row)))
+        np.testing.assert_allclose(hidden([row], width), alone, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hidden(rows, width)[position], alone[0], rtol=0, atol=1e-12)
 
     def test_cnn_width_is_filters_times_branches(self):
         meta = make_meta(words=("sequence", ["a b c d e f g", "a b c"]),

@@ -411,16 +411,44 @@ class TestExperiment:
 
     @pytest.mark.parametrize("config", [BINARY_CONFIG, EARLY_STOP_CONFIG],
                              ids=["last_epoch_best", "early_stop"])
-    def test_only_test_is_evaluated_after_training(self, tmp_path, binary_csv, monkeypatch,
-                                                   config):
+    def test_training_split_is_evaluated_once_after_training(self, tmp_path, binary_csv,
+                                                             monkeypatch, config):
         calls = []
         monkeypatch.setattr(pipelines, "evaluate_split",
                             lambda *args: calls.append(args[2]) or evaluate_split(*args))
         _, stats, metrics = experiment(resolved(config), binary_csv, tmp_path / "run", seed=3)
-        assert len(calls) == 2 * len(stats.epochs) + 1
-        best = stats.epochs[stats.best_epoch]
-        assert metrics["train"] == best["train_metrics"]
-        assert metrics["validation"] == best["validation_metrics"]
+        splits = split_dataset(load_dataset(binary_csv), [0.7, 0.1, 0.2], None, seed=3)
+        # validation after every epoch, then the training and test splits once
+        assert [split.lines for split in calls] == \
+            [splits["validation"].lines] * len(stats.epochs) + \
+            [splits["train"].lines, splits["test"].lines]
+        assert metrics["validation"] == stats.epochs[stats.best_epoch]["validation_metrics"]
+        # an epoch's training metrics score its own batches: one output, so its
+        # loss is the epoch's running train loss
+        for epoch in stats.epochs:
+            assert epoch["train_metrics"]["label"]["loss"] == \
+                pytest.approx(epoch["train_loss"], rel=1e-12)
+
+    def test_without_validation_rows_the_training_split_steers(self, tmp_path, binary_csv,
+                                                               monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipelines, "evaluate_split",
+                            lambda *args: calls.append(args[2]) or evaluate_split(*args))
+        # int(160 * 0.005) == 0: the validation split is empty
+        definition = resolved(EARLY_STOP_CONFIG + "  split: [0.8, 0.005, 0.195]\n")
+        _, stats, metrics = experiment(definition, binary_csv, tmp_path / "run", seed=3)
+        splits = split_dataset(load_dataset(binary_csv), [0.8, 0.005, 0.195], None, seed=3)
+        assert len(splits["validation"]) == 0
+        # the whole training split after every epoch, as the checkpoint is chosen by it
+        assert [split.lines for split in calls] == \
+            [splits["train"].lines] * (len(stats.epochs) + 1) + [splits["test"].lines]
+        assert stats.best_epoch == 3
+        assert metrics["validation"] == {}
+        assert metrics["train"] == stats.epochs[stats.best_epoch]["train_metrics"]
+        # the checkpoint the full evaluation chooses, pinned by its bytes
+        weights = (tmp_path / "run" / "model" / "weights.bin").read_bytes()
+        assert hashlib.sha256(weights).hexdigest() == \
+            "1ffb83d55843e362d4ca2f6a439454b104741ae690748688ca3e2db32d2e989f"
 
     @pytest.mark.parametrize("config", [BINARY_CONFIG, EARLY_STOP_CONFIG],
                              ids=["last_epoch_best", "early_stop"])
