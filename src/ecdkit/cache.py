@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .definition import ModelDefinition
-from .errors import CorruptionError, DataError, FormatVersionError
+from .errors import ArtifactError, CorruptionError, DataError, FormatVersionError
 
 MAGIC = b"ECDC"
 FORMAT_VERSION = 3
@@ -48,7 +48,10 @@ def digest64(*chunks: bytes) -> int:
 
 def write_container(path: str | Path, magic: bytes, version: int, header: bytes,
                     arrays: dict[str, np.ndarray]) -> None:
-    """Write named float64 arrays as one container; atomic via temp file + rename."""
+    """Write named float64 arrays as one container; atomic via temp file + rename.
+
+    A failed write or rename removes the temp file and raises ``ArtifactError``.
+    """
     body = bytearray(magic)
     body += struct.pack("<H", version)
     body += header
@@ -62,8 +65,13 @@ def write_container(path: str | Path, magic: bytes, version: int, header: bytes,
     body += struct.pack("<Q", digest64(body))
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(body)
-    tmp.replace(path)
+    try:
+        tmp.write_bytes(body)
+        tmp.replace(path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ArtifactError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def read_container(path: str | Path, magic: bytes, version: int, header_size: int,

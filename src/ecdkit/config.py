@@ -5,8 +5,15 @@ The definition document has exactly five top-level sections —
 and ``training`` — of which only the two feature lists are mandatory. The
 schema is strict: unknown structural keys are rejected at parse time, while
 component hyperparameters (an open keyword set) are checked against the
-named component's accepted keywords during validation, so typos surface
+keywords the named component declares during validation, so typos surface
 either way.
+
+Each key is declared once, and parsing, ``resolve_defaults`` and
+``validate`` read that declaration: a training key is a field of
+``definition.TrainingParams``, a preprocessing key a field of
+``features.PreprocParams`` (``features.TYPE_PREPROC_DEFAULTS`` names the
+keys each type takes), and a component keyword a key of its component's
+``DEFAULTS``, bounded by name in ``_KEYWORD_CHECKS``.
 
 ``validate`` never throws mid-run; it returns an ordered list of diagnostics
 so a single invocation reports every problem in the file.
@@ -15,51 +22,56 @@ so a single invocation reports every problem in the file.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import yamlish
 from .autodiff import UNARY_KINDS
 from .decoders import DECODERS, DEFAULT_LOSSES
 from .definition import (
+    OPTIMIZERS,
     PAYLOAD_KINDS,
     CombinerSpec,
     DecoderSpec,
     EncoderSpec,
     ModelDefinition,
     TrainingParams,
+    choice,
+    positive_int,
+    positive_ints,
 )
 from .encoders import ENCODERS
 from .errors import ConfigError, SchemaError
 from .features import (
-    MISSING_STRATEGIES,
-    NORMALIZATIONS,
     OUTPUT_TYPES,
     SUPPORTED_TYPES,
-    TOKENIZERS,
+    TYPE_METRICS,
     TYPE_PREPROC_DEFAULTS,
+    PreprocParams,
 )
 from .graph import build_dependency_order
-from .optim import ADAM_DEFAULT_BETA1, ADAM_DEFAULT_BETA2, ADAM_DEFAULT_EPSILON, ADAM_DEFAULT_LR, SGD_DEFAULT_LR
 from .registry import Registries
 
 TOP_LEVEL_KEYS = ("input_features", "combiner", "output_features", "preprocessing", "training")
-_INPUT_RESERVED = frozenset({"name", "type", "encoder", "preprocessing"})
-_OUTPUT_RESERVED = frozenset({"name", "type", "decoder", "loss", "loss_weight",
-                              "dependencies", "dependency_payload", "preprocessing"})
+#: a feature's own keys; every other key is a component keyword
+_INPUT_RESERVED = frozenset(f.name for f in fields(EncoderSpec)) - {"params"}
+_OUTPUT_RESERVED = frozenset(f.name for f in fields(DecoderSpec)) - {"params"}
 
-#: the integer-size hyperparameters of the built-in components
-_SIZE_KEYWORDS = ("embedding_size", "state_size", "num_filters")
 #: diagnostic for a value that ``resolve_defaults`` would have set
 _MISSING = "missing value"
 
-TRAINING_DEFAULTS = {
-    "epochs": 100,
-    "batch_size": 128,
-    "optimizer": "adam",
-    "decay": 1.0,
-    "patience": 5,
-    "seed": 42,
-    "split": [0.7, 0.1, 0.2],
+_TRAINING_KEYS = {f.name: f.metadata for f in fields(TrainingParams)}
+_PREPROC_KEYS = {f.name: f.metadata for f in fields(PreprocParams)}
+
+#: the bound of a component keyword, by name, whichever component takes it
+_KEYWORD_CHECKS = {
+    **{name: {"bound": positive_int,
+              "message": f"{name} must be a positive integer, got {{value!r}}"}
+       for name in ("embedding_size", "state_size", "num_filters")},
+    "fc_sizes": {"bound": positive_ints,
+                 "message": "fc_sizes must be a list of positive integers, got {value!r}"},
+    "filter_widths": {"bound": lambda v: positive_ints(v) and bool(v) and all(w % 2 for w in v),
+                      "message": "filter widths must be odd positive integers, got {value!r}"},
+    "activation": choice("activation", UNARY_KINDS),
 }
 
 
@@ -197,14 +209,6 @@ def _parse_preprocessing_section(section) -> dict:
     return out
 
 
-_TRAINING_TYPES = {
-    "epochs": int, "batch_size": int, "optimizer": str, "learning_rate": (int, float),
-    "beta1": (int, float), "beta2": (int, float), "epsilon": (int, float),
-    "decay": (int, float), "patience": int, "seed": int, "split": list,
-    "split_column": str, "validation_feature": str, "validation_metric": str,
-}
-
-
 def _parse_training(section) -> TrainingParams:
     if section is None:
         return TrainingParams()
@@ -212,21 +216,19 @@ def _parse_training(section) -> TrainingParams:
         raise SchemaError("training section must be a mapping")
     kwargs = {}
     for key, value in section.items():
-        if key not in TrainingParams.FIELDS:
+        if key not in _TRAINING_KEYS:
             raise SchemaError(f"training: unknown key {key!r}; "
-                              f"expected one of {', '.join(TrainingParams.FIELDS)}")
-        expected = _TRAINING_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, expected):
+                              f"expected one of {', '.join(_TRAINING_KEYS)}")
+        kind = _TRAINING_KEYS[key]["kind"]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
             raise SchemaError(f"training.{key}: expected "
-                              f"{expected.__name__ if isinstance(expected, type) else 'a number'},"
-                              f" got {value!r}")
-        if key == "split":
+                              f"{'a number' if kind is float else kind.__name__}, got {value!r}")
+        if kind is list:
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-                raise SchemaError("training.split: fractions must be numbers")
+                raise SchemaError(f"training.{key}: fractions must be numbers")
             value = [float(v) for v in value]
-        if key in ("learning_rate", "beta1", "beta2", "epsilon", "decay"):
-            value = float(value)
-        kwargs[key] = value
+        kwargs[key] = float(value) if kind is float else value
     return TrainingParams(**kwargs)
 
 
@@ -247,61 +249,44 @@ def resolve_defaults(definition: ModelDefinition, registries: Registries) -> Mod
             spec.encoder = next(iter(ENCODERS[spec.type]))
         if registries.encoders.has(spec.encoder, scope=spec.type):
             cls = registries.encoders.lookup(spec.encoder, scope=spec.type)
-            spec.params = _merge_params(getattr(cls, "DEFAULTS", {}), spec.params)
-        spec.preprocessing = _merge_params(
-            _merge_params(TYPE_PREPROC_DEFAULTS[spec.type],
-                          out.preprocessing.get(spec.type, {})),
-            spec.preprocessing)
+            spec.params = _merged(getattr(cls, "DEFAULTS", {}), spec.params)
 
     if out.combiner.name is None:
         out.combiner.name = "concat"
     if registries.combiners.has(out.combiner.name):
         cls = registries.combiners.lookup(out.combiner.name)
-        out.combiner.params = _merge_params(getattr(cls, "DEFAULTS", {}), out.combiner.params)
+        out.combiner.params = _merged(getattr(cls, "DEFAULTS", {}), out.combiner.params)
 
     for spec in out.output_features:
         if spec.decoder is None:
             spec.decoder = next(iter(DECODERS.get(spec.type, ())), None)
         if spec.decoder is not None and registries.decoders.has(spec.decoder, scope=spec.type):
             cls = registries.decoders.lookup(spec.decoder, scope=spec.type)
-            spec.params = _merge_params(getattr(cls, "DEFAULTS", {}), spec.params)
+            spec.params = _merged(getattr(cls, "DEFAULTS", {}), spec.params)
         if spec.loss is None:
             spec.loss = DEFAULT_LOSSES.get(spec.type)
         if spec.loss_weight is None:
             spec.loss_weight = 1.0
-        spec.preprocessing = _merge_params(
-            _merge_params(TYPE_PREPROC_DEFAULTS[spec.type],
-                          out.preprocessing.get(spec.type, {})),
-            spec.preprocessing)
+
+    for spec in out.input_features + out.output_features:
+        spec.preprocessing = _merged(TYPE_PREPROC_DEFAULTS[spec.type],
+                                     out.preprocessing.get(spec.type, {}), spec.preprocessing)
 
     tr = out.training
-    for key, value in TRAINING_DEFAULTS.items():
-        if key == "split":
-            continue
-        if getattr(tr, key) is None:
-            setattr(tr, key, copy.deepcopy(value))
+    for key, declared in _TRAINING_KEYS.items():
+        if getattr(tr, key) is None and (key != "split" or tr.split_column is None):
+            setattr(tr, key, copy.deepcopy(declared["default"]))
     if tr.learning_rate is None:
-        tr.learning_rate = ADAM_DEFAULT_LR if tr.optimizer == "adam" else SGD_DEFAULT_LR
-    if tr.beta1 is None:
-        tr.beta1 = ADAM_DEFAULT_BETA1
-    if tr.beta2 is None:
-        tr.beta2 = ADAM_DEFAULT_BETA2
-    if tr.epsilon is None:
-        tr.epsilon = ADAM_DEFAULT_EPSILON
-    if tr.split is None and tr.split_column is None:
-        tr.split = list(TRAINING_DEFAULTS["split"])
+        # an unknown optimizer, which validate reports, gets sgd's rate
+        tr.learning_rate = OPTIMIZERS.get(tr.optimizer, OPTIMIZERS["sgd"])
     if tr.validation_feature is None:
         tr.validation_feature = out.output_features[0].name
-    if tr.validation_metric is None:
-        tr.validation_metric = "loss"
     return out
 
 
-def _merge_params(base: dict, override: dict) -> dict:
-    merged = {k: copy.deepcopy(v) for k, v in base.items()}
-    for k, v in override.items():
-        merged[k] = copy.deepcopy(v)
-    return merged
+def _merged(*layers: dict) -> dict:
+    """A copy of every layer's keys, a later layer's value winning."""
+    return copy.deepcopy({k: v for layer in layers for k, v in layer.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -322,34 +307,14 @@ def validate(definition: ModelDefinition, header: list[str],
 
     for spec in definition.input_features:
         path = f"input_features.{spec.name}"
-        if spec.name in seen_names:
-            diags.append(Diagnostic(path, "duplicate feature name"))
-        seen_names.add(spec.name)
-        if spec.name not in header_set:
-            diags.append(Diagnostic(path, f"column {spec.name!r} not found in dataset header"))
-        if not registries.encoders.has(spec.encoder, scope=spec.type):
-            names = ", ".join(registries.encoders.names(spec.type)) or "(none)"
-            diags.append(Diagnostic(path, f"unknown encoder {spec.encoder!r} for type "
-                                          f"{spec.type!r}; registered: {names}"))
-        else:
-            cls = registries.encoders.lookup(spec.encoder, scope=spec.type)
-            diags.extend(_check_keywords(path, spec.params, cls))
+        diags.extend(_check_feature(path, spec, spec.encoder, registries.encoders,
+                                    seen_names, header_set))
         diags.extend(_check_preprocessing(path, spec.type, spec.preprocessing))
 
     for spec in definition.output_features:
         path = f"output_features.{spec.name}"
-        if spec.name in seen_names:
-            diags.append(Diagnostic(path, "duplicate feature name"))
-        seen_names.add(spec.name)
-        if spec.name not in header_set:
-            diags.append(Diagnostic(path, f"column {spec.name!r} not found in dataset header"))
-        if not registries.decoders.has(spec.decoder, scope=spec.type):
-            names = ", ".join(registries.decoders.names(spec.type)) or "(none)"
-            diags.append(Diagnostic(path, f"unknown decoder {spec.decoder!r} for type "
-                                          f"{spec.type!r}; registered: {names}"))
-        else:
-            cls = registries.decoders.lookup(spec.decoder, scope=spec.type)
-            diags.extend(_check_keywords(path, spec.params, cls))
+        diags.extend(_check_feature(path, spec, spec.decoder, registries.decoders,
+                                    seen_names, header_set))
         if spec.loss != DEFAULT_LOSSES.get(spec.type):
             diags.append(Diagnostic(path, f"loss {spec.loss!r} is not valid for type "
                                           f"{spec.type!r}; expected {DEFAULT_LOSSES.get(spec.type)!r}"))
@@ -379,66 +344,52 @@ def validate(definition: ModelDefinition, header: list[str],
     return diags
 
 
-def _check_keywords(path: str, params: dict, cls) -> list[Diagnostic]:
-    accepted = getattr(cls, "ACCEPTED", None)
-    if accepted is None:
-        return []
-    out = [Diagnostic(f"{path}.{key}", _MISSING) for key in getattr(cls, "DEFAULTS", {})
-           if key not in params]
-    for key in params:
-        if key not in accepted:
-            out.append(Diagnostic(f"{path}.{key}",
-                                  f"keyword {key!r} is not accepted by {cls.__name__}; "
-                                  f"accepted: {', '.join(sorted(accepted))}"))
-    for key in _SIZE_KEYWORDS:
-        if key in params and _bad_size(params[key]):
-            out.append(Diagnostic(f"{path}.{key}",
-                                  f"{key} must be a positive integer, got {params[key]!r}"))
-    if "fc_sizes" in params and _bad_size_list(params["fc_sizes"]):
-        out.append(Diagnostic(f"{path}.fc_sizes",
-                              f"fc_sizes must be a list of positive integers, got {params['fc_sizes']!r}"))
-    if "filter_widths" in params:
-        widths = params["filter_widths"]
-        if _bad_size_list(widths) or not widths or any(w % 2 == 0 for w in widths):
-            out.append(Diagnostic(f"{path}.filter_widths",
-                                  f"filter widths must be odd positive integers, got {widths!r}"))
-    if "activation" in params and params["activation"] not in UNARY_KINDS:
-        out.append(Diagnostic(f"{path}.activation",
-                              f"unknown activation {params['activation']!r}; "
-                              f"available: {', '.join(UNARY_KINDS)}"))
+def _check_feature(path: str, spec, component, registry, seen_names: set,
+                   header_set: set) -> list[Diagnostic]:
+    """What an input and an output feature share: its name, its column, and
+    its encoder or decoder with that component's keywords."""
+    out = []
+    if spec.name in seen_names:
+        out.append(Diagnostic(path, "duplicate feature name"))
+    seen_names.add(spec.name)
+    if spec.name not in header_set:
+        out.append(Diagnostic(path, f"column {spec.name!r} not found in dataset header"))
+    if not registry.has(component, scope=spec.type):
+        names = ", ".join(registry.names(spec.type)) or "(none)"
+        out.append(Diagnostic(path, f"unknown {registry.kind} {component!r} for type "
+                                    f"{spec.type!r}; registered: {names}"))
+    else:
+        out.extend(_check_keywords(path, spec.params, registry.lookup(component, scope=spec.type)))
     return out
 
 
-def _bad_size(value) -> bool:
-    return not isinstance(value, int) or isinstance(value, bool) or value <= 0
-
-
-def _bad_size_list(value) -> bool:
-    return not isinstance(value, list) or any(_bad_size(v) for v in value)
+def _check_keywords(path: str, params: dict, cls) -> list[Diagnostic]:
+    declared = getattr(cls, "DEFAULTS", None)
+    if declared is None:
+        return []
+    out = [Diagnostic(f"{path}.{key}", _MISSING) for key in declared if key not in params]
+    for key in params:
+        if key not in declared:
+            out.append(Diagnostic(f"{path}.{key}",
+                                  f"keyword {key!r} is not accepted by {cls.__name__}; "
+                                  f"accepted: {', '.join(sorted(declared))}"))
+    for key, check in _KEYWORD_CHECKS.items():
+        if key in params and not check["bound"](params[key]):
+            out.append(Diagnostic(f"{path}.{key}", check["message"].format(value=params[key])))
+    return out
 
 
 def _check_preprocessing(path: str, ftype: str, params: dict) -> list[Diagnostic]:
     out = [Diagnostic(f"{path}.preprocessing.{key}", _MISSING)
            for key in TYPE_PREPROC_DEFAULTS[ftype] if params.get(key) is None]
-    strategy = params.get("missing_strategy")
-    if strategy is not None and strategy not in MISSING_STRATEGIES:
-        out.append(Diagnostic(f"{path}.preprocessing", f"unknown missing_strategy {strategy!r}; "
-                                                       f"available: {', '.join(MISSING_STRATEGIES)}"))
-    if strategy == "fill_mean" and ftype != "numerical":
+    # fill_mean passes missing_strategy's bound, so this keeps the document order
+    if params.get("missing_strategy") == "fill_mean" and ftype != "numerical":
         out.append(Diagnostic(f"{path}.preprocessing",
                               "missing_strategy fill_mean is only valid for numerical features"))
-    norm = params.get("normalization")
-    if norm is not None and norm not in NORMALIZATIONS:
-        out.append(Diagnostic(f"{path}.preprocessing", f"unknown normalization {norm!r}; "
-                                                       f"available: {', '.join(NORMALIZATIONS)}"))
-    tok = params.get("tokenizer")
-    if tok is not None and tok not in TOKENIZERS:
-        out.append(Diagnostic(f"{path}.preprocessing", f"unknown tokenizer {tok!r}; "
-                                                       f"available: {', '.join(sorted(TOKENIZERS))}"))
-    for key in ("max_sequence_length", "vocab_size"):
+    for key, declared in _PREPROC_KEYS.items():
         value = params.get(key)
-        if value is not None and _bad_size(value):
-            out.append(Diagnostic(f"{path}.preprocessing", f"{key} must be a positive integer"))
+        if value is not None and not declared["bound"](value):
+            out.append(Diagnostic(f"{path}.preprocessing", declared["message"].format(value=value)))
     return out
 
 
@@ -482,22 +433,13 @@ def _check_combiner(definition: ModelDefinition, registries: Registries) -> list
 def _check_training(definition: ModelDefinition, header_set: set, output_names: list) -> list[Diagnostic]:
     tr = definition.training
     # every field but split_column is set once resolved; split only without it
-    out = [Diagnostic(f"training.{key}", _MISSING) for key in TrainingParams.FIELDS
+    out = [Diagnostic(f"training.{key}", _MISSING) for key in _TRAINING_KEYS
            if getattr(tr, key) is None and key != "split_column"
            and (key != "split" or tr.split_column is None)]
-    if tr.epochs is not None and tr.epochs < 0:
-        out.append(Diagnostic("training.epochs", "epochs must be >= 0"))
-    if tr.batch_size is not None and tr.batch_size < 1:
-        out.append(Diagnostic("training.batch_size", "batch_size must be >= 1"))
-    if tr.optimizer is not None and tr.optimizer not in ("sgd", "adam"):
-        out.append(Diagnostic("training.optimizer", f"unknown optimizer {tr.optimizer!r}; "
-                                                    "available: sgd, adam"))
-    if tr.learning_rate is not None and tr.learning_rate <= 0:
-        out.append(Diagnostic("training.learning_rate", "learning_rate must be positive"))
-    if tr.decay is not None and not (0 < tr.decay <= 1):
-        out.append(Diagnostic("training.decay", "decay must lie in (0, 1]"))
-    if tr.patience is not None and tr.patience < 0:
-        out.append(Diagnostic("training.patience", "patience must be >= 0 (0 disables early stopping)"))
+    for key, declared in _TRAINING_KEYS.items():
+        value = getattr(tr, key)
+        if value is not None and declared["bound"] is not None and not declared["bound"](value):
+            out.append(Diagnostic(f"training.{key}", declared["message"].format(value=value)))
     if tr.split is not None and tr.split_column is not None:
         out.append(Diagnostic("training.split", "provide either split fractions or split_column, not both"))
     if tr.split is not None:
@@ -515,7 +457,6 @@ def _check_training(definition: ModelDefinition, header_set: set, output_names: 
         out.append(Diagnostic("training.validation_feature",
                               f"{tr.validation_feature!r} is not an output feature"))
     elif tr.validation_metric is not None and tr.validation_metric != "loss":
-        from .features import TYPE_METRICS
         feature = next((s for s in definition.output_features
                         if s.name == tr.validation_feature), None)
         if feature is not None and tr.validation_metric not in TYPE_METRICS.get(feature.type, ()):

@@ -59,7 +59,6 @@ class _ProjectionDecoder:
     """
 
     DEFAULTS = {"fc_sizes": [], "activation": "relu"}
-    ACCEPTED = frozenset(DEFAULTS)
     OUTPUT: str | None = None
 
     def __init__(self, feature: str, meta, store, rng: Lcg, input_width: int,

@@ -42,7 +42,6 @@ class PassthroughEncoder:
     """Numerical, binary and vector inputs: identity, or an optional fc stack."""
 
     DEFAULTS = {"fc_sizes": [], "activation": "relu"}
-    ACCEPTED = frozenset(DEFAULTS)
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
         width = meta.length if isinstance(meta, VectorMetadata) else 1
@@ -71,7 +70,6 @@ class CategoryEmbedEncoder:
     """Category ids through an embedding table."""
 
     DEFAULTS = {"embedding_size": 64}
-    ACCEPTED = frozenset(DEFAULTS)
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
         size = kwargs.get("embedding_size", self.DEFAULTS["embedding_size"])
@@ -87,7 +85,6 @@ class SetEmbedSumEncoder:
     """Multi-hot set vector times an embedding table (sum of member rows)."""
 
     DEFAULTS = {"embedding_size": 32}
-    ACCEPTED = frozenset(DEFAULTS)
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
         size = kwargs.get("embedding_size", self.DEFAULTS["embedding_size"])
@@ -109,7 +106,6 @@ class SequenceEmbedEncoder:
     """Token embeddings mean-pooled over positions."""
 
     DEFAULTS = {"embedding_size": 32}
-    ACCEPTED = frozenset(DEFAULTS)
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
         size = kwargs.get("embedding_size", self.DEFAULTS["embedding_size"])
@@ -136,7 +132,6 @@ class SequenceRnnEncoder:
     """
 
     DEFAULTS = {"embedding_size": 32, "state_size": 32}
-    ACCEPTED = frozenset(DEFAULTS)
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
         emb = kwargs.get("embedding_size", self.DEFAULTS["embedding_size"])
@@ -191,7 +186,6 @@ class SequenceCnnEncoder:
 
     DEFAULTS = {"embedding_size": 32, "num_filters": 32,
                 "filter_widths": [3, 5, 7], "activation": "relu"}
-    ACCEPTED = frozenset(DEFAULTS)
 
     def __init__(self, feature: str, meta, store, rng: Lcg, **kwargs):
         emb = kwargs.get("embedding_size", self.DEFAULTS["embedding_size"])

@@ -18,10 +18,11 @@ import math
 import typing
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .definition import choice, positive_int
 from .errors import ContractError, DataError, MetadataError, RegistryError, ShapeError
 
 SUPPORTED_TYPES = ("binary", "numerical", "category", "set", "sequence", "text", "vector")
@@ -40,34 +41,39 @@ MISSING_STRATEGIES = ("fill_const", "fill_mean", "drop_row")
 
 @dataclass
 class PreprocParams:
-    """Knobs that change how raw values become arrays."""
+    """Knobs that change how raw values become arrays. Each field is one
+    preprocessing key: its default, and in its metadata the bound that
+    ``config.validate`` checks a set value against."""
 
-    tokenizer: str = "space"
-    max_sequence_length: int = 256
-    vocab_size: int = 10000
-    lowercase: bool = False
-    normalization: str = "zscore"
-    missing_strategy: str = "fill_const"
+    missing_strategy: str = field(default="fill_const",
+                                  metadata=choice("missing_strategy", MISSING_STRATEGIES))
+    normalization: str = field(default="zscore", metadata=choice("normalization", NORMALIZATIONS))
+    tokenizer: str = field(default="space", metadata=choice("tokenizer", sorted(TOKENIZERS)))
+    max_sequence_length: int = field(default=256, metadata={
+        "bound": positive_int, "message": "max_sequence_length must be a positive integer"})
+    vocab_size: int = field(default=10000, metadata={
+        "bound": positive_int, "message": "vocab_size must be a positive integer"})
+    lowercase: bool = field(default=False, metadata={
+        "bound": lambda v: isinstance(v, bool), "message": "lowercase must be true or false"})
 
-    def __post_init__(self):
-        if self.max_sequence_length < 1:
-            raise ContractError("max_sequence_length must be positive")
-        if self.vocab_size < 1:
-            raise ContractError("vocab_size must be positive")
 
+def _type_keys(*keys: str, **overrides) -> dict:
+    return {key: overrides.get(key, getattr(PreprocParams, key)) for key in keys}
+
+
+_SEQUENCE_KEYS = ("tokenizer", "max_sequence_length", "vocab_size", "lowercase", "missing_strategy")
 
 #: per-type preprocessing defaults layered under any user configuration; their
-#: keys are the preprocessing keys a feature of that type may configure
+#: keys, in the order a resolved definition stores them, are the preprocessing
+#: keys a feature of that type may configure
 TYPE_PREPROC_DEFAULTS: dict[str, dict] = {
-    "binary": {"missing_strategy": "fill_const"},
-    "numerical": {"normalization": "zscore", "missing_strategy": "fill_const"},
-    "category": {"vocab_size": 10000, "lowercase": False, "missing_strategy": "fill_const"},
-    "set": {"vocab_size": 10000, "lowercase": False, "missing_strategy": "fill_const"},
-    "sequence": {"tokenizer": "space", "max_sequence_length": 256, "vocab_size": 10000,
-                 "lowercase": False, "missing_strategy": "fill_const"},
-    "text": {"tokenizer": "space", "max_sequence_length": 256, "vocab_size": 10000,
-             "lowercase": True, "missing_strategy": "fill_const"},
-    "vector": {"missing_strategy": "fill_const"},
+    "binary": _type_keys("missing_strategy"),
+    "numerical": _type_keys("normalization", "missing_strategy"),
+    "category": _type_keys("vocab_size", "lowercase", "missing_strategy"),
+    "set": _type_keys("vocab_size", "lowercase", "missing_strategy"),
+    "sequence": _type_keys(*_SEQUENCE_KEYS),
+    "text": _type_keys(*_SEQUENCE_KEYS, lowercase=True),
+    "vector": _type_keys("missing_strategy"),
 }
 
 

@@ -34,7 +34,6 @@ class ConcatCombiner:
     """Concatenate encoder outputs side by side, then an optional fc stack."""
 
     DEFAULTS = {"fc_sizes": [], "activation": "relu"}
-    ACCEPTED = frozenset(DEFAULTS)
 
     def __init__(self, store, rng: Lcg, input_width: int, **kwargs):
         self.stack = FcStack(store, rng, "combiner", input_width,

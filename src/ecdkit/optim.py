@@ -13,42 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Parameter
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .tensor import Tensor, check_finite
-
-SGD_DEFAULT_LR = 1e-2
-ADAM_DEFAULT_LR = 1e-3
-ADAM_DEFAULT_BETA1 = 0.9
-ADAM_DEFAULT_BETA2 = 0.999
-ADAM_DEFAULT_EPSILON = 1e-8
 
 
 @dataclass
 class OptimizerState:
+    """An optimizer's hyperparameters and its state. SGD reads only the
+    learning rate; the training section declares every value's default and
+    bound."""
+
     kind: str
     learning_rate: float
-    beta1: float = ADAM_DEFAULT_BETA1
-    beta2: float = ADAM_DEFAULT_BETA2
-    epsilon: float = ADAM_DEFAULT_EPSILON
+    beta1: float
+    beta2: float
+    epsilon: float
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer kind {self.kind!r}; available: sgd, adam")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("adam epsilon must be positive")
-
-
-def make_optimizer(kind: str, learning_rate: float | None = None, **hyper) -> OptimizerState:
-    if learning_rate is None:
-        learning_rate = ADAM_DEFAULT_LR if kind == "adam" else SGD_DEFAULT_LR
-    return OptimizerState(kind=kind, learning_rate=learning_rate, **hyper)
 
 
 def optimizer_step(state: OptimizerState, params, grads: dict) -> OptimizerState:

@@ -62,7 +62,7 @@ from .features import (
     tokenize,
 )
 from .graph import ECDModel
-from .optim import make_optimizer, optimizer_step
+from .optim import OptimizerState, optimizer_step
 from .registry import Registries, build_default_registries
 from .rng import SALT_EPOCH, Lcg, mix_seed
 from .tensor import check_finite
@@ -373,8 +373,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
     tensors = preprocess_dataset(splits, metadata, resolved, cache_file, fingerprint)
 
     model = ECDModel(resolved, metadata, registries, seed)
-    optimizer = make_optimizer(tr.optimizer, tr.learning_rate,
-                               beta1=tr.beta1, beta2=tr.beta2, epsilon=tr.epsilon)
+    optimizer = OptimizerState(tr.optimizer, tr.learning_rate, tr.beta1, tr.beta2, tr.epsilon)
 
     input_names = [s.name for s in resolved.input_features]
     output_names = [s.name for s in resolved.output_features]

@@ -490,6 +490,34 @@ class TestBadHyperparameters:
         assert not (tmp_path / "run").exists()
 
 
+class TestValuesOutOfBounds:
+    """A training or preprocessing value outside its declared bound exits 2,
+    naming the key, before the dataset is read or cached."""
+
+    @pytest.mark.parametrize("preprocessing,training,expected", [
+        ("", "  beta1: 1.0\n", "training.beta1: beta1 must lie in [0, 1)"),
+        ("", "  beta2: -0.5\n", "training.beta2: beta2 must lie in [0, 1)"),
+        ("", "  epsilon: 0\n", "training.epsilon: epsilon must be positive"),
+        ("      lowercase: 5\n", "",
+         "input_features.text.preprocessing: lowercase must be true or false"),
+        ("      lowercase: maybe\n", "",
+         "input_features.text.preprocessing: lowercase must be true or false"),
+    ], ids=["beta1", "beta2", "epsilon", "lowercase_number", "lowercase_word"])
+    def test_train_exits_2_with_one_line(self, tmp_path, capsys, preprocessing, training,
+                                         expected):
+        dataset = synth.keyword_text(tmp_path / "text.csv", n=10, seed=0)
+        config = tmp_path / "model.yaml"
+        config.write_text("input_features:\n  - name: text\n    type: text\n"
+                          "    preprocessing:\n      tokenizer: space\n" + preprocessing
+                          + "output_features:\n  - name: label\n    type: category\n"
+                          "training:\n  epochs: 1\n" + training, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run"]) == 2
+        assert one_line_error(capsys) == f"error: {expected}\n"
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "text.csv.ecdc").exists()
+
+
 def _damage_definition(text):
     doc = json.loads(text)
     doc["input_features"][0]["fc_sizes"] = 7
@@ -619,6 +647,15 @@ class TestUnreadableFiles:
         assert f"output directory {tmp / 'taken'} cannot be created" in err
         assert (tmp / "taken").read_text(encoding="utf-8") == "keep\n"
         assert not (tmp / "data.csv.ecdc").exists()  # nothing was preprocessed
+
+    def test_cache_path_that_is_a_directory_exits_3(self, workspace, capsys):
+        tmp, config, dataset = workspace
+        cache = tmp / "data.csv.ecdc"
+        cache.mkdir()
+        with pytest.warns(UserWarning, match="discarding unusable cache"):
+            assert run(["train", "-c", config, "-d", dataset, "-o", tmp / "run", "-q"]) == 3
+        assert one_line_error(capsys) == f"error: cannot write {cache}: Is a directory\n"
+        assert not (tmp / "data.csv.ecdc.tmp").exists()
 
 
 class TestFixtureConfigs:

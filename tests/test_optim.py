@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from ecdkit.autodiff import ParameterStore
-from ecdkit.errors import ConfigError, ContractError, NonFiniteError
-from ecdkit.optim import make_optimizer, optimizer_step
+from ecdkit.errors import ContractError, NonFiniteError
+from ecdkit.optim import OptimizerState, optimizer_step
 
 from oracles import adam_recurrence, optimizer_formula
+
+
+def optimizer_state(kind, learning_rate=1e-2):
+    """A state with the training section's default betas and epsilon."""
+    return OptimizerState(kind, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8)
 
 
 def store_with(name="w", value=1.0):
@@ -20,19 +25,19 @@ class TestSgd:
 
     def test_single_step_formula(self):
         store = store_with(value=1.0)
-        state = make_optimizer("sgd", learning_rate=0.1)
+        state = optimizer_state("sgd", learning_rate=0.1)
         optimizer_step(state, store, {"w": np.array([0.5])})
         assert abs(store["w"].tensor.item() - 0.95) < 1e-15
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
         store = store_with(value=3.25)
-        state = make_optimizer("sgd")
+        state = optimizer_state("sgd")
         optimizer_step(state, store, {"w": np.array([0.0])})
         assert store["w"].tensor.item() == 3.25
 
     def test_step_count_increments_by_one(self):
         store = store_with()
-        state = make_optimizer("sgd")
+        state = optimizer_state("sgd")
         for expected in (1, 2, 3):
             optimizer_step(state, store, {"w": np.array([0.1])})
             assert state.step_count == expected
@@ -42,7 +47,7 @@ class TestAdam:
 
     def test_first_step_magnitude_close_to_learning_rate(self):
         store = store_with(value=1.0)
-        state = make_optimizer("adam", learning_rate=1e-3)
+        state = optimizer_state("adam", learning_rate=1e-3)
         optimizer_step(state, store, {"w": np.array([0.7])})
         delta = 1.0 - store["w"].tensor.item()
         # first bias-corrected step is lr up to the epsilon correction
@@ -51,7 +56,7 @@ class TestAdam:
     def test_matches_recurrence_oracle_over_many_steps(self):
         grads = list(np.random.default_rng(3).normal(size=25))
         store = store_with(value=0.5)
-        state = make_optimizer("adam", learning_rate=0.01)
+        state = optimizer_state("adam", learning_rate=0.01)
         for g in grads:
             optimizer_step(state, store, {"w": np.array([g])})
         expected = adam_recurrence(0.5, grads, 0.01, state.beta1, state.beta2, state.epsilon)
@@ -60,7 +65,7 @@ class TestAdam:
     def test_moment_dims_match_parameter_dims(self):
         store = ParameterStore()
         store.create("m", np.zeros((3, 4)))
-        state = make_optimizer("adam")
+        state = optimizer_state("adam")
         optimizer_step(state, store, {"m": np.ones((3, 4))})
         assert state.first_moment["m"].shape == (3, 4)
         assert state.second_moment["m"].shape == (3, 4)
@@ -73,7 +78,7 @@ def test_in_place_update_is_bit_equal_to_the_formula(kind):
     grads = [r.normal(size=(1000, 64)) * 10.0 ** r.integers(-6, 3) for _ in range(5)]
     store = ParameterStore()
     store.create("w", w0)
-    state = make_optimizer(kind, learning_rate=0.03)
+    state = optimizer_state(kind, learning_rate=0.03)
     for g in grads:
         optimizer_step(state, store, {"w": g})
     w, m, v = optimizer_formula(kind, w0, grads, 0.03, state.beta1, state.beta2,
@@ -90,7 +95,7 @@ def test_in_place_update_is_bit_equal_to_the_formula(kind):
 def test_non_finite_update_raises_before_the_weights_change(kind):
     store = store_with(value=1.0)
     before = store["w"].tensor
-    state = make_optimizer(kind, learning_rate=1e308)
+    state = optimizer_state(kind, learning_rate=1e308)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         optimizer_step(state, store, {"w": np.array([10.0])})
     assert store["w"].tensor is before and before.array.tolist() == [1.0]
@@ -101,27 +106,19 @@ class TestContracts:
     def test_missing_gradient_for_trainable_parameter(self):
         store = store_with()
         with pytest.raises(ContractError, match="w"):
-            optimizer_step(make_optimizer("sgd"), store, {})
+            optimizer_step(optimizer_state("sgd"), store, {})
 
     def test_gradient_shape_mismatch(self):
         store = store_with()
         with pytest.raises(ContractError):
-            optimizer_step(make_optimizer("sgd"), store, {"w": np.zeros((2, 2))})
-
-    def test_unknown_kind_and_bad_hyperparams(self):
-        with pytest.raises(ConfigError):
-            make_optimizer("rmsprop")
-        with pytest.raises(ConfigError):
-            make_optimizer("sgd", learning_rate=-1.0)
-        with pytest.raises(ConfigError):
-            make_optimizer("adam", beta1=1.0)
+            optimizer_step(optimizer_state("sgd"), store, {"w": np.zeros((2, 2))})
 
 
 def test_determinism_identical_inputs_identical_outputs():
     def run():
         store = ParameterStore()
         store.create("w", np.linspace(-1, 1, 6).reshape(2, 3))
-        state = make_optimizer("adam", learning_rate=0.05)
+        state = optimizer_state("adam", learning_rate=0.05)
         grads = {"w": np.arange(6, dtype=float).reshape(2, 3)}
         for _ in range(10):
             optimizer_step(state, store, grads)
