@@ -455,11 +455,16 @@ def softmax(x: TapeNode) -> TapeNode:
 # convolution and recurrence
 # ---------------------------------------------------------------------------
 
-def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode) -> TapeNode:
-    """Same-padded 1-d convolution over the time axis.
+def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode, lengths: Sequence[int]) -> TapeNode:
+    """Same-padded 1-d convolution of each row of a packed batch.
 
-    ``x`` is [s x h] or batched [b x s x h]; ``filters`` is [w x h x f] with
-    odd width w; ``bias`` is [f]. Output matches the input's time extent.
+    ``x`` is [n x h]: the real tokens of every row back to back, row ``i``
+    holding ``lengths[i]`` of them, so ``sum(lengths) == n``. ``filters`` is
+    [w x h x f] with odd width w; ``bias`` is [f]. Each row is convolved on
+    its own, with zeros past its two ends, and the output is [n x f] in the
+    same packing. One buffer holds the rows with ``w // 2`` zero rows before,
+    between and after them, so each tap is one product on a contiguous slice
+    of it, forward and backward; only the outputs at the gaps are dropped.
     """
     fv = filters.value.array
     bv = bias.value.array
@@ -471,33 +476,37 @@ def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode) -> TapeNode:
     if bv.shape != (f,):
         raise ShapeError(f"conv1d bias dims {bias.value.dims} do not match filter count {f}")
     xv = x.value.array
-    squeeze = xv.ndim == 2
-    x3 = xv[np.newaxis] if squeeze else xv
-    if x3.ndim != 3 or x3.shape[2] != h:
+    if xv.ndim != 2 or xv.shape[1] != h:
         raise ShapeError(f"conv1d input dims {x.value.dims} incompatible with filters {filters.value.dims}")
-    b, s, _ = x3.shape
+    n = xv.shape[0]
+    counts = np.asarray(lengths, dtype=np.int64)
+    if counts.ndim != 1 or (counts < 0).any() or counts.sum() != n:
+        raise ShapeError(f"conv1d row lengths {counts.tolist()} do not pack {n} positions")
     pad = w // 2
-    xpad = np.zeros((b, s + 2 * pad, h))
-    xpad[:, pad : pad + s, :] = x3
-    out = np.broadcast_to(bv, (b, s, f)).copy()
-    for k in range(w):
-        window = xpad[:, k : k + s, :]
-        out += (window.reshape(b * s, h) @ fv[k]).reshape(b, s, f)
+    # the tap products cover the rows and the gaps between them; in that span
+    # row i's tokens follow i gaps, and in the buffer one more, the first
+    span = n + pad * max(counts.size - 1, 0)
+    real = np.arange(n) + pad * np.repeat(np.arange(counts.size), counts)
+    xp = np.zeros((span + 2 * pad, h))
+    xp[real + pad] = xv
+    full = xp[:span] @ fv[0]
+    for k in range(1, w):
+        full += xp[k : k + span] @ fv[k]
+    out = full[real] + bv
 
     def backward(g):
-        g3 = g[np.newaxis] if squeeze else g
-        gxpad = np.zeros_like(xpad)
-        gf = np.zeros_like(fv)
+        gfull = np.zeros((span, f))
+        gfull[real] = g
+        gxp = np.zeros_like(xp)
+        gf = np.empty_like(fv)
         for k in range(w):
-            window = xpad[:, k : k + s, :]
-            gxpad[:, k : k + s, :] += (g3.reshape(b * s, f) @ fv[k].T).reshape(b, s, h)
-            gf[k] = window.reshape(b * s, h).T @ g3.reshape(b * s, f)
-        gx = gxpad[:, pad : pad + s, :]
-        x.accumulate(gx[0] if squeeze else gx)
+            gxp[k : k + span] += gfull @ fv[k].T
+            gf[k] = xp[k : k + span].T @ gfull
+        x.accumulate(gxp[real + pad])
         filters.accumulate(gf)
-        bias.accumulate(g3.sum(axis=(0, 1)))
+        bias.accumulate(g.sum(axis=0))
 
-    return x.tape._record("conv1d", out[0] if squeeze else out, backward)
+    return x.tape._record("conv1d", out, backward)
 
 
 def rnn_step(x_t: TapeNode, h_prev: TapeNode, w_in: TapeNode, w_rec: TapeNode,
@@ -549,13 +558,8 @@ def _into_rows(base: np.ndarray, rows: np.ndarray | slice, part: np.ndarray) -> 
 # losses
 # ---------------------------------------------------------------------------
 
-def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int],
-                          weights: np.ndarray | None = None) -> TapeNode:
-    """Mean cross entropy of row-wise softmax against integer class ids.
-
-    ``weights`` optionally masks / reweights rows; the result is the
-    weight-normalized mean, which reduces to the batch mean when absent.
-    """
+def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int]) -> TapeNode:
+    """Mean cross entropy of row-wise softmax against integer class ids."""
     lv = logits.value.array
     if lv.ndim != 2:
         raise ShapeError(f"cross entropy logits must be [b x c], got dims {logits.value.dims}")
@@ -566,30 +570,24 @@ def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int],
     if ids.size and (ids.min() < 0 or ids.max() >= c):
         bad = ids[(ids < 0) | (ids >= c)][0]
         raise IndexOutOfRangeError(f"target id {int(bad)} outside [0, {c})")
-    if weights is None:
-        wts = np.ones(b)
-    else:
-        wts = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if wts.shape[0] != b:
-            raise ShapeError("cross entropy weights length mismatch")
-    total = wts.sum()
-    if total <= 0:
-        # nothing to score; a constant zero keeps the graph well-defined
+    if b == 0:
+        # nothing to score, as for a tagger batch without tokens; a constant
+        # zero keeps the graph well-defined
         node = logits.tape.constant([0.0])
-        node.rows = (np.zeros(b), wts)
+        node.rows = (np.zeros(0), np.zeros(0))
         return node
     shifted = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
-    terms = (lse - lv[np.arange(b), ids]) * wts
+    terms = lse - lv[np.arange(b), ids]
 
     def backward(g):
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(b), ids] -= 1.0
-        logits.accumulate(g[0] * p * (wts / total)[:, np.newaxis])
+        logits.accumulate(g[0] * p * (1.0 / b))
 
-    node = logits.tape._record("softmax_cross_entropy", np.array([terms.sum() / total]), backward)
-    node.rows = (terms, wts)
+    node = logits.tape._record("softmax_cross_entropy", np.array([terms.sum() / b]), backward)
+    node.rows = (terms, np.ones(b))
     return node
 
 

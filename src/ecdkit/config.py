@@ -22,6 +22,7 @@ so a single invocation reports every problem in the file.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, fields
 
 from . import yamlish
@@ -227,9 +228,22 @@ def _parse_training(section) -> TrainingParams:
         if kind is list:
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
                 raise SchemaError(f"training.{key}: fractions must be numbers")
-            value = [float(v) for v in value]
-        kwargs[key] = float(value) if kind is float else value
+            value = [_finite(v, key) for v in value]
+        kwargs[key] = _finite(value, key) if kind is float else value
     return TrainingParams(**kwargs)
+
+
+def _finite(number: int | float, key: str) -> float:
+    """``number`` as a finite float: an infinite or nan training value, or an
+    integer too large for a float, would train on updates that are all 0 or
+    all non-finite."""
+    try:
+        value = float(number)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(f"training.{key}: expected a finite number, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------

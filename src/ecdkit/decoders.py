@@ -13,6 +13,11 @@ width follows from the metadata, the output op is the class's ``OUTPUT``,
 the loss op is ``DEFAULT_LOSSES`` of the type. Every decoder receives
 ``seq_width``, the width of the tagged input's per-position states; only the
 tagger reads it. The first name in a type's ``DECODERS`` entry is its default.
+
+The tagger reads the tagged input's packed states (see ``encoders``): the
+states of each row's real tokens back to back, with the rows' lengths. It
+projects, scores and pools only those positions, so a row's tags do not
+depend on how wide the batch is padded or on the other rows in it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,12 @@ def token_counts(ids: np.ndarray) -> np.ndarray:
     one place a row's length is derived from its PAD ids."""
     real = ids != PAD_ID
     return np.where(real.any(axis=1), real.shape[1] - np.argmax(real[:, ::-1], axis=1), 0)
+
+
+def real_positions(lengths: np.ndarray, width: int) -> np.ndarray:
+    """The [b x width] mask of each row's first ``lengths[i]`` positions: the
+    positions whose states a packed sequence holds, in row-major order."""
+    return np.arange(width) < lengths[:, np.newaxis]
 
 
 @dataclass
@@ -112,10 +123,14 @@ class SetClassifierDecoder(_ProjectionDecoder):
 class SequenceTaggerDecoder(_ProjectionDecoder):
     """Per-position classification over a sequence encoder's unreduced states.
 
-    Ignores the combined representation: its input is the [b x s x w] state
-    tensor of the tagged input feature. Loss masks padded target positions.
-    Its predictions are the [b x s x vocab] per-position probabilities; it
-    reports no probabilities besides, as none are written or scored.
+    Ignores the combined representation: its input is the tagged input
+    feature's ``EncoderOutput``, whose packed [n x w] states it projects to
+    [n x vocab] probabilities; the loss is their cross entropy against the
+    targets at the same positions. Its predictions are the [b x s x vocab]
+    per-position probabilities, zero past each row's end; it reports no
+    probabilities besides, as none are written or scored. Its pooled last
+    hidden state is the mean over each row's real positions, 0 for a row
+    with no tokens.
     """
 
     def __init__(self, feature: str, meta: VocabMetadata, store, rng: Lcg,
@@ -131,25 +146,28 @@ class SequenceTaggerDecoder(_ProjectionDecoder):
         return self.hidden_width
 
     def forward(self, tape, x, target=None, seq_states=None, last_hidden=True) -> DecodeResult:
-        if seq_states is None:
+        if seq_states is None or seq_states.sequence is None:
             raise ContractError("tagger decoder needs the unreduced sequence states")
-        b, s, w = seq_states.value.dims
-        hidden, logits = self.project(tape, ad.reshape(seq_states, (b * s, w)))
+        lengths = seq_states.lengths
+        real = real_positions(lengths, seq_states.width)
+        hidden, logits = self.project(tape, seq_states.sequence)
         probs = ad.softmax(logits)
         loss = None
         if target is not None:
             ids = np.asarray(target).astype(np.int64)
-            if ids.shape != (b, s):
-                raise ShapeError(f"tagger target dims {ids.shape} != sequence dims {(b, s)}")
-            flat_ids = ids.reshape(-1)
-            mask = (flat_ids != PAD_ID).astype(np.float64)
-            loss = ad.softmax_cross_entropy(logits, flat_ids, weights=mask)
+            if ids.shape != real.shape:
+                raise ShapeError(f"tagger target dims {ids.shape} != sequence dims {real.shape}")
+            loss = ad.softmax_cross_entropy(logits, ids[real])
         pooled = None
         if last_hidden:
-            # per-position hidden states pooled so the payload stays rank 2
-            pooled = ad.reduce("mean", ad.reshape(hidden, (b, s, self.hidden_width)), axis=1)
-        predictions = Tensor.wrap(probs.value.array.reshape(b, s, self.out_width))
-        return DecodeResult(probs, pooled, loss, predictions, None)
+            # the mean over each row's real positions, so the payload stays rank 2
+            rows = np.repeat(np.arange(lengths.size), lengths)
+            average = np.zeros((lengths.size, rows.size))
+            average[rows, np.arange(rows.size)] = 1.0 / lengths[rows]
+            pooled = ad.matmul(tape.constant(average), hidden)
+        predictions = np.zeros(real.shape + (self.out_width,))
+        predictions[real] = probs.value.array
+        return DecodeResult(probs, pooled, loss, Tensor.wrap(predictions), None)
 
 
 #: feature type -> {decoder name -> class}

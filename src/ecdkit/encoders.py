@@ -1,14 +1,16 @@
 """Per-type encoders: preprocessed feature batch -> hidden representation.
 
 Every encoder reduces its input to a rank-2 [batch x width] hidden tensor.
-Sequence encoders can also return their unreduced per-position states
-[batch x steps x width], which a sequence-tagging decoder consumes. A
-sequence encoder builds only the nodes its caller reads: the states only
-with ``states=True``, the hidden tensor only with ``hidden=True`` (the
-default). The model asks for each only when some output reads it, so a
-classifier's rnn records no per-step reshape and no concat, its cnn no
-concat of the feature maps, and a tagger's cnn no max pools and no concat of
-them.
+Sequence encoders can also return their unreduced per-position states,
+which a sequence-tagging decoder consumes. The states are packed: the
+states of every row's real tokens back to back in batch order, [n x width]
+for a batch of n real tokens, with each row's token count in ``lengths``
+(from ``decoders.token_counts``) and the padded batch's width in ``width``;
+no PAD position has a state. A sequence encoder builds only the nodes its
+caller reads: the states only with ``states=True``, the hidden tensor only
+with ``hidden=True`` (the default). The model asks for each only when some
+output reads it, so a classifier's rnn records no concat of its steps, and
+a tagger's cnn no max pool.
 
 Encoders accept an open keyword map; each implementation reads the keywords
 it understands and falls back to its declared defaults, so alternative
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .decoders import token_counts
+from .decoders import real_positions, token_counts
 from .errors import ConfigError
 from .features import VectorMetadata
 from .layers import FcStack, make_bias, make_weight
@@ -35,7 +37,9 @@ from .rng import Lcg
 @dataclass
 class EncoderOutput:
     hidden: ad.TapeNode | None          # [b x width] unless not asked for
-    sequence: ad.TapeNode | None = None  # [b x s x seq_width] when asked for
+    sequence: ad.TapeNode | None = None  # [n x seq_width] packed states when asked for
+    lengths: np.ndarray | None = None    # [b] real tokens per row, summing to n
+    width: int = 0                       # the padded batch's width s
 
 
 class PassthroughEncoder:
@@ -95,15 +99,41 @@ class SetEmbedSumEncoder:
         return EncoderOutput(ad.matmul(tape.constant(batch), tape.leaf(self.table)))
 
 
-def _embed_sequence(tape: ad.Tape, table: ad.Parameter, batch: np.ndarray) -> ad.TapeNode:
+def _embed_sequence(table: ad.TapeNode, batch: np.ndarray) -> ad.TapeNode:
+    """The [b x s x size] embeddings of a padded id batch, PAD positions included."""
     b, s = batch.shape
-    flat = batch.reshape(-1).astype(np.int64)
-    rows = ad.embedding_lookup(tape.leaf(table), flat)
-    return ad.reshape(rows, (b, s, table.tensor.dims[1]))
+    rows = ad.embedding_lookup(table, batch.reshape(-1).astype(np.int64))
+    return ad.reshape(rows, (b, s, table.value.dims[1]))
+
+
+def _real_ids(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A padded id batch's real ids back to back in batch order, and the
+    number of them in each row."""
+    lengths = token_counts(batch)
+    return batch[real_positions(lengths, batch.shape[1])].astype(np.int64), lengths
+
+
+def _max_over_rows(tape: ad.Tape, packed: ad.TapeNode, lengths: np.ndarray) -> ad.TapeNode:
+    """Each row's max over its real positions, [b x width], from packed rows.
+
+    The rows are gathered to [b x longest x width], the positions past a
+    row's end repeating its first, and reduced by one max. A row with no
+    tokens gathers an appended zero row, so it pools to 0.
+    """
+    n, width = packed.value.dims
+    longest = max(int(lengths.max(initial=0)), 1)
+    steps = np.arange(longest)
+    ids = (np.cumsum(lengths) - lengths)[:, np.newaxis] + np.where(
+        steps < lengths[:, np.newaxis], steps, 0)
+    ids[lengths == 0] = n
+    source = ad.concat([packed, tape.constant(np.zeros((1, width)))], axis=0)
+    gathered = ad.embedding_lookup(source, ids.reshape(-1))
+    return ad.reduce("max", ad.reshape(gathered, (lengths.size, longest, width)), axis=1)
 
 
 class SequenceEmbedEncoder:
-    """Token embeddings mean-pooled over positions."""
+    """Token embeddings mean-pooled over all positions, PAD included; its
+    states are the embeddings of the real tokens."""
 
     DEFAULTS = {"embedding_size": 32}
 
@@ -115,9 +145,12 @@ class SequenceEmbedEncoder:
 
     def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False,
                 hidden: bool = True) -> EncoderOutput:
-        embedded = _embed_sequence(tape, self.table, batch)
-        return EncoderOutput(ad.reduce("mean", embedded, axis=1) if hidden else None,
-                             sequence=embedded if states else None)
+        table = tape.leaf(self.table)
+        pooled = ad.reduce("mean", _embed_sequence(table, batch), axis=1) if hidden else None
+        if not states:
+            return EncoderOutput(pooled)
+        ids, lengths = _real_ids(batch)
+        return EncoderOutput(pooled, ad.embedding_lookup(table, ids), lengths, batch.shape[1])
 
 
 class SequenceRnnEncoder:
@@ -150,16 +183,17 @@ class SequenceRnnEncoder:
         # Rows are stepped longest first, so the rows still running are a
         # prefix and each step updates a slice of views; steps stop at the
         # longest row. A row that has ended carries its state forward, so the
-        # final state is each row's state at its last real token, and the
-        # states past the longest row repeat it. The outputs are gathered
-        # back into batch order by ``embedding_lookup``, the tape's row gather.
-        b, s = batch.shape
+        # final state is each row's state at its last real token. The final
+        # states, and the states at real positions of the steps stacked
+        # [longest * b x state], are gathered back into batch order by
+        # ``embedding_lookup``, the tape's row gather.
+        b = batch.shape[0]
         lengths = token_counts(batch)
         order = np.argsort(-lengths, kind="stable")
-        lengths = lengths[order]
-        longest = int(lengths[0]) if b else 0
-        running = np.searchsorted(-lengths, -np.arange(longest))  # rows longer than t
-        embedded = _embed_sequence(tape, self.table, batch[order, :longest])
+        sorted_lengths = lengths[order]
+        longest = int(sorted_lengths[0]) if b else 0
+        running = np.searchsorted(-sorted_lengths, -np.arange(longest))  # rows longer than t
+        embedded = _embed_sequence(tape.leaf(self.table), batch[order, :longest])
         w_in, w_rec = tape.leaf(self.w_in), tape.leaf(self.w_rec)
         bias = tape.leaf(self.bias)
         state = tape.constant(np.zeros((b, self.state_size)))
@@ -169,20 +203,21 @@ class SequenceRnnEncoder:
             rows = None if running[t] == b else slice(0, int(running[t]))
             state = ad.rnn_step(x_t, state, w_in, w_rec, bias, rows)
             if states:
-                steps.append(ad.reshape(state, (b, 1, self.state_size)))
+                steps.append(state)
         restore = np.argsort(order)  # each batch row's sorted position
         sequence = None
         if states:
-            last = steps[-1] if steps else ad.reshape(state, (b, 1, self.state_size))
-            flat = ad.reshape(ad.concat(steps + [last] * (s - longest), axis=1),
-                              (b, s * self.state_size))
-            sequence = ad.reshape(ad.embedding_lookup(flat, restore), (b, s, self.state_size))
+            rows, t = np.nonzero(real_positions(lengths, longest))
+            sequence = ad.embedding_lookup(ad.concat(steps or [state], axis=0),
+                                           t * b + restore[rows])
         return EncoderOutput(ad.embedding_lookup(state, restore) if hidden else None,
-                             sequence=sequence)
+                             sequence, lengths, batch.shape[1])
 
 
 class SequenceCnnEncoder:
-    """Parallel same-padded convolutions max-pooled over time, concatenated."""
+    """Parallel same-padded convolutions over each row's real tokens,
+    concatenated and max-pooled over each row's real positions. Only real
+    ids are looked up, so the PAD row of the table is never read or trained."""
 
     DEFAULTS = {"embedding_size": 32, "num_filters": 32,
                 "filter_widths": [3, 5, 7], "activation": "relu"}
@@ -210,12 +245,13 @@ class SequenceCnnEncoder:
 
     def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False,
                 hidden: bool = True) -> EncoderOutput:
-        embedded = _embed_sequence(tape, self.table, batch)
-        maps = [ad.apply_unary(self.activation,
-                               ad.conv1d(embedded, tape.leaf(filt), tape.leaf(bias)))
-                for filt, bias in self.branches]
-        pooled = ad.concat([ad.reduce("max", m, axis=1) for m in maps], axis=1) if hidden else None
-        return EncoderOutput(pooled, sequence=ad.concat(maps, axis=2) if states else None)
+        ids, lengths = _real_ids(batch)
+        embedded = ad.embedding_lookup(tape.leaf(self.table), ids)
+        maps = ad.concat([ad.apply_unary(self.activation, ad.conv1d(
+            embedded, tape.leaf(filt), tape.leaf(bias), lengths))
+            for filt, bias in self.branches], axis=1)
+        return EncoderOutput(_max_over_rows(tape, maps, lengths) if hidden else None,
+                             maps if states else None, lengths, batch.shape[1])
 
 
 #: feature type -> {encoder name -> class}

@@ -212,7 +212,7 @@ class ECDModel:
             encoder, values = self.encoders[spec.name], np.asarray(batch[spec.name])
             if spec.name == self.states_feature:
                 out = encoder.forward(tape, values, states=True, hidden=combined_read)
-                seq_states = out.sequence
+                seq_states = out
             elif combined_read:
                 out = encoder.forward(tape, values)
             else:

@@ -266,32 +266,35 @@ def test_criterion_4c_deterministic_tagging(tmp_path):
 
 
 def test_criterion_4d_padding_does_not_move_rnn_accuracy(tmp_path):
-    started = time.monotonic()
+    """The rnn and the cnn score the same at widths 8 and 120: one 120-token
+    row in the training data must not move what the other rows predict."""
     short = synth.keyword_text(tmp_path / "kw.csv", n=1000, seed=0)
     long = tmp_path / "kw_long.csv"
     long.write_text(short.read_text(encoding="utf-8") + " ".join(["alpha"] * 120) + ",miss\n",
                     encoding="utf-8")
-    config = (
-        "input_features:\n"
-        "  - name: text\n    type: text\n    encoder: rnn\n"
-        "output_features:\n"
-        "  - name: label\n    type: category\n"
-        "training:\n"
-        "  epochs: 15\n"
-        "  batch_size: 32\n"
-        "  learning_rate: 0.005\n"
-    )
-    accuracy, widths = [], []
-    for path in (short, long):
-        out = tmp_path / path.stem
-        _, _, metrics = experiment(parse_model_definition(config), path, out, seed=42)
-        accuracy.append(metrics["test"]["label"]["accuracy"])
-        widths.append(load_model(out / "model")[2]["text"].max_sequence_length)
-    elapsed = time.monotonic() - started
-    report("criterion 4d rnn accuracy independent of padding",
-           widths == [8, 120] and abs(accuracy[0] - accuracy[1]) <= 0.02 and elapsed < 120.0,
-           f"test accuracy {accuracy[0]:.3f} at width {widths[0]}, "
-           f"{accuracy[1]:.3f} at width {widths[1]}, {elapsed:.1f}s")
+    for encoder in ("rnn", "cnn"):
+        started = time.monotonic()
+        config = (
+            "input_features:\n"
+            f"  - name: text\n    type: text\n    encoder: {encoder}\n"
+            "output_features:\n"
+            "  - name: label\n    type: category\n"
+            "training:\n"
+            "  epochs: 15\n"
+            "  batch_size: 32\n"
+            "  learning_rate: 0.005\n"
+        )
+        accuracy, widths = [], []
+        for path in (short, long):
+            out = tmp_path / f"{encoder}-{path.stem}"
+            _, _, metrics = experiment(parse_model_definition(config), path, out, seed=42)
+            accuracy.append(metrics["test"]["label"]["accuracy"])
+            widths.append(load_model(out / "model")[2]["text"].max_sequence_length)
+        elapsed = time.monotonic() - started
+        report(f"criterion 4d {encoder} accuracy independent of padding",
+               widths == [8, 120] and abs(accuracy[0] - accuracy[1]) <= 0.02 and elapsed < 120.0,
+               f"test accuracy {accuracy[0]:.3f} at width {widths[0]}, "
+               f"{accuracy[1]:.3f} at width {widths[1]}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,23 @@ class TestEmbeddingLookup:
             ad.embedding_lookup(tape.constant(np.zeros((3, 2))), [0, 7])
 
 
+def conv1d_per_row(x, filters, bias, lengths):
+    """The sliding-window oracle applied to each packed row alone."""
+    starts = np.cumsum(lengths) - np.asarray(lengths)
+    return np.concatenate([conv1d_sliding_window(x[s : s + n], filters, bias)
+                           for s, n in zip(starts, lengths)])
+
+
+def linear_grad(fn, shape):
+    """Gradient of a function linear in its argument, one basis vector at a time."""
+    grad = np.empty(int(np.prod(shape)))
+    for i in range(grad.size):
+        basis = np.zeros(grad.size)
+        basis[i] = 1.0
+        grad[i] = fn(basis.reshape(shape))
+    return grad.reshape(shape)
+
+
 class TestConv1d:
 
     def test_width_one_equals_per_position_matmul(self):
@@ -163,41 +180,58 @@ class TestConv1d:
         filters = rng.normal(size=(1, 3, 4))
         bias = rng.normal(size=4)
         tape = ad.Tape()
-        out = ad.conv1d(tape.constant(x), tape.constant(filters), tape.constant(bias))
+        out = ad.conv1d(tape.constant(x), tape.constant(filters), tape.constant(bias), [2, 0, 4])
         np.testing.assert_allclose(out.value.array, x @ filters[0] + bias, atol=1e-12)
 
     def test_zero_input_yields_bias_rows(self):
         bias = rng.normal(size=4)
         tape = ad.Tape()
         out = ad.conv1d(tape.constant(np.zeros((5, 2))),
-                        tape.constant(np.zeros((3, 2, 4))), tape.constant(bias))
+                        tape.constant(np.zeros((3, 2, 4))), tape.constant(bias), [5])
         np.testing.assert_allclose(out.value.array, np.tile(bias, (5, 1)), atol=1e-12)
 
-    def test_matches_sliding_window_oracle(self):
-        x = rng.normal(size=(9, 3))
-        filters = rng.normal(size=(5, 3, 2))
-        bias = rng.normal(size=2)
+    @pytest.mark.parametrize("width", [1, 3, 5, 7])
+    @pytest.mark.parametrize("lengths", [[3, 0, 1, 5], [0, 2], [4]])
+    def test_each_row_is_convolved_alone(self, lengths, width):
+        """Output and every gradient equal the oracle on each row alone; the
+        widths past 3 have rows shorter than the filter."""
+        n, h, f = sum(lengths), 2, 3
+        x = rng.normal(size=(n, h))
+        filters = rng.normal(size=(width, h, f))
+        bias = rng.normal(size=f)
+        g = rng.normal(size=(n, f))
         tape = ad.Tape()
-        out = ad.conv1d(tape.constant(x), tape.constant(filters), tape.constant(bias))
-        np.testing.assert_allclose(out.value.array,
-                                   conv1d_sliding_window(x, filters, bias), atol=1e-12)
+        nodes = [leaf(tape, x, "x"), leaf(tape, filters, "f"), leaf(tape, bias, "b")]
+        out = ad.conv1d(*nodes, lengths)
+        np.testing.assert_allclose(out.value.array, conv1d_per_row(x, filters, bias, lengths),
+                                   rtol=0, atol=1e-12)
+        out._backward(g)  # the sweep's call, with the output's gradient given
+        zeros_f, zeros_b = np.zeros(filters.shape), np.zeros(f)
 
-    def test_batched_matches_per_example(self):
-        x = rng.normal(size=(3, 7, 2))
-        filters = rng.normal(size=(3, 2, 4))
-        bias = rng.normal(size=4)
+        def score(*args):
+            return float((g * conv1d_per_row(*args, lengths)).sum())
+
+        expected = {
+            "x": linear_grad(lambda e: score(e, filters, zeros_b), x.shape),
+            "f": linear_grad(lambda e: score(x, e, zeros_b), filters.shape),
+            "b": linear_grad(lambda e: score(np.zeros(x.shape), zeros_f, e), bias.shape),
+        }
+        for node in nodes:
+            np.testing.assert_allclose(node.grad, expected[node.param_name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[2, 1], [3, 3], [5, -1], []])
+    def test_lengths_that_do_not_pack_the_rows_raise(self, lengths):
         tape = ad.Tape()
-        out = ad.conv1d(tape.constant(x), tape.constant(filters), tape.constant(bias))
-        for i in range(3):
-            np.testing.assert_allclose(out.value.array[i],
-                                       conv1d_sliding_window(x[i], filters, bias), atol=1e-12)
+        with pytest.raises(ShapeError, match="do not pack 4 positions"):
+            ad.conv1d(tape.constant(np.zeros((4, 2))),
+                      tape.constant(np.zeros((3, 2, 3))), tape.constant(np.zeros(3)), lengths)
 
     def test_even_width_is_config_error(self):
         from ecdkit.errors import ConfigError
         tape = ad.Tape()
         with pytest.raises(ConfigError, match="odd"):
             ad.conv1d(tape.constant(np.zeros((5, 2))),
-                      tape.constant(np.zeros((4, 2, 3))), tape.constant(np.zeros(3)))
+                      tape.constant(np.zeros((4, 2, 3))), tape.constant(np.zeros(3)), [5])
 
 
 class TestRnnStep:
@@ -413,6 +447,8 @@ def _op_cases(r: np.random.Generator) -> dict:
     c33 = r.normal(size=(3, 3))
     cf32, cb2 = r.normal(size=(3, 3, 2)), r.normal(size=2)
     cx52, cf324, cb4 = r.normal(size=(5, 2)), r.normal(size=(3, 2, 4)), r.normal(size=4)
+    # packed rows, one of them empty and one shorter than the filters
+    x_rows, cx_rows = [4, 0, 2], [1, 0, 4]
     bce_targets = (r.normal(size=(5, 2)) > 0).astype(float)
     mse_targets = r.normal(size=(5, 1))
     rnn_operands = [r.normal(size=s) for s in ((4, 3), (4, 2), (3, 2), (2, 2), (2,))]
@@ -445,19 +481,17 @@ def _op_cases(r: np.random.Generator) -> dict:
         "select": ((3, 4, 2), lambda t, x: summed(ad.select(x, axis=1, index=2))),
         "embedding": ((5, 3), lambda t, x: summed(ad.embedding_lookup(x, [0, 2, 2, 4]))),
         "conv1d_input": ((6, 3), lambda t, x: summed(ad.conv1d(
-            x, t.constant(cf32), t.constant(cb2)))),
+            x, t.constant(cf32), t.constant(cb2), x_rows))),
         "conv1d_filters": ((3, 2, 4), lambda t, x: summed(ad.conv1d(
-            t.constant(cx52), x, t.constant(cb4)))),
+            t.constant(cx52), x, t.constant(cb4), cx_rows))),
         "conv1d_bias": ((4,), lambda t, x: summed(ad.conv1d(
-            t.constant(cx52), t.constant(cf324), x))),
+            t.constant(cx52), t.constant(cf324), x, cx_rows))),
         "rnn_step_x": ((4, 3), lambda t, x: ragged_rnn(t, x, 0)),
         "rnn_step_h": ((4, 2), lambda t, x: ragged_rnn(t, x, 1)),
         "rnn_step_weights": ((3, 2), lambda t, x: ragged_rnn(t, x, 2)),
         "rnn_step_w_rec": ((2, 2), lambda t, x: ragged_rnn(t, x, 3)),
         "rnn_step_bias": ((2,), lambda t, x: ragged_rnn(t, x, 4)),
         "cross_entropy": ((6, 4), lambda t, x: ad.softmax_cross_entropy(x, [0, 1, 2, 3, 0, 1])),
-        "cross_entropy_masked": ((6, 4), lambda t, x: ad.softmax_cross_entropy(
-            x, [0, 1, 2, 3, 0, 1], weights=np.array([1, 0, 1, 1, 0, 1.0]))),
         "sigmoid_bce": ((5, 2), lambda t, x: ad.sigmoid_bce(x, bce_targets)),
         "mse": ((5, 1), lambda t, x: ad.mse(x, mse_targets)),
     }
@@ -487,6 +521,47 @@ def test_gradcheck_probe_count_is_at_least_100():
     cases = _op_cases(np.random.default_rng(0))
     total = sum(int(np.prod(shape)) * 8 for shape, _ in cases.values())
     assert total >= 100
+
+
+def recorded_kinds() -> set[str]:
+    """Every op kind ``autodiff.py`` passes to ``Tape._record``, read from its
+    source. A kind computed from a name, such as ``f"reduce_{kind}"``, takes
+    each value of the ``*_KINDS`` tuple the same function checks that name
+    against with ``not in``."""
+    tree = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
+    kinds = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        domains = {node.left.id: getattr(ad, node.comparators[0].id)
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                   and isinstance(node.ops[0], ast.NotIn)
+                   and isinstance(node.comparators[0], ast.Name)}
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "_record"):
+                continue
+            expr = call.args[0]
+            names = sorted({n.id for n in ast.walk(expr) if isinstance(n, ast.Name)})
+            assert len(names) <= 1 and set(names) <= set(domains), \
+                f"{func.name}: cannot resolve the op kind {ast.unparse(expr)}"
+            code = compile(ast.Expression(expr), "<kind>", "eval")
+            values = domains[names[0]] if names else [None]
+            kinds.update(eval(code, {}, {names[0]: v} if names else {}) for v in values)
+    return kinds
+
+
+def test_every_recorded_op_kind_has_a_gradcheck_case():
+    """An op kind no ``_op_cases`` builder records has no finite-difference check."""
+    recorded = recorded_kinds()
+    assert {"const", "param", "conv1d", "relu", "reduce_max", "rnn_step"} <= recorded
+    covered = set()
+    for name, (shape, build) in _op_cases(np.random.default_rng(0)).items():
+        tape = ad.Tape()
+        build(tape, leaf(tape, np.random.default_rng(1).normal(size=shape)))
+        covered.update(node.op_kind for node in tape.nodes)
+    assert recorded - {"const", "param"} - covered == set()
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +748,7 @@ class TestTapeLifetime:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("name", ["cross_entropy", "cross_entropy_masked",
-                                      "sigmoid_bce", "mse"])
+    @pytest.mark.parametrize("name", ["cross_entropy", "sigmoid_bce", "mse"])
     def test_loss_rows_reduce_to_the_value(self, name):
         build, values = _case(name)
         tape = ad.Tape(grad=False)
@@ -683,13 +757,11 @@ class TestTapeLifetime:
         assert terms.shape[0] == weights.shape[0] == values.shape[0]
         assert node.value.item() == float(terms.sum() / weights.sum())
 
-    def test_fully_masked_loss_has_zero_rows(self):
+    def test_cross_entropy_over_no_rows_is_zero(self):
         tape = ad.Tape()
-        node = ad.softmax_cross_entropy(tape.constant(np.ones((3, 2))), [0, 1, 1],
-                                        weights=np.zeros(3))
+        node = ad.softmax_cross_entropy(tape.constant(np.ones((0, 2))), [])
         assert node.value.item() == 0.0
-        np.testing.assert_array_equal(node.rows[0], np.zeros(3))
-        np.testing.assert_array_equal(node.rows[1], np.zeros(3))
+        assert node.rows[0].shape == node.rows[1].shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -498,11 +498,15 @@ class TestValuesOutOfBounds:
         ("", "  beta1: 1.0\n", "training.beta1: beta1 must lie in [0, 1)"),
         ("", "  beta2: -0.5\n", "training.beta2: beta2 must lie in [0, 1)"),
         ("", "  epsilon: 0\n", "training.epsilon: epsilon must be positive"),
+        ("", "  epsilon: 1e400\n", "training.epsilon: expected a finite number, got inf"),
+        ("", "  learning_rate: 1e400\n",
+         "training.learning_rate: expected a finite number, got inf"),
         ("      lowercase: 5\n", "",
          "input_features.text.preprocessing: lowercase must be true or false"),
         ("      lowercase: maybe\n", "",
          "input_features.text.preprocessing: lowercase must be true or false"),
-    ], ids=["beta1", "beta2", "epsilon", "lowercase_number", "lowercase_word"])
+    ], ids=["beta1", "beta2", "epsilon", "epsilon_inf", "learning_rate_inf",
+            "lowercase_number", "lowercase_word"])
     def test_train_exits_2_with_one_line(self, tmp_path, capsys, preprocessing, training,
                                          expected):
         dataset = synth.keyword_text(tmp_path / "text.csv", n=10, seed=0)

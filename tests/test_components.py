@@ -115,11 +115,11 @@ def arrays_digest(blocks: list[dict]) -> str:
 PINNED_ARRAYS = "6213df89fcf8721b049e7b91b22d00c8b0ac76d208bddb4ac13826be63ccd46a"
 PINNED = {
     "embed": ("af1c4878b1d1487b8bed1b58be83dbde9daf1fd140b0d1af31fd7cade8144603",
-              "0d76ab82ef96adc9a5cb3a2e8f015696d9df063e7048ee3076fb27c76f5658a4"),
+              "0a4e71db8cf27398b22d816f64b59d06023dda6d4fd0724a94fc6abe47deecbf"),
     "rnn": ("161cd76ca69400e21e2b021a3d96085d32f77f172d88afd2aa75b41eb03813de",
-            "0ae04f8f4a49cfbcfe1f5d758d5cf9458501875549ca06bcda01ee102af6238a"),
+            "ed438fda5a039abbd030ce34c1b90b3e517a8476cb28908cc21988ba43ee22e7"),
     "cnn": ("e3c4066b5e5cd7d56b05d3167fa6bf7ad5f238f8b6b1ae2f698a16fef8c96194",
-            "b03b20e03bcc7ec5bdaf60014d075c9a37dd8f29482685291edb1c168c45de58"),
+            "bc39a691fc5ff1b62d56a287d589f96bea538ab33fe90b91fca7f40b4f3504c8"),
 }
 
 

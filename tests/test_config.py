@@ -456,6 +456,13 @@ SCHEMA_ERRORS = [
     bad_type("validation_metric", True, "str"),
     pytest.param(doc(training={"split": [0.7, "0.1", 0.2]}),
                  "training.split: fractions must be numbers", id="split_fractions"),
+    pytest.param(doc(training={"epsilon": float("inf")}),
+                 "training.epsilon: expected a finite number, got inf", id="epsilon_inf"),
+    pytest.param(doc(training={"learning_rate": 10**400}),
+                 "training.learning_rate: expected a finite number, got inf",
+                 id="learning_rate_huge_int"),
+    pytest.param(doc(training={"split": [0.7, float("nan"), 0.2]}),
+                 "training.split: expected a finite number, got nan", id="split_nan"),
 ]
 
 

@@ -68,14 +68,15 @@ class TestEncoders:
             tape = ad.Tape()
             out = model.encoders["words"].forward(tape, np.ones((3, s)), states=True)
             assert out.hidden.value.dims == (3, 6)
-            assert out.sequence.value.dims == (3, s, 6)
-            np.testing.assert_array_equal(out.sequence.value.array[:, -1, :],
+            assert out.sequence.value.dims == (3 * s, 6)  # every position is a real token
+            np.testing.assert_array_equal(out.lengths, [s, s, s])
+            np.testing.assert_array_equal(out.sequence.value.array[s - 1 :: s],
                                           out.hidden.value.array)
             unread = model.encoders["words"].forward(ad.Tape(), np.ones((3, s)))
             assert unread.sequence is None
             np.testing.assert_array_equal(unread.hidden.value.array, out.hidden.value.array)
 
-    def test_rnn_steps_to_the_longest_row_and_repeats_its_final_state(self):
+    def test_rnn_steps_to_the_longest_row_and_packs_each_rows_states(self):
         meta = make_meta(words=("sequence", ["a b c d e", "a b"]),
                          y=("numerical", ["1", "2"]))
         model = build(
@@ -87,14 +88,14 @@ class TestEncoders:
         out = model.encoders["words"].forward(tape, batch, states=True)
         assert [n.op_kind for n in tape.nodes].count("rnn_step") == 3
         states, hidden = out.sequence.value.array, out.hidden.value.array
-        assert states.shape == (2, 5, 6)
-        for t in (3, 4):  # past the longest row
-            np.testing.assert_array_equal(states[:, t], hidden)
-        np.testing.assert_array_equal(states[1, 1], states[1, 0])  # row 1 ended
-        np.testing.assert_array_equal(hidden[1], states[1, 0])
+        assert states.shape == (4, 6) and out.width == 5  # rows of 3 and 1 tokens
+        np.testing.assert_array_equal(out.lengths, [3, 1])
+        np.testing.assert_array_equal(hidden, states[[2, 3]])  # each row's last token
+        alone = model.encoders["words"].forward(ad.Tape(), batch[1:, :1], states=True)
+        np.testing.assert_allclose(alone.sequence.value.array, states[3:], rtol=0, atol=1e-12)
         empty = model.encoders["words"].forward(ad.Tape(), np.zeros((2, 4)), states=True)
         np.testing.assert_array_equal(empty.hidden.value.array, np.zeros((2, 6)))
-        np.testing.assert_array_equal(empty.sequence.value.array, np.zeros((2, 4, 6)))
+        assert empty.sequence.value.dims == (0, 6)
 
     def test_rnn_recurrent_weights_start_as_the_identity(self):
         meta = make_meta(words=("sequence", ["a b c"]), y=("numerical", ["1", "2"]))
@@ -133,6 +134,40 @@ class TestEncoders:
         np.testing.assert_allclose(hidden([row], width), alone, rtol=0, atol=1e-12)
         np.testing.assert_allclose(hidden(rows, width)[position], alone[0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("encoder", ["embed", "rnn", "cnn"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_tags_and_cnn_pool_do_not_depend_on_padding_or_batch(self, encoder, data):
+        """A row's tagger probabilities, and its pooled cnn hidden state, alone,
+        padded wider, and among rows of other lengths agree within 1e-12."""
+        meta = make_meta(words=("sequence", ["a b c d e f g h"]),
+                         tags=("sequence", ["X Y Z"]))
+        model = build(
+            "input_features:\n  - name: words\n    type: sequence\n"
+            f"    encoder: {encoder}\n    embedding_size: 4\n"
+            + ("    num_filters: 3\n" if encoder == "cnn" else "")
+            + "output_features:\n  - name: tags\n    type: sequence\n", meta)
+        tokens = st.lists(st.integers(1, meta["words"].vocab_size - 1), max_size=7)
+        row = data.draw(tokens, label="row")
+        others = data.draw(st.lists(tokens, max_size=5), label="others")
+        position = data.draw(st.integers(0, len(others)), label="position")
+        rows = others[:position] + [row] + others[position:]
+        width = max(1, *map(len, rows)) + data.draw(st.integers(0, 4), label="padding")
+
+        def row_outputs(batch_rows, width, index):
+            ids = np.zeros((len(batch_rows), width))
+            for i, r in enumerate(batch_rows):
+                ids[i, : len(r)] = r
+            probs = model.forward({"words": ids}, grad=False).predictions["tags"].array
+            hidden = model.encoders["words"].forward(ad.Tape(grad=False), ids).hidden
+            return probs[index, : len(row)], hidden.value.array[index]
+
+        alone = row_outputs([row], max(1, len(row)), 0)
+        for other in (row_outputs([row], width, 0), row_outputs(rows, width, position)):
+            np.testing.assert_allclose(other[0], alone[0], rtol=0, atol=1e-12)
+            if encoder == "cnn":
+                np.testing.assert_allclose(other[1], alone[1], rtol=0, atol=1e-12)
+
     def test_cnn_width_is_filters_times_branches(self):
         meta = make_meta(words=("sequence", ["a b c d e f g", "a b c"]),
                          y=("numerical", ["1", "2"]))
@@ -143,8 +178,8 @@ class TestEncoders:
         tape = ad.Tape()
         out = model.encoders["words"].forward(tape, np.ones((2, 7)), states=True)
         assert out.hidden.value.dims == (2, 15)  # 3 branches x 5 filters
-        assert out.sequence.value.dims == (2, 7, 15)
-        np.testing.assert_array_equal(out.sequence.value.array.max(axis=1),
+        assert out.sequence.value.dims == (14, 15)
+        np.testing.assert_array_equal(out.sequence.value.array.reshape(2, 7, 15).max(axis=1),
                                       out.hidden.value.array)
         assert model.encoders["words"].forward(ad.Tape(), np.ones((2, 7))).sequence is None
 
@@ -161,14 +196,10 @@ class TestEncoders:
         result = model.forward({"words": np.array([[2.0, 3.0, 4.0, 5.0], [4.0, 3.0, 2.0, 0.0]])})
         kinds = [node.op_kind for node in result.tape.nodes]
         after = kinds[kinds.index("reshape") + 1 :]  # past the embedding's reshape
-        if tagged:
-            assert after.count("concat") >= 1
-            state_reshapes = [n for n in result.tape.nodes
-                              if n.op_kind == "reshape" and n.value.dims == (2, 1, 6)]
-            assert len(state_reshapes) == 4
-        else:
-            assert "reshape" not in after and "concat" not in after
-        assert after.count("select") == 4
+        # the steps are stacked by one concat, with no per-step reshape
+        assert after.count("concat") == (1 if tagged else 0)
+        assert "reshape" not in after
+        assert after.count("select") == after.count("rnn_step") == 4
 
     def test_set_encoder_sums_member_embeddings(self):
         meta = make_meta(tags=("set", ["x y", "y z"]), y=("numerical", ["1", "2"]))
@@ -212,10 +243,10 @@ class TestReadNodesOnly:
     def test_a_tagger_alone_builds_no_pools_no_combiner_and_no_mean(self):
         model = build(TAGGER_CNN, tagger_meta())
         result = model.forward({"tokens": TOKENS}, {"tags": TAGS})
-        # no max pools or their concat, no pooled mean or its reshape, no
-        # reshape of the probabilities and no scale by the unit loss weight
-        assert len(result.tape.nodes) == 23
-        assert kinds(result) == {"param": 9, "embedding_lookup": 1, "reshape": 2,
+        # no max pool, no pooled mean, no reshape of the packed states and no
+        # scale by the unit loss weight
+        assert len(result.tape.nodes) == 21
+        assert kinds(result) == {"param": 9, "embedding_lookup": 1,
                                  "conv1d": 3, "relu": 3, "concat": 1, "matmul": 1,
                                  "add": 1, "softmax": 1, "softmax_cross_entropy": 1}
         assert result.predictions["tags"].dims == (2, 4, model.decoders["tags"].out_width)
@@ -243,8 +274,9 @@ class TestReadNodesOnly:
         text = TAGGER_CNN + "  - name: y\n    type: category\n" + dependent
         model = build(text, tagger_meta(y=("category", ["p", "q"])))
         counts = kinds(model.forward({"tokens": TOKENS}))
-        assert counts.get("reduce_mean", 0) == (1 if payload else 0)
-        assert counts["reduce_max"] == 3  # the classifier reads the pooled cnn
+        # two projections, and the mean over real positions is one more product
+        assert counts["matmul"] == (3 if payload else 2)
+        assert counts["reduce_max"] == 1  # the classifier reads the pooled cnn
 
 
 # ---------------------------------------------------------------------------

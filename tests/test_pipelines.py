@@ -618,8 +618,8 @@ TAGGER_WITH_UNREAD_PARTS = (
 # the weights of a graph that runs every part each step: the unread parts
 # move no trained weight, and theirs stay as initialized
 UNREAD_PARTS_WEIGHTS = {
-    "adam": "1fa11043ffa0ad4c2967b21a11cdf10c857c42bf6981c7fded78b9e1e17cb271",
-    "sgd": "cd1c97b347b9572d90a9179efe15969a0457378592bc91cf44980349f706ef37",
+    "adam": "640cbe4b05b720fc8fa5dd720897693bb16d26ec40a2b4eb3ed32bd963773d74",
+    "sgd": "fb9bebd3653250d4021504c099e3b517800dad2d87d90cf5b36f5e50fb046cd6",
 }
 
 
