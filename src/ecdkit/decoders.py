@@ -53,14 +53,14 @@ def real_positions(lengths: np.ndarray, width: int) -> np.ndarray:
 @dataclass
 class DecodeResult:
     """``output`` is what a dependent reads as the probabilities payload;
-    ``predictions`` its value in the output's shape, and ``probabilities``
-    that same value for the types that report probabilities."""
+    ``predictions`` its value in the output's shape, the one array an output
+    reports. Metrics compare it with the target array the loss reads, so a
+    truth outside the vocabulary is scored as ``<UNK>``."""
 
     output: ad.TapeNode
     last_hidden: ad.TapeNode | None
     loss: ad.TapeNode | None
     predictions: Tensor
-    probabilities: Tensor | None
 
 
 class _ProjectionDecoder:
@@ -100,8 +100,7 @@ class _ProjectionDecoder:
         loss = None
         if target is not None:
             loss = getattr(ad, self.loss_op)(logits, target)
-        return DecodeResult(output, hidden, loss, output.value,
-                            output.value if self.OUTPUT else None)
+        return DecodeResult(output, hidden, loss, output.value)
 
 
 class CategoryClassifierDecoder(_ProjectionDecoder):
@@ -127,8 +126,7 @@ class SequenceTaggerDecoder(_ProjectionDecoder):
     feature's ``EncoderOutput``, whose packed [n x w] states it projects to
     [n x vocab] probabilities; the loss is their cross entropy against the
     targets at the same positions. Its predictions are the [b x s x vocab]
-    per-position probabilities, zero past each row's end; it reports no
-    probabilities besides, as none are written or scored. Its pooled last
+    per-position probabilities, zero past each row's end. Its pooled last
     hidden state is the mean over each row's real positions, 0 for a row
     with no tokens.
     """
@@ -167,7 +165,7 @@ class SequenceTaggerDecoder(_ProjectionDecoder):
             pooled = ad.matmul(tape.constant(average), hidden)
         predictions = np.zeros(real.shape + (self.out_width,))
         predictions[real] = probs.value.array
-        return DecodeResult(probs, pooled, loss, Tensor.wrap(predictions), None)
+        return DecodeResult(probs, pooled, loss, Tensor.wrap(predictions))
 
 
 #: feature type -> {decoder name -> class}

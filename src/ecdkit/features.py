@@ -289,12 +289,11 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
     """
     if ftype not in SUPPORTED_TYPES:
         raise RegistryError(f"unknown feature type {ftype!r}")
+    if ftype == "numerical":
+        return meta.normalize(numerical_values(column, lines, meta, params)).reshape(-1, 1)
     cells = _filled_cells(column, ftype, meta, params)
     if ftype == "binary":
         return np.array(_parse_cells(zip(lines, cells), parse_binary)).reshape(-1, 1)
-    if ftype == "numerical":
-        values = np.array(_parse_cells(zip(lines, cells), parse_float))
-        return meta.normalize(values).reshape(-1, 1)
     if ftype == "vector":
         rows = _parse_cells(zip(lines, cells), lambda raw: parse_vector(raw, meta.length))
         return np.array(rows).reshape(-1, meta.length)
@@ -312,6 +311,14 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
     for i, row in enumerate(ids):
         padded[i, : min(len(row), width)] = row[:width]
     return padded
+
+
+def numerical_values(column: Sequence[str], lines: Sequence[int], meta: NumericalMetadata,
+                     params: PreprocParams) -> np.ndarray:
+    """A numerical column's raw values, missing cells filled: what
+    ``preprocess_column`` normalizes, and a numerical output's truths."""
+    cells = _filled_cells(column, "numerical", meta, params)
+    return np.array(_parse_cells(zip(lines, cells), parse_float))
 
 
 def _filled_cells(column: Sequence[str], ftype: str, meta: FeatureMetadata,
@@ -342,25 +349,25 @@ def _fill_missing(ftype: str, meta: FeatureMetadata, params: PreprocParams) -> s
 
 
 # ---------------------------------------------------------------------------
-# post-processing: prediction tensor -> raw value
+# post-processing: predictions -> raw values
 # ---------------------------------------------------------------------------
 
 def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata,
                            lengths: np.ndarray | None = None) -> list:
-    """Map a batch of prediction rows back into raw data space, one entry per row.
+    """Map a batch of predictions back into raw data space, one entry per row.
 
-    category and set take [b x vocab] probabilities, binary and numerical
-    [b x 1] values, sequence [b x s x vocab] per-position probabilities.
-    Argmax ties go to the lowest id; thresholds are >= 0.5; a sequence row
-    is cut to its entry of ``lengths`` (its input's token count) when given,
-    then loses its trailing ``<PAD>`` tokens.
+    category and set take [b x vocab] probabilities, binary [b x 1]
+    probabilities, numerical [b x 1] values already denormalized, sequence
+    the tag ids of every row's tokens back to back, with each row's token
+    count in ``lengths``. Argmax ties go to the lowest id; thresholds are
+    >= 0.5; a tag row loses its trailing ``<PAD>`` tags.
     """
     arr = np.asarray(batch)
     if ftype in ("binary", "numerical"):
         if arr.ndim != 2 or arr.shape[1] != 1:
             raise ShapeError(f"{ftype} prediction dims {arr.shape} must be [b x 1]")
         if ftype == "numerical":
-            return meta.denormalize(arr[:, 0]).tolist()
+            return arr[:, 0].tolist()
         return [meta.true_form if hit else meta.false_form for hit in (arr[:, 0] >= 0.5).tolist()]
     if ftype in ("category", "set"):
         if arr.ndim != 2 or arr.shape[1] != meta.vocab_size:
@@ -370,14 +377,15 @@ def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata,
         return [[tok for tok, hit in zip(meta.id2token, row) if hit]
                 for row in (arr >= 0.5).tolist()]
     if ftype == "sequence":
-        if arr.ndim != 3 or arr.shape[2] != meta.vocab_size:
-            raise ShapeError(f"sequence prediction dims {arr.shape} incompatible with vocabulary")
+        if arr.ndim != 1 or lengths is None or arr.size != lengths.sum():
+            raise ShapeError(f"sequence prediction dims {arr.shape} must hold one tag id "
+                             f"per token of the rows' lengths")
         pad = meta.token2id[PAD]
+        tags = arr.tolist()
+        ends = np.cumsum(lengths).tolist()
         rows = []
-        tags = np.argmax(arr, axis=2).tolist()
-        if lengths is not None:
-            tags = [ids[:n] for ids, n in zip(tags, lengths.tolist())]
-        for ids in tags:
+        for start, end in zip([0] + ends, ends):
+            ids = tags[start:end]
             while ids and ids[-1] == pad:
                 ids.pop()
             rows.append([meta.id2token[i] for i in ids])
@@ -385,34 +393,13 @@ def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata,
     raise RegistryError(f"no post-processor for feature type {ftype!r}")
 
 
-def canonical_truths(column: Sequence[str], lines: Sequence[int], ftype: str,
-                     meta: FeatureMetadata, params: PreprocParams) -> list:
-    """Bring a ground-truth column into the same space post-processing emits.
-
-    Needed so metrics compare like with like: binary truth "1" must match a
-    predicted "true", lowercased category vocabularies must match lowercased
-    truths, and sequence truths become token lists. Missing cells take the
-    fill ``preprocess_column`` gives them, so a missing target is scored as
-    its filled value.
-    """
-    cells = _filled_cells(column, ftype, meta, params)
-    if ftype == "binary":
-        return [meta.true_form if value == 1.0 else meta.false_form
-                for value in _parse_cells(zip(lines, cells), parse_binary)]
-    if ftype == "numerical":
-        return _parse_cells(zip(lines, cells), parse_float)
-    if ftype == "category":
-        return cells
-    if ftype == "set":
-        return [cell.split() for cell in cells]
-    if ftype == "sequence":
-        return [tokenize(cell, params.tokenizer)[: meta.max_sequence_length] for cell in cells]
-    raise RegistryError(f"no truth canonicalizer for feature type {ftype!r}")
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
+# A metric compares an output's predictions with its truths, the target array
+# its loss trains on (a tagger's at its real tokens), so a truth outside the
+# training vocabulary is scored as <UNK>. A numerical output is scored in raw
+# space: its denormalized predictions against ``numerical_values``.
 
 #: metric name -> (callable, higher_is_better)
 _METRICS: dict[str, tuple] = {}
@@ -434,62 +421,69 @@ def _metric(name, higher_is_better):
     return deco
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """The sum of ``values`` added one at a time, first to last."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @_metric("accuracy", True)
 def _accuracy(truths, preds):
-    return sum(1.0 for t, p in zip(truths, preds) if t == p) / len(truths)
+    # binary truths are hits, met by a >= 0.5 probability; category truths
+    # are ids, met by the argmax id (so a one-class softmax always hits)
+    decided = preds[:, 0] >= 0.5 if truths.dtype == bool else np.argmax(preds, axis=1)
+    return np.count_nonzero(decided == truths[:, 0]) / len(truths)
 
 
 @_metric("cross_entropy", False)
 def _cross_entropy(truths, preds):
-    # truths: class ids; preds: probability vectors over the same vocabulary
-    eps = 1e-12
-    total = 0.0
-    for t, probs in zip(truths, preds):
-        total += -math.log(max(float(probs[int(t)]), eps))
-    return total / len(truths)
+    # truths: [n x 1] class ids; preds: [n x c] probabilities
+    picked = preds[np.arange(len(truths)), truths[:, 0].astype(np.int64)]
+    return _sum_in_order(-math.log(max(p, 1e-12)) for p in picked.tolist()) / len(truths)
 
 
 @_metric("mse", False)
 def _mse(truths, preds):
-    return sum((float(t) - float(p)) ** 2 for t, p in zip(truths, preds)) / len(truths)
+    return sum((t - p) ** 2 for t, p in _raw_pairs(truths, preds)) / len(truths)
 
 
 @_metric("mae", False)
 def _mae(truths, preds):
-    return sum(abs(float(t) - float(p)) for t, p in zip(truths, preds)) / len(truths)
+    return sum(abs(t - p) for t, p in _raw_pairs(truths, preds)) / len(truths)
 
 
 @_metric("r2", True)
 def _r2(truths, preds):
-    mean = sum(float(t) for t in truths) / len(truths)
-    ss_tot = sum((float(t) - mean) ** 2 for t in truths)
-    ss_res = sum((float(t) - float(p)) ** 2 for t, p in zip(truths, preds))
+    mean = sum(truths.ravel().tolist()) / len(truths)
+    ss_tot = sum((t - mean) ** 2 for t in truths.ravel().tolist())
+    ss_res = sum((t - p) ** 2 for t, p in _raw_pairs(truths, preds))
     if ss_tot == 0.0:
         return 0.0
     return 1.0 - ss_res / ss_tot
 
 
+def _raw_pairs(truths, preds):
+    """(truth, prediction) of each row of a numerical output, as Python floats."""
+    return zip(truths.ravel().tolist(), preds.ravel().tolist())
+
+
 @_metric("token_accuracy", True)
 def _token_accuracy(truths, preds):
-    # rows are token lists; padding has already been stripped from both sides
-    correct = 0
-    total = 0
-    for truth_row, pred_row in zip(truths, preds):
-        total += len(truth_row)
-        for i, tok in enumerate(truth_row):
-            if i < len(pred_row) and pred_row[i] == tok:
-                correct += 1
-    return correct / total if total else 0.0
+    # truths and preds: tag ids at the real tokens, every row's back to back
+    return np.count_nonzero(truths == preds) / truths.size if truths.size else 0.0
 
 
 @_metric("jaccard", True)
 def _jaccard(truths, preds):
-    score = 0.0
-    for truth_row, pred_row in zip(truths, preds):
-        ts, ps = set(truth_row), set(pred_row)
-        union = ts | ps
-        score += (len(ts & ps) / len(union)) if union else 1.0
-    return score / len(truths)
+    # truths: [n x c] multi-hot; preds: [n x c] probabilities, a hit at >= 0.5
+    hot, hits = truths == 1.0, preds >= 0.5
+    union = np.count_nonzero(hot | hits, axis=1)
+    shared = np.count_nonzero(hot & hits, axis=1)
+    # a row with an empty union scores 1
+    scores = np.divide(shared, union, out=np.ones(len(truths)), where=union > 0)
+    return _sum_in_order(scores.tolist()) / len(truths)
 
 
 def higher_is_better(kind: str) -> bool:
@@ -501,14 +495,14 @@ def higher_is_better(kind: str) -> bool:
     return _METRICS[kind][1]
 
 
-def compute_metric(kind: str, truths: list, preds: list) -> float:
-    """Score predictions against ground truths with one named metric."""
+def compute_metric(kind: str, truths, preds) -> float:
+    """Score predictions against truths with one named metric; both are
+    arrays of one entry per row, or per real token for a tagger."""
     if kind not in _METRICS:
         raise RegistryError(f"unknown metric {kind!r}; available: {', '.join(_METRICS)}")
+    truths, preds = np.asarray(truths), np.asarray(preds)
     if len(truths) != len(preds):
         raise ContractError(f"metric inputs differ in length: {len(truths)} vs {len(preds)}")
-    if not truths:
-        raise ContractError("cannot score an empty prediction list")
     return float(_METRICS[kind][0](truths, preds))
 
 

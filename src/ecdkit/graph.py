@@ -116,8 +116,6 @@ class ForwardResult:
 
     tape: ad.Tape
     predictions: dict[str, Tensor]
-    probabilities: dict[str, Tensor | None]
-    losses: dict[str, float] = field(default_factory=dict)
     combined: ad.TapeNode | None = None
     loss_rows: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -248,8 +246,6 @@ class ECDModel:
         return ForwardResult(
             tape=tape,
             predictions={n: results[n].predictions for n in self.decoder_order},
-            probabilities={n: results[n].probabilities for n in self.decoder_order},
-            losses={n: loss_nodes[n].value.item() for n in loss_nodes},
             combined=combined_node,
             loss_rows={n: loss_nodes[n].rows for n in loss_nodes},
         )

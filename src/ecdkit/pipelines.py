@@ -13,13 +13,16 @@ metadata, and post-process model outputs back into raw data space.
 splits.
 
 Evaluation and prediction share one loop: ``batch_size``-row chunks run
-forward on tapes that keep no gradients, each chunk's outputs are
-post-processed as a batch, and the losses are reduced once over the
-concatenated per-row terms, so memory stays bounded by the chunk and the
-result equals that of one batch holding every row. ``predict`` parses the
-targets before its single pass and scores that same pass, so a bad target
-cell writes no file. Training collects its batches' rows with the same
-collector. Row errors name the line of the CSV file.
+forward on tapes that keep no gradients, and the losses are reduced once
+over the concatenated per-row terms, so memory stays bounded by the chunk
+and the result equals that of one batch holding every row. Training
+collects its batches' rows with the same collector. An output's truths are
+the target rows passed to ``model.forward``, so a truth outside the
+training vocabulary is scored as ``<UNK>``, as the loss trains it; only a
+numerical output is scored against raw values, re-read from its column.
+Predictions become raw values only in ``predictions.csv``. ``predict``
+parses the targets before its single pass and scores that same pass, so a
+bad target cell writes no file. Row errors name the line of the CSV file.
 
 Every run is single-threaded and fully determined by (definition, dataset,
 seed); rerunning with equal inputs produces byte-identical artifacts.
@@ -40,7 +43,7 @@ from . import cache as cache_io
 from .artifacts import DEFINITION_FILE, METADATA_FILE, load_artifact, save_artifact, write_json
 from .config import Diagnostic, resolve_defaults, validate
 from .data import SPLIT_NAMES, Dataset, load_dataset, split_dataset
-from .decoders import token_counts
+from .decoders import real_positions, token_counts
 from .definition import ModelDefinition
 from .errors import (
     ArtifactError,
@@ -53,10 +56,10 @@ from .features import (
     TYPE_METRICS,
     PreprocParams,
     build_metadata,
-    canonical_truths,
     compute_metric,
     higher_is_better,
     is_missing,
+    numerical_values,
     postprocess_prediction,
     preprocess_column,
     tokenize,
@@ -191,8 +194,9 @@ def preprocess_dataset(splits: dict[str, Dataset], metadata: dict,
 class _OutputRows:
     """One output feature's results over every row of a chunked pass."""
 
-    predictions: list
-    probabilities: np.ndarray | None
+    predictions: np.ndarray
+    truths: np.ndarray | None
+    lengths: np.ndarray | None
     loss_terms: np.ndarray | None
     loss_weights: np.ndarray | None
 
@@ -205,50 +209,60 @@ class _OutputRows:
 class _RowCollector:
     """The rows of consecutive forward passes, per output feature.
 
-    Per output: the post-processed predictions (a tagger's cut to each row's
-    input tokens), the probability rows of the types that have them, and,
-    with targets, the loss terms and weights. These are the values that
-    leave the tape, so they are checked for finiteness here: each pass's
-    predictions before they are post-processed, and a numerical output's
-    again once denormalized; the probabilities and loss terms once, over
-    every row.
+    Per output, what scoring and ``predictions.csv`` read: the predictions,
+    a numerical output's denormalized and a tagger's as argmax ids at the
+    real tokens (with each row's token count); and with targets the loss
+    terms and weights, and as truths the target rows or tokens of the same
+    predictions (a numerical output's truths are its raw values instead).
+    Predictions and loss terms leave the tape, so they are checked for
+    finiteness here: each pass's predictions, a numerical output's again
+    once denormalized, and the loss terms once, over every row.
     """
 
-    def __init__(self, model: ECDModel, definition: ModelDefinition, metadata: dict,
-                 with_targets: bool):
+    def __init__(self, model: ECDModel, definition: ModelDefinition, metadata: dict):
         self.specs = definition.output_features
         self.source = model.states_feature
         self.metadata = metadata
-        self.with_targets = with_targets
-        self.predictions: dict[str, list] = {spec.name: [] for spec in self.specs}
-        self.parts: dict[str, tuple[list, list, list]] = {spec.name: ([], [], [])
-                                                          for spec in self.specs}
+        self.lengths: list[np.ndarray] = []
+        self.parts: dict[str, tuple[list, list, list, list]] = {
+            spec.name: ([], [], [], []) for spec in self.specs}
 
-    def add(self, result, inputs: dict[str, np.ndarray]) -> None:
-        lengths = token_counts(inputs[self.source]) if self.source is not None else None
+    def add(self, result, inputs: dict[str, np.ndarray],
+            targets: dict[str, np.ndarray] | None) -> None:
+        if self.source is not None:
+            lengths = token_counts(inputs[self.source])
+            self.lengths.append(lengths)
         for spec in self.specs:
-            probs, terms, weights = self.parts[spec.name]
-            what = f"for output {spec.name!r}"
-            values = check_finite(result.predictions[spec.name].array, f"predictions {what}")
-            processed = postprocess_prediction(values, spec.type, self.metadata[spec.name],
-                                               lengths)
+            predictions, truths, terms, weights = self.parts[spec.name]
+            what = f"predictions for output {spec.name!r}"
+            values = check_finite(result.predictions[spec.name].array, what)
             if spec.type == "numerical":
-                check_finite(np.array(processed), f"predictions {what}")
-            self.predictions[spec.name].extend(processed)
-            if result.probabilities[spec.name] is not None:
-                probs.append(result.probabilities[spec.name].array)
-            if self.with_targets:
-                terms.append(result.loss_rows[spec.name][0])
-                weights.append(result.loss_rows[spec.name][1])
+                values = check_finite(self.metadata[spec.name].denormalize(values), what)
+            elif spec.type == "sequence":
+                real = real_positions(lengths, values.shape[1])
+                values = np.argmax(values[real], axis=1)
+            predictions.append(values)
+            if targets is None:
+                continue
+            terms.append(result.loss_rows[spec.name][0])
+            weights.append(result.loss_rows[spec.name][1])
+            truth = targets[spec.name]
+            if spec.type == "binary":
+                truths.append(truth == 1.0)  # hits, met by a >= 0.5 probability
+            elif spec.type == "sequence":
+                truths.append(truth[real])
+            elif spec.type != "numerical":  # whose truths are its raw values
+                truths.append(truth)
 
     def outputs(self) -> dict[str, _OutputRows]:
+        lengths = np.concatenate(self.lengths) if self.lengths else None
         outputs = {}
         for name, parts in self.parts.items():
-            probs, terms, weights = (np.concatenate(part) if part else None for part in parts)
-            for values, kind in ((probs, "probabilities"), (terms, "loss terms")):
-                if values is not None:
-                    check_finite(values, f"{kind} for output {name!r}")
-            outputs[name] = _OutputRows(self.predictions[name], probs, terms, weights)
+            predictions, truths, terms, weights = (np.concatenate(part) if part else None
+                                                   for part in parts)
+            if terms is not None:
+                check_finite(terms, f"loss terms for output {name!r}")
+            outputs[name] = _OutputRows(predictions, truths, lengths, terms, weights)
         return outputs
 
 
@@ -259,45 +273,41 @@ def _forward_chunks(model: ECDModel, arrays: dict[str, np.ndarray], n: int,
     """Run ``n`` rows forward in ``batch_size`` chunks on no-gradient tapes
     and collect their rows."""
     names = [spec.name for spec in definition.output_features]
-    collector = _RowCollector(model, definition, metadata, with_targets)
+    collector = _RowCollector(model, definition, metadata)
     batch_size = definition.training.batch_size
     for start in range(0, n, batch_size):
         rows = slice(start, start + batch_size)
         inputs = {s.name: arrays[s.name][rows] for s in definition.input_features}
         targets = {name: arrays[name][rows] for name in names} if with_targets else None
-        collector.add(model.forward(inputs, targets, grad=False), inputs)
+        collector.add(model.forward(inputs, targets, grad=False), inputs, targets)
     return collector.outputs()
 
 
-def _truths(split: Dataset, output_specs, metadata: dict) -> dict[str, list]:
-    """Each output's raw ground truths, canonicalized with the specs the
-    targets were preprocessed with; a row's truth depends on no other row."""
-    return {spec.name: canonical_truths(split.column(spec.name), split.lines, spec.type,
+def _raw_numbers(split: Dataset, output_specs, metadata: dict) -> dict[str, np.ndarray]:
+    """The raw values of each numerical output, its truths; a row's value
+    depends on no other row."""
+    return {spec.name: numerical_values(split.column(spec.name), split.lines,
                                         metadata[spec.name], _preproc_params(spec))
-            for spec in output_specs}
+            for spec in output_specs if spec.type == "numerical"}
 
 
-def _score(outputs: dict[str, _OutputRows], truths: dict[str, list], output_specs,
-           metadata: dict) -> dict[str, dict[str, float]]:
+def _score(outputs: dict[str, _OutputRows], output_specs,
+           numbers: dict[str, np.ndarray]) -> dict[str, dict[str, float]]:
     """Loss plus every type-appropriate metric, per output feature.
 
-    The named metrics score the post-processed predictions against the
-    ``truths`` of the same rows (see ``_truths``). A loss or metric that is
-    not finite raises ``NonFiniteError`` naming it and the output.
+    The metrics compare each output's predictions with its truths: the
+    collected target rows, or a numerical output's raw ``numbers``. A loss
+    or metric that is not finite raises ``NonFiniteError`` naming it and the
+    output.
     """
     report: dict[str, dict[str, float]] = {}
     for spec in output_specs:
-        meta = metadata[spec.name]
         out = outputs[spec.name]
-        truth = truths[spec.name]
+        truths = numbers[spec.name] if spec.type == "numerical" else out.truths
         block = {"loss": out.loss()}
         for kind in TYPE_METRICS[spec.type]:
-            if kind == "cross_entropy":
-                scored = ([meta.lookup(t) for t in truth], list(out.probabilities))
-            else:
-                scored = (truth, out.predictions)
             try:
-                block[kind] = compute_metric(kind, *scored)
+                block[kind] = compute_metric(kind, truths, out.predictions)
             except OverflowError:  # a raw-space error squared past the float range
                 block[kind] = np.inf
         # a report must be valid JSON, which has no infinity or nan
@@ -317,7 +327,7 @@ def evaluate_split(model: ECDModel, arrays: dict[str, np.ndarray], split: Datase
     outputs = _forward_chunks(model, arrays, len(split), definition, metadata,
                               with_targets=True)
     specs = definition.output_features
-    return _score(outputs, _truths(split, specs, metadata), specs, metadata)
+    return _score(outputs, specs, _raw_numbers(split, specs, metadata))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +394,8 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
     # with a validation split to steer by, the training split is scored on
     # the epoch's own batches; without one, it is evaluated in full and steers
     running = len(splits["validation"]) > 0
-    train_truths = _truths(splits["train"], resolved.output_features, metadata) if running else {}
+    train_numbers = _raw_numbers(splits["train"], resolved.output_features, metadata) \
+        if running else {}
     stats = TrainingStats()
     started = time.monotonic()
     best_value = None
@@ -397,7 +408,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
         order = list(range(n_train))
         Lcg(mix_seed(epoch_rng_seed, epoch)).shuffle(order)
         loss_sum = 0.0
-        collector = _RowCollector(model, resolved, metadata, with_targets=True)
+        collector = _RowCollector(model, resolved, metadata)
         for batch_index, start in enumerate(range(0, n_train, tr.batch_size)):
             idx = order[start : start + tr.batch_size]
             batch = {name: train_arrays[name][idx] for name in input_names}
@@ -407,7 +418,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
                 with np.errstate(all="ignore"):
                     result = model.forward(batch, targets)
                     if running:
-                        collector.add(result, batch)
+                        collector.add(result, batch, targets)
                     grads = model.backward(result)
                     optimizer_step(optimizer, model.store, grads)
             except NonFiniteError as exc:
@@ -416,9 +427,8 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
         train_loss = loss_sum / n_train
 
         if running:
-            truths = {name: [column[i] for i in order] for name, column in train_truths.items()}
-            train_metrics = _score(collector.outputs(), truths, resolved.output_features,
-                                   metadata)
+            numbers = {name: values[order] for name, values in train_numbers.items()}
+            train_metrics = _score(collector.outputs(), resolved.output_features, numbers)
             val_metrics = evaluate_split(model, tensors["validation"], splits["validation"],
                                          resolved, metadata)
         else:
@@ -568,8 +578,7 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
                               with_targets=targets_present)
     metrics = None
     if targets_present:
-        metrics = _score(outputs, _truths(dataset, output_specs, metadata), output_specs,
-                         metadata)
+        metrics = _score(outputs, output_specs, _raw_numbers(dataset, output_specs, metadata))
 
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -589,37 +598,28 @@ def _with_fill_strategy(spec):
     return spec
 
 
-def _render_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, list):
-        return " ".join(value)
-    return str(value)
-
-
 def _write_predictions_csv(path: Path, dataset: Dataset, definition: ModelDefinition,
                            metadata: dict, outputs: dict[str, _OutputRows]) -> None:
-    predictions = {name: out.predictions for name, out in outputs.items()}
-    probabilities = {name: out.probabilities.tolist() for name, out in outputs.items()
-                     if out.probabilities is not None}
-    columns: list[tuple[str, str, object]] = []  # (column name, feature, extractor)
+    header: list[str] = []
+    columns: list[tuple[list, list | None]] = []  # per output: its cells, its probability rows
     for spec in definition.output_features:
-        meta = metadata[spec.name]
-        columns.append((spec.name, spec.name, ("prediction", None)))
-        if spec.type in ("category", "set"):
-            for token_id, token in enumerate(meta.id2token):
-                columns.append((f"{spec.name}_probability_{token}", spec.name,
-                                ("probability", token_id)))
-        elif spec.type == "binary":
-            columns.append((f"{spec.name}_probability", spec.name, ("probability", 0)))
+        meta, out = metadata[spec.name], outputs[spec.name]
+        cells = postprocess_prediction(out.predictions, spec.type, meta, out.lengths)
+        header.append(spec.name)
+        probabilities = None
+        if spec.type in ("binary", "category", "set"):
+            header.extend([f"{spec.name}_probability"] if spec.type == "binary" else
+                          [f"{spec.name}_probability_{token}" for token in meta.id2token])
+            probabilities = out.predictions.tolist()
+        columns.append((cells, probabilities))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow([name for name, _, _ in columns])
+        writer.writerow(header)
         for i in range(len(dataset)):
             row = []
-            for _, feature, (kind, token_id) in columns:
-                if kind == "prediction":
-                    row.append(_render_cell(predictions[feature][i]))
-                else:
-                    row.append(repr(float(probabilities[feature][i][token_id])))
+            for cells, probabilities in columns:
+                # a set or tag row is a list of tokens; csv writes a float as its repr
+                row.append(" ".join(cells[i]) if isinstance(cells[i], list) else cells[i])
+                if probabilities is not None:
+                    row.extend(probabilities[i])
             writer.writerow(row)

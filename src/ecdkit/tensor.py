@@ -8,7 +8,7 @@ inside it. The public constructor checks every element, so constants,
 parameters and restored weights are finite; ``Tensor.wrap`` takes an op's
 output as it is. On the way out, ``check_finite`` guards the loss and the
 gradients of a backward sweep, the weights an optimizer step writes, and the
-predictions, probabilities and loss terms of an inference pass, each naming
+predictions and loss terms of an inference pass, each naming
 what it found non-finite.
 """
 

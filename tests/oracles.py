@@ -196,3 +196,89 @@ def as_version_1(container: bytes) -> bytes:
     body = bytearray(container[:-8])
     body[4:6] = (1).to_bytes(2, "little")
     return bytes(body) + fnv1a_64(bytes(body)).to_bytes(8, "little")
+
+
+# ---------------------------------------------------------------------------
+# string-space scoring: the reference for ``features.compute_metric``
+# ---------------------------------------------------------------------------
+
+BINARY_TRUE = ("true", "1", "t", "yes")
+
+
+def string_truths(cells: list[str], ftype: str, lowercase: bool = False,
+                  max_len: int | None = None) -> list:
+    """Target cells as the strings scoring once compared: a binary cell as
+    ``true`` or ``false``, a category cell as itself, a set cell as its
+    tokens, a sequence cell as its first ``max_len`` tokens. No cell may be
+    missing."""
+    truths = []
+    for cell in cells:
+        if ftype == "binary":
+            truths.append("true" if cell.strip().lower() in BINARY_TRUE else "false")
+            continue
+        cell = cell.lower() if lowercase else cell
+        if ftype == "category":
+            truths.append(cell)
+        elif ftype == "set":
+            truths.append(cell.split())
+        else:
+            truths.append(cell.split()[:max_len])
+    return truths
+
+
+def string_predictions(preds: np.ndarray, ftype: str, id2token: list[str],
+                       lengths=None) -> list:
+    """Prediction arrays as strings, one entry at a time: a binary ``true``
+    at >= 0.5, a category's most probable token (the lowest id on ties), a
+    set's tokens at >= 0.5, and a tagger row's most probable tag at each of
+    its first ``lengths[i]`` positions, trailing ``<PAD>`` tags dropped."""
+
+    def best(row):
+        top = 0
+        for j in range(len(row)):
+            if row[j] > row[top]:
+                top = j
+        return top
+
+    rows = []
+    for i, row in enumerate(preds):
+        if ftype == "binary":
+            rows.append("true" if row[0] >= 0.5 else "false")
+        elif ftype == "category":
+            rows.append(id2token[best(row)])
+        elif ftype == "set":
+            rows.append([id2token[j] for j in range(len(row)) if row[j] >= 0.5])
+        else:
+            tags = [id2token[best(row[t])] for t in range(lengths[i])]
+            while tags and tags[-1] == "<PAD>":
+                tags.pop()
+            rows.append(tags)
+    return rows
+
+
+def string_metric(kind: str, truths: list, preds: list) -> float:
+    """A metric over string truths and predictions; ``cross_entropy`` takes
+    class ids and probability rows instead."""
+    if kind == "accuracy":
+        return sum(1.0 for t, p in zip(truths, preds) if t == p) / len(truths)
+    if kind == "cross_entropy":
+        total = 0.0
+        for t, probs in zip(truths, preds):
+            total += -math.log(max(float(probs[int(t)]), 1e-12))
+        return total / len(truths)
+    if kind == "token_accuracy":
+        correct = total = 0
+        for truth_row, pred_row in zip(truths, preds):
+            total += len(truth_row)
+            for i, tok in enumerate(truth_row):
+                if i < len(pred_row) and pred_row[i] == tok:
+                    correct += 1
+        return correct / total if total else 0.0
+    if kind == "jaccard":
+        score = 0.0
+        for truth_row, pred_row in zip(truths, preds):
+            ts, ps = set(truth_row), set(pred_row)
+            union = ts | ps
+            score += (len(ts & ps) / len(union)) if union else 1.0
+        return score / len(truths)
+    raise ValueError(f"no string-space metric {kind!r}")

@@ -291,15 +291,36 @@ def tagger_model(tmp_path_factory):
     return config, tmp / "run" / "model"
 
 
-class TestPredictChecksTargetsFirst:
-    """A bad target exits 3 with one line before predict writes anything."""
+@pytest.fixture(scope="module")
+def mixed_regressor(tmp_path_factory):
+    """A model of the mixed dataset whose one output is the numerical ``num``."""
+    tmp = tmp_path_factory.mktemp("regressor")
+    config = tmp / "model.yaml"
+    config.write_text("input_features:\n"
+                      "  - name: vec\n    type: vector\n"
+                      "  - name: color\n    type: category\n"
+                      "output_features:\n"
+                      "  - name: num\n    type: numerical\n"
+                      "training:\n  epochs: 1\n  batch_size: 16\n", encoding="utf-8")
+    assert run(["train", "-c", config, "-d", write_mixed(tmp / "data.csv"),
+                "-o", tmp / "run", "--seed", 1, "-q"]) == 0
+    return config, tmp / "run" / "model"
 
-    def test_bad_target_cell(self, mixed_model, tmp_path, capsys):
-        _, model_dir = mixed_model
-        dataset = write_mixed(tmp_path / "bad.csv", "label", "maybe")
+
+class TestPredictChecksTargetsFirst:
+    """A bad target exits 3 with one line before predict writes anything: the
+    target arrays are the truths scoring reads, so no later parse catches it."""
+
+    @pytest.mark.parametrize("model,column,cell", [("mixed_model", "label", "maybe"),
+                                                   ("mixed_regressor", "num", "abc")],
+                             ids=["binary", "numerical"])
+    def test_bad_target_cell(self, request, tmp_path, capsys, model, column, cell):
+        _, model_dir = request.getfixturevalue(model)
+        dataset = write_mixed(tmp_path / "bad.csv", column, cell)
         capsys.readouterr()
         assert run(["predict", "-m", model_dir, "-d", dataset, "-o", tmp_path / "pred"]) == 3
-        assert "'label' row 2:" in one_line_error(capsys)
+        err = one_line_error(capsys)
+        assert err.startswith("error: ") and f"{column!r} row 2:" in err and repr(cell) in err
         assert not (tmp_path / "pred").exists()
 
     def test_misaligned_tag_row(self, tagger_model, tmp_path, capsys):
@@ -308,7 +329,7 @@ class TestPredictChecksTargetsFirst:
         capsys.readouterr()
         assert run(["predict", "-m", model_dir, "-d", dataset, "-o", tmp_path / "pred"]) == 3
         err = one_line_error(capsys)
-        assert "row 5:" in err and "1:1" in err
+        assert err.startswith("error: ") and "row 5:" in err and "1:1" in err
         assert not (tmp_path / "pred").exists()
 
 

@@ -97,7 +97,8 @@ def pass_digest(model: ECDModel, arrays: dict) -> str:
     h = hashlib.sha256()
     for name in model.decoder_order:
         h.update(name.encode() + b"\0" + result.predictions[name].array.tobytes())
-        h.update(np.float64(result.losses[name]).tobytes())
+        terms, weights = result.loss_rows[name]
+        h.update(np.float64(terms.sum() / weights.sum()).tobytes())
     h.update(np.float64(result.combined_loss).tobytes())
     for name, grad in sorted(model.backward(result).items()):
         h.update(name.encode() + b"\0" + grad.array.tobytes())

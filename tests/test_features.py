@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ecdkit import features as ft
+from ecdkit.decoders import real_positions
 from ecdkit.errors import ContractError, DataError, MetadataError, RegistryError, ShapeError
+
+import oracles
 
 
 def params(**overrides):
@@ -205,10 +209,10 @@ class TestPreprocessColumn:
         assert out.dtype == np.float64 and out.flags.c_contiguous
         assert out.shape == (n, expected_width(ftype, meta))
         assert out.tobytes() == b"".join(row.tobytes() for row in rows)
-        if ftype in ft.OUTPUT_TYPES:
-            truths = ft.canonical_truths(column, lines, ftype, meta, p)
-            assert truths == [t for line, cell in zip(lines, column)
-                              for t in ft.canonical_truths([cell], [line], ftype, meta, p)]
+        if ftype == "numerical":
+            values = ft.numerical_values(column, lines, meta, p)
+            assert values.tolist() == [v for line, cell in zip(lines, column)
+                                       for v in ft.numerical_values([cell], [line], meta, p)]
 
 
 #: per type: a training column, and the cells a column under test draws from ("" is missing)
@@ -271,7 +275,8 @@ class TestPostprocess:
 
     def test_numerical_zero_denormalizes_to_mean(self):
         meta = ft.build_metadata(["1", "2", "3"], "numerical", params())
-        assert ft.postprocess_prediction(np.array([[0.0]]), "numerical", meta) == [2.0]
+        raw = meta.denormalize(np.array([[0.0]]))
+        assert ft.postprocess_prediction(raw, "numerical", meta) == [2.0]
 
     def test_category_argmax_oracle(self):
         meta = ft.VocabMetadata(type="category", token2id={"<UNK>": 0, "x": 1, "y": 2},
@@ -300,10 +305,13 @@ class TestPostprocess:
 
     def test_sequence_strips_trailing_padding(self):
         meta = ft.build_metadata(["a b", "b a"], "sequence", params())
-        rows = np.zeros((2, meta.vocab_size))
-        rows[0, meta.token2id["a"]] = 1.0
-        rows[1, meta.token2id[ft.PAD]] = 1.0
-        assert ft.postprocess_prediction(rows[np.newaxis], "sequence", meta) == [["a"]]
+        a, b, pad = meta.token2id["a"], meta.token2id["b"], meta.token2id[ft.PAD]
+        # three rows of 2, 0 and 2 tokens, back to back
+        tags = np.array([a, pad, pad, b])
+        assert ft.postprocess_prediction(tags, "sequence", meta, np.array([2, 0, 2])) == \
+            [["a"], [], [ft.PAD, "b"]]
+        with pytest.raises(ShapeError):
+            ft.postprocess_prediction(tags, "sequence", meta, np.array([2, 1]))
 
     def test_dims_mismatch_is_shape_error(self):
         meta = ft.build_metadata(["a"], "category", params())
@@ -320,41 +328,121 @@ class TestPostprocess:
             assert ft.postprocess_prediction(one_hot, "category", meta) == [token]
 
 
+def scored(kind, ftype, meta, p, cells, preds):
+    """``compute_metric`` on the target array of ``cells``, and the string-space
+    oracle on the cells and the predictions as strings. A tagger's ``preds``
+    are [n x s x vocab], both scored at the real positions of ``cells``."""
+    truths = ft.preprocess_column(cells, range(2, 2 + len(cells)), ftype, meta, p)
+    lengths = None
+    ids = preds
+    if ftype == "binary":
+        truths = truths == 1.0  # scored as hits, as the row collector passes them
+    if ftype == "sequence":
+        lengths = np.array([min(len(cell.split()), meta.max_sequence_length) for cell in cells])
+        real = real_positions(lengths, truths.shape[1])
+        truths, ids = truths[real], np.argmax(preds[real], axis=1)
+    got = ft.compute_metric(kind, truths, ids)
+    if ftype == "binary":
+        strings = oracles.string_truths(cells, ftype)
+        predicted = oracles.string_predictions(preds, ftype, None)
+    else:
+        strings = oracles.string_truths(cells, ftype, p.lowercase, meta.max_sequence_length)
+        predicted = oracles.string_predictions(preds, ftype, meta.id2token, lengths)
+    if kind == "cross_entropy":
+        strings, predicted = [meta.token2id[t] for t in strings], list(preds)
+    expected = oracles.string_metric(kind, strings, predicted)
+    return got, expected
+
+
+#: per output type: a training column, and in-vocabulary cells a scored column draws from
+METRIC_COLUMNS = {
+    "binary": (["true", "false"], ["true", "0", "YES", "f", "t"]),
+    "category": (["a", "b", "a", "B", "c"], ["a", "b", "B", "c"]),
+    "set": (["a b", "c", "C", "b d"], ["a", "a c", "C", "b b", "d a c", ""]),
+    "sequence": (["a b c", "b", "B", "c c a b"], ["a", "b a c", "B", "c c a b", "a a a a a", ""]),
+}
+
+
+def prediction_shape(ftype, meta, n):
+    if ftype == "binary":
+        return (n, 1)
+    if ftype == "sequence":
+        return (n, meta.max_sequence_length, meta.vocab_size)
+    return (n, meta.vocab_size)
+
+
 class TestMetrics:
 
+    @given(data=st.data(), ftype=st.sampled_from(sorted(METRIC_COLUMNS)), n=st.integers(1, 8),
+           lowercase=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_id_space_equals_the_string_space_oracle(self, data, ftype, n, lowercase):
+        training, cells = METRIC_COLUMNS[ftype]
+        p = params(lowercase=lowercase, max_sequence_length=3)
+        meta = ft.build_metadata(training, ftype, p)
+        column = data.draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n))
+        # ties and the 0.5 threshold come up often
+        values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+        preds = data.draw(arrays(np.float64, prediction_shape(ftype, meta, n), elements=values))
+        for kind in ft.TYPE_METRICS[ftype]:
+            got, expected = scored(kind, ftype, meta, p, column, preds)
+            assert got == expected, kind
+
     def test_accuracy_of_perfect_predictor(self):
-        assert ft.compute_metric("accuracy", ["a", "b"], ["a", "b"]) == 1.0
+        assert ft.compute_metric("accuracy", [[1.0], [2.0]], np.eye(3)[[1, 2]]) == 1.0
+        assert ft.compute_metric("accuracy", [[True], [False]], [[0.5], [0.49]]) == 1.0
+        # the same [n x 1] width as a binary output: a one-class softmax, always id 0
+        assert ft.compute_metric("accuracy", [[0.0], [0.0]], [[1.0], [1.0]]) == 1.0
 
     def test_r2_of_constant_mean_predictor_is_zero(self):
         truths = [1.0, 2.0, 3.0]
         mean = sum(truths) / len(truths)
-        assert ft.compute_metric("r2", truths, [mean] * 3) == 0.0
+        assert ft.compute_metric("r2", truths, [[mean]] * 3) == 0.0
 
     def test_mae_elementwise_oracle(self):
         truths, preds = [1.0, 2.0], [2.0, 4.0]
         expected = sum(abs(t - p) for t, p in zip(truths, preds)) / 2
-        assert ft.compute_metric("mae", truths, preds) == expected == 1.5
+        assert ft.compute_metric("mae", truths, [[p] for p in preds]) == expected == 1.5
 
     def test_mse(self):
-        assert ft.compute_metric("mse", [1.0, 2.0], [2.0, 4.0]) == 2.5
+        assert ft.compute_metric("mse", [1.0, 2.0], [[2.0], [4.0]]) == 2.5
 
-    def test_token_accuracy_ignores_missing_tail(self):
-        truths = [["a", "b", "c"]]
-        preds = [["a", "x"]]
-        assert ft.compute_metric("token_accuracy", truths, preds) == pytest.approx(1 / 3)
+    def test_token_accuracy_counts_a_predicted_pad_as_a_miss(self):
+        meta = ft.build_metadata(["a b c x"], "sequence", params())
+        preds = np.zeros((1, 4, meta.vocab_size))
+        for position, tag in enumerate(["a", "x", ft.PAD]):
+            preds[0, position, meta.token2id[tag]] = 1.0
+        got, expected = scored("token_accuracy", "sequence", meta, params(), ["a b c"], preds)
+        assert got == expected == pytest.approx(1 / 3)
 
     def test_jaccard(self):
-        assert ft.compute_metric("jaccard", [["a", "b"]], [["b", "c"]]) == pytest.approx(1 / 3)
-        assert ft.compute_metric("jaccard", [[]], [[]]) == 1.0
+        meta = ft.build_metadata(["a b c"], "set", params())
+        preds = np.zeros((2, meta.vocab_size))
+        preds[0, [meta.token2id["b"], meta.token2id["c"]]] = 0.5
+        got, expected = scored("jaccard", "set", meta, params(), ["a b", ""], preds)
+        assert got == expected == pytest.approx((1 / 3 + 1.0) / 2)
 
     def test_cross_entropy_metric(self):
-        score = ft.compute_metric("cross_entropy", [0, 1],
-                                  [np.array([0.5, 0.5]), np.array([0.5, 0.5])])
+        score = ft.compute_metric("cross_entropy", [[0.0], [1.0]], np.full((2, 2), 0.5))
         assert abs(score - math.log(2.0)) < 1e-12
+
+    def test_out_of_vocabulary_category_truth_is_scored_as_unk(self):
+        meta = ft.build_metadata(["a", "b"], "category", params())
+        unk = np.array([[0.6, 0.2, 0.2]])
+        got, expected = scored("accuracy", "category", meta, params(), ["zz"], unk)
+        assert (got, expected) == (1.0, 0.0)  # the loss trains "zz" as <UNK>
+
+    def test_out_of_vocabulary_set_tokens_are_scored_as_unk(self):
+        meta = ft.build_metadata(["a b"], "set", params())
+        unk = np.array([[0.9, 0.1, 0.1]])
+        got, expected = scored("jaccard", "set", meta, params(), ["p q"], unk)
+        assert (got, expected) == (1.0, 0.0)  # both unseen tokens are the one <UNK> hit
+        got, _ = scored("jaccard", "set", meta, params(), ["p q a"], unk)
+        assert got == 0.5
 
     def test_length_mismatch_is_contract_error(self):
         with pytest.raises(ContractError):
-            ft.compute_metric("accuracy", ["a"], ["a", "b"])
+            ft.compute_metric("accuracy", [[1.0]], [[0.5], [0.5]])
 
     def test_improvement_directions(self):
         assert ft.higher_is_better("accuracy")
@@ -381,30 +469,23 @@ class TestMinmaxNormalization:
         assert one_cell("5", "numerical", meta)[0] == 5.0
 
 
-class TestCanonicalTruths:
-
-    def test_binary_forms_normalize(self):
-        meta = ft.BinaryMetadata()
-        assert ft.canonical_truths(["YES"], [2], "binary", meta, params()) == ["true"]
-        assert ft.canonical_truths(["0"], [2], "binary", meta, params()) == ["false"]
-
-    def test_category_respects_lowercase(self):
-        meta = ft.build_metadata(["a"], "category", params())
-        assert ft.canonical_truths(["Big"], [2], "category", meta, params(lowercase=True)) == ["big"]
+class TestNumericalValues:
 
     def test_missing_cell_is_its_filled_value(self):
-        assert ft.canonical_truths(["1", ""], [2, 3], "binary", ft.BinaryMetadata(),
-                                   params()) == ["true", "false"]
         meta = ft.build_metadata(["2", "5"], "numerical", params())
-        assert ft.canonical_truths(["", "4"], [2, 3], "numerical", meta, params()) == [0.0, 4.0]
-        assert ft.canonical_truths([""], [2], "numerical", meta,
-                                   params(missing_strategy="fill_mean")) == [3.5]
-        meta = ft.build_metadata(["a b"], "sequence", params())
-        assert ft.canonical_truths(["", "b"], [2, 3], "sequence", meta, params()) == [[], ["b"]]
+        assert ft.numerical_values(["", "4"], [2, 3], meta, params()).tolist() == [0.0, 4.0]
+        assert ft.numerical_values([""], [2], meta,
+                                   params(missing_strategy="fill_mean")).tolist() == [3.5]
+
+    def test_values_stay_raw_under_every_normalization(self):
+        for normalization in ft.NORMALIZATIONS:
+            meta = ft.build_metadata(["2", "5"], "numerical", params(normalization=normalization))
+            assert ft.numerical_values(["0.1", "7"], [2, 3], meta, params()).tolist() == [0.1, 7.0]
 
     def test_bad_cell_names_its_line(self):
-        with pytest.raises(DataError, match=r"^row 7: unrecognized binary value 'maybe'"):
-            ft.canonical_truths(["1", "maybe"], [2, 7], "binary", ft.BinaryMetadata(), params())
+        meta = ft.build_metadata(["2", "5"], "numerical", params())
+        with pytest.raises(DataError, match=r"^row 7: unparseable numerical value 'abc'$"):
+            ft.numerical_values(["1", "abc"], [2, 7], meta, params())
 
 
 class TestMetadataSerialization:

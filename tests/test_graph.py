@@ -427,7 +427,7 @@ class TestDecoders:
     def test_category_probability_rows_sum_to_one(self):
         model = build(TWO_OUTPUT, two_output_meta())
         result = model.forward({"x": np.random.default_rng(0).normal(size=(16, 1))})
-        probs = result.probabilities["label"].array
+        probs = result.predictions["label"].array
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(16), atol=1e-9)
         assert np.all(probs > 0) and np.all(probs < 1)
 
@@ -492,8 +492,9 @@ class TestForward:
         for name in model.decoder_order:
             np.testing.assert_array_equal(bare.predictions[name].array,
                                           taped.predictions[name].array)
-            assert bare.losses[name] == taped.losses[name]
-            for got, want in zip(bare.loss_rows[name], taped.loss_rows[name]):
+            rows, taped_rows = bare.loss_rows[name], taped.loss_rows[name]
+            assert rows[0].sum() / rows[1].sum() == taped_rows[0].sum() / taped_rows[1].sum()
+            for got, want in zip(rows, taped_rows):
                 np.testing.assert_array_equal(got, want)
         assert bare.combined is None and bare.tape.nodes is None
         with pytest.raises(ContractError, match="no loss"):
