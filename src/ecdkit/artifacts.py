@@ -4,11 +4,14 @@ A model directory contains exactly three files — ``metadata.json``,
 ``model_definition.json``, ``weights.bin`` — and is relocatable (no absolute
 paths inside). The definition is stored resolved and read back through the
 schema walk of a user's YAML definition. Every JSON file goes through
-``write_json``. Weights use the record container of ``cache`` (one record
-per parameter, float64 round-tripped exactly) with magic ``ECDW`` and an
-empty header. This is weights version 2; a model saved with version 1
-(FNV-1a trailer), or with a ``model_definition.yaml``, must be retrained.
-Loading an artifact reproduces forward outputs bit-identically.
+``write_json``. ``metadata.json`` stores each vocabulary once, as
+``id2token``; the token-to-id map is derived from it on load. Weights use
+the record container of ``cache`` (one record per parameter, float64
+round-tripped exactly, sealed by the SHA-256-based ``digest64``) with magic
+``ECDW`` and an empty header. This is weights version 3. A model saved with
+version 2 (BLAKE2b-64 trailer) or version 1 (FNV-1a trailer), or with a
+``model_definition.yaml``, must be retrained. Every load reads and verifies
+all three files, and reproduces forward outputs bit-identically.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import ArtifactError, DataError, SchemaError
 from .features import FeatureMetadata, metadata_from_dict, metadata_to_dict
 
 WEIGHTS_MAGIC = b"ECDW"
-WEIGHTS_VERSION = 2
+WEIGHTS_VERSION = 3
 
 METADATA_FILE = "metadata.json"
 DEFINITION_FILE = "model_definition.json"

@@ -114,8 +114,10 @@ class ParameterStore:
         return {name: p.tensor.array.copy() for name, p in self._params.items()}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
+        """Take each array as the named parameter's values, uncopied; the
+        caller hands them over and must not write them afterwards."""
         for name, values in snapshot.items():
-            self._params[name].tensor = Tensor(values.copy())
+            self._params[name].tensor = Tensor(values)
 
 
 class TapeNode:

@@ -9,9 +9,11 @@ file (``weights.bin``, see ``artifacts``). Layout, all little-endian:
              | float64 payload]
     digest64 of everything before it (u64)
 
-The cache's header is the run fingerprint (u64) and its record names are
-``<split>/<feature>``; it is format version 3 (magic ``ECDC``). Version 2
-carried a per-record dtype byte and version 1 an FNV-1a trailer; both are
+``digest64`` is SHA-256 cut to its first 8 bytes, read little-endian, and it
+is checked on every read. The cache's header is the run fingerprint (u64)
+and its record names are ``<split>/<feature>``; it is format version 4 (magic
+``ECDC``). Version 3 had the same layout under a BLAKE2b-64 trailer, version
+2 also a per-record dtype byte, and version 1 an FNV-1a trailer; all are
 rejected by their version field, which is checked before the digest whose
 algorithm it determines.
 
@@ -35,15 +37,16 @@ from .definition import ModelDefinition
 from .errors import ArtifactError, CorruptionError, DataError, FormatVersionError
 
 MAGIC = b"ECDC"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def digest64(*chunks: bytes) -> int:
-    """BLAKE2b-64 of the concatenated chunks, as a little-endian u64."""
-    h = hashlib.blake2b(digest_size=8)
+    """The first 8 bytes of the SHA-256 of the concatenated chunks, as a
+    little-endian u64."""
+    h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk)
-    return int.from_bytes(h.digest(), "little")
+    return int.from_bytes(h.digest()[:8], "little")
 
 
 def write_container(path: str | Path, magic: bytes, version: int, header: bytes,
@@ -80,7 +83,8 @@ def read_container(path: str | Path, magic: bytes, version: int, header_size: in
 
     Bad magic, a digest mismatch and any record that does not exactly fill
     the body raise ``CorruptionError``; a foreign version raises
-    ``FormatVersionError``. ``what`` names the file kind in messages.
+    ``FormatVersionError``. ``what`` names the file kind in messages. Each
+    record is copied once out of the file's bytes, into an array of its own.
     """
     try:
         raw = Path(path).read_bytes()

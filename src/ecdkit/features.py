@@ -9,16 +9,20 @@ into raw space, and which evaluation metrics apply.
 Vocabulary conventions: sequence and text reserve id 0 for ``<PAD>`` and
 id 1 for ``<UNK>``; category and set reserve id 0 for ``<UNK>``. Remaining
 tokens are ordered by descending frequency with lexicographic tie-breaking,
-so metadata is byte-reproducible across runs.
+so metadata is byte-reproducible across runs. A vocabulary is serialized
+once, as ``id2token``; ``token2id`` is derived from it, and token counts are
+not kept past ``build_metadata``. ``metadata_from_dict`` accepts only what
+``build_metadata`` could have made.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import typing
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -96,13 +100,19 @@ def tokenize(text: str, strategy: str) -> list[str]:
 
 @dataclass
 class VocabMetadata:
-    """Shared vocabulary bookkeeping for category, set, sequence, and text."""
+    """Shared vocabulary bookkeeping for category, set, sequence, and text.
+
+    ``id2token`` is the vocabulary, stored once; ``token2id`` is its inverse,
+    derived when the object is built.
+    """
 
     type: str
-    token2id: dict[str, int]
     id2token: list[str]
-    frequencies: dict[str, int]
     max_sequence_length: int = 1
+    token2id: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.token2id = dict(zip(self.id2token, range(len(self.id2token))))
 
     @property
     def vocab_size(self) -> int:
@@ -212,15 +222,11 @@ def build_metadata(column: list[str], ftype: str, params: PreprocParams,
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     reserved = [PAD, UNK] if ftype in ("sequence", "text") else [UNK]
     kept = [tok for tok, _ in ordered[: params.vocab_size] if tok not in reserved]
-    id2token = reserved + kept
-    token2id = {tok: i for i, tok in enumerate(id2token)}
     max_len = 1
     if ftype in ("sequence", "text"):
         observed = max((len(row) for row in token_rows), default=1)
         max_len = max(1, min(observed, params.max_sequence_length))
-    return VocabMetadata(type=ftype, token2id=token2id, id2token=id2token,
-                         frequencies=dict(sorted(counts.items())),
-                         max_sequence_length=max_len)
+    return VocabMetadata(type=ftype, id2token=reserved + kept, max_sequence_length=max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +304,16 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
         rows = _parse_cells(zip(lines, cells), lambda raw: parse_vector(raw, meta.length))
         return np.array(rows).reshape(-1, meta.length)
 
+    if ftype == "set":
+        token_rows = [_tokens(cell, ftype, params) for cell in cells]
+        get, unk = meta.token2id.get, meta.token2id[UNK]
+        ids = [get(tok, unk) for row in token_rows for tok in row]
+        hot = np.zeros((len(cells), meta.vocab_size))
+        hot[np.repeat(np.arange(len(cells)), [len(row) for row in token_rows]), ids] = 1.0
+        return hot
     ids = [[meta.lookup(tok) for tok in _tokens(cell, ftype, params)] for cell in cells]
     if ftype == "category":
         return np.array(ids, dtype=np.float64).reshape(-1, 1)
-    if ftype == "set":
-        hot = np.zeros((len(ids), meta.vocab_size))
-        for i, row in enumerate(ids):
-            hot[i, row] = 1.0
-        return hot
     width = meta.max_sequence_length  # sequence, text
     padded = np.full((len(ids), width), float(meta.token2id[PAD]))
     for i, row in enumerate(ids):
@@ -512,8 +520,8 @@ def compute_metric(kind: str, truths, preds) -> float:
 
 def metadata_to_dict(meta: FeatureMetadata) -> dict:
     if isinstance(meta, VocabMetadata):
-        return {"type": meta.type, "token2id": meta.token2id, "id2token": meta.id2token,
-                "frequencies": meta.frequencies, "max_sequence_length": meta.max_sequence_length}
+        return {"type": meta.type, "id2token": meta.id2token,
+                "max_sequence_length": meta.max_sequence_length}
     if isinstance(meta, NumericalMetadata):
         return {"type": "numerical", "mean": meta.mean, "std": meta.std,
                 "normalization": meta.normalization, "min": meta.min, "max": meta.max}
@@ -528,16 +536,21 @@ def metadata_to_dict(meta: FeatureMetadata) -> dict:
 _METADATA_CLASSES = {"binary": BinaryMetadata, "numerical": NumericalMetadata,
                      "vector": VectorMetadata,
                      **dict.fromkeys(("category", "set", "sequence", "text"), VocabMetadata)}
-#: metadata dataclass -> its resolved field annotations
-_FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in typing.get_args(FeatureMetadata)}
+#: metadata dataclass -> the resolved annotations of the fields it is built from
+_FIELD_TYPES = {cls: {f.name: typing.get_type_hints(cls)[f.name]
+                      for f in fields(cls) if f.init}
+                for cls in typing.get_args(FeatureMetadata)}
 
 
 def metadata_from_dict(payload: dict) -> FeatureMetadata:
     """Inverse of ``metadata_to_dict``.
 
     Each field is checked against its annotation in the metadata dataclass
-    (a float field also takes a JSON integer); a missing or ill-typed field
-    is a DataError.
+    (a float field also takes a JSON integer), then against what
+    ``build_metadata`` makes: a vocabulary of unique strings with the
+    reserved tokens at their ids, finite statistics with std > 0, a known
+    normalization, and lengths of at least 1. A missing, ill-typed or
+    out-of-range field is a DataError.
     """
     if not isinstance(payload, dict):
         raise DataError(f"metadata entry must be an object, got {type(payload).__name__}")
@@ -545,11 +558,45 @@ def metadata_from_dict(payload: dict) -> FeatureMetadata:
     cls = _METADATA_CLASSES.get(ftype) if isinstance(ftype, str) else None
     if cls is None:
         raise DataError(f"metadata entry has unknown type {ftype!r}")
-    fields = {}
+    known = {}
     for key, hint in _FIELD_TYPES[cls].items():
         value = payload.get(key)
         expected = (int, float) if hint is float else typing.get_origin(hint) or hint
         if isinstance(value, bool) or not isinstance(value, expected):
             raise DataError(f"metadata field {key!r} is missing or ill-typed: {value!r}")
-        fields[key] = value
-    return cls(**fields)
+        known[key] = value
+    problem = _field_problem(ftype, known)
+    if problem:
+        raise DataError(f"metadata field {problem}")
+    return cls(**known)
+
+
+def _field_problem(ftype: str, entry: dict) -> str | None:
+    """The first field of a well-typed entry that ``build_metadata`` could
+    not have made, and why; None when there is none."""
+    if ftype == "numerical":
+        # false for nan and the infinities, and for a JSON integer beyond float64
+        finite = {key: abs(entry[key]) <= sys.float_info.max
+                  for key in ("std", "mean", "min", "max")}
+        if not (finite["std"] and entry["std"] > 0):
+            return f"'std' must be finite and > 0, got {entry['std']!r}"
+        for key in ("mean", "min", "max"):
+            if not finite[key]:
+                return f"{key!r} must be finite, got {entry[key]!r}"
+        if entry["normalization"] not in NORMALIZATIONS:
+            return (f"'normalization' must be one of {', '.join(NORMALIZATIONS)}, "
+                    f"got {entry['normalization']!r}")
+    elif ftype == "vector":
+        if entry["length"] < 1:
+            return f"'length' must be at least 1, got {entry['length']!r}"
+    elif ftype != "binary":  # category, set, sequence, text
+        tokens = entry["id2token"]
+        if not set(map(type, tokens)) <= {str} or len(set(tokens)) != len(tokens):
+            return "'id2token' must hold unique strings"
+        reserved = [PAD, UNK] if ftype in ("sequence", "text") else [UNK]
+        if tokens[: len(reserved)] != reserved:
+            return f"'id2token' must start with {reserved}, got {tokens[: len(reserved)]}"
+        if entry["max_sequence_length"] < 1:
+            return (f"'max_sequence_length' must be at least 1, "
+                    f"got {entry['max_sequence_length']!r}")
+    return None

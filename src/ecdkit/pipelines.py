@@ -24,8 +24,13 @@ Predictions become raw values only in ``predictions.csv``. ``predict``
 parses the targets before its single pass and scores that same pass, so a
 bad target cell writes no file. Row errors name the line of the CSV file.
 
-Every run is single-threaded and fully determined by (definition, dataset,
-seed); rerunning with equal inputs produces byte-identical artifacts.
+Every run is fully determined by (definition, dataset, seed) and the BLAS
+thread count: rerunning with equal inputs under the same thread count
+produces byte-identical artifacts. Another thread count may sum a matrix
+product in another order, and so give other weights.
+
+``load_model`` keeps nothing between calls: each one reads and verifies the
+three model files again.
 """
 
 from __future__ import annotations

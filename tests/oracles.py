@@ -7,6 +7,7 @@ two paths is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -198,6 +199,19 @@ def as_version_1(container: bytes) -> bytes:
     return bytes(body) + fnv1a_64(bytes(body)).to_bytes(8, "little")
 
 
+def as_version_2(container: bytes) -> bytes:
+    """A cache or weights file re-signed as its last BLAKE2b-64 version:
+    weights version 2 (magic ``ECDW``) or cache version 3 (magic ``ECDC``).
+
+    Those versions had the current records; only the version field (bytes
+    4-5) and the trailer, BLAKE2b-64 of the body read little-endian, are
+    rewritten.
+    """
+    body = bytearray(container[:-8])
+    body[4:6] = {b"ECDW": 2, b"ECDC": 3}[bytes(body[:4])].to_bytes(2, "little")
+    return bytes(body) + hashlib.blake2b(bytes(body), digest_size=8).digest()
+
+
 # ---------------------------------------------------------------------------
 # string-space scoring: the reference for ``features.compute_metric``
 # ---------------------------------------------------------------------------
@@ -254,6 +268,17 @@ def string_predictions(preds: np.ndarray, ftype: str, id2token: list[str],
                 tags.pop()
             rows.append(tags)
     return rows
+
+
+def set_multi_hot_rows(token_rows: list[list[str]], id2token: list[str]) -> np.ndarray:
+    """A set column's multi-hot, one row and one token at a time: a token
+    outside the vocabulary sets ``<UNK>``'s column, a repeated one sets its
+    column once, and a row without tokens stays all zeros."""
+    hot = np.zeros((len(token_rows), len(id2token)))
+    for i, row in enumerate(token_rows):
+        for tok in row:
+            hot[i, id2token.index(tok) if tok in id2token else id2token.index("<UNK>")] = 1.0
+    return hot
 
 
 def string_metric(kind: str, truths: list, preds: list) -> float:

@@ -437,11 +437,12 @@ def test_criterion_6d_no_leakage(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     train(config, base, out_a, seed=9)
     train(config, mutated, out_b, seed=9)
-    identical = (out_a / "model" / "metadata.json").read_bytes() == \
-        (out_b / "model" / "metadata.json").read_bytes()
+    identical = all((out_a / "model" / name).read_bytes() == (out_b / "model" / name).read_bytes()
+                    for name in ("metadata.json", "weights.bin"))
     elapsed = time.monotonic() - started
     report("criterion 6d no leakage", identical and elapsed < 60.0,
-           f"metadata.json byte-identical after test-split perturbation, {elapsed:.1f}s")
+           f"metadata.json and weights.bin byte-identical after test-split perturbation, "
+           f"{elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

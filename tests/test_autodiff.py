@@ -15,6 +15,7 @@ from ecdkit import autodiff as ad
 from ecdkit.errors import (
     ContractError,
     IndexOutOfRangeError,
+    NonFiniteError,
     RegistryError,
     ShapeError,
 )
@@ -787,3 +788,17 @@ class TestParameterStore:
         store["w"].tensor = Tensor([[9.0, 9.0]])
         store.restore(snap)
         np.testing.assert_array_equal(store["w"].tensor.array, [[1.0, 2.0]])
+
+    def test_restore_takes_the_arrays_it_is_handed(self):
+        # a loaded model's weights reach its parameters without a second copy
+        store = ad.ParameterStore()
+        store.create("w", [[1.0, 2.0]])
+        values = np.array([[3.0, 4.0]])
+        store.restore({"w": values})
+        assert store["w"].tensor.array is values
+
+    def test_restore_rejects_non_finite_values(self):
+        store = ad.ParameterStore()
+        store.create("w", [[1.0, 2.0]])
+        with pytest.raises(NonFiniteError, match="non-finite tensor values"):
+            store.restore({"w": np.array([[1.0, np.inf]])})

@@ -17,7 +17,7 @@ from ecdkit.cache import digest64
 from ecdkit.cli import main
 
 import synth
-from oracles import as_version_1
+from oracles import as_version_1, as_version_2
 
 CONFIG = (
     "input_features:\n"
@@ -147,15 +147,22 @@ class TestPredictCommand:
         tmp, config, dataset = workspace
         assert run(["predict", "-m", tmp / "ghost", "-d", dataset, "-o", tmp / "pred"]) == 3
 
-    def test_version_1_model_exits_3_naming_its_version(self, workspace, capsys):
+    def old_model_exits_3(self, workspace, capsys, resign, version):
         tmp, config, dataset = workspace
         weights = self.trained(tmp, config, dataset) / "weights.bin"
-        weights.write_bytes(as_version_1(weights.read_bytes()))
+        weights.write_bytes(resign(weights.read_bytes()))
         capsys.readouterr()
         assert run(["predict", "-m", weights.parent, "-d", dataset, "-o", tmp / "pred"]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert "format version 1, expected 2" in err
+        assert f"format version {version}, expected 3" in err
+
+    def test_version_1_model_exits_3_naming_its_version(self, workspace, capsys):
+        self.old_model_exits_3(workspace, capsys, as_version_1, 1)
+
+    def test_version_2_model_exits_3_naming_its_version(self, workspace, capsys):
+        # the BLAKE2b-64 model of weights version 2 is refused before its digest is read
+        self.old_model_exits_3(workspace, capsys, as_version_2, 2)
 
     def test_malformed_weights_exit_3_with_one_line(self, workspace, capsys):
         # trailing bytes after the last record, under a valid digest
@@ -446,30 +453,66 @@ def _drop(payload, feature, key=None):
     return json.dumps(payload)
 
 
+def _edit(feature, key, change):
+    """A corruption that replaces one metadata field by ``change`` of its value."""
+    def corrupt(text):
+        payload = json.loads(text)
+        payload[feature][key] = change(payload[feature][key])
+        return json.dumps(payload)
+    return corrupt
+
+
+def _model_and_dataset(request, model, tmp_path):
+    _, trained = request.getfixturevalue(model)
+    if model == "tagger_model":
+        return trained, synth.token_tagging(tmp_path / "d.csv", n=40, seed=1)
+    return trained, write_mixed(tmp_path / "d.csv")
+
+
 class TestMalformedMetadata:
 
-    @pytest.mark.parametrize("corrupt,expected", [
-        (lambda text: text[: len(text) // 2], "is not valid JSON"),
-        (lambda text: _drop(json.loads(text), "color", "token2id"),
-         "feature 'color': metadata field 'token2id' is missing"),
-        (lambda text: json.dumps(list(json.loads(text))), "got list"),
-        (lambda text: _drop(json.loads(text), "label"), "metadata for feature 'label'"),
-        (lambda text: text.replace('"length": 3', '"length": "3"'),
+    @pytest.mark.parametrize("model,corrupt,expected", [
+        ("mixed_model", lambda text: text[: len(text) // 2], "is not valid JSON"),
+        ("mixed_model", lambda text: _drop(json.loads(text), "color", "id2token"),
+         "feature 'color': metadata field 'id2token' is missing"),
+        ("mixed_model", lambda text: json.dumps(list(json.loads(text))), "got list"),
+        ("mixed_model", lambda text: _drop(json.loads(text), "label"),
+         "metadata for feature 'label'"),
+        ("mixed_model", lambda text: text.replace('"length": 3', '"length": "3"'),
          "feature 'vec': metadata field 'length' is missing or ill-typed"),
-        (lambda text: text.replace('"type": "vector"', '"type": "numerical"', 1),
+        ("mixed_model", lambda text: text.replace('"type": "vector"', '"type": "numerical"', 1),
          "feature 'vec': metadata field 'mean' is missing"),
+        ("mixed_model", _edit("color", "id2token", lambda tokens: tokens[1:]),
+         "feature 'color': metadata field 'id2token' must start with ['<UNK>']"),
+        ("mixed_model", _edit("color", "id2token", lambda tokens: tokens + [3]),
+         "feature 'color': metadata field 'id2token' must hold unique strings"),
+        ("mixed_model", _edit("color", "id2token", lambda tokens: tokens + tokens[-1:]),
+         "feature 'color': metadata field 'id2token' must hold unique strings"),
+        ("mixed_model", _edit("num", "std", lambda _: 0),
+         "feature 'num': metadata field 'std' must be finite and > 0"),
+        ("mixed_model", _edit("num", "mean", lambda _: float("nan")),
+         "feature 'num': metadata field 'mean' must be finite"),
+        ("mixed_model", _edit("num", "normalization", lambda _: "bogus"),
+         "feature 'num': metadata field 'normalization' must be one of"),
+        ("mixed_model", _edit("vec", "length", lambda _: 0),
+         "feature 'vec': metadata field 'length' must be at least 1"),
+        ("tagger_model", _edit("tokens", "id2token", lambda tokens: tokens[1:]),
+         "feature 'tokens': metadata field 'id2token' must start with ['<PAD>', '<UNK>']"),
+        ("tagger_model", _edit("tokens", "max_sequence_length", lambda _: 0),
+         "feature 'tokens': metadata field 'max_sequence_length' must be at least 1"),
     ], ids=["truncated", "field_removed", "top_level_list", "feature_removed",
-            "ill_typed_field", "wrong_type"])
-    def test_predict_exits_3_with_one_line(self, mixed_model, tmp_path, capsys,
+            "ill_typed_field", "wrong_type", "unk_missing", "token_not_a_string",
+            "token_repeated", "std_zero", "mean_nan", "normalization_unknown", "length_zero",
+            "pad_missing", "max_sequence_length_zero"])
+    def test_predict_exits_3_with_one_line(self, request, tmp_path, capsys, model,
                                            corrupt, expected):
-        _, trained = mixed_model
+        trained, dataset = _model_and_dataset(request, model, tmp_path)
         model_dir = tmp_path / "model"
         shutil.copytree(trained, model_dir)
         meta = model_dir / "metadata.json"
         meta.write_text(corrupt(meta.read_text(encoding="utf-8")), encoding="utf-8")
         capsys.readouterr()
-        assert run(["predict", "-m", model_dir, "-d", write_mixed(tmp_path / "d.csv"),
-                    "-o", tmp_path / "pred"]) == 3
+        assert run(["predict", "-m", model_dir, "-d", dataset, "-o", tmp_path / "pred"]) == 3
         err = one_line_error(capsys)
         assert expected in err and "metadata.json" in err
 

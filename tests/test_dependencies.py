@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: the package imports nothing else
 outside the standard library, at module level or inside a function. YAML is
 only read, by ``config`` from a user's definition; the package writes none.
+Only ``cache`` imports ``hashlib``, so ``cache.digest64`` is the one digest.
 Every module-level import is read in its module or listed in ``__all__``, so
 a deletion leaves no import behind."""
 
@@ -49,6 +50,12 @@ def test_yaml_is_only_read_from_a_users_definition():
     public = [name for name, value in vars(yamlish).items() if not name.startswith("_")
               and callable(value) and value.__module__ == yamlish.__name__]
     assert public == ["loads"]
+
+
+def test_only_cache_hashes():
+    hashers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+               if "hashlib" in {name for _, name in absolute_imports(path)}]
+    assert hashers == ["cache"]
 
 
 def unused_imports(path: Path) -> list[str]:

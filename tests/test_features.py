@@ -120,9 +120,8 @@ class TestPreprocessColumn:
         assert out[0] == meta.token2id[ft.UNK]
 
     def test_text_mapping_and_padding(self):
-        meta = ft.VocabMetadata(type="text", token2id={"<PAD>": 0, "<UNK>": 1, "a": 2, "b": 3},
-                                id2token=["<PAD>", "<UNK>", "a", "b"],
-                                frequencies={}, max_sequence_length=4)
+        meta = ft.VocabMetadata(type="text", id2token=["<PAD>", "<UNK>", "a", "b"],
+                                max_sequence_length=4)
         out = one_cell("a b", "text", meta, params(lowercase=True))
         np.testing.assert_array_equal(out, [2.0, 3.0, 0.0, 0.0])
 
@@ -137,6 +136,17 @@ class TestPreprocessColumn:
         assert out.shape == (meta.vocab_size,)
         assert out[meta.token2id["y"]] == 1.0
         assert out[meta.token2id[ft.UNK]] == 1.0  # q is unknown
+
+    @given(st.lists(st.sampled_from(["a b", "b b c", "c", "dd a"]), min_size=1, max_size=8),
+           st.lists(st.lists(st.sampled_from(["a", "b", "c", "dd", "zz", "<UNK>"]), max_size=6),
+                    min_size=1, max_size=12))
+    def test_set_multi_hot_matches_the_per_row_oracle(self, train, token_rows):
+        # cells may be empty and hold repeated and unknown ("zz") tokens
+        meta = ft.build_metadata(train, "set", params())
+        cells = [" ".join(row) for row in token_rows]
+        out = ft.preprocess_column(cells, range(2, len(cells) + 2), "set", meta, params())
+        expected = oracles.set_multi_hot_rows(token_rows, meta.id2token)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
     def test_numerical_zscore(self):
         meta = ft.build_metadata(["1", "2", "3"], "numerical", params())
@@ -279,15 +289,13 @@ class TestPostprocess:
         assert ft.postprocess_prediction(raw, "numerical", meta) == [2.0]
 
     def test_category_argmax_oracle(self):
-        meta = ft.VocabMetadata(type="category", token2id={"<UNK>": 0, "x": 1, "y": 2},
-                                id2token=["<UNK>", "x", "y"], frequencies={})
+        meta = ft.VocabMetadata(type="category", id2token=["<UNK>", "x", "y"])
         probs = [0.1, 0.7, 0.2]
         assert ft.postprocess_prediction(np.array([probs]), "category", meta) == \
             [meta.id2token[int(np.argmax(probs))]] == ["x"]
 
     def test_category_tie_takes_lowest_index(self):
-        meta = ft.VocabMetadata(type="category", token2id={"<UNK>": 0, "x": 1, "y": 2},
-                                id2token=["<UNK>", "x", "y"], frequencies={})
+        meta = ft.VocabMetadata(type="category", id2token=["<UNK>", "x", "y"])
         assert ft.postprocess_prediction(np.array([[0.2, 0.4, 0.4]]), "category", meta) == ["x"]
 
     def test_binary_threshold(self):
@@ -511,8 +519,10 @@ class TestMetadataSerialization:
         ({"type": "vector", "length": True}, "'length' is missing or ill-typed"),
         ({"type": "numerical", "mean": 0.0, "std": None, "normalization": "zscore",
           "min": 0.0, "max": 1.0}, "'std'"),
-        ({"type": "category", "token2id": {}, "id2token": {}, "frequencies": {},
-          "max_sequence_length": 1}, "'id2token'"),
+        ({"type": "category", "id2token": {}, "max_sequence_length": 1}, "'id2token'"),
+        # a JSON integer beyond float64 is no finite statistic
+        ({"type": "numerical", "mean": 0.0, "std": 1.0, "normalization": "zscore",
+          "min": 0.0, "max": 10**400}, "'max' must be finite"),
     ])
     def test_malformed_entry_is_data_error(self, payload, match):
         with pytest.raises(DataError, match=match):

@@ -79,8 +79,9 @@ class TestMalformedContainers:
 class TestDigest:
 
     def test_known_vector(self):
-        # hashlib.blake2b(b"abc", digest_size=8).digest() == d8bb14d833d59559, read little-endian
-        assert digest64(b"abc") == 0x5995D533D814BBD8
+        # hashlib.sha256(b"abc").digest() starts ba7816bf8f01cfea; its first
+        # 8 bytes read little-endian
+        assert digest64(b"abc") == 0xEACF018FBF1678BA
 
     def test_chunks_match_whole(self):
         data = bytes(range(256)) * 3
@@ -178,6 +179,9 @@ class TestWeights:
         assert set(loaded) == set(store.names())
         for name in store.names():
             np.testing.assert_array_equal(loaded[name], store[name].tensor.array)
+        # each record is copied once out of the file, into an aligned array of its own
+        assert all(array.flags.owndata and array.flags.aligned and array.flags.writeable
+                   for array in loaded.values())
 
     def test_truncated_file_is_corruption_error(self, tmp_path):
         path = tmp_path / "weights.bin"
@@ -207,14 +211,18 @@ class TestWeights:
             read_weights(path)
 
     def test_layout_is_pinned(self, tmp_path):
-        # SHA-256 of the weights version 2 bytes for this store; a changed
+        # SHA-256 of the weights version 3 bytes for this store; a changed
         # writer must not move a byte of an existing model's file
         path = tmp_path / "weights.bin"
         write_weights(path, self.store())
         raw = path.read_bytes()
         assert len(raw) == 237
         assert hashlib.sha256(raw).hexdigest() == (
-            "cbd91c4cb69b3140536b8768d0c8e4d33b446e2a1f0038e4538b108f73e7f837")
+            "cb2ccbccc33208d08cbde33f41d2c7b3eb3bc4cd73aa80a4fdd7f6388b273171")
+        # the records, between the version field and the trailer, are those
+        # of version 2
+        assert hashlib.sha256(raw[6:-8]).hexdigest() == (
+            "46356179a6bb886d7af41d8d4d745c46f99dbae41903aada890ca161d859be38")
         assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_file_is_artifact_error(self, tmp_path):

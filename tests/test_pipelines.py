@@ -37,7 +37,7 @@ from ecdkit.registry import build_default_registries
 from ecdkit.rng import Lcg
 
 import synth
-from oracles import as_version_1, string_metric
+from oracles import as_version_1, as_version_2, string_metric
 
 BINARY_CONFIG = (
     "input_features:\n"
@@ -161,16 +161,23 @@ class TestPreprocessDataset:
             warm = self.run_once(text_csv, definition)
         np.testing.assert_array_equal(cold["train"]["text"], warm["train"]["text"])
 
-    def test_version_1_cache_warns_and_recomputes(self, text_csv):
+    def old_cache_warns_and_recomputes(self, text_csv, resign, version):
         definition = resolved(TEXT_CONFIG)
         cold = self.run_once(text_csv, definition)
         cache_file = cache_path_for(text_csv)
-        cache_file.write_bytes(as_version_1(cache_file.read_bytes()))
+        cache_file.write_bytes(resign(cache_file.read_bytes()))
         with pytest.warns(UserWarning,
-                          match=f"discarding.*format version 1, expected {FORMAT_VERSION}"):
+                          match=f"discarding.*format version {version}, expected {FORMAT_VERSION}"):
             warm = self.run_once(text_csv, definition)
         np.testing.assert_array_equal(cold["train"]["text"], warm["train"]["text"])
         assert cache_file.read_bytes()[4:6] == FORMAT_VERSION.to_bytes(2, "little")
+
+    def test_version_1_cache_warns_and_recomputes(self, text_csv):
+        self.old_cache_warns_and_recomputes(text_csv, as_version_1, 1)
+
+    def test_version_3_cache_warns_and_recomputes(self, text_csv):
+        # the BLAKE2b-64 cache of format version 3 is rebuilt, not trusted
+        self.old_cache_warns_and_recomputes(text_csv, as_version_2, 3)
 
     def test_full_path_matches_direct_preprocess_column(self, text_csv):
         definition = resolved(TEXT_CONFIG)
@@ -445,10 +452,11 @@ class TestExperiment:
         assert stats.best_epoch == 3
         assert metrics["validation"] == {}
         assert metrics["train"] == stats.epochs[stats.best_epoch]["train_metrics"]
-        # the checkpoint the full evaluation chooses, pinned by its bytes
+        # the checkpoint the full evaluation chooses, pinned by the bytes of
+        # its records (the file less its magic, version and trailer)
         weights = (tmp_path / "run" / "model" / "weights.bin").read_bytes()
-        assert hashlib.sha256(weights).hexdigest() == \
-            "1ffb83d55843e362d4ca2f6a439454b104741ae690748688ca3e2db32d2e989f"
+        assert hashlib.sha256(weights[6:-8]).hexdigest() == \
+            "7349d8916ad51349cc34555d34284a4b184ab934c9025d126d616a440013a796"
 
     @pytest.mark.parametrize("config", [BINARY_CONFIG, EARLY_STOP_CONFIG],
                              ids=["last_epoch_best", "early_stop"])
@@ -494,7 +502,7 @@ class TestExperiment:
 
 class TestNoLeakage:
 
-    def test_perturbing_test_cells_leaves_metadata_identical(self, tmp_path):
+    def test_perturbing_test_cells_leaves_metadata_and_weights_identical(self, tmp_path):
         rows = []
         for i in range(30):
             fold = "train" if i < 20 else ("validation" if i < 25 else "test")
@@ -510,9 +518,10 @@ class TestNoLeakage:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         train(resolved(definition_text), base, out_a, seed=1)
         train(resolved(definition_text), perturbed, out_b, seed=1)
-        meta_a = (out_a / "model" / "metadata.json").read_bytes()
-        meta_b = (out_b / "model" / "metadata.json").read_bytes()
-        assert meta_a == meta_b
+        # metadata.json no longer carries token counts, so the weights are
+        # compared too: a test-split token would move them through the vocabulary
+        for name in ("metadata.json", "weights.bin"):
+            assert (out_a / "model" / name).read_bytes() == (out_b / "model" / name).read_bytes()
 
 
 class TestTaggerAlignment:
@@ -617,9 +626,10 @@ TAGGER_WITH_UNREAD_PARTS = (
 )
 # the weights of a graph that runs every part each step: the unread parts
 # move no trained weight, and theirs stay as initialized
+#: SHA-256 of the weights records (the file less its magic, version and trailer)
 UNREAD_PARTS_WEIGHTS = {
-    "adam": "640cbe4b05b720fc8fa5dd720897693bb16d26ec40a2b4eb3ed32bd963773d74",
-    "sgd": "fb9bebd3653250d4021504c099e3b517800dad2d87d90cf5b36f5e50fb046cd6",
+    "adam": "bcbb953fde208a412d71ccd4abc6ab5b9ab963a6ec13024af38d8dd1eb469e40",
+    "sgd": "6f1438502f72f5f86b7634ecaef6fe2527105199daf1d07a73c2e70782883b42",
 }
 
 
@@ -636,7 +646,7 @@ def test_tagger_with_unread_parts_trains_to_pinned_weights(tmp_path, optimizer):
     text = TAGGER_WITH_UNREAD_PARTS + f"  optimizer: {optimizer}\n"
     model_dir, _ = train(parse_model_definition(text), path, tmp_path / "run", seed=3,
                          use_cache=False)
-    digest = hashlib.sha256((model_dir / "weights.bin").read_bytes()).hexdigest()
+    digest = hashlib.sha256((model_dir / "weights.bin").read_bytes()[6:-8]).hexdigest()
     assert digest == UNREAD_PARTS_WEIGHTS[optimizer]
 
 
