@@ -3,7 +3,16 @@
 Declare input and output features by name and type in a configuration file;
 the toolkit builds, trains, evaluates, and serves the corresponding
 encoder-combiner-decoder model with no user code.
+
+Importing the package pins numpy's BLAS to one thread, before numpy is
+first imported, unless the environment sets a count: a long product split
+across threads can round differently, and a seed must give the same bytes.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .autodiff import Parameter, ParameterStore, Tape
 from .config import Diagnostic, parse_model_definition, resolve_defaults, validate
@@ -11,7 +20,6 @@ from .definition import CombinerSpec, DecoderSpec, EncoderSpec, ModelDefinition,
 from .graph import ECDModel, build_dependency_order, combined_loss
 from .pipelines import TrainingStats, ValidationFailed, experiment, load_model, predict, save_model, train
 from .registry import Registries, Registry, build_default_registries, register_component
-from .tensor import Tensor
 
 __version__ = "0.1.0"
 
@@ -27,7 +35,6 @@ __all__ = [
     "Registries",
     "Registry",
     "Tape",
-    "Tensor",
     "TrainingParams",
     "TrainingStats",
     "ValidationFailed",

@@ -39,7 +39,7 @@ WEIGHTS_FILE = "weights.bin"
 
 def write_weights(path: str | Path, store: ParameterStore) -> None:
     write_container(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, b"",
-                    {param.name: param.tensor.array for param in store})
+                    {param.name: param.value for param in store})
 
 
 def read_weights(path: str | Path) -> dict[str, np.ndarray]:

@@ -24,9 +24,11 @@ it holds only the values the caller keeps. Neither kind of tape can be
 differentiated again.
 
 Op outputs are wrapped with ``Tensor.wrap``, unscanned: finiteness is
-checked at the tape's edges. ``Tensor(...)`` checks the constants and
-parameters that enter it, and ``backward`` raises ``NonFiniteError`` for a
-non-finite loss or a non-finite parameter gradient, naming the parameter.
+checked at the tape's edges only. Constants and parameter values enter
+through ``tensor.finite_array``, and ``backward`` raises ``NonFiniteError``
+for a non-finite loss or a non-finite parameter gradient, naming the
+parameter. Parameter values and the gradients ``backward`` returns are plain
+float64 arrays.
 
 Forward values are never mutated by a backward pass; gradients live in a
 separate per-node buffer, allocated when the node receives its first
@@ -62,7 +64,7 @@ from .errors import (
     RegistryError,
     ShapeError,
 )
-from .tensor import Tensor, check_finite
+from .tensor import Tensor, check_finite, finite_array
 
 UNARY_KINDS = ("relu", "sigmoid", "tanh")
 REDUCE_KINDS = ("sum", "mean", "max")
@@ -72,10 +74,10 @@ Backward = Callable[[np.ndarray], None]
 
 @dataclass
 class Parameter:
-    """Named trainable tensor. Names are dot-separated paths."""
+    """Named trainable float64 array. Names are dot-separated paths."""
 
     name: str
-    tensor: Tensor
+    value: np.ndarray
 
     def __post_init__(self):
         if not self.name or any(not part for part in self.name.split(".")):
@@ -95,7 +97,7 @@ class ParameterStore:
         return param
 
     def create(self, name: str, values) -> Parameter:
-        return self.add(Parameter(name, Tensor(values)))
+        return self.add(Parameter(name, finite_array(values)))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -111,13 +113,13 @@ class ParameterStore:
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copy of every parameter's values, for checkpointing."""
-        return {name: p.tensor.array.copy() for name, p in self._params.items()}
+        return {name: p.value.copy() for name, p in self._params.items()}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
         """Take each array as the named parameter's values, uncopied; the
         caller hands them over and must not write them afterwards."""
         for name, values in snapshot.items():
-            self._params[name].tensor = Tensor(values)
+            self._params[name].value = finite_array(values)
 
 
 class TapeNode:
@@ -183,17 +185,16 @@ class Tape:
 
     def constant(self, values) -> TapeNode:
         """Leaf holding a value with no gradient of interest."""
-        t = values if isinstance(values, Tensor) else Tensor(values)
-        return self._record("const", t.array)
+        return self._record("const", finite_array(values))
 
     def leaf(self, param: Parameter) -> TapeNode:
         """Leaf bound to a named parameter; backward reports its gradient."""
-        return self._record("param", param.tensor.array, param_name=param.name)
+        return self._record("param", param.value, param_name=param.name)
 
-    def backward(self, root: TapeNode) -> dict[str, Tensor]:
+    def backward(self, root: TapeNode) -> dict[str, np.ndarray]:
         """Reverse sweep from a scalar root; consumes the tape.
 
-        Returns one gradient tensor per parameter leaf on the tape; leaves
+        Returns one gradient array per parameter leaf on the tape; leaves
         that do not influence the root get zeros. Fan-out contributions
         accumulate. Forward values are left untouched. A non-finite root or
         gradient raises ``NonFiniteError``. Afterwards the tape holds no nodes
@@ -225,7 +226,7 @@ class Tape:
         for node in nodes:
             node.grad = None
             node._backward = None
-        return {name: Tensor.wrap(check_finite(g, f"gradient for parameter {name!r}"))
+        return {name: check_finite(g, f"gradient for parameter {name!r}")
                 for name, g in grads.items()}
 
 

@@ -31,7 +31,6 @@ from .errors import ConfigError, ContractError, ShapeError
 from .features import VocabMetadata
 from .layers import FcStack, make_bias, make_weight
 from .rng import Lcg
-from .tensor import Tensor
 
 PAD_ID = 0
 
@@ -60,7 +59,7 @@ class DecodeResult:
     output: ad.TapeNode
     last_hidden: ad.TapeNode | None
     loss: ad.TapeNode | None
-    predictions: Tensor
+    predictions: np.ndarray
 
 
 class _ProjectionDecoder:
@@ -100,7 +99,7 @@ class _ProjectionDecoder:
         loss = None
         if target is not None:
             loss = getattr(ad, self.loss_op)(logits, target)
-        return DecodeResult(output, hidden, loss, output.value)
+        return DecodeResult(output, hidden, loss, output.value.array)
 
 
 class CategoryClassifierDecoder(_ProjectionDecoder):
@@ -165,7 +164,7 @@ class SequenceTaggerDecoder(_ProjectionDecoder):
             pooled = ad.matmul(tape.constant(average), hidden)
         predictions = np.zeros(real.shape + (self.out_width,))
         predictions[real] = probs.value.array
-        return DecodeResult(probs, pooled, loss, Tensor.wrap(predictions))
+        return DecodeResult(probs, pooled, loss, predictions)
 
 
 #: feature type -> {decoder name -> class}

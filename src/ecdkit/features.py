@@ -518,20 +518,6 @@ def compute_metric(kind: str, truths, preds) -> float:
 # metadata (de)serialization
 # ---------------------------------------------------------------------------
 
-def metadata_to_dict(meta: FeatureMetadata) -> dict:
-    if isinstance(meta, VocabMetadata):
-        return {"type": meta.type, "id2token": meta.id2token,
-                "max_sequence_length": meta.max_sequence_length}
-    if isinstance(meta, NumericalMetadata):
-        return {"type": "numerical", "mean": meta.mean, "std": meta.std,
-                "normalization": meta.normalization, "min": meta.min, "max": meta.max}
-    if isinstance(meta, BinaryMetadata):
-        return {"type": "binary", "true_form": meta.true_form, "false_form": meta.false_form}
-    if isinstance(meta, VectorMetadata):
-        return {"type": "vector", "length": meta.length}
-    raise ContractError(f"unserializable metadata {type(meta).__name__}")
-
-
 #: feature type -> metadata dataclass
 _METADATA_CLASSES = {"binary": BinaryMetadata, "numerical": NumericalMetadata,
                      "vector": VectorMetadata,
@@ -540,6 +526,14 @@ _METADATA_CLASSES = {"binary": BinaryMetadata, "numerical": NumericalMetadata,
 _FIELD_TYPES = {cls: {f.name: typing.get_type_hints(cls)[f.name]
                       for f in fields(cls) if f.init}
                 for cls in typing.get_args(FeatureMetadata)}
+
+
+def metadata_to_dict(meta: FeatureMetadata) -> dict:
+    """The fields a metadata dataclass is built from, by name."""
+    names = _FIELD_TYPES.get(type(meta))
+    if names is None:
+        raise ContractError(f"unserializable metadata {type(meta).__name__}")
+    return {name: getattr(meta, name) for name in names}
 
 
 def metadata_from_dict(payload: dict) -> FeatureMetadata:

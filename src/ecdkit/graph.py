@@ -27,7 +27,6 @@ from .errors import ConfigError, ContractError, ShapeError
 from .layers import FcStack
 from .registry import Registries
 from .rng import SALT_INIT, Lcg, mix_seed
-from .tensor import Tensor
 
 
 class ConcatCombiner:
@@ -115,7 +114,7 @@ class ForwardResult:
     or gradients."""
 
     tape: ad.Tape
-    predictions: dict[str, Tensor]
+    predictions: dict[str, np.ndarray]
     combined: ad.TapeNode | None = None
     loss_rows: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -250,7 +249,7 @@ class ECDModel:
             loss_rows={n: loss_nodes[n].rows for n in loss_nodes},
         )
 
-    def backward(self, result: ForwardResult) -> dict[str, Tensor]:
+    def backward(self, result: ForwardResult) -> dict[str, np.ndarray]:
         if result.combined is None:
             raise ContractError("forward pass was run without targets or gradients; "
                                 "no loss to differentiate")
@@ -258,5 +257,5 @@ class ECDModel:
         # a parameter no output reads has no leaf on the tape
         for param in self.store:
             if param.name not in grads:
-                grads[param.name] = Tensor.wrap(np.zeros(param.tensor.dims))
+                grads[param.name] = np.zeros(param.value.shape)
         return grads

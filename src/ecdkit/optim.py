@@ -1,6 +1,6 @@
 """Gradient-descent optimizers: plain SGD and bias-corrected Adam.
 
-``optimizer_step`` replaces each parameter's tensor and advances
+``optimizer_step`` replaces each parameter's value array and advances
 the state by exactly one step; given identical (state, params, grads) it
 always produces identical results. A parameter whose new weights are not
 all finite keeps its old ones, and ``NonFiniteError`` names it.
@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Parameter
 from .errors import ContractError
-from .tensor import Tensor, check_finite
+from .tensor import check_finite
 
 
 @dataclass
@@ -37,8 +37,9 @@ def optimizer_step(state: OptimizerState, params, grads: dict) -> OptimizerState
     """Apply one update to every parameter.
 
     ``params`` is any iterable of Parameter; ``grads`` maps parameter name to
-    its gradient (Tensor or array). A parameter without a gradient is a
-    caller bug and raises.
+    its gradient, a float64 array of the parameter's dims. A parameter
+    without a gradient, or with one of other dims, is a caller bug and
+    raises.
     """
     param_list = [p for p in params if isinstance(p, Parameter)]
     state.step_count += 1
@@ -46,13 +47,11 @@ def optimizer_step(state: OptimizerState, params, grads: dict) -> OptimizerState
     for param in param_list:
         if param.name not in grads:
             raise ContractError(f"no gradient supplied for parameter {param.name!r}")
-        g = grads[param.name]
-        g = g.array if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-        if g.shape != param.tensor.dims:
+        g, w = grads[param.name], param.value
+        if g.shape != w.shape:
             raise ContractError(
-                f"gradient dims {g.shape} do not match parameter {param.name!r} dims {param.tensor.dims}"
+                f"gradient dims {g.shape} do not match parameter {param.name!r} dims {w.shape}"
             )
-        w = param.tensor.array
         if state.kind == "sgd":
             step = np.multiply(g, state.learning_rate)
         else:
@@ -76,5 +75,5 @@ def optimizer_step(state: OptimizerState, params, grads: dict) -> OptimizerState
         # the new weights go into the scratch array and are checked before
         # they replace the old ones, which are never written
         new = np.subtract(w, step, out=step)
-        param.tensor = Tensor.wrap(check_finite(new, f"update for parameter {param.name!r}"))
+        param.value = check_finite(new, f"update for parameter {param.name!r}")
     return state

@@ -240,7 +240,7 @@ class _RowCollector:
         for spec in self.specs:
             predictions, truths, terms, weights = self.parts[spec.name]
             what = f"predictions for output {spec.name!r}"
-            values = check_finite(result.predictions[spec.name].array, what)
+            values = check_finite(result.predictions[spec.name], what)
             if spec.type == "numerical":
                 values = check_finite(self.metadata[spec.name].denormalize(values), what)
             elif spec.type == "sequence":
@@ -542,9 +542,9 @@ def load_model(model_dir: str | Path,
         raise ArtifactError(f"weights do not match the model definition; "
                             f"missing: {missing}, unexpected: {extra}")
     for name in model.store.names():
-        if weights[name].shape != model.store[name].tensor.dims:
+        if weights[name].shape != model.store[name].value.shape:
             raise ArtifactError(f"weights for {name!r} have dims {weights[name].shape}, "
-                                f"expected {model.store[name].tensor.dims}")
+                                f"expected {model.store[name].value.shape}")
     model.store.restore(weights)
     return model, definition, metadata
 

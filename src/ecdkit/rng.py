@@ -39,21 +39,15 @@ class Lcg:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self.state = (self.state * _LCG_MULT + _LCG_INC) & _MASK64
-        return self.state
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        # top 53 bits -> double in [0, 1)
-        u = self.next_u64() >> 11
-        return lo + (hi - lo) * (u / float(1 << 53))
-
     def uniform_array(self, shape: tuple[int, ...], lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """Successive ``uniform`` draws in one numpy pass, bit-identical.
+        """The next ``prod(shape)`` draws, uniform in [lo, hi), in one numpy pass.
 
-        Draw k (0-based) comes from state ``mult[k]*s + inc[k]`` (mod 2^64),
-        s being the state before the call; the jump-ahead tables are built
-        by doubling, and uint64 arrays wrap silently.
+        Each draw advances the state one step (times ``_LCG_MULT`` plus
+        ``_LCG_INC``, mod 2^64) and scales its top 53 bits, a double in
+        [0, 1), to [lo, hi). Draw k (0-based) comes from state
+        ``mult[k]*s + inc[k]``, s being the state before the call; the
+        jump-ahead tables are built by doubling, and uint64 arrays wrap
+        silently.
         """
         n = int(np.prod(shape))
         if n == 0:
@@ -72,16 +66,14 @@ class Lcg:
         u = (states >> np.uint64(11)).astype(np.float64) / float(1 << 53)
         return (lo + (hi - lo) * u).reshape(shape)
 
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("randint needs a positive bound")
-        return int(self.uniform() * n) % n
-
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
+        """In-place Fisher-Yates shuffle: for i from the last index down to 1,
+        item i swaps with item ``floor(u * (i + 1)) % (i + 1)``, u being the
+        next draw."""
+        n = len(items)
+        bounds = np.arange(n, 1, -1)
+        picks = (np.floor(self.uniform_array(bounds.shape) * bounds) % bounds).astype(np.int64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
 

@@ -1,15 +1,17 @@
-"""Dense float64 tensor.
+"""Float64 values at the edges of the autodiff tape.
 
-A tensor is a row-major array of 64-bit floats with rank >= 1; scalars are
-represented as rank-1 tensors of extent 1.
+Outside the tape every value is a contiguous float64 ndarray of rank >= 1:
+parameters, gradients and predictions alike; a scalar is a rank-1 array of
+extent 1. ``finite_array`` is the one entry for values from outside (the
+tape's constants and a parameter store's created and restored weights).
+``check_finite`` is the one finiteness check: the entry calls it, and so do
+the tape's exits, the loss and the gradients of a backward sweep, the
+weights an optimizer step writes, and the predictions and loss terms of an
+inference pass, each naming what it found non-finite. Nothing scans inside
+the tape.
 
-Finiteness is checked where values enter or leave the autodiff tape, never
-inside it. The public constructor checks every element, so constants,
-parameters and restored weights are finite; ``Tensor.wrap`` takes an op's
-output as it is. On the way out, ``check_finite`` guards the loss and the
-gradients of a backward sweep, the weights an optimizer step writes, and the
-predictions and loss terms of an inference pass, each naming
-what it found non-finite.
+``Tensor`` is the value of a tape node: an op's output array, taken by
+``Tensor.wrap`` as it is, with no copy and no scan.
 """
 
 from __future__ import annotations
@@ -23,23 +25,12 @@ class Tensor:
 
     __slots__ = ("array",)
 
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        self.array = np.ascontiguousarray(check_finite(arr, "tensor values"))
-
-    # -- constructors --------------------------------------------------------
-
     @classmethod
     def wrap(cls, array: np.ndarray) -> "Tensor":
-        """Take a contiguous float64 array of rank >= 1 as it is: no copy and
-        no finiteness scan. For op outputs, checked at the tape's edges."""
+        """Take a contiguous float64 array of rank >= 1 as it is."""
         tensor = cls.__new__(cls)
         tensor.array = array
         return tensor
-
-    # -- views ----------------------------------------------------------------
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -50,8 +41,13 @@ class Tensor:
             raise ShapeError(f"item() on tensor of dims {self.dims}")
         return float(self.array.reshape(-1)[0])
 
-    def __repr__(self) -> str:
-        return f"Tensor(dims={self.dims})"
+
+def finite_array(values) -> np.ndarray:
+    """``values`` as a contiguous float64 array of rank >= 1, checked finite.
+
+    A scalar becomes rank 1 (``np.ascontiguousarray`` never returns rank 0),
+    and an array that already is one is returned as it is, uncopied."""
+    return check_finite(np.ascontiguousarray(values, dtype=np.float64), "tensor values")
 
 
 def check_finite(array: np.ndarray, what: str) -> np.ndarray:

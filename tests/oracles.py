@@ -170,12 +170,26 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def lcg_uniform(rng) -> float:
+    """One scalar draw of ``rng`` (an ``Lcg``): advance its state one MMIX
+    step, then take the top 53 bits as a double in [0, 1)."""
+    rng.state = (rng.state * 6364136223846793005 + 1442695040888963407) & ((1 << 64) - 1)
+    return (rng.state >> 11) / float(1 << 53)
+
+
 def lcg_uniform_loop(rng, shape: tuple[int, ...], lo: float, hi: float) -> np.ndarray:
-    """``Lcg.uniform_array`` drawn one scalar ``uniform`` at a time."""
+    """``Lcg.uniform_array`` drawn one scalar step at a time."""
     out = np.empty(int(np.prod(shape)), dtype=np.float64)
     for i in range(out.size):
-        out[i] = rng.uniform(lo, hi)
+        out[i] = lo + (hi - lo) * lcg_uniform(rng)
     return out.reshape(shape)
+
+
+def lcg_shuffle_loop(rng, items: list) -> None:
+    """``Lcg.shuffle`` as the scalar Fisher-Yates loop, one draw per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = int(lcg_uniform(rng) * (i + 1)) % (i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def fnv1a_64(data: bytes) -> int:

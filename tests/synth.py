@@ -55,13 +55,15 @@ TAG_RULE = {"red": "color", "green": "color", "blue": "color",
             "dog": "animal", "cat": "animal", "owl": "animal"}
 
 
-def token_tagging(path: Path, n: int = 300, seed: int = 0) -> Path:
-    """Token sequences where each token's tag is a fixed function of it."""
+def token_tagging(path: Path, n: int = 300, seed: int = 0,
+                  lengths: tuple[int, int] = (3, 8)) -> Path:
+    """Token sequences where each token's tag is a fixed function of it; a
+    row's length is drawn from [lengths[0], lengths[1])."""
     rng = np.random.default_rng(seed)
     vocab = list(TAG_RULE)
     rows = []
     for _ in range(n):
-        length = int(rng.integers(3, 8))
+        length = int(rng.integers(*lengths))
         tokens = [vocab[int(rng.integers(len(vocab)))] for _ in range(length)]
         tags = [TAG_RULE[t] for t in tokens]
         rows.append([" ".join(tokens), " ".join(tags)])

@@ -27,7 +27,6 @@ from ecdkit.errors import ConfigError
 from ecdkit.graph import ECDModel, build_dependency_order
 from ecdkit.pipelines import experiment, load_model, train
 from ecdkit.registry import build_default_registries
-from ecdkit.tensor import Tensor
 
 import synth
 from oracles import finite_difference_grad, max_relative_error, topological_orders_brute_force
@@ -161,16 +160,16 @@ def test_criterion_3_gradient_correctness():
         grads = model.backward(result)
         for name in model.store.names():
             param = model.store[name]
-            original = param.tensor.array.copy()
+            original = param.value.copy()
 
             def loss_at(flat):
-                param.tensor = Tensor(flat.reshape(original.shape))
+                param.value = flat.reshape(original.shape)
                 return model.forward(batch, targets).combined_loss
 
             numeric = finite_difference_grad(loss_at, original.reshape(-1).copy())
-            param.tensor = Tensor(original)
+            param.value = original
             worst_e2e = max(worst_e2e,
-                            max_relative_error(grads[name].array.reshape(-1), numeric))
+                            max_relative_error(grads[name].reshape(-1), numeric))
             e2e_probes += original.size
     elapsed = time.monotonic() - started
     report("criterion 3 gradient correctness",
@@ -411,9 +410,9 @@ def test_criterion_6c_save_load_round_trip(tmp_path):
     model, definition, metadata = load_model(model_dir)
     batch = {"text": np.tile(np.arange(metadata["text"].max_sequence_length, dtype=float),
                              (7, 1)) % metadata["text"].vocab_size}
-    before = model.forward(batch).predictions["label"].array
+    before = model.forward(batch).predictions["label"]
     reloaded, _, _ = load_model(model_dir)
-    after = reloaded.forward(batch).predictions["label"].array
+    after = reloaded.forward(batch).predictions["label"]
     identical = np.array_equal(before, after)
     elapsed = time.monotonic() - started
     report("criterion 6c save/load round trip", identical and elapsed < 60.0,

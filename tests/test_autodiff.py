@@ -19,7 +19,7 @@ from ecdkit.errors import (
     RegistryError,
     ShapeError,
 )
-from ecdkit.tensor import Tensor
+from ecdkit.tensor import finite_array
 
 from oracles import (
     conv1d_sliding_window,
@@ -37,7 +37,7 @@ rng = np.random.default_rng(7)
 
 
 def leaf(tape, values, name="p"):
-    return tape.leaf(ad.Parameter(name, Tensor(values)))
+    return tape.leaf(ad.Parameter(name, finite_array(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ class TestEmbeddingLookup:
         grads = tape.backward(out)
         expected = np.zeros((4, 2))
         expected[2] = 2.0
-        np.testing.assert_array_equal(grads["table"].array, expected)
+        np.testing.assert_array_equal(grads["table"], expected)
 
     def test_id_out_of_range_names_id(self):
         tape = ad.Tape()
@@ -278,7 +278,7 @@ class TestRnnStep:
             out = step(x, step(x, h, w, u, b), w, u, b)
             root = ad.reduce("sum", ad.reduce("sum", ad.apply_unary("sigmoid", out), 1), 0)
             grads = tape.backward(root)
-            return out.value.array.tobytes(), {n: g.array.tobytes() for n, g in grads.items()}
+            return out.value.array.tobytes(), {n: g.tobytes() for n, g in grads.items()}
 
         fused = run(ad.rnn_step)
         composed = run(lambda x, h, w, u, b: ad.apply_unary(
@@ -302,8 +302,8 @@ class TestRnnStep:
         # the gradient of sum(g * out): inactive rows pass g straight back to h
         weighted = ad.matmul(ad.reshape(out, (1, 12)), tape.constant(g.reshape(12, 1)))
         grads = tape.backward(ad.reduce("sum", weighted, 1))
-        np.testing.assert_array_equal(grads["h"].array[2:], g[2:])
-        np.testing.assert_array_equal(grads["x"].array[2:], 0.0)
+        np.testing.assert_array_equal(grads["h"][2:], g[2:])
+        np.testing.assert_array_equal(grads["x"][2:], 0.0)
 
     @pytest.mark.parametrize("dims", [
         ((4, 2), (3, 3), (2, 3), (3, 3), (3,)),     # x and h disagree on the batch
@@ -363,7 +363,7 @@ class TestBackward:
         leaf(tape, [[1.0, 2.0]], "w")
         root = tape.constant([5.0])
         grads = tape.backward(root)
-        np.testing.assert_array_equal(grads["w"].array, np.zeros((1, 2)))
+        np.testing.assert_array_equal(grads["w"], np.zeros((1, 2)))
 
     def test_square_gradient_matches_finite_differences(self):
         x0 = 3.0
@@ -375,14 +375,14 @@ class TestBackward:
         x = leaf(tape, [[x0]], "x")
         grads = tape.backward(ad.matmul(x, x))
         fd = finite_difference_grad(lambda v: v[0] ** 2, np.array([x0]))
-        assert abs(grads["x"].array[0, 0] - 6.0) < 1e-9
-        assert max_relative_error(grads["x"].array.reshape(-1), fd) < 1e-7
+        assert abs(grads["x"][0, 0] - 6.0) < 1e-9
+        assert max_relative_error(grads["x"].reshape(-1), fd) < 1e-7
 
     def test_fanout_accumulates(self):
         tape = ad.Tape()
         g = leaf(tape, [4.0], "g")
         grads = tape.backward(ad.add(g, g))
-        np.testing.assert_array_equal(grads["g"].array, [2.0])
+        np.testing.assert_array_equal(grads["g"], [2.0])
 
     def test_non_scalar_root_rejected(self):
         tape = ad.Tape()
@@ -405,7 +405,7 @@ class TestBackward:
         used = leaf(tape, [2.0], "used")
         unused = leaf(tape, [[1.0, 1.0]], "unused")
         grads = tape.backward(ad.add(used, used))
-        np.testing.assert_array_equal(grads["unused"].array, np.zeros((1, 2)))
+        np.testing.assert_array_equal(grads["unused"], np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +430,7 @@ def gradcheck(build, values: np.ndarray, probes: int = None) -> float:
     node = leaf(tape, values, "p")
     grads = tape.backward(build(tape, node))
     fd = finite_difference_grad(scalar, values.reshape(-1).copy(), h=FD_STEP)
-    return max_relative_error(grads["p"].array.reshape(-1), fd)
+    return max_relative_error(grads["p"].reshape(-1), fd)
 
 
 def summed(node):
@@ -660,7 +660,7 @@ def test_backward_frees_each_interior_gradient_once_its_closure_has_run():
     # the consumers were swept before their parent, and their gradients dropped
     assert seen == {"scaled": None, "root": None, "hidden": True}
     assert hidden.grad is None and hidden._backward is None
-    np.testing.assert_allclose(grads["p"].array, 2.0 * (1.0 - np.tanh([[1.0, -2.0, 3.0]]) ** 2))
+    np.testing.assert_allclose(grads["p"], 2.0 * (1.0 - np.tanh([[1.0, -2.0, 3.0]]) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +726,7 @@ class TestTapeLifetime:
         assert tape.nodes is None and not tape.grad
         with pytest.raises(ContractError, match="consumed"):
             tape.backward(root)
-        np.testing.assert_allclose(grads["p"].array, 1.0 - np.tanh([[1.0, -2.0]]) ** 2)
+        np.testing.assert_allclose(grads["p"], 1.0 - np.tanh([[1.0, -2.0]]) ** 2)
 
     @pytest.mark.parametrize("name", OP_CASE_NAMES)
     def test_no_grad_tape_gives_equal_values_and_records_nothing(self, name):
@@ -779,15 +779,15 @@ class TestParameterStore:
 
     def test_empty_path_segment_rejected(self):
         with pytest.raises(ContractError):
-            ad.Parameter("a..b", Tensor([1.0]))
+            ad.Parameter("a..b", np.array([1.0]))
 
     def test_snapshot_restore_round_trip(self):
         store = ad.ParameterStore()
         store.create("w", [[1.0, 2.0]])
         snap = store.snapshot()
-        store["w"].tensor = Tensor([[9.0, 9.0]])
+        store["w"].value = np.array([[9.0, 9.0]])
         store.restore(snap)
-        np.testing.assert_array_equal(store["w"].tensor.array, [[1.0, 2.0]])
+        np.testing.assert_array_equal(store["w"].value, [[1.0, 2.0]])
 
     def test_restore_takes_the_arrays_it_is_handed(self):
         # a loaded model's weights reach its parameters without a second copy
@@ -795,7 +795,7 @@ class TestParameterStore:
         store.create("w", [[1.0, 2.0]])
         values = np.array([[3.0, 4.0]])
         store.restore({"w": values})
-        assert store["w"].tensor.array is values
+        assert store["w"].value is values
 
     def test_restore_rejects_non_finite_values(self):
         store = ad.ParameterStore()

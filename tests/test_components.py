@@ -88,7 +88,7 @@ def build(tagged: str):
 def parameter_digest(model: ECDModel) -> str:
     h = hashlib.sha256()
     for param in model.store:
-        h.update(param.name.encode() + b"\0" + param.tensor.array.tobytes())
+        h.update(param.name.encode() + b"\0" + param.value.tobytes())
     return h.hexdigest()
 
 
@@ -96,12 +96,12 @@ def pass_digest(model: ECDModel, arrays: dict) -> str:
     result = model.forward({n: arrays[n] for n in INPUTS}, {n: arrays[n] for n in OUTPUTS})
     h = hashlib.sha256()
     for name in model.decoder_order:
-        h.update(name.encode() + b"\0" + result.predictions[name].array.tobytes())
+        h.update(name.encode() + b"\0" + result.predictions[name].tobytes())
         terms, weights = result.loss_rows[name]
         h.update(np.float64(terms.sum() / weights.sum()).tobytes())
     h.update(np.float64(result.combined_loss).tobytes())
     for name, grad in sorted(model.backward(result).items()):
-        h.update(name.encode() + b"\0" + grad.array.tobytes())
+        h.update(name.encode() + b"\0" + grad.tobytes())
     return h.hexdigest()
 
 

@@ -3,7 +3,9 @@ outside the standard library, at module level or inside a function. YAML is
 only read, by ``config`` from a user's definition; the package writes none.
 Only ``cache`` imports ``hashlib``, so ``cache.digest64`` is the one digest.
 Every module-level import is read in its module or listed in ``__all__``, so
-a deletion leaves no import behind."""
+a deletion leaves no import behind. Outside the autodiff tape every value is
+a plain float64 array: only ``autodiff`` and ``tensor`` name ``Tensor``, the
+box of a tape node's value, and the package does not export it."""
 
 import ast
 import sys
@@ -82,3 +84,21 @@ def unused_imports(path: Path) -> list[str]:
 def test_every_module_level_import_is_used():
     assert [entry for path in sorted(PACKAGE.glob("*.py"))
             for entry in unused_imports(path)] == []
+
+
+def names_tensor(path: Path) -> bool:
+    """Whether one source file imports, defines, reads or looks up ``Tensor``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name) and node.id == "Tensor" \
+                or isinstance(node, ast.Attribute) and node.attr == "Tensor" \
+                or isinstance(node, (ast.alias, ast.ClassDef)) and node.name == "Tensor":
+            return True
+    return False
+
+
+def test_only_the_tape_names_tensor():
+    import ecdkit
+
+    namers = [path.stem for path in sorted(PACKAGE.glob("*.py")) if names_tensor(path)]
+    assert namers == ["autodiff", "tensor"]
+    assert "Tensor" not in ecdkit.__all__

@@ -15,7 +15,6 @@ from ecdkit.errors import ConfigError, ContractError, ShapeError
 from ecdkit.graph import ConcatCombiner, ECDModel, build_dependency_order, combined_loss
 from ecdkit.registry import build_default_registries
 from ecdkit.rng import Lcg
-from ecdkit.tensor import Tensor
 
 from oracles import finite_difference_grad, max_relative_error, topological_orders_brute_force
 
@@ -38,7 +37,7 @@ def build(text: str, metadata: dict, seed: int = 11) -> ECDModel:
 def zero_params(model: ECDModel, prefix: str) -> None:
     for param in model.store:
         if param.name.startswith(prefix):
-            param.tensor = Tensor(np.zeros(param.tensor.dims))
+            param.value = np.zeros(param.value.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +102,7 @@ class TestEncoders:
             "input_features:\n  - name: words\n    type: sequence\n    encoder: rnn\n"
             "    state_size: 6\n"
             "output_features:\n  - name: y\n    type: numerical\n", meta)
-        np.testing.assert_array_equal(model.encoders["words"].w_rec.tensor.array, np.eye(6))
+        np.testing.assert_array_equal(model.encoders["words"].w_rec.value, np.eye(6))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -158,7 +157,7 @@ class TestEncoders:
             ids = np.zeros((len(batch_rows), width))
             for i, r in enumerate(batch_rows):
                 ids[i, : len(r)] = r
-            probs = model.forward({"words": ids}, grad=False).predictions["tags"].array
+            probs = model.forward({"words": ids}, grad=False).predictions["tags"]
             hidden = model.encoders["words"].forward(ad.Tape(grad=False), ids).hidden
             return probs[index, : len(row)], hidden.value.array[index]
 
@@ -206,7 +205,7 @@ class TestEncoders:
         model = build(
             "input_features:\n  - name: tags\n    type: set\n    embedding_size: 4\n"
             "output_features:\n  - name: y\n    type: numerical\n", meta)
-        table = model.store["encoders.tags.embedding"].tensor.array
+        table = model.store["encoders.tags.embedding"].value
         hot = np.zeros((1, meta["tags"].vocab_size))
         hot[0, 1] = hot[0, 2] = 1.0
         tape = ad.Tape()
@@ -249,7 +248,7 @@ class TestReadNodesOnly:
         assert kinds(result) == {"param": 9, "embedding_lookup": 1,
                                  "conv1d": 3, "relu": 3, "concat": 1, "matmul": 1,
                                  "add": 1, "softmax": 1, "softmax_cross_entropy": 1}
-        assert result.predictions["tags"].dims == (2, 4, model.decoders["tags"].out_width)
+        assert result.predictions["tags"].shape == (2, 4, model.decoders["tags"].out_width)
 
     def test_other_inputs_and_the_combiner_get_zero_gradients(self):
         text = TAGGER_CNN.replace("output_features:", "  - name: x\n    type: numerical\n"
@@ -264,8 +263,8 @@ class TestReadNodesOnly:
         assert unread == {"encoders.x.fc0.weight", "encoders.x.fc0.bias",
                           "combiner.fc0.weight", "combiner.fc0.bias"}
         for name in unread:
-            assert not grads[name].array.any()
-            assert grads[name].dims == model.store[name].tensor.dims
+            assert not grads[name].any()
+            assert grads[name].shape == model.store[name].value.shape
 
     @pytest.mark.parametrize("payload", [None, "last_hidden"])
     def test_the_tagger_pools_its_hidden_states_only_for_a_dependent(self, payload):
@@ -396,7 +395,7 @@ class TestDecoders:
         zero_params(model, "decoders.label.proj")
         result = model.forward({"x": np.array([[0.3], [1.7]])})
         c = two_output_meta()["label"].vocab_size
-        np.testing.assert_allclose(result.predictions["label"].array, np.full((2, c), 1.0 / c),
+        np.testing.assert_allclose(result.predictions["label"], np.full((2, c), 1.0 / c),
                                    atol=1e-12)
 
     def test_dependency_payload_width_accounting(self):
@@ -411,7 +410,7 @@ class TestDecoders:
         model = build(TWO_OUTPUT, two_output_meta())
         zero_params(model, "decoders.score.proj")
         result = model.forward({"x": np.array([[0.1], [2.0], [-3.0]])})
-        np.testing.assert_array_equal(result.predictions["score"].array, np.zeros((3, 1)))
+        np.testing.assert_array_equal(result.predictions["score"], np.zeros((3, 1)))
 
     def test_tagger_prediction_dims(self):
         meta = make_meta(words=("sequence", ["a b c", "c b a"]),
@@ -422,12 +421,12 @@ class TestDecoders:
         ids = np.array([[2.0, 3.0, 4.0], [4.0, 3.0, 2.0]])
         result = model.forward({"words": ids})
         c = meta["tags"].vocab_size
-        assert result.predictions["tags"].dims == (2, 3, c)
+        assert result.predictions["tags"].shape == (2, 3, c)
 
     def test_category_probability_rows_sum_to_one(self):
         model = build(TWO_OUTPUT, two_output_meta())
         result = model.forward({"x": np.random.default_rng(0).normal(size=(16, 1))})
-        probs = result.predictions["label"].array
+        probs = result.predictions["label"]
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(16), atol=1e-9)
         assert np.all(probs > 0) and np.all(probs < 1)
 
@@ -479,8 +478,8 @@ class TestForward:
         targets = {"label": np.ones((8, 1)), "score": np.zeros((8, 1))}
         first = model.forward(batch, targets)
         second = model.forward(batch, targets)
-        np.testing.assert_array_equal(first.predictions["label"].array,
-                                      second.predictions["label"].array)
+        np.testing.assert_array_equal(first.predictions["label"],
+                                      second.predictions["label"])
         assert first.combined_loss == second.combined_loss
 
     def test_no_grad_forward_equals_the_taped_one(self):
@@ -490,8 +489,8 @@ class TestForward:
         taped = model.forward(batch, targets)
         bare = model.forward(batch, targets, grad=False)
         for name in model.decoder_order:
-            np.testing.assert_array_equal(bare.predictions[name].array,
-                                          taped.predictions[name].array)
+            np.testing.assert_array_equal(bare.predictions[name],
+                                          taped.predictions[name])
             rows, taped_rows = bare.loss_rows[name], taped.loss_rows[name]
             assert rows[0].sum() / rows[1].sum() == taped_rows[0].sum() / taped_rows[1].sum()
             for got, want in zip(rows, taped_rows):
@@ -519,15 +518,15 @@ class TestForward:
         param = model.store["decoders.label.proj.weight"]
 
         def loss_at(flat):
-            param.tensor = Tensor(flat.reshape(param.tensor.dims))
+            param.value = flat.reshape(param.value.shape)
             return model.forward(batch, targets).combined_loss
 
-        original = param.tensor.array.copy()
+        original = param.value.copy()
         result = model.forward(batch, targets)
         grads = model.backward(result)
-        analytic = grads["decoders.label.proj.weight"].array.reshape(-1)
+        analytic = grads["decoders.label.proj.weight"].reshape(-1)
         numeric = finite_difference_grad(loss_at, original.reshape(-1).copy())
-        param.tensor = Tensor(original)
+        param.value = original
         assert float(np.max(np.abs(analytic))) > 0.0
         assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -551,7 +550,7 @@ class TestForward:
         second = build(TWO_OUTPUT, two_output_meta(), seed=5)
         other = build(TWO_OUTPUT, two_output_meta(), seed=6)
         for name in first.store.names():
-            np.testing.assert_array_equal(first.store[name].tensor.array,
-                                          second.store[name].tensor.array)
-        assert any(not np.array_equal(first.store[n].tensor.array, other.store[n].tensor.array)
+            np.testing.assert_array_equal(first.store[name].value,
+                                          second.store[name].value)
+        assert any(not np.array_equal(first.store[n].value, other.store[n].value)
                    for n in first.store.names())

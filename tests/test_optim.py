@@ -27,13 +27,13 @@ class TestSgd:
         store = store_with(value=1.0)
         state = optimizer_state("sgd", learning_rate=0.1)
         optimizer_step(state, store, {"w": np.array([0.5])})
-        assert abs(store["w"].tensor.item() - 0.95) < 1e-15
+        assert abs(store["w"].value.item() - 0.95) < 1e-15
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
         store = store_with(value=3.25)
         state = optimizer_state("sgd")
         optimizer_step(state, store, {"w": np.array([0.0])})
-        assert store["w"].tensor.item() == 3.25
+        assert store["w"].value.item() == 3.25
 
     def test_step_count_increments_by_one(self):
         store = store_with()
@@ -49,7 +49,7 @@ class TestAdam:
         store = store_with(value=1.0)
         state = optimizer_state("adam", learning_rate=1e-3)
         optimizer_step(state, store, {"w": np.array([0.7])})
-        delta = 1.0 - store["w"].tensor.item()
+        delta = 1.0 - store["w"].value.item()
         # first bias-corrected step is lr up to the epsilon correction
         assert abs(delta - 1e-3) < 1e-6
 
@@ -60,7 +60,7 @@ class TestAdam:
         for g in grads:
             optimizer_step(state, store, {"w": np.array([g])})
         expected = adam_recurrence(0.5, grads, 0.01, state.beta1, state.beta2, state.epsilon)
-        assert abs(store["w"].tensor.item() - expected) < 1e-12
+        assert abs(store["w"].value.item() - expected) < 1e-12
 
     def test_moment_dims_match_parameter_dims(self):
         store = ParameterStore()
@@ -83,7 +83,7 @@ def test_in_place_update_is_bit_equal_to_the_formula(kind):
         optimizer_step(state, store, {"w": g})
     w, m, v = optimizer_formula(kind, w0, grads, 0.03, state.beta1, state.beta2,
                                 state.epsilon)
-    assert store["w"].tensor.array.tobytes() == w.tobytes()
+    assert store["w"].value.tobytes() == w.tobytes()
     if kind == "adam":
         assert state.first_moment["w"].tobytes() == m.tobytes()
         assert state.second_moment["w"].tobytes() == v.tobytes()
@@ -94,11 +94,11 @@ def test_in_place_update_is_bit_equal_to_the_formula(kind):
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_non_finite_update_raises_before_the_weights_change(kind):
     store = store_with(value=1.0)
-    before = store["w"].tensor
+    before = store["w"].value
     state = optimizer_state(kind, learning_rate=1e308)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         optimizer_step(state, store, {"w": np.array([10.0])})
-    assert store["w"].tensor is before and before.array.tolist() == [1.0]
+    assert store["w"].value is before and before.tolist() == [1.0]
 
 
 class TestContracts:
@@ -122,7 +122,7 @@ def test_determinism_identical_inputs_identical_outputs():
         grads = {"w": np.arange(6, dtype=float).reshape(2, 3)}
         for _ in range(10):
             optimizer_step(state, store, grads)
-        return store["w"].tensor.array
+        return store["w"].value
 
     first, second = run(), run()
     np.testing.assert_array_equal(first, second)

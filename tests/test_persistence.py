@@ -178,7 +178,7 @@ class TestWeights:
         loaded = read_weights(path)
         assert set(loaded) == set(store.names())
         for name in store.names():
-            np.testing.assert_array_equal(loaded[name], store[name].tensor.array)
+            np.testing.assert_array_equal(loaded[name], store[name].value)
         # each record is copied once out of the file, into an aligned array of its own
         assert all(array.flags.owndata and array.flags.aligned and array.flags.writeable
                    for array in loaded.values())

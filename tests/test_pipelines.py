@@ -268,10 +268,10 @@ class TestSaveLoad:
         model_dir = self.trained(tmp_path, binary_csv)
         model, definition, metadata = load_model(model_dir)
         batch = {f"f{i}": np.linspace(-1, 1, 5).reshape(5, 1) for i in range(4)}
-        before = model.forward(batch).predictions["label"].array
+        before = model.forward(batch).predictions["label"]
         second_dir = save_model(model, tmp_path / "copy")
         reloaded, _, _ = load_model(second_dir)
-        after = reloaded.forward(batch).predictions["label"].array
+        after = reloaded.forward(batch).predictions["label"]
         np.testing.assert_array_equal(before, after)
 
     def test_deleting_any_artifact_file_fails_loudly(self, tmp_path, binary_csv):
@@ -292,16 +292,16 @@ class TestSaveLoad:
         stored = read_weights(model_dir / "weights.bin")
         assert model.store.names() == list(stored)
         for param in model.store:
-            assert param.tensor.array.tobytes() == stored[param.name].tobytes()
+            assert param.value.tobytes() == stored[param.name].tobytes()
 
     def test_weights_that_do_not_fit_are_named(self, tmp_path, binary_csv):
         model_dir = self.trained(tmp_path, binary_csv)
         model, _, _ = load_model(model_dir)
         first = model.store.names()[0]
-        dims = model.store[first].tensor.dims
+        dims = model.store[first].value.shape
         renamed = ParameterStore()
         for param in model.store:
-            renamed.create("extra.w" if param.name == first else param.name, param.tensor.array)
+            renamed.create("extra.w" if param.name == first else param.name, param.value)
         write_weights(model_dir / "weights.bin", renamed)
         with pytest.raises(ArtifactError) as err:
             load_model(model_dir)
@@ -309,7 +309,7 @@ class TestSaveLoad:
                                   f"missing: {[first]}, unexpected: ['extra.w']")
         reshaped = ParameterStore()
         for param in model.store:
-            reshaped.create(param.name, np.zeros(7) if param.name == first else param.tensor.array)
+            reshaped.create(param.name, np.zeros(7) if param.name == first else param.value)
         write_weights(model_dir / "weights.bin", reshaped)
         with pytest.raises(ArtifactError) as err:
             load_model(model_dir)

@@ -1,10 +1,11 @@
-"""Seeded generator: the vectorised fill is the scalar draw loop, bit for bit."""
+"""Seeded generator: the vectorised fill and the shuffle are the scalar draw
+loops, bit for bit."""
 
 import pytest
 
 from ecdkit.rng import Lcg
 
-from oracles import lcg_uniform_loop
+from oracles import lcg_shuffle_loop, lcg_uniform_loop
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
@@ -18,3 +19,14 @@ def test_uniform_array_matches_scalar_loop(seed, shape):
     assert got.tobytes() == expected.tobytes()
     assert rng.state == reference_rng.state
 
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3000])
+def test_shuffle_matches_scalar_fisher_yates(seed, n):
+    reference_rng, rng = Lcg(seed), Lcg(seed)
+    expected, got = list(range(n)), list(range(n))
+    lcg_shuffle_loop(reference_rng, expected)
+    rng.shuffle(got)
+    assert got == expected
+    assert rng.state == reference_rng.state

@@ -1,25 +1,33 @@
-"""Tensor construction contracts."""
+"""The one entry for values from outside the tape, and a node value's item()."""
 
+import numpy as np
 import pytest
 
+from ecdkit.autodiff import Tape
 from ecdkit.errors import NonFiniteError, ShapeError
-from ecdkit.tensor import Tensor
+from ecdkit.tensor import finite_array
 
 
 def test_scalar_becomes_rank_one():
-    t = Tensor(3.5)
-    assert t.dims == (1,)
-    assert t.item() == 3.5
+    values = finite_array(3.5)
+    assert values.shape == (1,) and values.dtype == np.float64
+    assert values.item() == 3.5
 
 
 def test_non_finite_values_rejected():
-    with pytest.raises(NonFiniteError):
-        Tensor([1.0, float("nan")])
-    with pytest.raises(NonFiniteError):
-        Tensor([float("inf")])
+    with pytest.raises(NonFiniteError, match="non-finite tensor values"):
+        finite_array([1.0, float("nan")])
+    with pytest.raises(NonFiniteError, match="non-finite tensor values"):
+        finite_array([float("inf")])
+
+
+def test_contiguous_float64_array_is_taken_uncopied():
+    values = np.zeros((2, 3))
+    assert finite_array(values) is values
+    converted = finite_array(np.ones((3, 2), dtype=np.int64).T)
+    assert converted.dtype == np.float64 and converted.flags.c_contiguous
 
 
 def test_item_requires_single_element():
     with pytest.raises(ShapeError):
-        Tensor([1.0, 2.0]).item()
-
+        Tape().constant([1.0, 2.0]).value.item()
