@@ -45,8 +45,8 @@ the table with one ``np.bincount`` over the flat (id x width + column)
 index, which adds each cell's rows in order to 0.0, as ``np.add.at`` into
 zeros does. Buffers never hold -0.0, so the sums have the bits of adding
 every contribution to a zero buffer. The loss ops also expose their per-row
-terms as ``node.rows = (terms, weights)``, with the node's value equal to
-``terms.sum() / weights.sum()``, so a caller can reduce the terms of many
+terms as ``node.rows``, with the node's value equal to
+``terms.sum() / terms.size``, so a caller can reduce the terms of many
 batches to the value one batch of all their rows would have.
 """
 
@@ -136,7 +136,7 @@ class TapeNode:
         self.grad: np.ndarray | None = None
         self.param_name = param_name
         self._backward: Backward | None = None
-        self.rows: tuple[np.ndarray, np.ndarray] | None = None
+        self.rows: np.ndarray | None = None
 
     def accumulate(self, contribution: np.ndarray) -> None:
         """Add one gradient contribution. The first is stored as
@@ -577,7 +577,7 @@ def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int]) -> TapeNo
         # nothing to score, as for a tagger batch without tokens; a constant
         # zero keeps the graph well-defined
         node = logits.tape.constant([0.0])
-        node.rows = (np.zeros(0), np.zeros(0))
+        node.rows = np.zeros(0)
         return node
     shifted = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
@@ -590,7 +590,7 @@ def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int]) -> TapeNo
         logits.accumulate(g[0] * p * (1.0 / b))
 
     node = logits.tape._record("softmax_cross_entropy", np.array([terms.sum() / b]), backward)
-    node.rows = (terms, np.ones(b))
+    node.rows = terms
     return node
 
 
@@ -610,7 +610,7 @@ def sigmoid_bce(logits: TapeNode, targets) -> TapeNode:
         logits.accumulate(g[0] * (_stable_sigmoid(lv) - tv) / n)
 
     node = logits.tape._record("sigmoid_bce", np.array([per.sum() / n]), backward)
-    node.rows = (per, np.ones(per.shape))
+    node.rows = per
     return node
 
 
@@ -628,5 +628,5 @@ def mse(prediction: TapeNode, targets) -> TapeNode:
         prediction.accumulate(g[0] * 2.0 * diff / n)
 
     node = prediction.tape._record("mse", np.array([terms.sum() / n]), backward)
-    node.rows = (terms, np.ones(terms.shape))
+    node.rows = terms
     return node

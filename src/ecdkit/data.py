@@ -1,4 +1,5 @@
-"""Tabular dataset ingestion and train/validation/test splitting."""
+"""Tabular dataset ingestion and train/validation/test splitting. A dataset
+stores each CSV column once, and a split takes the same rows from each."""
 
 from __future__ import annotations
 
@@ -15,23 +16,28 @@ SPLIT_NAMES = ("train", "validation", "test")
 
 @dataclass
 class Dataset:
-    """CSV rows by column name; ``lines[i]`` is the file line of ``rows[i]``."""
+    """A CSV file's cells, one list per column in header order; ``lines[i]``
+    is the file line of each column's ``i``-th cell."""
 
     source: str
-    header: list[str]
-    rows: list[dict[str, str]]
+    columns: dict[str, list[str]]
     lines: list[int]
 
+    @property
+    def header(self) -> list[str]:
+        return list(self.columns)
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.lines)
 
     def column(self, name: str) -> list[str]:
-        if name not in self.header:
+        if name not in self.columns:
             raise DataError(f"dataset {self.source!r} has no column {name!r}")
-        return [row[name] for row in self.rows]
+        return self.columns[name]  # the stored cells, not a copy: never write to them
 
     def subset(self, indices: list[int]) -> "Dataset":
-        return Dataset(self.source, list(self.header), [self.rows[i] for i in indices],
+        return Dataset(self.source,
+                       {name: [cells[i] for i in indices] for name, cells in self.columns.items()},
                        [self.lines[i] for i in indices])
 
 
@@ -63,18 +69,17 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DataError(f"dataset file {path} is empty") from None
     if len(set(header)) != len(header):
         raise DataError(f"dataset header has duplicate column names: {header}")
-    rows = []
-    lines = []
+    records, lines = [], []
     for number, record in enumerate(reader, start=2):
         if not record:
             continue
         if len(record) != len(header):
             raise DataError(f"row {number} has {len(record)} cells, expected {len(header)}")
-        rows.append(dict(zip(header, record)))
+        records.append(record)
         lines.append(number)
-    if not rows:
+    if not records:
         raise DataError(f"dataset file {path} has a header but no rows")
-    return Dataset(str(path), header, rows, lines)
+    return Dataset(str(path), dict(zip(header, map(list, zip(*records)))), lines)
 
 
 def split_dataset(dataset: Dataset, split, split_column: str | None,
@@ -87,15 +92,14 @@ def split_dataset(dataset: Dataset, split, split_column: str | None,
     """
     if split_column is not None:
         buckets: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
-        for i, row in enumerate(dataset.rows):
-            label = row.get(split_column, "")
+        for i, label in enumerate(dataset.column(split_column)):
             if label not in buckets:
                 raise DataError(f"split column {split_column!r} row {dataset.lines[i]}: "
                                 f"unknown value {label!r}; expected one of {SPLIT_NAMES}")
             buckets[label].append(i)
         return {name: dataset.subset(indices) for name, indices in buckets.items()}
 
-    indices = list(range(len(dataset.rows)))
+    indices = list(range(len(dataset)))
     Lcg(mix_seed(seed, SALT_SPLIT)).shuffle(indices)
     n = len(indices)
     n_train = int(n * split[0])

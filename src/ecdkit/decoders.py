@@ -49,6 +49,15 @@ def real_positions(lengths: np.ndarray, width: int) -> np.ndarray:
     return np.arange(width) < lengths[:, np.newaxis]
 
 
+def mean_over_rows(tape: ad.Tape, packed: ad.TapeNode, lengths: np.ndarray) -> ad.TapeNode:
+    """Each row's mean over its real positions, [b x width], from packed rows
+    (``lengths[i]`` of them per row); a row with no tokens pools to 0."""
+    rows = np.repeat(np.arange(lengths.size), lengths)
+    average = np.zeros((lengths.size, rows.size))
+    average[rows, np.arange(rows.size)] = 1.0 / lengths[rows]
+    return ad.matmul(tape.constant(average), packed)
+
+
 @dataclass
 class DecodeResult:
     """``output`` is what a dependent reads as the probabilities payload;
@@ -155,13 +164,7 @@ class SequenceTaggerDecoder(_ProjectionDecoder):
             if ids.shape != real.shape:
                 raise ShapeError(f"tagger target dims {ids.shape} != sequence dims {real.shape}")
             loss = ad.softmax_cross_entropy(logits, ids[real])
-        pooled = None
-        if last_hidden:
-            # the mean over each row's real positions, so the payload stays rank 2
-            rows = np.repeat(np.arange(lengths.size), lengths)
-            average = np.zeros((lengths.size, rows.size))
-            average[rows, np.arange(rows.size)] = 1.0 / lengths[rows]
-            pooled = ad.matmul(tape.constant(average), hidden)
+        pooled = mean_over_rows(tape, hidden, lengths) if last_hidden else None
         predictions = np.zeros(real.shape + (self.out_width,))
         predictions[real] = probs.value.array
         return DecodeResult(probs, pooled, loss, predictions)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .decoders import real_positions, token_counts
+from .decoders import mean_over_rows, real_positions, token_counts
 from .errors import ConfigError
 from .features import VectorMetadata
 from .layers import FcStack, make_bias, make_weight
@@ -132,8 +132,8 @@ def _max_over_rows(tape: ad.Tape, packed: ad.TapeNode, lengths: np.ndarray) -> a
 
 
 class SequenceEmbedEncoder:
-    """Token embeddings mean-pooled over all positions, PAD included; its
-    states are the embeddings of the real tokens."""
+    """The embeddings of each row's real ids, mean-pooled (0 for a row with
+    none) and as its states; the PAD row of the table is never read."""
 
     DEFAULTS = {"embedding_size": 32}
 
@@ -145,12 +145,10 @@ class SequenceEmbedEncoder:
 
     def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False,
                 hidden: bool = True) -> EncoderOutput:
-        table = tape.leaf(self.table)
-        pooled = ad.reduce("mean", _embed_sequence(table, batch), axis=1) if hidden else None
-        if not states:
-            return EncoderOutput(pooled)
         ids, lengths = _real_ids(batch)
-        return EncoderOutput(pooled, ad.embedding_lookup(table, ids), lengths, batch.shape[1])
+        embedded = ad.embedding_lookup(tape.leaf(self.table), ids)
+        return EncoderOutput(mean_over_rows(tape, embedded, lengths) if hidden else None,
+                             embedded if states else None, lengths, batch.shape[1])
 
 
 class SequenceRnnEncoder:

@@ -118,9 +118,6 @@ class VocabMetadata:
     def vocab_size(self) -> int:
         return len(self.id2token)
 
-    def lookup(self, token: str) -> int:
-        return self.token2id.get(token, self.token2id[UNK])
-
 
 @dataclass
 class NumericalMetadata:
@@ -292,6 +289,8 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
     max_len integer ids right-padded with <PAD>; vector -> its fixed length
     of floats. Missing cells are resolved by the configured strategy first;
     a cell that does not parse is reported with its line from ``lines``.
+    The vocabulary types share one id pass, a cell's tokens at a time, cut
+    to max_len; out-of-vocabulary tokens get ``<UNK>``'s id.
     """
     if ftype not in SUPPORTED_TYPES:
         raise RegistryError(f"unknown feature type {ftype!r}")
@@ -304,20 +303,22 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
         rows = _parse_cells(zip(lines, cells), lambda raw: parse_vector(raw, meta.length))
         return np.array(rows).reshape(-1, meta.length)
 
-    if ftype == "set":
-        token_rows = [_tokens(cell, ftype, params) for cell in cells]
-        get, unk = meta.token2id.get, meta.token2id[UNK]
-        ids = [get(tok, unk) for row in token_rows for tok in row]
-        hot = np.zeros((len(cells), meta.vocab_size))
-        hot[np.repeat(np.arange(len(cells)), [len(row) for row in token_rows]), ids] = 1.0
-        return hot
-    ids = [[meta.lookup(tok) for tok in _tokens(cell, ftype, params)] for cell in cells]
+    get, unk = meta.token2id.get, meta.token2id[UNK]
+    width = meta.max_sequence_length if ftype in ("sequence", "text") else None
+    ids, counts = [], []
+    for cell in cells:
+        tokens = _tokens(cell, ftype, params)[:width]
+        ids += [get(tok, unk) for tok in tokens]
+        counts.append(len(tokens))
+    ids, counts = np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64)
     if ftype == "category":
-        return np.array(ids, dtype=np.float64).reshape(-1, 1)
-    width = meta.max_sequence_length  # sequence, text
-    padded = np.full((len(ids), width), float(meta.token2id[PAD]))
-    for i, row in enumerate(ids):
-        padded[i, : min(len(row), width)] = row[:width]
+        return ids.astype(np.float64).reshape(-1, 1)
+    if ftype == "set":
+        hot = np.zeros((len(cells), meta.vocab_size))
+        hot[np.repeat(np.arange(len(cells)), counts), ids] = 1.0
+        return hot
+    padded = np.full((len(cells), width), float(meta.token2id[PAD]))  # sequence, text
+    padded[np.arange(width) < counts[:, np.newaxis]] = ids
     return padded
 
 

@@ -109,14 +109,13 @@ def combined_loss(losses: dict[str, ad.TapeNode], weights: dict[str, float]) -> 
 
 @dataclass
 class ForwardResult:
-    """One forward pass. ``loss_rows`` holds each output's loss terms and
-    weights (see ``TapeNode.rows``); ``combined`` is None without targets
-    or gradients."""
+    """One forward pass. ``loss_rows`` holds each output's loss terms (see
+    ``TapeNode.rows``); ``combined`` is None without targets or gradients."""
 
     tape: ad.Tape
     predictions: dict[str, np.ndarray]
     combined: ad.TapeNode | None = None
-    loss_rows: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    loss_rows: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def combined_loss(self) -> float:

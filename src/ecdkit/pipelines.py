@@ -119,18 +119,17 @@ def collect_metadata(train: Dataset, definition: ModelDefinition) -> dict:
     return metadata
 
 
-def _drop_row_indices(split: Dataset, definition: ModelDefinition) -> list[int]:
-    """Indices to keep after applying the drop_row missing-value strategy."""
-    droppers = [spec for spec in list(definition.input_features) + list(definition.output_features)
+def _drop_rows(split: Dataset, definition: ModelDefinition) -> Dataset:
+    """The split without the rows that the drop_row missing-value strategy
+    drops: the split itself when no feature uses it."""
+    droppers = [split.column(spec.name)
+                for spec in list(definition.input_features) + list(definition.output_features)
                 if spec.preprocessing.get("missing_strategy") == "drop_row"
-                and spec.name in split.header]
+                and spec.name in split.columns]
     if not droppers:
-        return list(range(len(split.rows)))
-    keep = []
-    for i, row in enumerate(split.rows):
-        if all(not is_missing(row[spec.name]) for spec in droppers):
-            keep.append(i)
-    return keep
+        return split
+    return split.subset([i for i, cells in enumerate(zip(*droppers))
+                         if not any(map(is_missing, cells))])
 
 
 def _check_tagger_alignment(split: Dataset, definition: ModelDefinition) -> None:
@@ -143,12 +142,11 @@ def _check_tagger_alignment(split: Dataset, definition: ModelDefinition) -> None
     if not sources:
         return
     source = sources[0]
-    src_params = _preproc_params(source)
+    tokenizer = _preproc_params(source).tokenizer
     for spec in taggers:
-        dst_params = _preproc_params(spec)
-        for line, row in zip(split.lines, split.rows):
-            n_src = len(tokenize(row[source.name], src_params.tokenizer))
-            n_dst = len(tokenize(row[spec.name], dst_params.tokenizer))
+        tag_tokenizer = _preproc_params(spec).tokenizer
+        for line, src, dst in zip(split.lines, split.column(source.name), split.column(spec.name)):
+            n_src, n_dst = len(tokenize(src, tokenizer)), len(tokenize(dst, tag_tokenizer))
             if n_src != n_dst:
                 raise DataError(
                     f"row {line}: tag sequence {spec.name!r} has {n_dst} tokens but input "
@@ -203,12 +201,10 @@ class _OutputRows:
     truths: np.ndarray | None
     lengths: np.ndarray | None
     loss_terms: np.ndarray | None
-    loss_weights: np.ndarray | None
 
     def loss(self) -> float:
         # the loss op's own reduction, over the terms of all rows at once
-        total = self.loss_weights.sum()
-        return float(self.loss_terms.sum() / total) if total > 0 else 0.0
+        return float(self.loss_terms.sum() / self.loss_terms.size) if self.loss_terms.size else 0.0
 
 
 class _RowCollector:
@@ -217,7 +213,7 @@ class _RowCollector:
     Per output, what scoring and ``predictions.csv`` read: the predictions,
     a numerical output's denormalized and a tagger's as argmax ids at the
     real tokens (with each row's token count); and with targets the loss
-    terms and weights, and as truths the target rows or tokens of the same
+    terms, and as truths the target rows or tokens of the same
     predictions (a numerical output's truths are its raw values instead).
     Predictions and loss terms leave the tape, so they are checked for
     finiteness here: each pass's predictions, a numerical output's again
@@ -229,8 +225,8 @@ class _RowCollector:
         self.source = model.states_feature
         self.metadata = metadata
         self.lengths: list[np.ndarray] = []
-        self.parts: dict[str, tuple[list, list, list, list]] = {
-            spec.name: ([], [], [], []) for spec in self.specs}
+        self.parts: dict[str, tuple[list, list, list]] = {
+            spec.name: ([], [], []) for spec in self.specs}
 
     def add(self, result, inputs: dict[str, np.ndarray],
             targets: dict[str, np.ndarray] | None) -> None:
@@ -238,7 +234,7 @@ class _RowCollector:
             lengths = token_counts(inputs[self.source])
             self.lengths.append(lengths)
         for spec in self.specs:
-            predictions, truths, terms, weights = self.parts[spec.name]
+            predictions, truths, terms = self.parts[spec.name]
             what = f"predictions for output {spec.name!r}"
             values = check_finite(result.predictions[spec.name], what)
             if spec.type == "numerical":
@@ -249,8 +245,7 @@ class _RowCollector:
             predictions.append(values)
             if targets is None:
                 continue
-            terms.append(result.loss_rows[spec.name][0])
-            weights.append(result.loss_rows[spec.name][1])
+            terms.append(result.loss_rows[spec.name])
             truth = targets[spec.name]
             if spec.type == "binary":
                 truths.append(truth == 1.0)  # hits, met by a >= 0.5 probability
@@ -263,11 +258,11 @@ class _RowCollector:
         lengths = np.concatenate(self.lengths) if self.lengths else None
         outputs = {}
         for name, parts in self.parts.items():
-            predictions, truths, terms, weights = (np.concatenate(part) if part else None
-                                                   for part in parts)
+            predictions, truths, terms = (np.concatenate(part) if part else None
+                                          for part in parts)
             if terms is not None:
                 check_finite(terms, f"loss terms for output {name!r}")
-            outputs[name] = _OutputRows(predictions, truths, lengths, terms, weights)
+            outputs[name] = _OutputRows(predictions, truths, lengths, terms)
         return outputs
 
 
@@ -374,8 +369,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
     tr = resolved.training
 
     splits = split_dataset(dataset, tr.split, tr.split_column, seed)
-    splits = {name: split.subset(_drop_row_indices(split, resolved))
-              for name, split in splits.items()}
+    splits = {name: _drop_rows(split, resolved) for name, split in splits.items()}
     if len(splits["train"]) == 0:
         raise DataError("training split is empty")
     metadata = collect_metadata(splits["train"], resolved)

@@ -295,6 +295,36 @@ def set_multi_hot_rows(token_rows: list[list[str]], id2token: list[str]) -> np.n
     return hot
 
 
+def vocab_id_rows(column: list[str], ftype: str, id2token: list[str], width: int,
+                  tokenizer: str = "space", lowercase: bool = False) -> np.ndarray:
+    """A category, sequence or text column's ids, one token and one row at a
+    time: a missing category cell is ``<UNK>`` and a missing sequence cell
+    has no tokens; each token is looked up alone (``<UNK>``'s id when outside
+    the vocabulary), and a sequence row's ids are written over a ``<PAD>``
+    row of ``width`` ids, cut to fit."""
+    token2id = {tok: i for i, tok in enumerate(id2token)}
+
+    def lookup(tok):
+        return token2id[tok] if tok in token2id else token2id["<UNK>"]
+
+    rows = []
+    for cell in column:
+        if cell == "":
+            cell = "<UNK>" if ftype == "category" else ""
+        cell = cell.lower() if lowercase else cell
+        if ftype == "category":
+            tokens = [cell]
+        else:
+            tokens = cell.split() if tokenizer == "space" else list(cell)
+        rows.append([lookup(tok) for tok in tokens])
+    if ftype == "category":
+        return np.array(rows, dtype=np.float64).reshape(-1, 1)
+    padded = np.full((len(rows), width), float(token2id["<PAD>"]))
+    for i, row in enumerate(rows):
+        padded[i, : min(len(row), width)] = row[:width]
+    return padded
+
+
 def string_metric(kind: str, truths: list, preds: list) -> float:
     """A metric over string truths and predictions; ``cross_entropy`` takes
     class ids and probability rows instead."""

@@ -188,8 +188,8 @@ def test_criterion_4a_linear_separable_binary(tmp_path):
     dataset = synth.linear_binary(tmp_path / "linear.csv", n=500, seed=11)
     # independent separability check before expecting the model to fit
     ds = load_dataset(dataset)
-    xs = np.array([[float(r[f"f{i}"]) for i in range(4)] for r in ds.rows])
-    ys = np.array([1.0 if r["label"] == "true" else 0.0 for r in ds.rows])
+    xs = np.array([[float(cell) for cell in ds.column(f"f{i}")] for i in range(4)]).T
+    ys = np.array([1.0 if label == "true" else 0.0 for label in ds.column("label")])
     oracle_acc = synth.logistic_regression_accuracy(xs, ys)
     assert oracle_acc >= 0.95, f"oracle says data is not separable: {oracle_acc}"
 
@@ -265,13 +265,14 @@ def test_criterion_4c_deterministic_tagging(tmp_path):
 
 
 def test_criterion_4d_padding_does_not_move_rnn_accuracy(tmp_path):
-    """The rnn and the cnn score the same at widths 8 and 120: one 120-token
-    row in the training data must not move what the other rows predict."""
+    """The rnn, the cnn and the embed encoder score the same at widths 8 and
+    120: one 120-token row in the training data must not move what the other
+    rows predict."""
     short = synth.keyword_text(tmp_path / "kw.csv", n=1000, seed=0)
     long = tmp_path / "kw_long.csv"
     long.write_text(short.read_text(encoding="utf-8") + " ".join(["alpha"] * 120) + ",miss\n",
                     encoding="utf-8")
-    for encoder in ("rnn", "cnn"):
+    for encoder in ("rnn", "cnn", "embed"):
         started = time.monotonic()
         config = (
             "input_features:\n"

@@ -97,8 +97,8 @@ def pass_digest(model: ECDModel, arrays: dict) -> str:
     h = hashlib.sha256()
     for name in model.decoder_order:
         h.update(name.encode() + b"\0" + result.predictions[name].tobytes())
-        terms, weights = result.loss_rows[name]
-        h.update(np.float64(terms.sum() / weights.sum()).tobytes())
+        terms = result.loss_rows[name]
+        h.update(np.float64(terms.sum() / terms.size).tobytes())
     h.update(np.float64(result.combined_loss).tobytes())
     for name, grad in sorted(model.backward(result).items()):
         h.update(name.encode() + b"\0" + grad.tobytes())
@@ -116,11 +116,11 @@ def arrays_digest(blocks: list[dict]) -> str:
 PINNED_ARRAYS = "6213df89fcf8721b049e7b91b22d00c8b0ac76d208bddb4ac13826be63ccd46a"
 PINNED = {
     "embed": ("af1c4878b1d1487b8bed1b58be83dbde9daf1fd140b0d1af31fd7cade8144603",
-              "0a4e71db8cf27398b22d816f64b59d06023dda6d4fd0724a94fc6abe47deecbf"),
+              "483965bd6d1a35d1699f1c729678508a6ce8423b621008252c2d380d7a88fb67"),
     "rnn": ("161cd76ca69400e21e2b021a3d96085d32f77f172d88afd2aa75b41eb03813de",
-            "ed438fda5a039abbd030ce34c1b90b3e517a8476cb28908cc21988ba43ee22e7"),
+            "c8fc45f9cba8c93ac3e3ec0d60a2e0f116c78392a53d643ac3d017e16cf897ac"),
     "cnn": ("e3c4066b5e5cd7d56b05d3167fa6bf7ad5f238f8b6b1ae2f698a16fef8c96194",
-            "bc39a691fc5ff1b62d56a287d589f96bea538ab33fe90b91fca7f40b4f3504c8"),
+            "3cad3cc6c79ed57c3c077f3990d3b6cdd0c98c9851b23ea34ae471cf033845b2"),
 }
 
 
@@ -134,9 +134,8 @@ class TestPinnedComponents:
     def test_preprocessed_arrays_are_pinned(self):
         definition = resolve_defaults(parse_model_definition(definition_text("embed")), REGS)
         specs = [*definition.input_features, *definition.output_features]
-        rows = [dict(zip(COLUMNS, cells))
-                for cells in zip(*(column for _, column in COLUMNS.values()))]
-        dataset = Dataset("components", list(COLUMNS), rows, list(range(2, 2 + len(rows))))
+        columns = {name: list(column) for name, (_, column) in COLUMNS.items()}
+        dataset = Dataset("components", columns, list(range(2, 2 + len(columns["label"]))))
         metadata = collect_metadata(dataset, definition)
         blocks = [preprocess_features(split, specs, metadata)
                   for split in (dataset, dataset.subset([]))]

@@ -18,7 +18,7 @@ class TestLoadDataset:
         ds = load_dataset(write_csv(tmp_path, "a,b\n1,2\n3,4\n5,6\n"))
         assert ds.header == ["a", "b"]
         assert len(ds) == 3
-        assert ds.rows[0] == {"a": "1", "b": "2"}
+        assert ds.columns == {"a": ["1", "3", "5"], "b": ["2", "4", "6"]}
 
     def test_ragged_row_names_row_number(self, tmp_path):
         with pytest.raises(DataError, match="row 3"):
@@ -35,7 +35,7 @@ class TestLoadDataset:
     def test_quoted_cell_with_comma_parses_as_one_cell(self, tmp_path):
         # oracle: RFC-4180 quoting keeps the comma inside one field
         ds = load_dataset(write_csv(tmp_path, 'text,label\n"hello, world",pos\n'))
-        assert ds.rows[0]["text"] == "hello, world"
+        assert ds.column("text") == ["hello, world"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -64,29 +64,29 @@ class TestSplitDataset:
     def test_partition_is_exact(self, tmp_path):
         ds = self.make(tmp_path, 37)
         splits = split_dataset(ds, [0.7, 0.1, 0.2], None, seed=9)
-        seen = [row["x"] for s in splits.values() for row in s.rows]
-        assert sorted(seen, key=int) == [row["x"] for row in ds.rows]
+        seen = [x for s in splits.values() for x in s.column("x")]
+        assert sorted(seen, key=int) == ds.column("x")
 
     def test_same_seed_gives_identical_partitions(self, tmp_path):
         ds = self.make(tmp_path)
         a = split_dataset(ds, [0.7, 0.1, 0.2], None, seed=5)
         b = split_dataset(ds, [0.7, 0.1, 0.2], None, seed=5)
         for name in ("train", "validation", "test"):
-            assert [r["x"] for r in a[name].rows] == [r["x"] for r in b[name].rows]
+            assert a[name].column("x") == b[name].column("x")
 
     def test_different_seed_changes_partition(self, tmp_path):
         ds = self.make(tmp_path)
         a = split_dataset(ds, [0.7, 0.1, 0.2], None, seed=5)
         b = split_dataset(ds, [0.7, 0.1, 0.2], None, seed=6)
-        assert [r["x"] for r in a["train"].rows] != [r["x"] for r in b["train"].rows]
+        assert a["train"].column("x") != b["train"].column("x")
 
     def test_split_column_routes_exactly_as_labeled(self, tmp_path):
         text = ("x,fold\n" + "1,train\n2,validation\n3,test\n4,train\n")
         ds = load_dataset(write_csv(tmp_path, text))
         splits = split_dataset(ds, None, "fold", seed=0)
-        assert [r["x"] for r in splits["train"].rows] == ["1", "4"]
-        assert [r["x"] for r in splits["validation"].rows] == ["2"]
-        assert [r["x"] for r in splits["test"].rows] == ["3"]
+        assert splits["train"].column("x") == ["1", "4"]
+        assert splits["validation"].column("x") == ["2"]
+        assert splits["test"].column("x") == ["3"]
 
     def test_unknown_split_label_is_data_error(self, tmp_path):
         ds = load_dataset(write_csv(tmp_path, "x,fold\n1,dev\n"))
@@ -96,7 +96,7 @@ class TestSplitDataset:
     def test_assignment_independent_of_cell_contents(self, tmp_path):
         ds = self.make(tmp_path, 50)
         before = split_dataset(ds, [0.7, 0.1, 0.2], None, seed=4)
-        ds.rows[10]["y"] = "999"  # perturb one cell
+        ds.columns["y"][10] = "999"  # perturb one cell
         after = split_dataset(ds, [0.7, 0.1, 0.2], None, seed=4)
         for name in ("train", "validation", "test"):
-            assert [r["x"] for r in before[name].rows] == [r["x"] for r in after[name].rows]
+            assert before[name].column("x") == after[name].column("x")

@@ -224,6 +224,28 @@ class TestPreprocessColumn:
             assert values.tolist() == [v for line, cell in zip(lines, column)
                                        for v in ft.numerical_values([cell], [line], meta, p)]
 
+    @given(data=st.data(), ftype=st.sampled_from(["category", "sequence", "text"]),
+           tokenizer=st.sampled_from(ft.TOKENIZERS), lowercase=st.booleans(),
+           max_len=st.integers(1, 4), vocab_size=st.integers(1, 6))
+    @settings(max_examples=150)
+    def test_ids_are_the_per_token_lookup_oracle(self, data, ftype, tokenizer, lowercase,
+                                                 max_len, vocab_size):
+        # unknown tokens, the reserved tokens as literal cells, empty (missing)
+        # cells, rows past max_len and an empty column all take the one id pass
+        words = st.sampled_from(["a", "b", "B", "zz", "<UNK>", "<PAD>"])
+        cell = (words | st.just("") if ftype == "category"
+                else st.lists(words, max_size=6).map(" ".join))
+        p = params(tokenizer=tokenizer, lowercase=lowercase, max_sequence_length=max_len,
+                   vocab_size=vocab_size)
+        meta = ft.build_metadata(data.draw(st.lists(cell, max_size=6)) + ["a b"], ftype, p)
+        column = data.draw(st.lists(cell, max_size=8), label="column")
+        out = ft.preprocess_column(column, list(range(2, len(column) + 2)), ftype, meta, p)
+        expected = oracles.vocab_id_rows(column, ftype, meta.id2token, meta.max_sequence_length,
+                                         tokenizer, lowercase)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
 
 #: per type: a training column, and the cells a column under test draws from ("" is missing)
 PROPERTY_COLUMNS = {

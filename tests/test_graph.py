@@ -137,8 +137,9 @@ class TestEncoders:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_tags_and_cnn_pool_do_not_depend_on_padding_or_batch(self, encoder, data):
-        """A row's tagger probabilities, and its pooled cnn hidden state, alone,
-        padded wider, and among rows of other lengths agree within 1e-12."""
+        """A row's tagger probabilities, and its pooled embed or cnn hidden
+        state, alone, padded wider, and among rows of other lengths agree
+        within 1e-12."""
         meta = make_meta(words=("sequence", ["a b c d e f g h"]),
                          tags=("sequence", ["X Y Z"]))
         model = build(
@@ -164,7 +165,7 @@ class TestEncoders:
         alone = row_outputs([row], max(1, len(row)), 0)
         for other in (row_outputs([row], width, 0), row_outputs(rows, width, position)):
             np.testing.assert_allclose(other[0], alone[0], rtol=0, atol=1e-12)
-            if encoder == "cnn":
+            if encoder in ("embed", "cnn"):
                 np.testing.assert_allclose(other[1], alone[1], rtol=0, atol=1e-12)
 
     def test_cnn_width_is_filters_times_branches(self):

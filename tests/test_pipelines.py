@@ -117,7 +117,7 @@ class TestCollectMetadata:
         definition = resolved(TEXT_CONFIG)
         ds = load_dataset(path)
         metadata = collect_metadata(ds, definition)
-        counts = Counter(r["label"] for r in ds.rows)
+        counts = Counter(ds.column("label"))
         expected = ["<UNK>"] + [t for t, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
         assert metadata["label"].id2token == expected
 
@@ -186,7 +186,7 @@ class TestPreprocessDataset:
         metadata = collect_metadata(splits["train"], definition)
         tensors = preprocess_dataset(splits, metadata, definition, None, None)
         spec = definition.input_features[0]
-        row0 = splits["train"].rows[0]["text"]
+        row0 = splits["train"].column("text")[0]
         direct = ft.preprocess_column([row0], splits["train"].lines[:1], "text", metadata["text"],
                                       ft.PreprocParams(**spec.preprocessing))
         np.testing.assert_array_equal(tensors["train"]["text"][0], direct[0])
@@ -345,7 +345,7 @@ class TestPredict:
         ds = load_dataset(binary_csv)
         inputs_only = tmp_path / "inputs.csv"
         synth.write_rows(inputs_only, ["f0", "f1", "f2", "f3"],
-                         [[r["f0"], r["f1"], r["f2"], r["f3"]] for r in ds.rows])
+                         zip(*(ds.column(name) for name in ["f0", "f1", "f2", "f3"])))
         predictions_path, metrics_path = predict(model_dir, inputs_only, tmp_path / "pred")
         assert predictions_path.exists()
         assert metrics_path is None
@@ -490,12 +490,12 @@ class TestExperiment:
         splits = split_dataset(ds, definition.training.split, None, seed=6)
         test_csv = tmp_path / "test_rows.csv"
         synth.write_rows(test_csv, ["text", "label"],
-                         [[r["text"], r["label"]] for r in splits["test"].rows])
+                         zip(splits["test"].column("text"), splits["test"].column("label")))
         predictions_path, _ = predict(model_dir, test_csv, tmp_path / "pred")
         import csv as csv_mod
         with open(predictions_path, newline="") as handle:
             predicted = [row["label"] for row in csv_mod.DictReader(handle)]
-        truths = [r["label"] for r in splits["test"].rows]
+        truths = splits["test"].column("label")
         accuracy = string_metric("accuracy", truths, predicted)
         assert abs(accuracy - metrics["test"]["label"]["accuracy"]) < 1e-12
 
