@@ -36,18 +36,15 @@ contribution. ``TapeNode.accumulate`` stores that first contribution as a
 fresh array and adds every later one in place, in the order the sweep
 reaches the consumers. ``select`` adds into its one slice of the parent's
 buffer (allocated as zeros on first use) instead of building a whole-input
-array per call, so an rnn's backward over s steps costs O(s) slices, not
-O(s) whole inputs. ``rnn_step`` is one op for the whole cell update; its
-closure adds its contributions in the order the sweep reaches them in the
-composed ``tanh(add(add(matmul, matmul), bias))``, so both have the same
-bits. ``embedding_lookup`` scatters its rows' gradients into
-the table with one ``np.bincount`` over the flat (id x width + column)
-index, which adds each cell's rows in order to 0.0, as ``np.add.at`` into
-zeros does. Buffers never hold -0.0, so the sums have the bits of adding
-every contribution to a zero buffer. The loss ops also expose their per-row
-terms as ``node.rows``, with the node's value equal to
-``terms.sum() / terms.size``, so a caller can reduce the terms of many
-batches to the value one batch of all their rows would have.
+array per call. ``rnn`` runs a whole recurrence as one op, so a batch
+records one node however long its longest row is. ``embedding_lookup``
+scatters its rows' gradients into the table with one ``np.bincount`` over
+the flat (id x width + column) index, which adds each cell's rows in order
+to 0.0, as ``np.add.at`` into zeros does. Buffers never hold -0.0, so the
+sums have the bits of adding every contribution to a zero buffer. The loss
+ops also expose their per-row terms as ``node.rows``, with the node's value
+equal to ``terms.sum() / terms.size``, so a caller can reduce the terms of
+many batches to the value one batch of all their rows would have.
 """
 
 from __future__ import annotations
@@ -512,49 +509,70 @@ def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode, lengths: Sequence[int
     return x.tape._record("conv1d", out, backward)
 
 
-def rnn_step(x_t: TapeNode, h_prev: TapeNode, w_in: TapeNode, w_rec: TapeNode,
-             bias: TapeNode, rows: np.ndarray | slice | None = None) -> TapeNode:
-    """One vanilla recurrent cell update, h_t = tanh(x_t W + h_prev U + b), as one op.
+def rnn(x: TapeNode, w_in: TapeNode, w_rec: TapeNode, bias: TapeNode,
+        lengths: Sequence[int]) -> TapeNode:
+    """A vanilla tanh recurrence, h_t = tanh(x_t W + h_{t-1} U + b) from
+    h_{-1} = 0, over every row of a packed batch, as one op.
 
-    ``rows``, an index array or a slice, selects the rows whose sequence is
-    still running; every other row carries ``h_prev`` forward unchanged and
-    passes its gradient straight back to it. A slice selects views, with no
-    copies. With ``rows=None`` every row steps. The backward pass adds
-    its contributions in the order the sweep reaches them in
-    ``tanh(add(add(matmul, matmul), bias))``, so both have the same bits.
+    ``x`` is [n x e]: the real tokens of the rows back to back, longest row
+    first, row ``i`` holding ``lengths[i]`` of them. The output is
+    [max(longest, 1) x b x h], every row's state after each step; a row that
+    has ended carries its last state forward, and a row with no tokens stays
+    0. The tokens are taken time-major, so the rows running at step t are a
+    prefix, and x W + b is one product before the step loop, each step adding
+    h_{t-1} U in place. Backward is one reverse loop carrying the running
+    rows' state gradients; W's, b's and x's are each one product after it.
     """
-    xv, hv = x_t.value.array, h_prev.value.array
-    wv, uv, bv = w_in.value.array, w_rec.value.array, bias.value.array
-    if xv.ndim != 2 or hv.ndim != 2 or wv.ndim != 2 or uv.ndim != 2:
-        raise ShapeError(f"rnn_step needs rank-2 operands, got {x_t.value.dims}, "
-                         f"{h_prev.value.dims}, {w_in.value.dims} and {w_rec.value.dims}")
-    n = uv.shape[1]
-    if (xv.shape[0] != hv.shape[0] or xv.shape[1] != wv.shape[0] or wv.shape[1] != n
-            or uv.shape[0] != n or hv.shape[1] != n or bv.shape != (n,)):
-        raise ShapeError(f"rnn_step dims mismatch: x {x_t.value.dims}, h {h_prev.value.dims}, "
-                         f"w_in {w_in.value.dims}, w_rec {w_rec.value.dims}, "
-                         f"bias {bias.value.dims}")
-    xa, ha = (xv, hv) if rows is None else (xv[rows], hv[rows])
-    active = np.tanh((xa @ wv + ha @ uv) + bv)
-    out = active if rows is None else _into_rows(hv.copy(), rows, active)
+    xv, wv, uv, bv = x.value.array, w_in.value.array, w_rec.value.array, bias.value.array
+    n, h = xv.shape[0], uv.shape[-1]
+    if ((xv.ndim, wv.ndim, uv.ndim, bv.shape) != (2, 2, 2, (h,)) or xv.shape[1] != wv.shape[0]
+            or wv.shape[1] != h or uv.shape[0] != h):
+        raise ShapeError(f"rnn dims mismatch: x {x.value.dims}, w_in {w_in.value.dims}, "
+                         f"w_rec {w_rec.value.dims}, bias {bias.value.dims}")
+    counts = np.asarray(lengths, dtype=np.int64)
+    if (counts.ndim != 1 or (counts < 0).any() or counts.sum() != n
+            or (np.diff(counts) > 0).any()):
+        raise ShapeError(f"rnn row lengths {counts.tolist()} are not non-increasing "
+                         f"or do not pack {n} positions")
+    b, longest = counts.size, int(counts.max(initial=0))
+    running = np.searchsorted(-counts, -np.arange(longest + 1))  # rows longer than t
+    starts = np.cumsum(running) - running  # step t's first token in time-major order
+    # each token's step, sorted stably: the rows' t-th tokens in row order, by t
+    time_major = np.argsort(np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts),
+                            kind="stable")
+    x_tm = xv[time_major]
+    projected = x_tm @ wv + bv
+    out = np.zeros((max(longest, 1), b, h))
+    for t in range(longest):
+        r, later = running[t], running[t + 1]
+        step, pre = out[t, :r], projected[starts[t] : starts[t] + r]
+        if t:
+            np.matmul(out[t - 1, :r], uv, out=step)
+            pre = np.add(step, pre, out=step)
+        np.tanh(pre, out=step)
+        if later < r:  # rows whose last step is t carry their state forward
+            out[t + 1 :, later:r] = step[later:]
 
     def backward(g):
-        ga = (g if rows is None else g[rows]) * (1.0 - active * active) + 0.0
-        bias.accumulate(ga.sum(axis=0))
-        gh = ga @ uv.T
-        h_prev.accumulate(gh if rows is None else _into_rows(g.copy(), rows, gh))
-        w_rec.accumulate(ha.T @ ga)
-        gx = ga @ wv.T
-        x_t.accumulate(gx if rows is None else _into_rows(np.zeros(xv.shape), rows, gx))
-        w_in.accumulate(xa.T @ ga)
+        carry = np.empty((b, h))  # the gradient of each running row's state
+        grad_pre = np.empty((n, h))  # of tanh's input, time-major
+        gu = np.zeros((h, h))
+        for t in range(longest - 1, -1, -1):
+            r, later = running[t], running[t + 1]
+            carry[:later] += g[t, :later]
+            if later < r:  # rows whose last step is t, with their carried states
+                carry[later:r] = g[t:, later:r].sum(axis=0)
+            step = grad_pre[starts[t] : starts[t] + r]
+            np.multiply(carry[:r], 1.0 - out[t, :r] * out[t, :r], out=step)
+            if t:
+                gu += out[t - 1, :r].T @ step
+                np.matmul(step, uv.T, out=carry[:r])
+        x.accumulate((grad_pre @ wv.T)[np.argsort(time_major)])
+        w_in.accumulate(x_tm.T @ grad_pre)
+        w_rec.accumulate(gu)
+        bias.accumulate(grad_pre.sum(axis=0))
 
-    return x_t.tape._record("rnn_step", out, backward)
-
-
-def _into_rows(base: np.ndarray, rows: np.ndarray | slice, part: np.ndarray) -> np.ndarray:
-    """``base``, a fresh array, with ``part`` written into its ``rows``."""
-    base[rows] = part
-    return base
+    return x.tape._record("rnn", out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ which a sequence-tagging decoder consumes. The states are packed: the
 states of every row's real tokens back to back in batch order, [n x width]
 for a batch of n real tokens, with each row's token count in ``lengths``
 (from ``decoders.token_counts``) and the padded batch's width in ``width``;
-no PAD position has a state. A sequence encoder builds only the nodes its
+no PAD position has a state. All three sequence encoders embed a row's
+real ids alone (``_real_ids``), so no PAD position is embedded and the PAD
+row of a table is never read. A sequence encoder builds only the nodes its
 caller reads: the states only with ``states=True``, the hidden tensor only
 with ``hidden=True`` (the default). The model asks for each only when some
-output reads it, so a classifier's rnn records no concat of its steps, and
-a tagger's cnn no max pool.
+output reads it, so a classifier's rnn records no gather of its steps'
+states, and a tagger's cnn no max pool.
 
 Encoders accept an open keyword map; each implementation reads the keywords
 it understands and falls back to its declared defaults, so alternative
@@ -99,13 +101,6 @@ class SetEmbedSumEncoder:
         return EncoderOutput(ad.matmul(tape.constant(batch), tape.leaf(self.table)))
 
 
-def _embed_sequence(table: ad.TapeNode, batch: np.ndarray) -> ad.TapeNode:
-    """The [b x s x size] embeddings of a padded id batch, PAD positions included."""
-    b, s = batch.shape
-    rows = ad.embedding_lookup(table, batch.reshape(-1).astype(np.int64))
-    return ad.reshape(rows, (b, s, table.value.dims[1]))
-
-
 def _real_ids(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A padded id batch's real ids back to back in batch order, and the
     number of them in each row."""
@@ -152,8 +147,9 @@ class SequenceEmbedEncoder:
 
 
 class SequenceRnnEncoder:
-    """Vanilla tanh recurrence over token embeddings; hidden = each row's
-    state at its last real token.
+    """Vanilla tanh recurrence over the embeddings of each row's real
+    tokens, as one ``ad.rnn`` node per batch; hidden = each row's state at
+    its last real token.
 
     The recurrent weights start as the identity (Le et al., arXiv 1504.00941),
     so a token's input reaches the last state undamped and unrotated and the
@@ -172,44 +168,29 @@ class SequenceRnnEncoder:
         self.w_in = make_weight(store, rng, f"{prefix}.rnn.w_in", emb, state)
         self.w_rec = store.create(f"{prefix}.rnn.w_rec", np.eye(state))
         self.bias = make_bias(store, f"{prefix}.rnn.bias", state)
-        self.state_size = state
         self.output_width = state
         self.sequence_width = state
 
     def forward(self, tape: ad.Tape, batch: np.ndarray, states: bool = False,
                 hidden: bool = True) -> EncoderOutput:
-        # Rows are stepped longest first, so the rows still running are a
-        # prefix and each step updates a slice of views; steps stop at the
-        # longest row. A row that has ended carries its state forward, so the
-        # final state is each row's state at its last real token. The final
-        # states, and the states at real positions of the steps stacked
-        # [longest * b x state], are gathered back into batch order by
-        # ``embedding_lookup``, the tape's row gather.
-        b = batch.shape[0]
+        # ``ad.rnn`` takes the rows longest first; its last step holds each
+        # row's state at its last real token. That step, and the states at
+        # real positions of all steps flattened [s * b x state], are gathered
+        # back into batch order by ``embedding_lookup``, the tape's row gather.
         lengths = token_counts(batch)
         order = np.argsort(-lengths, kind="stable")
-        sorted_lengths = lengths[order]
-        longest = int(sorted_lengths[0]) if b else 0
-        running = np.searchsorted(-sorted_lengths, -np.arange(longest))  # rows longer than t
-        embedded = _embed_sequence(tape.leaf(self.table), batch[order, :longest])
-        w_in, w_rec = tape.leaf(self.w_in), tape.leaf(self.w_rec)
-        bias = tape.leaf(self.bias)
-        state = tape.constant(np.zeros((b, self.state_size)))
-        steps = []
-        for t in range(longest):
-            x_t = ad.select(embedded, axis=1, index=t)
-            rows = None if running[t] == b else slice(0, int(running[t]))
-            state = ad.rnn_step(x_t, state, w_in, w_rec, bias, rows)
-            if states:
-                steps.append(state)
+        ids, sorted_lengths = _real_ids(batch[order])
+        out = ad.rnn(ad.embedding_lookup(tape.leaf(self.table), ids), tape.leaf(self.w_in),
+                     tape.leaf(self.w_rec), tape.leaf(self.bias), sorted_lengths)
+        s, b, width = out.value.dims
         restore = np.argsort(order)  # each batch row's sorted position
         sequence = None
         if states:
-            rows, t = np.nonzero(real_positions(lengths, longest))
-            sequence = ad.embedding_lookup(ad.concat(steps or [state], axis=0),
+            rows, t = np.nonzero(real_positions(lengths, s))
+            sequence = ad.embedding_lookup(ad.reshape(out, (s * b, width)),
                                            t * b + restore[rows])
-        return EncoderOutput(ad.embedding_lookup(state, restore) if hidden else None,
-                             sequence, lengths, batch.shape[1])
+        final = ad.embedding_lookup(ad.select(out, 0, s - 1), restore) if hidden else None
+        return EncoderOutput(final, sequence, lengths, batch.shape[1])
 
 
 class SequenceCnnEncoder:

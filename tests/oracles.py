@@ -46,19 +46,28 @@ def conv1d_sliding_window(x: np.ndarray, filters: np.ndarray, bias: np.ndarray) 
     return out
 
 
-def rnn_step_scalar_loop(x, h_prev, w_in, w_rec, bias) -> np.ndarray:
-    b, n_in = x.shape
-    n = h_prev.shape[1]
-    out = np.zeros((b, n))
-    for row in range(b):
-        for j in range(n):
-            acc = bias[j]
-            for i in range(n_in):
-                acc += x[row, i] * w_in[i, j]
-            for i in range(n):
-                acc += h_prev[row, i] * w_rec[i, j]
-            out[row, j] = math.tanh(acc)
-    return out
+def rnn_scalar_loop(rows, w_in, w_rec, bias) -> list[np.ndarray]:
+    """Each row's states [len(row) x n] of h_t = tanh(x_t W + h_{t-1} U + b)
+    from h_{-1} = 0, one row, step and unit at a time. ``rows`` is a list of
+    [steps x e] token arrays."""
+    n_in, n = w_in.shape
+    states = []
+    for x in rows:
+        h = [0.0] * n
+        out = np.zeros((len(x), n))
+        for t in range(len(x)):
+            nxt = []
+            for j in range(n):
+                acc = bias[j]
+                for i in range(n_in):
+                    acc += x[t][i] * w_in[i, j]
+                for i in range(n):
+                    acc += h[i] * w_rec[i, j]
+                nxt.append(math.tanh(acc))
+            h = nxt
+            out[t] = h
+        states.append(out)
+    return states
 
 
 def cross_entropy_logsumexp(logits: np.ndarray, ids) -> float:

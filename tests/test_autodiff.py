@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecdkit import autodiff as ad
@@ -28,7 +28,7 @@ from oracles import (
     finite_difference_grad,
     matmul_triple_loop,
     max_relative_error,
-    rnn_step_scalar_loop,
+    rnn_scalar_loop,
     select_grad_dense,
     sequential_fold_sum,
 )
@@ -235,89 +235,75 @@ class TestConv1d:
                       tape.constant(np.zeros((4, 2, 3))), tape.constant(np.zeros(3)), [5])
 
 
-class TestRnnStep:
+class TestRnn:
 
-    def _nodes(self, tape, x, h, w, u, b):
-        return (tape.constant(x), tape.constant(h), tape.constant(w),
-                tape.constant(u), tape.constant(b))
+    def _nodes(self, tape, x, w, u, b):
+        return tuple(tape.constant(v) for v in (x, w, u, b))
 
     def test_all_zero_weights(self):
         tape = ad.Tape()
-        out = ad.rnn_step(*self._nodes(tape, np.ones((1, 3)), np.ones((1, 2)),
-                                       np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(2)))
-        np.testing.assert_array_equal(out.value.array, np.zeros((1, 2)))
+        out = ad.rnn(*self._nodes(tape, np.ones((3, 3)), np.zeros((3, 2)),
+                                  np.zeros((2, 2)), np.zeros(2)), [2, 1])
+        np.testing.assert_array_equal(out.value.array, np.zeros((2, 2, 2)))
 
     def test_bias_only(self):
         tape = ad.Tape()
-        out = ad.rnn_step(*self._nodes(tape, np.ones((1, 3)), np.ones((1, 2)),
-                                       np.zeros((3, 2)), np.zeros((2, 2)), np.ones(2)))
-        np.testing.assert_allclose(out.value.array, np.tanh(1.0) * np.ones((1, 2)), atol=1e-15)
+        out = ad.rnn(*self._nodes(tape, np.ones((3, 3)), np.zeros((3, 2)),
+                                  np.zeros((2, 2)), np.ones(2)), [2, 1, 0])
+        expected = np.tanh(1.0) * np.ones((2, 3, 2))
+        expected[:, 2] = 0.0  # the all-PAD row
+        np.testing.assert_allclose(out.value.array, expected, atol=1e-15)
 
     def test_matches_scalar_loop_oracle(self):
-        x = rng.normal(size=(1, 4))
-        h = rng.normal(size=(1, 3))
+        x = rng.normal(size=(5, 4))
         w = rng.normal(size=(4, 3))
         u = rng.normal(size=(3, 3))
         b = rng.normal(size=3)
         tape = ad.Tape()
-        out = ad.rnn_step(*self._nodes(tape, x, h, w, u, b))
-        np.testing.assert_allclose(out.value.array,
-                                   rnn_step_scalar_loop(x, h, w, u, b), atol=1e-12)
+        out = ad.rnn(*self._nodes(tape, x, w, u, b), [3, 2])
+        first, second = rnn_scalar_loop([x[:3], x[3:]], w, u, b)
+        np.testing.assert_allclose(out.value.array[:, 0], first, atol=1e-12)
+        np.testing.assert_allclose(out.value.array[:2, 1], second, atol=1e-12)
+        np.testing.assert_array_equal(out.value.array[2, 1], out.value.array[1, 1])
 
-    def test_equals_the_tape_ops_bit_for_bit(self):
-        """Two steps sharing their weights: the value and all five gradients
-        have the bits of tanh(add(add(matmul, matmul), bias))."""
-        r = np.random.default_rng(3)
-        values = {"x": r.normal(size=(4, 5)), "h": r.normal(size=(4, 3)),
-                  "w_in": r.normal(size=(5, 3)), "w_rec": r.normal(size=(3, 3)),
-                  "bias": r.normal(size=3)}
-
-        def run(step):
-            tape = ad.Tape()
-            x, h, w, u, b = (leaf(tape, v, name) for name, v in values.items())
-            out = step(x, step(x, h, w, u, b), w, u, b)
-            root = ad.reduce("sum", ad.reduce("sum", ad.apply_unary("sigmoid", out), 1), 0)
-            grads = tape.backward(root)
-            return out.value.array.tobytes(), {n: g.tobytes() for n, g in grads.items()}
-
-        fused = run(ad.rnn_step)
-        composed = run(lambda x, h, w, u, b: ad.apply_unary(
-            "tanh", ad.add(ad.add(ad.matmul(x, w), ad.matmul(h, u)), b)))
-        assert fused[0] == composed[0]
-        assert sorted(fused[1]) == sorted(values)
-        assert fused[1] == composed[1]
-
-    @pytest.mark.parametrize("rows", [np.array([0, 1]), slice(0, 2)], ids=["index", "slice"])
-    def test_inactive_rows_carry_their_state_and_gradient(self, rows):
-        r = np.random.default_rng(4)
-        x, h = r.normal(size=(4, 2)), r.normal(size=(4, 3))
-        w, u, b = r.normal(size=(2, 3)), r.normal(size=(3, 3)), r.normal(size=3)
-        g = r.normal(size=(4, 3))
-        tape = ad.Tape()
-        nodes = [leaf(tape, v, name) for name, v in zip("xhwub", (x, h, w, u, b))]
-        out = ad.rnn_step(*nodes, rows=rows)
-        full = rnn_step_scalar_loop(x, h, w, u, b)
-        np.testing.assert_allclose(out.value.array[:2], full[:2], atol=1e-12)
-        np.testing.assert_array_equal(out.value.array[2:], h[2:])
-        # the gradient of sum(g * out): inactive rows pass g straight back to h
-        weighted = ad.matmul(ad.reshape(out, (1, 12)), tape.constant(g.reshape(12, 1)))
-        grads = tape.backward(ad.reduce("sum", weighted, 1))
-        np.testing.assert_array_equal(grads["h"][2:], g[2:])
-        np.testing.assert_array_equal(grads["x"][2:], 0.0)
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 40), max_size=5).map(
+        lambda drawn: sorted(drawn, reverse=True)), seed=st.integers(0, 2**32 - 1))
+    def test_each_rows_states_match_the_oracle(self, lengths, seed):
+        """At each row's real steps the state is the oracle's, past them its
+        last state (0 for a row with no tokens), within 1e-12."""
+        r = np.random.default_rng(seed)
+        x = r.normal(size=(sum(lengths), 3))
+        w, u, b = r.normal(size=(3, 4)), r.normal(size=(4, 4)) * 0.5, r.normal(size=4)
+        out = ad.rnn(*self._nodes(ad.Tape(grad=False), x, w, u, b), lengths).value.array
+        assert out.shape == (max(lengths, default=0) or 1, len(lengths), 4)
+        ends = np.cumsum(lengths)
+        rows = [x[end - count : end] for end, count in zip(ends, lengths)]
+        for i, (count, states) in enumerate(zip(lengths, rnn_scalar_loop(rows, w, u, b))):
+            np.testing.assert_allclose(out[:count, i], states, rtol=0, atol=1e-12)
+            last = states[-1] if count else np.zeros(4)
+            np.testing.assert_allclose(out[count:, i], np.broadcast_to(last, out[count:, i].shape),
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dims", [
-        ((4, 2), (3, 3), (2, 3), (3, 3), (3,)),     # x and h disagree on the batch
-        ((4, 5), (4, 3), (2, 3), (3, 3), (3,)),     # x width is not w_in's rows
-        ((4, 2), (4, 3), (2, 4), (3, 3), (3,)),     # w_in and w_rec widths differ
-        ((4, 2), (4, 3), (2, 3), (3, 4), (3,)),     # w_rec is not square
-        ((4, 2), (4, 2), (2, 3), (3, 3), (3,)),     # h width is not the state width
-        ((4, 2), (4, 3), (2, 3), (3, 3), (4,)),     # bias width
-        ((4, 2, 1), (4, 3), (2, 3), (3, 3), (3,)),  # rank-3 input
+        ((4, 5), (2, 3), (3, 3), (3,)),     # x width is not w_in's rows
+        ((4, 2), (2, 4), (3, 3), (3,)),     # w_in and w_rec widths differ
+        ((4, 2), (2, 3), (3, 4), (3,)),     # w_rec is not square
+        ((4, 2), (2, 3), (3, 3), (4,)),     # bias width
+        ((4, 2, 1), (2, 3), (3, 3), (3,)),  # rank-3 input
+        ((4, 2), (2,), (3, 3), (3,)),       # rank-1 w_in
     ])
     def test_mismatched_operands_raise_shape_error(self, dims):
         tape = ad.Tape()
-        with pytest.raises(ShapeError, match="rnn_step"):
-            ad.rnn_step(*(tape.constant(np.zeros(d)) for d in dims))
+        with pytest.raises(ShapeError, match="rnn"):
+            ad.rnn(*(tape.constant(np.zeros(d)) for d in dims), [4])
+
+    @pytest.mark.parametrize("lengths", [[1, 3], [2, 3, 0], [5, -1], [3, 3], [[2, 2]]])
+    def test_lengths_not_non_increasing_or_not_packing_raise(self, lengths):
+        tape = ad.Tape()
+        with pytest.raises(ShapeError, match="rnn row lengths"):
+            ad.rnn(*self._nodes(tape, np.zeros((4, 2)), np.zeros((2, 3)),
+                                np.zeros((3, 3)), np.zeros(3)), lengths)
 
 
 class TestLosses:
@@ -452,17 +438,17 @@ def _op_cases(r: np.random.Generator) -> dict:
     x_rows, cx_rows = [4, 0, 2], [1, 0, 4]
     bce_targets = (r.normal(size=(5, 2)) > 0).astype(float)
     mse_targets = r.normal(size=(5, 1))
-    rnn_operands = [r.normal(size=s) for s in ((4, 3), (4, 2), (3, 2), (2, 2), (2,))]
-    rnn_readout = r.normal(size=(2, 3))
+    rnn_operands = [r.normal(size=s) for s in ((7, 3), (3, 2), (2, 2), (2,))]
+    rnn_readout = r.normal(size=(24, 1))
 
     def ragged_rnn(t, x, slot):
-        """Two steps over four rows sharing every operand, ``x`` in ``slot``:
-        rows 0 and 3 run both, row 1 the first only, row 2 neither (all PAD)."""
+        """Rows of 3, 3, 1 and 0 tokens (a tie, a short row and an all-PAD
+        row) sharing every operand, ``x`` in ``slot``; every step of the
+        output is read, so the carried states' gradient is checked too."""
         ops = [t.constant(v) for v in rnn_operands]
         ops[slot] = x
-        first = ad.rnn_step(*ops, rows=np.array([0, 1, 3]))
-        second = ad.rnn_step(ops[0], first, *ops[2:], rows=np.array([0, 3]))
-        return summed(ad.matmul(second, t.constant(rnn_readout)))
+        out = ad.rnn(*ops, [3, 3, 1, 0])
+        return summed(ad.matmul(ad.reshape(out, (1, 24)), t.constant(rnn_readout)))
 
     return {
         "matmul_left": ((3, 4), lambda t, x: summed(ad.matmul(x, t.constant(m42)))),
@@ -487,11 +473,10 @@ def _op_cases(r: np.random.Generator) -> dict:
             t.constant(cx52), x, t.constant(cb4), cx_rows))),
         "conv1d_bias": ((4,), lambda t, x: summed(ad.conv1d(
             t.constant(cx52), t.constant(cf324), x, cx_rows))),
-        "rnn_step_x": ((4, 3), lambda t, x: ragged_rnn(t, x, 0)),
-        "rnn_step_h": ((4, 2), lambda t, x: ragged_rnn(t, x, 1)),
-        "rnn_step_weights": ((3, 2), lambda t, x: ragged_rnn(t, x, 2)),
-        "rnn_step_w_rec": ((2, 2), lambda t, x: ragged_rnn(t, x, 3)),
-        "rnn_step_bias": ((2,), lambda t, x: ragged_rnn(t, x, 4)),
+        "rnn_x": ((7, 3), lambda t, x: ragged_rnn(t, x, 0)),
+        "rnn_w_in": ((3, 2), lambda t, x: ragged_rnn(t, x, 1)),
+        "rnn_w_rec": ((2, 2), lambda t, x: ragged_rnn(t, x, 2)),
+        "rnn_bias": ((2,), lambda t, x: ragged_rnn(t, x, 3)),
         "cross_entropy": ((6, 4), lambda t, x: ad.softmax_cross_entropy(x, [0, 1, 2, 3, 0, 1])),
         "sigmoid_bce": ((5, 2), lambda t, x: ad.sigmoid_bce(x, bce_targets)),
         "mse": ((5, 1), lambda t, x: ad.mse(x, mse_targets)),
@@ -556,7 +541,7 @@ def recorded_kinds() -> set[str]:
 def test_every_recorded_op_kind_has_a_gradcheck_case():
     """An op kind no ``_op_cases`` builder records has no finite-difference check."""
     recorded = recorded_kinds()
-    assert {"const", "param", "conv1d", "relu", "reduce_max", "rnn_step"} <= recorded
+    assert {"const", "param", "conv1d", "relu", "reduce_max", "rnn"} <= recorded
     covered = set()
     for name, (shape, build) in _op_cases(np.random.default_rng(0)).items():
         tape = ad.Tape()

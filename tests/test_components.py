@@ -116,11 +116,11 @@ def arrays_digest(blocks: list[dict]) -> str:
 PINNED_ARRAYS = "6213df89fcf8721b049e7b91b22d00c8b0ac76d208bddb4ac13826be63ccd46a"
 PINNED = {
     "embed": ("af1c4878b1d1487b8bed1b58be83dbde9daf1fd140b0d1af31fd7cade8144603",
-              "483965bd6d1a35d1699f1c729678508a6ce8423b621008252c2d380d7a88fb67"),
+              "c84f7004263794893ae9877e57751a74293f79a6033c50b75e06ce634cc28786"),
     "rnn": ("161cd76ca69400e21e2b021a3d96085d32f77f172d88afd2aa75b41eb03813de",
-            "c8fc45f9cba8c93ac3e3ec0d60a2e0f116c78392a53d643ac3d017e16cf897ac"),
+            "b8479fb26c216ad9e0dfe52cc9b27f684103240d3ec64ce4a47a8d492d1650da"),
     "cnn": ("e3c4066b5e5cd7d56b05d3167fa6bf7ad5f238f8b6b1ae2f698a16fef8c96194",
-            "3cad3cc6c79ed57c3c077f3990d3b6cdd0c98c9851b23ea34ae471cf033845b2"),
+            "b3bee52e412fb392de75ac10a5dd34912a07934059fb37549febeb0114b305b5"),
 }
 
 

@@ -85,7 +85,7 @@ class TestEncoders:
         tape = ad.Tape()
         batch = np.array([[2.0, 3.0, 4.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0, 0.0]])
         out = model.encoders["words"].forward(tape, batch, states=True)
-        assert [n.op_kind for n in tape.nodes].count("rnn_step") == 3
+        assert [n.op_kind for n in tape.nodes].count("rnn") == 1
         states, hidden = out.sequence.value.array, out.hidden.value.array
         assert states.shape == (4, 6) and out.width == 5  # rows of 3 and 1 tokens
         np.testing.assert_array_equal(out.lengths, [3, 1])
@@ -195,11 +195,32 @@ class TestEncoders:
             "output_features:\n  - name: y\n    type: category\n" + output, meta)
         result = model.forward({"words": np.array([[2.0, 3.0, 4.0, 5.0], [4.0, 3.0, 2.0, 0.0]])})
         kinds = [node.op_kind for node in result.tape.nodes]
-        after = kinds[kinds.index("reshape") + 1 :]  # past the embedding's reshape
-        # the steps are stacked by one concat, with no per-step reshape
-        assert after.count("concat") == (1 if tagged else 0)
-        assert "reshape" not in after
-        assert after.count("select") == after.count("rnn_step") == 4
+        assert kinds.count("rnn") == 1
+        after = kinds[kinds.index("rnn") + 1 :]
+        # the last step is one select; the steps' states are one reshape of
+        # the rnn's output, recorded only when a tagger reads them
+        assert after.count("select") == 1
+        assert "concat" not in after
+        assert after.count("reshape") == (1 if tagged else 0)
+
+    @pytest.mark.parametrize("states", [False, True])
+    def test_rnn_records_the_same_nodes_however_long_the_longest_row(self, states):
+        """A 40-token row costs no more tape nodes than a 4-token one."""
+        meta = make_meta(words=("sequence", ["a b c d"]), y=("numerical", ["1", "2"]))
+        model = build(
+            "input_features:\n  - name: words\n    type: sequence\n    encoder: rnn\n"
+            "    state_size: 6\n"
+            "output_features:\n  - name: y\n    type: numerical\n", meta)
+
+        def kinds(longest):
+            batch = np.zeros((3, 40))
+            batch[0, :longest] = batch[1, :3] = 2.0
+            tape = ad.Tape()
+            model.encoders["words"].forward(tape, batch, states=states)
+            return Counter(node.op_kind for node in tape.nodes)
+
+        assert kinds(4) == kinds(40)
+        assert kinds(40)["rnn"] == 1
 
     def test_set_encoder_sums_member_embeddings(self):
         meta = make_meta(tags=("set", ["x y", "y z"]), y=("numerical", ["1", "2"]))
