@@ -11,7 +11,8 @@ across threads can round differently, and a seed must give the same bytes.
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARIABLES:
     os.environ.setdefault(_var, "1")
 
 from .autodiff import Parameter, ParameterStore, Tape

@@ -14,27 +14,36 @@ topologically ordered by construction and a single reverse sweep suffices.
 ``backward`` consumes its tape. An interior node's gradient and closure are
 dropped as soon as its closure has run, since every consumer of the node
 has run before it; parameter leaves keep their gradients until the sweep
-ends. After the sweep the tape drops its node list, which ends the
-reference cycle between the tape and its nodes (each node points back at
-its tape), and every node's gradient and closure are cleared, so the arrays
-the closures captured are freed by reference counting even while the caller
-still holds the root. A ``Tape(grad=False)`` records nothing from the
-start: it keeps no node list and attaches no closures, so a forward pass on
-it holds only the values the caller keeps. Neither kind of tape can be
-differentiated again.
+ends, and a packed parameter's stays in its store's gradient buffer until
+the caller zeroes that for the next sweep. After the sweep the tape drops
+its node list and its leaves, which ends the reference cycle between the
+tape and its nodes (each node points back at its tape), and every node's
+gradient and closure are cleared, so the arrays the closures captured are
+freed by reference counting even while the caller still holds the root. A
+``Tape(grad=False)`` records nothing from the start: it keeps no node list
+and attaches no closures, so a forward pass on it holds only the values
+the caller keeps. Neither kind of tape can be differentiated again.
 
 Op outputs are wrapped with ``Tensor.wrap``, unscanned: finiteness is
 checked at the tape's edges only. Constants and parameter values enter
 through ``tensor.finite_array``, and ``backward`` raises ``NonFiniteError``
-for a non-finite loss or a non-finite parameter gradient, naming the
-parameter. Parameter values and the gradients ``backward`` returns are plain
-float64 arrays.
+for a non-finite loss; the gradients are checked where a packed store
+collects them (``ParameterStore.check_finite``). Parameter values and the
+gradients ``backward`` returns are plain float64 arrays.
 
 Forward values are never mutated by a backward pass; gradients live in a
-separate per-node buffer, allocated when the node receives its first
-contribution. ``TapeNode.accumulate`` stores that first contribution as a
-fresh array and adds every later one in place, in the order the sweep
-reaches the consumers. ``select`` adds into its one slice of the parent's
+separate per-node buffer. A parameter has one leaf per gradient tape. For
+training, ``ParameterStore.pack`` moves every parameter into one flat
+weight buffer and gives it a view of its slice of one flat gradient
+buffer, which the caller zeroes before each sweep; a packed parameter's
+leaf takes that view as its gradient buffer, so its contributions are
+added into the store's buffer in place. Any other node's buffer is
+allocated at its first contribution, which ``TapeNode.accumulate`` stores
+as ``contribution + 0.0``, the bits of ``0.0 + contribution`` in a zeroed
+view; every later one is added in place, in the order the sweep reaches
+the consumers. A constant takes no gradient: ``accumulate`` into one does
+nothing, and ``matmul`` does not compute the product for a constant left
+operand. ``select`` adds into its one slice of the parent's
 buffer (allocated as zeros on first use) instead of building a whole-input
 array per call. ``rnn`` runs a whole recurrence as one op, so a batch
 records one node however long its longest row is. ``embedding_lookup``
@@ -50,6 +59,7 @@ many batches to the value one batch of all their rows would have.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,10 +81,15 @@ Backward = Callable[[np.ndarray], None]
 
 @dataclass
 class Parameter:
-    """Named trainable float64 array. Names are dot-separated paths."""
+    """Named trainable float64 array. Names are dot-separated paths.
+
+    In a packed store ``value`` and ``grad`` are views of the parameter's
+    slice of the store's weight and gradient buffers; otherwise ``grad`` is
+    None."""
 
     name: str
     value: np.ndarray
+    grad: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.name or any(not part for part in self.name.split(".")):
@@ -82,12 +97,23 @@ class Parameter:
 
 
 class ParameterStore:
-    """Ordered collection of parameters with unique names."""
+    """Ordered collection of parameters with unique names.
+
+    A store is packed for training only (``pack``): then ``weights`` and
+    ``grads`` are flat float64 buffers holding every parameter in store
+    order, and an optimizer updates all of them in one pass. A loaded model
+    is never packed, and both are None.
+    """
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
+        self.weights: np.ndarray | None = None
+        self.grads: np.ndarray | None = None
+        self._slices: list[slice] = []
 
     def add(self, param: Parameter) -> Parameter:
+        if self.weights is not None:
+            raise ContractError(f"cannot add parameter {param.name!r} to a packed store")
         if param.name in self._params:
             raise ContractError(f"duplicate parameter name {param.name!r}")
         self._params[param.name] = param
@@ -108,14 +134,46 @@ class ParameterStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copy of every parameter's values, for checkpointing."""
-        return {name: p.value.copy() for name, p in self._params.items()}
+    def pack(self) -> None:
+        """Move every parameter's values into one flat weight buffer and give
+        each parameter views of its slice of it and of a zeroed gradient
+        buffer of the same layout. Packing a packed store does nothing."""
+        if self.weights is not None:
+            return
+        stops = list(accumulate(p.value.size for p in self))
+        self._slices = [slice(stop - p.value.size, stop) for p, stop in zip(self, stops)]
+        self.weights = np.empty(stops[-1] if stops else 0)
+        self.grads = np.zeros_like(self.weights)
+        for param, part in zip(self, self._slices):
+            shape = param.value.shape
+            self.weights[part] = param.value.reshape(-1)
+            param.value = self.weights[part].reshape(shape)
+            param.grad = self.grads[part].reshape(shape)
 
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
+    def check_finite(self, flat: np.ndarray, what: str) -> np.ndarray:
+        """Return ``flat``, laid out like the weight buffer, if all of it is
+        finite; else raise ``NonFiniteError`` naming the first parameter
+        whose slice is not."""
+        if not np.isfinite(flat).all():
+            for param, part in zip(self, self._slices):
+                check_finite(flat[part], f"{what} for parameter {param.name!r}")
+        return flat
+
+    def snapshot(self) -> np.ndarray:
+        """Copy of a packed store's weight buffer, for checkpointing."""
+        return self.weights.copy()
+
+    def rollback(self, snapshot: np.ndarray) -> None:
+        """Copy a ``snapshot`` of this packed store back into its weights."""
+        self.weights[...] = snapshot
+
+    def restore(self, weights: dict[str, np.ndarray]) -> None:
         """Take each array as the named parameter's values, uncopied; the
-        caller hands them over and must not write them afterwards."""
-        for name, values in snapshot.items():
+        caller hands them over and must not write them afterwards. For a
+        store that is not packed: a model being loaded."""
+        if self.weights is not None:
+            raise ContractError("a packed store keeps its values in its weight buffer")
+        for name, values in weights.items():
             self._params[name].value = finite_array(values)
 
 
@@ -136,8 +194,11 @@ class TapeNode:
         self.rows: np.ndarray | None = None
 
     def accumulate(self, contribution: np.ndarray) -> None:
-        """Add one gradient contribution. The first is stored as
-        ``contribution + 0.0``, the bits of ``zeros + contribution``."""
+        """Add one gradient contribution; a constant takes none. Without a
+        buffer the first is stored as ``contribution + 0.0``, the bits of
+        ``zeros + contribution``."""
+        if self.op_kind == "const":
+            return
         if self.grad is None:
             self.grad = contribution + 0.0
         else:
@@ -156,6 +217,7 @@ class Tape:
 
     def __init__(self, grad: bool = True):
         self.nodes: list[TapeNode] | None = [] if grad else None
+        self._leaves: dict[str, TapeNode] = {}  # on a gradient tape, by parameter name
         self._next_id = 0
 
     @property
@@ -185,17 +247,29 @@ class Tape:
         return self._record("const", finite_array(values))
 
     def leaf(self, param: Parameter) -> TapeNode:
-        """Leaf bound to a named parameter; backward reports its gradient."""
-        return self._record("param", param.value, param_name=param.name)
+        """Leaf bound to a named parameter; backward reports its gradient.
+
+        On a gradient tape a parameter has one leaf, whose gradient buffer is
+        the parameter's ``grad`` view when its store is packed."""
+        if self.nodes is None:
+            return self._record("param", param.value, param_name=param.name)
+        node = self._leaves.get(param.name)
+        if node is None:
+            node = self._leaves[param.name] = self._record("param", param.value,
+                                                           param_name=param.name)
+            node.grad = param.grad
+        return node
 
     def backward(self, root: TapeNode) -> dict[str, np.ndarray]:
         """Reverse sweep from a scalar root; consumes the tape.
 
-        Returns one gradient array per parameter leaf on the tape; leaves
-        that do not influence the root get zeros. Fan-out contributions
-        accumulate. Forward values are left untouched. A non-finite root or
-        gradient raises ``NonFiniteError``. Afterwards the tape holds no nodes
-        and no node holds a gradient or a closure, so a second call raises.
+        Returns one gradient array per parameter leaf on the tape, in the
+        order the leaves were recorded: a packed parameter's ``grad`` view,
+        which the caller zeroes before the sweep, else a new array, zeros for
+        a leaf that does not influence the root. Fan-out contributions
+        accumulate. Forward values are left untouched. A non-finite root
+        raises ``NonFiniteError``. Afterwards the tape holds no nodes and no
+        node holds a gradient or a closure, so a second call raises.
         """
         if root.tape is not self:
             raise ContractError("root node belongs to a different tape")
@@ -206,6 +280,7 @@ class Tape:
             raise ContractError(f"backward root must be scalar, got dims {root.value.dims}")
         check_finite(root.value.array, "loss")
         nodes, self.nodes = self.nodes, None
+        leaves, self._leaves = self._leaves, {}
         root.accumulate(np.ones(root.value.dims, dtype=np.float64))
         for node in reversed(nodes[: root.id + 1]):
             if node.grad is None or node._backward is None:
@@ -213,18 +288,12 @@ class Tape:
             node._backward(node.grad)
             # every consumer of an interior node has run: its gradient is spent
             node.grad = node._backward = None
-        grads: dict[str, np.ndarray] = {}
-        for node in nodes:
-            name = node.param_name
-            if name is None:
-                continue
-            g = node.grad if node.grad is not None else np.zeros(node.value.dims)
-            grads[name] = grads[name] + g if name in grads else g
+        grads = {name: node.grad if node.grad is not None else np.zeros(node.value.dims)
+                 for name, node in leaves.items()}
         for node in nodes:
             node.grad = None
             node._backward = None
-        return {name: check_finite(g, f"gradient for parameter {name!r}")
-                for name, g in grads.items()}
+        return grads
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +309,8 @@ def matmul(a: TapeNode, b: TapeNode) -> TapeNode:
         raise ShapeError(f"matmul inner extents differ: {a.value.dims} vs {b.value.dims}")
 
     def backward(g):
-        a.accumulate(g @ bv.T)
+        if a.op_kind != "const":
+            a.accumulate(g @ bv.T)
         b.accumulate(av.T @ g)
 
     return a.tape._record("matmul", av @ bv, backward)

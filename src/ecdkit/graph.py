@@ -196,8 +196,11 @@ class ECDModel:
         ``targets`` must hold every output feature when losses are wanted.
         With ``grad=False`` the pass runs on a tape that records no
         gradients and builds no combined loss: for evaluation and prediction.
+        A gradient pass trains, so it packs the store first.
         The result is deterministic given the model state and the batch.
         """
+        if grad:
+            self.store.pack()
         tape = ad.Tape(grad=grad)
         hiddens = []
         seq_states = None
@@ -249,12 +252,13 @@ class ECDModel:
         )
 
     def backward(self, result: ForwardResult) -> dict[str, np.ndarray]:
+        """Fill the store's gradient buffer from one gradient pass and check
+        it finite. Returns each parameter's ``grad`` view, valid until the
+        next backward; a parameter no output reads has a zero gradient."""
         if result.combined is None:
             raise ContractError("forward pass was run without targets or gradients; "
                                 "no loss to differentiate")
-        grads = result.tape.backward(result.combined)
-        # a parameter no output reads has no leaf on the tape
-        for param in self.store:
-            if param.name not in grads:
-                grads[param.name] = np.zeros(param.value.shape)
-        return grads
+        self.store.grads.fill(0.0)
+        result.tape.backward(result.combined)
+        self.store.check_finite(self.store.grads, "gradient")
+        return {param.name: param.grad for param in self.store}

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -44,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREAD_VARIABLES
 from . import cache as cache_io
 from .artifacts import DEFINITION_FILE, METADATA_FILE, load_artifact, save_artifact, write_json
 from .config import Diagnostic, resolve_defaults, validate
@@ -93,13 +96,21 @@ class ValidationFailed(ConfigError):
 
 @dataclass
 class TrainingStats:
+    """What ``training_stats.json`` records: per epoch its losses, metrics,
+    learning rate and the mean and max over its steps of the global L2 norm
+    of the gradient; the best epoch; the wall time; and the BLAS thread
+    variables in effect."""
+
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int | None = None
     wall_clock_seconds: float = 0.0
+    blas_threads: dict[str, str | None] = field(default_factory=lambda: {
+        name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES})
 
     def to_dict(self) -> dict:
         return {"epochs": self.epochs, "best_epoch": self.best_epoch,
-                "wall_clock_seconds": self.wall_clock_seconds}
+                "wall_clock_seconds": self.wall_clock_seconds,
+                "blas_threads": self.blas_threads}
 
 
 def _preproc_params(spec) -> PreprocParams:
@@ -397,8 +408,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
         if running else {}
     stats = TrainingStats()
     started = time.monotonic()
-    best_value = None
-    best_snapshot = model.store.snapshot()
+    best_value = best_snapshot = None
     stale = 0
     epoch_rng_seed = mix_seed(seed, SALT_EPOCH)
 
@@ -406,7 +416,9 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
         optimizer.learning_rate = tr.learning_rate * (tr.decay ** epoch)
         order = list(range(n_train))
         Lcg(mix_seed(epoch_rng_seed, epoch)).shuffle(order)
+        order = np.asarray(order)
         loss_sum = 0.0
+        grad_norms = []
         collector = _RowCollector(model, resolved, metadata)
         for batch_index, start in enumerate(range(0, n_train, tr.batch_size)):
             idx = order[start : start + tr.batch_size]
@@ -418,8 +430,10 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
                     result = model.forward(batch, targets)
                     if running:
                         collector.add(result, batch, targets)
-                    grads = model.backward(result)
-                    optimizer_step(optimizer, model.store, grads)
+                    model.backward(result)
+                    grads = model.store.grads
+                    grad_norms.append(math.sqrt(np.dot(grads, grads)))
+                    optimizer_step(optimizer, model.store)
             except NonFiniteError as exc:
                 raise TrainingRuntimeError(f"{exc} at epoch {epoch}, batch {batch_index}") from exc
             loss_sum += result.combined_loss * len(idx)
@@ -436,7 +450,10 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
             val_metrics = {}
         stats.epochs.append({"epoch": epoch, "train_loss": train_loss,
                              "train_metrics": train_metrics,
-                             "validation_metrics": val_metrics})
+                             "validation_metrics": val_metrics,
+                             "learning_rate": optimizer.learning_rate,
+                             "grad_norm_mean": sum(grad_norms) / len(grad_norms),
+                             "grad_norm_max": max(grad_norms)})
         steering = val_metrics if running else train_metrics
         value = steering[tr.validation_feature][tr.validation_metric]
         if log is not None:
@@ -455,7 +472,8 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
                     log(f"early stop after {stale} epochs without improvement")
                 break
 
-    model.store.restore(best_snapshot)
+    if best_snapshot is not None:
+        model.store.rollback(best_snapshot)
     stats.wall_clock_seconds = time.monotonic() - started
 
     output_dir = Path(output_dir)

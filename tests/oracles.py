@@ -118,6 +118,39 @@ def optimizer_formula(kind: str, w: np.ndarray, grads: list, lr: float, beta1: f
     return w, m, v
 
 
+def per_parameter_step(kind: str, lr: float, beta1: float, beta2: float, eps: float, t: int,
+                       weights: dict, grads: dict, first: dict, second: dict) -> dict:
+    """Step ``t`` of an optimizer run one parameter at a time, with the
+    ufunc sequence the packed update runs once over its whole buffer.
+
+    Returns the new weights by name; ``first`` and ``second`` hold Adam's
+    moments by name and are updated in place.
+    """
+    new = {}
+    for name, w in weights.items():
+        g = grads[name]
+        if kind == "sgd":
+            step = np.multiply(g, lr)
+        else:
+            m = first.setdefault(name, np.zeros_like(w))
+            v = second.setdefault(name, np.zeros_like(w))
+            step = np.multiply(g, 1.0 - beta1)
+            m *= beta1
+            m += step
+            np.multiply(g, 1.0 - beta2, out=step)
+            step *= g
+            v *= beta2
+            v += step
+            np.divide(m, 1.0 - beta1 ** t, out=step)
+            step *= lr
+            denom = np.divide(v, 1.0 - beta2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+        new[name] = np.subtract(w, step, out=step)
+    return new
+
+
 def select_grad_dense(shape: tuple, picks: list, grads: list, first=None) -> np.ndarray:
     """Gradient reaching ``x`` from nodes ``select(x, axis, index)``, the dense way.
 

@@ -386,6 +386,36 @@ class TestBackward:
         for node, snapshot in zip(nodes, before):
             np.testing.assert_array_equal(node.value.array, snapshot)
 
+    def test_a_parameter_has_one_leaf_per_tape(self):
+        tape = ad.Tape()
+        param = ad.Parameter("w", finite_array([3.0]))
+        first, second = tape.leaf(param), tape.leaf(param)
+        assert first is second
+        grads = tape.backward(ad.add(first, ad.scale(second, 2.0)))
+        np.testing.assert_array_equal(grads["w"], [3.0])
+
+    def test_constants_take_no_gradient(self):
+        tape = ad.Tape()
+        batch = tape.constant(rng.normal(size=(3, 2)))
+        out = ad.matmul(batch, leaf(tape, rng.normal(size=(2, 4)), "w"))
+        out._backward(np.ones((3, 4)))
+        assert batch.grad is None
+        batch.accumulate(np.ones((3, 2)))
+        assert batch.grad is None
+
+    def test_packed_leaf_adds_into_the_stores_gradient_buffer(self):
+        store = ad.ParameterStore()
+        store.create("a", [[1.0, -2.0]])
+        store.create("b", [0.5, -0.5])
+        store.pack()
+        tape = ad.Tape()
+        a, b = tape.leaf(store["a"]), tape.leaf(store["b"])
+        root = ad.reduce("sum", ad.add(ad.apply_unary("tanh", a), b), 1)
+        grads = tape.backward(root)
+        assert grads["a"] is store["a"].grad and grads["b"] is store["b"].grad
+        expected = np.concatenate([1.0 - np.tanh([1.0, -2.0]) ** 2, [1.0, 1.0]])
+        assert store.grads.tobytes() == (0.0 + expected).tobytes()
+
     def test_unreachable_parameter_gets_zeros(self):
         tape = ad.Tape()
         used = leaf(tape, [2.0], "used")
@@ -562,7 +592,7 @@ def _bits(values: np.ndarray) -> bytes:
 
 
 def test_first_contribution_maps_negative_zero_to_positive_zero():
-    node = ad.Tape().constant([1.0, 2.0, 3.0])
+    node = leaf(ad.Tape(), [1.0, 2.0, 3.0])
     contribution = np.array([-0.0, 0.0, -1.5])
     node.accumulate(contribution)
     assert _bits(node.grad) == _bits(np.zeros(3) + contribution)
@@ -592,7 +622,7 @@ def test_select_gradient_is_bit_equal_to_the_dense_formula(data):
         first = np.array(cells).reshape(shape)
 
     tape = ad.Tape()
-    x = tape.constant(np.zeros(shape))
+    x = leaf(tape, np.zeros(shape))
     nodes = [ad.select(x, axis=axis, index=index) for axis, index in picks]
     if first is not None:  # a consumer the sweep reaches before the selects
         x.accumulate(first)
@@ -769,10 +799,38 @@ class TestParameterStore:
     def test_snapshot_restore_round_trip(self):
         store = ad.ParameterStore()
         store.create("w", [[1.0, 2.0]])
+        store.pack()
         snap = store.snapshot()
-        store["w"].value = np.array([[9.0, 9.0]])
-        store.restore(snap)
+        store["w"].value[...] = 9.0
+        store.rollback(snap)
         np.testing.assert_array_equal(store["w"].value, [[1.0, 2.0]])
+
+    def test_pack_moves_every_value_into_one_buffer(self):
+        store = ad.ParameterStore()
+        store.create("w", [[1.0, 2.0], [3.0, 4.0]])
+        store.create("b", [5.0])
+        store.pack()
+        assert store.weights.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert store["w"].value.shape == (2, 2) and store["b"].grad.shape == (1,)
+        assert not store.grads.any()
+        store["b"].value[0] = 6.0
+        assert store.weights[4] == 6.0
+        store.pack()
+        assert store["b"].value[0] == 6.0
+        with pytest.raises(ContractError, match="packed"):
+            store.create("c", [1.0])
+        with pytest.raises(ContractError, match="weight buffer"):
+            store.restore({"b": np.array([1.0])})
+
+    def test_non_finite_buffer_names_the_first_parameter_that_holds_one(self):
+        store = ad.ParameterStore()
+        for name in ("a", "b", "c"):
+            store.create(name, [1.0, 2.0])
+        store.pack()
+        flat = np.array([1.0, 2.0, 3.0, np.nan, np.inf, 4.0])
+        with pytest.raises(NonFiniteError, match=r"^non-finite gradient for parameter 'b'$"):
+            store.check_finite(flat, "gradient")
+        assert store.check_finite(store.weights, "update") is store.weights
 
     def test_restore_takes_the_arrays_it_is_handed(self):
         # a loaded model's weights reach its parameters without a second copy

@@ -5,7 +5,9 @@ Only ``cache`` imports ``hashlib``, so ``cache.digest64`` is the one digest.
 Every module-level import is read in its module or listed in ``__all__``, so
 a deletion leaves no import behind. Outside the autodiff tape every value is
 a plain float64 array: only ``autodiff`` and ``tensor`` name ``Tensor``, the
-box of a tape node's value, and the package does not export it."""
+box of a tape node's value, and the package does not export it. Only
+``autodiff`` and ``optim`` assign a ``.value``, so a trained parameter's value
+stays a view of its store's weight buffer."""
 
 import ast
 import sys
@@ -102,3 +104,26 @@ def test_only_the_tape_names_tensor():
     namers = [path.stem for path in sorted(PACKAGE.glob("*.py")) if names_tensor(path)]
     assert namers == ["autodiff", "tensor"]
     assert "Tensor" not in ecdkit.__all__
+
+
+def value_assignments(path: Path) -> list[int]:
+    """Lines of one source file that assign to an attribute named ``value``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr == "value" \
+                        and isinstance(sub.ctx, ast.Store):
+                    found.append(node.lineno)
+    return found
+
+
+def test_only_the_store_and_the_optimizer_rebind_parameter_values():
+    assigners = [path.stem for path in sorted(PACKAGE.glob("*.py")) if value_assignments(path)]
+    assert set(assigners) <= {"autodiff", "optim"}

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -229,6 +230,15 @@ class TestTrain:
                            match=r"^non-finite update for parameter '[\w.]+' at epoch 0, batch 0$"):
             train(definition, binary_csv, tmp_path / "run", seed=1)
 
+    def test_trained_parameters_are_views_of_the_arena(self, tmp_path, binary_csv):
+        run = pipelines._run_training(resolved(BINARY_CONFIG), binary_csv, tmp_path / "run",
+                                      3, True, None, None)
+        store = run.model.store
+        assert store.weights.size == sum(param.value.size for param in store)
+        for param in store:
+            assert np.shares_memory(param.value, store.weights)
+            assert np.shares_memory(param.grad, store.grads)
+
     def test_tiny_learning_rate_stops_after_patience(self, tmp_path, binary_csv):
         text = BINARY_CONFIG.replace("learning_rate: 0.02", "learning_rate: 1e-15")
         definition = resolved(text + "  patience: 3\n  epochs: 40\n"
@@ -293,6 +303,11 @@ class TestSaveLoad:
         assert model.store.names() == list(stored)
         for param in model.store:
             assert param.value.tobytes() == stored[param.name].tobytes()
+
+    def test_loaded_store_has_no_gradient_or_moment_buffer(self, tmp_path, binary_csv):
+        model, _, _ = load_model(self.trained(tmp_path, binary_csv))
+        assert model.store.weights is None and model.store.grads is None
+        assert all(param.grad is None for param in model.store)
 
     def test_weights_that_do_not_fit_are_named(self, tmp_path, binary_csv):
         model_dir = self.trained(tmp_path, binary_csv)
@@ -560,19 +575,30 @@ class TestOtherFeatureTypes:
 
     def test_learning_rate_decay_schedule(self, tmp_path, binary_csv, monkeypatch):
         import ecdkit.pipelines as pl
-        recorded = []
+        recorded, norms = [], []
         real_step = pl.optimizer_step
 
-        def spy(state, params, grads):
+        def spy(state, store):
             recorded.append(state.learning_rate)
-            return real_step(state, params, grads)
+            norms.append(math.sqrt(sum(float(g) ** 2 for g in store.grads)))
+            return real_step(state, store)
 
         monkeypatch.setattr(pl, "optimizer_step", spy)
         text = BINARY_CONFIG.replace("epochs: 6", "epochs: 3") \
                             .replace("batch_size: 32", "batch_size: 200") \
             + "  decay: 0.5\n"
-        train(resolved(text), binary_csv, tmp_path / "run", seed=1)
+        _, stats = train(resolved(text), binary_csv, tmp_path / "run", seed=1)
         assert recorded == [0.02, 0.01, 0.005]
+        # one step per epoch: the epoch's mean and max norm are that step's
+        written = load_json(tmp_path / "run" / "training_stats.json")
+        assert written["epochs"] == stats.epochs
+        for epoch, rate, norm in zip(stats.epochs, recorded, norms):
+            assert epoch["learning_rate"] == rate
+            assert epoch["grad_norm_mean"] == epoch["grad_norm_max"]
+            assert norm > 0.0 and abs(epoch["grad_norm_max"] - norm) < 1e-12 * norm
+        assert written["blas_threads"] == {name: os.environ.get(name) for name in
+                                           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS")}
 
     def test_preprocess_error_carries_feature_and_row(self, tmp_path):
         rows = [["1.0", "true"], ["oops", "false"], ["3.0", "true"], ["4.0", "false"]]
