@@ -6,9 +6,10 @@ paths inside). The definition is stored resolved and read back through the
 schema walk of a user's YAML definition. Every JSON file goes through
 ``write_json``. ``metadata.json`` stores each vocabulary once, as
 ``id2token``; the token-to-id map is derived from it on load. Weights use
-the record container of ``cache`` (one record per parameter, float64
-round-tripped exactly, sealed by the SHA-256-based ``digest64``) with magic
-``ECDW`` and an empty header. This is weights version 3. A model saved with
+the record container of ``cache`` (one ``<f4`` record per parameter, the
+float32 values a model computes in, round-tripped exactly, sealed by the
+SHA-256-based ``digest64``) with magic ``ECDW`` and an empty header. This
+is weights version 4. A model saved with version 3 (``<f8`` records),
 version 2 (BLAKE2b-64 trailer) or version 1 (FNV-1a trailer), or with a
 ``model_definition.yaml``, must be retrained. Every load reads and verifies
 all three files, and reproduces forward outputs bit-identically.
@@ -30,7 +31,8 @@ from .errors import ArtifactError, DataError, SchemaError
 from .features import FeatureMetadata, metadata_from_dict, metadata_to_dict
 
 WEIGHTS_MAGIC = b"ECDW"
-WEIGHTS_VERSION = 3
+WEIGHTS_VERSION = 4
+WEIGHTS_DTYPE = "<f4"
 
 METADATA_FILE = "metadata.json"
 DEFINITION_FILE = "model_definition.json"
@@ -39,14 +41,15 @@ WEIGHTS_FILE = "weights.bin"
 
 def write_weights(path: str | Path, store: ParameterStore) -> None:
     write_container(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, b"",
-                    {param.name: param.value for param in store})
+                    {param.name: param.value for param in store}, WEIGHTS_DTYPE)
 
 
 def read_weights(path: str | Path) -> dict[str, np.ndarray]:
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"weights file not found: {path}")
-    return read_container(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, 0, "weights")[1]
+    return read_container(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, 0, "weights",
+                          WEIGHTS_DTYPE)[1]
 
 
 def save_artifact(model_dir: str | Path, metadata: dict[str, FeatureMetadata],

@@ -28,8 +28,11 @@ Op outputs are wrapped with ``Tensor.wrap``, unscanned: finiteness is
 checked at the tape's edges only. Constants and parameter values enter
 through ``tensor.finite_array``, and ``backward`` raises ``NonFiniteError``
 for a non-finite loss; the gradients are checked where a packed store
-collects them (``ParameterStore.check_finite``). Parameter values and the
-gradients ``backward`` returns are plain float64 arrays.
+collects them (``ParameterStore.check_finite``). A tape computes in one
+dtype, its ``dtype``: constants are cast to it as they enter, parameters
+have it from their store, and every op's output and gradients keep its
+inputs' dtype. A model's store and tapes are float32; gradchecks build
+float64 ones. The loss ops' per-row terms leave the tape as float64.
 
 Forward values are never mutated by a backward pass; gradients live in a
 separate per-node buffer. A parameter has one leaf per gradient tape. For
@@ -41,19 +44,23 @@ added into the store's buffer in place. Any other node's buffer is
 allocated at its first contribution, which ``TapeNode.accumulate`` stores
 as ``contribution + 0.0``, the bits of ``0.0 + contribution`` in a zeroed
 view; every later one is added in place, in the order the sweep reaches
-the consumers. A constant takes no gradient: ``accumulate`` into one does
-nothing, and ``matmul`` does not compute the product for a constant left
-operand. ``select`` adds into its one slice of the parent's
-buffer (allocated as zeros on first use) instead of building a whole-input
-array per call. ``rnn`` runs a whole recurrence as one op, so a batch
-records one node however long its longest row is. ``embedding_lookup``
-scatters its rows' gradients into the table with one ``np.bincount`` over
-the flat (id x width + column) index, which adds each cell's rows in order
-to 0.0, as ``np.add.at`` into zeros does. Buffers never hold -0.0, so the
-sums have the bits of adding every contribution to a zero buffer. The loss
-ops also expose their per-row terms as ``node.rows``, with the node's value
-equal to ``terms.sum() / terms.size``, so a caller can reduce the terms of
-many batches to the value one batch of all their rows would have.
+the consumers. An op that has just built a contribution for this one call
+hands it over as ``owned``, and the first such one becomes the buffer,
+made ``+ 0.0`` in place rather than copied. A constant takes no gradient:
+``accumulate`` into one does nothing, and ``matmul`` does not compute the
+product for a constant left operand. ``select`` and ``embedding_lookup``
+add into the part of the parent's buffer they read (``accumulate_at``,
+allocated as zeros on first use) instead of building a whole-input array
+per call. ``rnn`` runs a whole recurrence as one op, so a batch records one
+node however long its longest row is. ``embedding_lookup`` sums the
+gradient rows of each id it looked up with one ``np.bincount`` over the
+flat (distinct id x width + column) index, which adds each cell's rows in
+order to 0.0 in float64, as ``np.add.at`` into float64 zeros does. Buffers
+never hold -0.0, so the sums have the bits of adding every contribution to
+a zero buffer. The loss ops also expose their per-row terms as
+``node.rows``, with the node's value equal to ``terms.sum() / terms.size``,
+so a caller can reduce the terms of many batches to the value one batch of
+all their rows would have.
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ Backward = Callable[[np.ndarray], None]
 
 @dataclass
 class Parameter:
-    """Named trainable float64 array. Names are dot-separated paths.
+    """Named trainable array of its store's dtype. Names are dot-separated paths.
 
     In a packed store ``value`` and ``grad`` are views of the parameter's
     slice of the store's weight and gradient buffers; otherwise ``grad`` is
@@ -99,13 +106,16 @@ class Parameter:
 class ParameterStore:
     """Ordered collection of parameters with unique names.
 
-    A store is packed for training only (``pack``): then ``weights`` and
-    ``grads`` are flat float64 buffers holding every parameter in store
-    order, and an optimizer updates all of them in one pass. A loaded model
-    is never packed, and both are None.
+    ``dtype`` is the one decision of what a model computes in: every value
+    is cast to it as it is created or restored. A store is packed for
+    training only (``pack``): then ``weights`` and ``grads`` are flat buffers
+    of ``dtype`` holding every parameter in store order, and an optimizer
+    updates all of them in one pass. A loaded model is never packed, and
+    both are None.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float32):
+        self.dtype = np.dtype(dtype)
         self._params: dict[str, Parameter] = {}
         self.weights: np.ndarray | None = None
         self.grads: np.ndarray | None = None
@@ -120,7 +130,7 @@ class ParameterStore:
         return param
 
     def create(self, name: str, values) -> Parameter:
-        return self.add(Parameter(name, finite_array(values)))
+        return self.add(Parameter(name, finite_array(values, self.dtype)))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -142,7 +152,7 @@ class ParameterStore:
             return
         stops = list(accumulate(p.value.size for p in self))
         self._slices = [slice(stop - p.value.size, stop) for p, stop in zip(self, stops)]
-        self.weights = np.empty(stops[-1] if stops else 0)
+        self.weights = np.empty(stops[-1] if stops else 0, self.dtype)
         self.grads = np.zeros_like(self.weights)
         for param, part in zip(self, self._slices):
             shape = param.value.shape
@@ -174,7 +184,7 @@ class ParameterStore:
         if self.weights is not None:
             raise ContractError("a packed store keeps its values in its weight buffer")
         for name, values in weights.items():
-            self._params[name].value = finite_array(values)
+            self._params[name].value = finite_array(values, self.dtype)
 
 
 class TapeNode:
@@ -193,16 +203,31 @@ class TapeNode:
         self._backward: Backward | None = None
         self.rows: np.ndarray | None = None
 
-    def accumulate(self, contribution: np.ndarray) -> None:
+    def accumulate(self, contribution: np.ndarray, owned: bool = False) -> None:
         """Add one gradient contribution; a constant takes none. Without a
-        buffer the first is stored as ``contribution + 0.0``, the bits of
-        ``zeros + contribution``."""
+        buffer the first becomes ``contribution + 0.0``, the bits of
+        ``zeros + contribution``: computed in place when the caller built
+        the array for this call alone and hands it over (``owned``), else
+        as a copy."""
         if self.op_kind == "const":
             return
         if self.grad is None:
-            self.grad = contribution + 0.0
+            if owned:
+                contribution += 0.0
+                self.grad = contribution
+            else:
+                self.grad = contribution + 0.0
         else:
             self.grad += contribution
+
+    def accumulate_at(self, index, contribution: np.ndarray) -> None:
+        """Add a contribution to the part ``grad[index]`` of the gradient,
+        allocating the buffer as zeros first; a constant takes none."""
+        if self.op_kind == "const":
+            return
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value.array)
+        self.grad[index] += contribution
 
     def __repr__(self) -> str:
         return f"TapeNode(id={self.id}, op={self.op_kind}, dims={self.value.dims})"
@@ -213,9 +238,12 @@ class Tape:
 
     With ``grad=False`` the tape keeps no nodes and its ops attach no
     backward closures: an inference pass that cannot be differentiated.
+    ``dtype`` is what its constants are cast to, the dtype of the parameter
+    store whose leaves it records.
     """
 
-    def __init__(self, grad: bool = True):
+    def __init__(self, grad: bool = True, dtype=np.float32):
+        self.dtype = np.dtype(dtype)
         self.nodes: list[TapeNode] | None = [] if grad else None
         self._leaves: dict[str, TapeNode] = {}  # on a gradient tape, by parameter name
         self._next_id = 0
@@ -229,7 +257,7 @@ class Tape:
                 param_name: str | None = None) -> TapeNode:
         """Wrap an op's output array in a new node and return it.
 
-        ``value`` must be a contiguous float64 array of rank >= 1; it is
+        ``value`` must be a contiguous float array of rank >= 1; it is
         wrapped as it is, without a copy or a finiteness scan. ``backward(g)``
         receives the gradient of ``value`` and adds the op's contributions to
         its inputs; it is attached, and the node kept, only on a gradient
@@ -244,7 +272,7 @@ class Tape:
 
     def constant(self, values) -> TapeNode:
         """Leaf holding a value with no gradient of interest."""
-        return self._record("const", finite_array(values))
+        return self._record("const", finite_array(values, self.dtype))
 
     def leaf(self, param: Parameter) -> TapeNode:
         """Leaf bound to a named parameter; backward reports its gradient.
@@ -281,14 +309,14 @@ class Tape:
         check_finite(root.value.array, "loss")
         nodes, self.nodes = self.nodes, None
         leaves, self._leaves = self._leaves, {}
-        root.accumulate(np.ones(root.value.dims, dtype=np.float64))
+        root.accumulate(np.ones_like(root.value.array), owned=True)
         for node in reversed(nodes[: root.id + 1]):
             if node.grad is None or node._backward is None:
                 continue
             node._backward(node.grad)
             # every consumer of an interior node has run: its gradient is spent
             node.grad = node._backward = None
-        grads = {name: node.grad if node.grad is not None else np.zeros(node.value.dims)
+        grads = {name: node.grad if node.grad is not None else np.zeros_like(node.value.array)
                  for name, node in leaves.items()}
         for node in nodes:
             node.grad = None
@@ -310,8 +338,8 @@ def matmul(a: TapeNode, b: TapeNode) -> TapeNode:
 
     def backward(g):
         if a.op_kind != "const":
-            a.accumulate(g @ bv.T)
-        b.accumulate(av.T @ g)
+            a.accumulate(g @ bv.T, owned=True)
+        b.accumulate(av.T @ g, owned=True)
 
     return a.tape._record("matmul", av @ bv, backward)
 
@@ -329,7 +357,7 @@ def add(a: TapeNode, b: TapeNode) -> TapeNode:
     def backward(g):
         a.accumulate(g)
         if broadcast:
-            b.accumulate(g.reshape(-1, bv.shape[0]).sum(axis=0))
+            b.accumulate(g.reshape(-1, bv.shape[0]).sum(axis=0), owned=True)
         else:
             b.accumulate(g)
 
@@ -340,7 +368,7 @@ def scale(a: TapeNode, factor: float) -> TapeNode:
     factor = float(factor)
 
     def backward(g):
-        a.accumulate(g * factor)
+        a.accumulate(g * factor, owned=True)
 
     return a.tape._record("scale", a.value.array * factor, backward)
 
@@ -359,11 +387,11 @@ def apply_unary(kind: str, x: TapeNode) -> TapeNode:
 
     def backward(g):
         if kind == "relu":
-            x.accumulate(g * (xv > 0.0))
+            x.accumulate(g * (xv > 0.0), owned=True)
         elif kind == "sigmoid":
-            x.accumulate(g * out * (1.0 - out))
+            x.accumulate(g * out * (1.0 - out), owned=True)
         else:
-            x.accumulate(g * (1.0 - out * out))
+            x.accumulate(g * (1.0 - out * out), owned=True)
 
     return x.tape._record(kind, out, backward)
 
@@ -408,14 +436,15 @@ def reduce(kind: str, x: TapeNode, axis: int) -> TapeNode:
     def backward(g):
         g = g.reshape(reduced_shape)
         if kind == "sum":
-            x.accumulate(np.repeat(np.expand_dims(g, axis), extent, axis=axis))
+            x.accumulate(np.repeat(np.expand_dims(g, axis), extent, axis=axis), owned=True)
         elif kind == "mean":
-            x.accumulate(np.repeat(np.expand_dims(g, axis), extent, axis=axis) / extent)
+            x.accumulate(np.repeat(np.expand_dims(g, axis), extent, axis=axis) / extent,
+                         owned=True)
         else:
             gx = np.zeros_like(xv)
             np.put_along_axis(gx, np.expand_dims(argmax, axis),
                               np.expand_dims(g, axis), axis=axis)
-            x.accumulate(gx)
+            x.accumulate(gx, owned=True)
 
     return x.tape._record(f"reduce_{kind}", out, backward)
 
@@ -470,12 +499,10 @@ def select(x: TapeNode, axis: int, index: int) -> TapeNode:
         out = out.reshape(1)
     # a width-1 slice, so the gradient's part is a view even for rank-1 input
     slicer = (slice(None),) * axis + (slice(index, index + 1),)
+    part = xv.shape[:axis] + (1,) + xv.shape[axis + 1 :]
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros(xv.shape)
-        part = x.grad[slicer]
-        part += g.reshape(part.shape)
+        x.accumulate_at(slicer, g.reshape(part))
 
     return x.tape._record("select", out, backward)
 
@@ -495,12 +522,17 @@ def embedding_lookup(table: TapeNode, ids: Sequence[int]) -> TapeNode:
         raise IndexOutOfRangeError(f"embedding id {int(bad)} outside [0, {vocab})")
 
     def backward(g):
-        # one pass over the flat (id x width + column) index: each cell sums
-        # its rows in order from 0.0, the bits of np.add.at into zeros
+        # the distinct ids in order (a mask, not a sort), then one pass over
+        # the flat (slot among them x width + column) index: each cell of a
+        # looked-up row sums its rows in order from 0.0, the bits of
+        # np.add.at into float64 zeros; no other row is touched
         v, h = tv.shape
-        flat = (idx[:, np.newaxis] * h + np.arange(h)).reshape(-1)
-        table.accumulate(np.bincount(flat, weights=g.reshape(-1),
-                                     minlength=v * h).reshape(v, h))
+        seen = np.zeros(v, bool)
+        seen[idx] = True
+        rows = np.flatnonzero(seen)
+        flat = ((np.cumsum(seen) - 1)[idx, np.newaxis] * h + np.arange(h)).reshape(-1)
+        table.accumulate_at(rows, np.bincount(flat, weights=g.reshape(-1),
+                                              minlength=rows.size * h).reshape(rows.size, h))
 
     return table.tape._record("embedding_lookup", tv[idx], backward)
 
@@ -516,7 +548,7 @@ def softmax(x: TapeNode) -> TapeNode:
 
     def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
-        x.accumulate(p * (g - dot))
+        x.accumulate(p * (g - dot), owned=True)
 
     return x.tape._record("softmax", p, backward)
 
@@ -557,7 +589,7 @@ def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode, lengths: Sequence[int
     # row i's tokens follow i gaps, and in the buffer one more, the first
     span = n + pad * max(counts.size - 1, 0)
     real = np.arange(n) + pad * np.repeat(np.arange(counts.size), counts)
-    xp = np.zeros((span + 2 * pad, h))
+    xp = np.zeros((span + 2 * pad, h), xv.dtype)
     xp[real + pad] = xv
     full = xp[:span] @ fv[0]
     for k in range(1, w):
@@ -565,16 +597,16 @@ def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode, lengths: Sequence[int
     out = full[real] + bv
 
     def backward(g):
-        gfull = np.zeros((span, f))
+        gfull = np.zeros((span, f), g.dtype)
         gfull[real] = g
         gxp = np.zeros_like(xp)
         gf = np.empty_like(fv)
         for k in range(w):
             gxp[k : k + span] += gfull @ fv[k].T
             gf[k] = xp[k : k + span].T @ gfull
-        x.accumulate(gxp[real + pad])
-        filters.accumulate(gf)
-        bias.accumulate(g.sum(axis=0))
+        x.accumulate(gxp[real + pad], owned=True)
+        filters.accumulate(gf, owned=True)
+        bias.accumulate(g.sum(axis=0), owned=True)
 
     return x.tape._record("conv1d", out, backward)
 
@@ -612,7 +644,7 @@ def rnn(x: TapeNode, w_in: TapeNode, w_rec: TapeNode, bias: TapeNode,
                             kind="stable")
     x_tm = xv[time_major]
     projected = x_tm @ wv + bv
-    out = np.zeros((max(longest, 1), b, h))
+    out = np.zeros((max(longest, 1), b, h), projected.dtype)
     for t in range(longest):
         r, later = running[t], running[t + 1]
         step, pre = out[t, :r], projected[starts[t] : starts[t] + r]
@@ -624,9 +656,9 @@ def rnn(x: TapeNode, w_in: TapeNode, w_rec: TapeNode, bias: TapeNode,
             out[t + 1 :, later:r] = step[later:]
 
     def backward(g):
-        carry = np.empty((b, h))  # the gradient of each running row's state
-        grad_pre = np.empty((n, h))  # of tanh's input, time-major
-        gu = np.zeros((h, h))
+        carry = np.empty((b, h), g.dtype)  # the gradient of each running row's state
+        grad_pre = np.empty((n, h), g.dtype)  # of tanh's input, time-major
+        gu = np.zeros((h, h), g.dtype)
         for t in range(longest - 1, -1, -1):
             r, later = running[t], running[t + 1]
             carry[:later] += g[t, :later]
@@ -637,10 +669,10 @@ def rnn(x: TapeNode, w_in: TapeNode, w_rec: TapeNode, bias: TapeNode,
             if t:
                 gu += out[t - 1, :r].T @ step
                 np.matmul(step, uv.T, out=carry[:r])
-        x.accumulate((grad_pre @ wv.T)[np.argsort(time_major)])
-        w_in.accumulate(x_tm.T @ grad_pre)
-        w_rec.accumulate(gu)
-        bias.accumulate(grad_pre.sum(axis=0))
+        x.accumulate((grad_pre @ wv.T)[np.argsort(time_major)], owned=True)
+        w_in.accumulate(x_tm.T @ grad_pre, owned=True)
+        w_rec.accumulate(gu, owned=True)
+        bias.accumulate(grad_pre.sum(axis=0), owned=True)
 
     return x.tape._record("rnn", out, backward)
 
@@ -675,10 +707,11 @@ def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int]) -> TapeNo
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(b), ids] -= 1.0
-        logits.accumulate(g[0] * p * (1.0 / b))
+        logits.accumulate(g[0] * p * (1.0 / b), owned=True)
 
-    node = logits.tape._record("softmax_cross_entropy", np.array([terms.sum() / b]), backward)
-    node.rows = terms
+    node = logits.tape._record("softmax_cross_entropy",
+                               np.array([terms.sum() / b], lv.dtype), backward)
+    node.rows = terms.astype(np.float64)
     return node
 
 
@@ -689,23 +722,23 @@ def sigmoid_bce(logits: TapeNode, targets) -> TapeNode:
     elements, so the [b x 1] single-output case is the plain batch mean.
     """
     lv = logits.value.array
-    tv = np.asarray(targets, dtype=np.float64).reshape(lv.shape)
+    tv = np.asarray(targets, dtype=lv.dtype).reshape(lv.shape)
     n = lv.size
     # stable formulation: max(z,0) - z*t + log(1 + exp(-|z|))
     per = np.maximum(lv, 0.0) - lv * tv + np.log1p(np.exp(-np.abs(lv)))
 
     def backward(g):
-        logits.accumulate(g[0] * (_stable_sigmoid(lv) - tv) / n)
+        logits.accumulate(g[0] * (_stable_sigmoid(lv) - tv) / n, owned=True)
 
-    node = logits.tape._record("sigmoid_bce", np.array([per.sum() / n]), backward)
-    node.rows = per
+    node = logits.tape._record("sigmoid_bce", np.array([per.sum() / n], lv.dtype), backward)
+    node.rows = per.astype(np.float64)
     return node
 
 
 def mse(prediction: TapeNode, targets) -> TapeNode:
     """Mean squared error against same-shaped targets."""
     pv = prediction.value.array
-    tv = np.asarray(targets, dtype=np.float64)
+    tv = np.asarray(targets, dtype=pv.dtype)
     if tv.shape != pv.shape:
         tv = tv.reshape(pv.shape)
     n = pv.size
@@ -713,8 +746,8 @@ def mse(prediction: TapeNode, targets) -> TapeNode:
     terms = diff * diff
 
     def backward(g):
-        prediction.accumulate(g[0] * 2.0 * diff / n)
+        prediction.accumulate(g[0] * 2.0 * diff / n, owned=True)
 
-    node = prediction.tape._record("mse", np.array([terms.sum() / n]), backward)
-    node.rows = terms
+    node = prediction.tape._record("mse", np.array([terms.sum() / n], pv.dtype), backward)
+    node.rows = terms.astype(np.float64)
     return node

@@ -6,20 +6,27 @@ file (``weights.bin``, see ``artifacts``). Layout, all little-endian:
 
     magic (4 bytes) | version (u16) | fixed-size header | count (u32)
     count x [name length (u16) | utf-8 name | rank (u8) | dims (rank x u32)
-             | float64 payload]
+             | payload]
     digest64 of everything before it (u64)
+
+Every payload of a file has the one float dtype its kind and version fix,
+which the caller passes to both functions: float64 (``<f8``) for the cache,
+float32 (``<f4``) for the weights.
 
 ``digest64`` is SHA-256 cut to its first 8 bytes, read little-endian, and it
 is checked on every read. The cache's header is the run fingerprint (u64)
 and its record names are ``<split>/<feature>``; it is format version 4 (magic
-``ECDC``). Version 3 had the same layout under a BLAKE2b-64 trailer, version
-2 also a per-record dtype byte, and version 1 an FNV-1a trailer; all are
-rejected by their version field, which is checked before the digest whose
-algorithm it determines.
+``ECDC``), and it holds the preprocessed arrays in float64, as preprocessing
+makes them; a model casts them once, as its tape takes them in. Version 3
+had the same layout under a BLAKE2b-64 trailer, version 2 also a per-record
+dtype byte, and version 1 an FNV-1a trailer; all are rejected by their
+version field, which is checked before the digest whose algorithm it
+determines.
 
 The fingerprint hashes the dataset bytes together with the canonical
-preprocessing parameters, split policy, and seed, so any change that could
-alter the tensors invalidates the cache. A corrupt or mismatched file is
+preprocessing parameters, split policy, seed, and the float32 range check
+preprocessing applies, so any change that could alter the tensors, or let
+through one that the check rejects, invalidates the cache. A corrupt or mismatched file is
 never trusted: readers report it and callers recompute.
 """
 
@@ -50,8 +57,9 @@ def digest64(*chunks: bytes) -> int:
 
 
 def write_container(path: str | Path, magic: bytes, version: int, header: bytes,
-                    arrays: dict[str, np.ndarray]) -> None:
-    """Write named float64 arrays as one container; atomic via temp file + rename.
+                    arrays: dict[str, np.ndarray], dtype: str) -> None:
+    """Write named arrays as one container with ``dtype`` payloads (``<f8``
+    or ``<f4``); atomic via temp file + rename.
 
     A failed write or rename removes the temp file and raises ``ArtifactError``.
     """
@@ -61,7 +69,7 @@ def write_container(path: str | Path, magic: bytes, version: int, header: bytes,
     body += struct.pack("<I", len(arrays))
     for name, array in arrays.items():
         encoded = name.encode("utf-8")
-        arr = np.ascontiguousarray(array, dtype="<f8")
+        arr = np.ascontiguousarray(array, dtype=dtype)
         body += struct.pack(f"<H{len(encoded)}sB{arr.ndim}I",
                             len(encoded), encoded, arr.ndim, *arr.shape)
         body += arr.tobytes()
@@ -78,8 +86,8 @@ def write_container(path: str | Path, magic: bytes, version: int, header: bytes,
 
 
 def read_container(path: str | Path, magic: bytes, version: int, header_size: int,
-                   what: str) -> tuple[bytes, dict[str, np.ndarray]]:
-    """Parse a container into ``(header, arrays)``.
+                   what: str, dtype: str) -> tuple[bytes, dict[str, np.ndarray]]:
+    """Parse a container of ``dtype`` payloads into ``(header, arrays)``.
 
     Bad magic, a digest mismatch and any record that does not exactly fill
     the body raise ``CorruptionError``; a foreign version raises
@@ -104,6 +112,7 @@ def read_container(path: str | Path, magic: bytes, version: int, header_size: in
         raise CorruptionError(f"{what} file {path} failed its integrity digest")
     header = raw[start : start + header_size]
     offset = start + header_size
+    itemsize = np.dtype(dtype).itemsize
     arrays: dict[str, np.ndarray] = {}
     try:
         count = struct.unpack_from("<I", body, offset)[0]
@@ -115,14 +124,14 @@ def read_container(path: str | Path, magic: bytes, version: int, header_size: in
             dims = struct.unpack_from(f"<{rank}I", body, offset)
             offset += 4 * rank
             size = math.prod(dims)
-            if offset + 8 * size > len(body):
+            if offset + itemsize * size > len(body):
                 raise CorruptionError(f"{what} file {path}: a record overruns the file")
             name = encoded.decode("utf-8")
             if name in arrays:
                 raise CorruptionError(f"{what} file {path}: duplicate record {name!r}")
-            arrays[name] = np.frombuffer(body, dtype="<f8", count=size,
+            arrays[name] = np.frombuffer(body, dtype=dtype, count=size,
                                          offset=offset).reshape(dims).copy()
-            offset += 8 * size
+            offset += itemsize * size
     except (struct.error, UnicodeDecodeError):
         raise CorruptionError(f"{what} file {path} has a malformed record") from None
     if offset != len(body):
@@ -140,6 +149,9 @@ def compute_fingerprint(dataset_bytes: bytes, definition: ModelDefinition, seed:
         "split": definition.training.split,
         "split_column": definition.training.split_column,
         "seed": seed,
+        # preprocessing rejects values that float32 cannot hold, so a cache
+        # written before it did so is not reused
+        "fits": "float32",
     }
     return digest64(dataset_bytes, json.dumps(recipe, sort_keys=True).encode("utf-8"))
 
@@ -150,7 +162,8 @@ def write_cache(path: str | Path, fingerprint: int,
     arrays = {f"{split}/{feature}": array
               for split, features in blocks.items()
               for feature, array in features.items()}
-    write_container(path, MAGIC, FORMAT_VERSION, struct.pack("<Q", fingerprint), arrays)
+    write_container(path, MAGIC, FORMAT_VERSION, struct.pack("<Q", fingerprint), arrays,
+                    "<f8")
 
 
 def read_cache(path: str | Path, fingerprint: int) -> dict[str, dict[str, np.ndarray]] | None:
@@ -160,7 +173,7 @@ def read_cache(path: str | Path, fingerprint: int) -> dict[str, dict[str, np.nda
     so callers can warn and recompute rather than silently trusting stale
     tensors.
     """
-    header, arrays = read_container(path, MAGIC, FORMAT_VERSION, 8, "cache")
+    header, arrays = read_container(path, MAGIC, FORMAT_VERSION, 8, "cache", "<f8")
     if struct.unpack("<Q", header)[0] != fingerprint:
         return None
     blocks: dict[str, dict[str, np.ndarray]] = {}

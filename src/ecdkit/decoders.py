@@ -53,7 +53,7 @@ def mean_over_rows(tape: ad.Tape, packed: ad.TapeNode, lengths: np.ndarray) -> a
     """Each row's mean over its real positions, [b x width], from packed rows
     (``lengths[i]`` of them per row); a row with no tokens pools to 0."""
     rows = np.repeat(np.arange(lengths.size), lengths)
-    average = np.zeros((lengths.size, rows.size))
+    average = np.zeros((lengths.size, rows.size), tape.dtype)
     average[rows, np.arange(rows.size)] = 1.0 / lengths[rows]
     return ad.matmul(tape.constant(average), packed)
 
@@ -61,9 +61,9 @@ def mean_over_rows(tape: ad.Tape, packed: ad.TapeNode, lengths: np.ndarray) -> a
 @dataclass
 class DecodeResult:
     """``output`` is what a dependent reads as the probabilities payload;
-    ``predictions`` its value in the output's shape, the one array an output
-    reports. Metrics compare it with the target array the loss reads, so a
-    truth outside the vocabulary is scored as ``<UNK>``."""
+    ``predictions`` its value in the output's shape as float64, the one
+    array an output reports. Metrics compare it with the target array the
+    loss reads, so a truth outside the vocabulary is scored as ``<UNK>``."""
 
     output: ad.TapeNode
     last_hidden: ad.TapeNode | None
@@ -108,7 +108,7 @@ class _ProjectionDecoder:
         loss = None
         if target is not None:
             loss = getattr(ad, self.loss_op)(logits, target)
-        return DecodeResult(output, hidden, loss, output.value.array)
+        return DecodeResult(output, hidden, loss, np.asarray(output.value.array, np.float64))
 
 
 class CategoryClassifierDecoder(_ProjectionDecoder):

@@ -290,18 +290,20 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
     of floats. Missing cells are resolved by the configured strategy first;
     a cell that does not parse is reported with its line from ``lines``.
     The vocabulary types share one id pass, a cell's tokens at a time, cut
-    to max_len; out-of-vocabulary tokens get ``<UNK>``'s id.
+    to max_len; out-of-vocabulary tokens get ``<UNK>``'s id. A numerical or
+    vector value that float32 cannot hold is a data error naming its line.
     """
     if ftype not in SUPPORTED_TYPES:
         raise RegistryError(f"unknown feature type {ftype!r}")
     if ftype == "numerical":
-        return meta.normalize(numerical_values(column, lines, meta, params)).reshape(-1, 1)
+        values = meta.normalize(numerical_values(column, lines, meta, params))
+        return _within_float32(values.reshape(-1, 1), lines)
     cells = _filled_cells(column, ftype, meta, params)
     if ftype == "binary":
         return np.array(_parse_cells(zip(lines, cells), parse_binary)).reshape(-1, 1)
     if ftype == "vector":
         rows = _parse_cells(zip(lines, cells), lambda raw: parse_vector(raw, meta.length))
-        return np.array(rows).reshape(-1, meta.length)
+        return _within_float32(np.array(rows).reshape(-1, meta.length), lines)
 
     get, unk = meta.token2id.get, meta.token2id[UNK]
     width = meta.max_sequence_length if ftype in ("sequence", "text") else None
@@ -320,6 +322,18 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
     padded = np.full((len(cells), width), float(meta.token2id[PAD]))  # sequence, text
     padded[np.arange(width) < counts[:, np.newaxis]] = ids
     return padded
+
+
+def _within_float32(values: np.ndarray, lines: Sequence[int]) -> np.ndarray:
+    """[rows x width] ``values`` if float32 holds every one; else a
+    ``DataError`` naming the first row with one that it does not."""
+    over = np.abs(values) > np.finfo(np.float32).max
+    if over.any():
+        row = int(np.argmax(over.any(axis=1)))
+        value = float(values[row][over[row]][0])
+        raise DataError(f"row {lines[row]}: preprocessed value {value!r} is beyond "
+                        "float32's range, in which models compute")
+    return values
 
 
 def numerical_values(column: Sequence[str], lines: Sequence[int], meta: NumericalMetadata,

@@ -116,10 +116,20 @@ class ForwardResult:
     predictions: dict[str, np.ndarray]
     combined: ad.TapeNode | None = None
     loss_rows: dict[str, np.ndarray] = field(default_factory=dict)
+    loss_weights: dict[str, float] = field(default_factory=dict)
 
     @property
     def combined_loss(self) -> float:
-        return self.combined.value.item() if self.combined is not None else float("nan")
+        """The value of ``combined``, reduced in float64 from the loss terms
+        as ``combined_loss`` reduces the losses: a float64 tape's bits."""
+        if self.combined is None:
+            return float("nan")
+        total = None
+        for name, terms in self.loss_rows.items():
+            loss = terms.sum() / terms.size if terms.size else 0.0
+            term = loss if self.loss_weights[name] == 1.0 else loss * self.loss_weights[name]
+            total = term if total is None else total + term
+        return float(total)
 
 
 class _NoDraws(Lcg):
@@ -134,14 +144,16 @@ class ECDModel:
 
     With ``initialize=False`` every weight starts as zeros and no value is
     drawn: for a model whose values are restored right after it is built.
+    ``dtype`` is the store's, which every tape of the model computes in:
+    float32, or float64 where a result is checked against a float64 oracle.
     """
 
     def __init__(self, definition: ModelDefinition, metadata: dict, registries: Registries,
-                 seed: int, initialize: bool = True):
+                 seed: int, initialize: bool = True, dtype=np.float32):
         self.definition = definition
         self.metadata = metadata
         self.seed = seed
-        self.store = ad.ParameterStore()
+        self.store = ad.ParameterStore(dtype)
         rng = Lcg(mix_seed(seed, SALT_INIT)) if initialize else _NoDraws(0)
 
         self.encoders: dict[str, object] = {}
@@ -201,7 +213,7 @@ class ECDModel:
         """
         if grad:
             self.store.pack()
-        tape = ad.Tape(grad=grad)
+        tape = ad.Tape(grad=grad, dtype=self.store.dtype)
         hiddens = []
         seq_states = None
         combined_read = bool(self.input_readers)
@@ -249,6 +261,7 @@ class ECDModel:
             predictions={n: results[n].predictions for n in self.decoder_order},
             combined=combined_node,
             loss_rows={n: loss_nodes[n].rows for n in loss_nodes},
+            loss_weights=self.loss_weights,
         )
 
     def backward(self, result: ForwardResult) -> dict[str, np.ndarray]:

@@ -431,7 +431,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
                     if running:
                         collector.add(result, batch, targets)
                     model.backward(result)
-                    grads = model.store.grads
+                    grads = model.store.grads.astype(np.float64)  # a reported sum
                     grad_norms.append(math.sqrt(np.dot(grads, grads)))
                     optimizer_step(optimizer, model.store)
             except NonFiniteError as exc:

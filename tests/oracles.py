@@ -8,6 +8,7 @@ two paths is meaningful evidence of correctness.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -266,6 +267,22 @@ def as_version_2(container: bytes) -> bytes:
     body = bytearray(container[:-8])
     body[4:6] = {b"ECDW": 2, b"ECDC": 3}[bytes(body[:4])].to_bytes(2, "little")
     return bytes(body) + hashlib.blake2b(bytes(body), digest_size=8).digest()
+
+
+def unchecked_fingerprint(dataset_bytes: bytes, definition, seed: int) -> int:
+    """The cache fingerprint of a run before preprocessing checked that
+    float32 holds its values: the same recipe without its ``fits`` entry,
+    digested as ``cache.digest64`` does (the first 8 bytes of SHA-256, read
+    little-endian)."""
+    recipe = {
+        "features": [{"name": s.name, "type": s.type, "preprocessing": s.preprocessing}
+                     for s in list(definition.input_features) + list(definition.output_features)],
+        "split": definition.training.split,
+        "split_column": definition.training.split_column,
+        "seed": seed,
+    }
+    digest = hashlib.sha256(dataset_bytes + json.dumps(recipe, sort_keys=True).encode("utf-8"))
+    return int.from_bytes(digest.digest()[:8], "little")
 
 
 # ---------------------------------------------------------------------------

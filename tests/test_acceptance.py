@@ -127,7 +127,7 @@ def multitask_model(seed=13):
                      a=("category", ["p", "q", "r"]),
                      b=("numerical", ["0.1", "0.2", "0.3"]))
     definition = resolve_defaults(parse_model_definition(MULTITASK_CONFIG), REGS)
-    return ECDModel(definition, meta, REGS, seed)
+    return ECDModel(definition, meta, REGS, seed, dtype=np.float64)  # gradchecked
 
 
 def test_criterion_3_gradient_correctness():

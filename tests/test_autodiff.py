@@ -3,6 +3,7 @@
 import ast
 import gc
 import inspect
+import warnings
 import weakref
 from pathlib import Path
 
@@ -37,7 +38,7 @@ rng = np.random.default_rng(7)
 
 
 def leaf(tape, values, name="p"):
-    return tape.leaf(ad.Parameter(name, finite_array(values)))
+    return tape.leaf(ad.Parameter(name, finite_array(values, tape.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -47,24 +48,24 @@ def leaf(tape, values, name="p"):
 class TestMatmul:
 
     def test_identity(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.matmul(tape.constant(np.eye(2)), tape.constant([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(out.value.array, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_zero_left_operand(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.matmul(tape.constant(np.zeros((2, 3))), tape.constant(rng.normal(size=(3, 2))))
         np.testing.assert_array_equal(out.value.array, np.zeros((2, 2)))
 
     def test_matches_triple_loop_oracle(self):
         a = rng.normal(size=(4, 5))
         b = rng.normal(size=(5, 3))
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.matmul(tape.constant(a), tape.constant(b))
         np.testing.assert_allclose(out.value.array, matmul_triple_loop(a, b), atol=1e-12)
 
     def test_inner_extent_mismatch_names_both_dims(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             ad.matmul(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 2))))
 
@@ -73,7 +74,7 @@ class TestMatmul:
             a = rng.normal(size=(3, 4))
             b = rng.normal(size=(4, 5))
             c = rng.normal(size=(5, 2))
-            tape = ad.Tape()
+            tape = ad.Tape(dtype=np.float64)
             left = ad.matmul(ad.matmul(tape.constant(a), tape.constant(b)), tape.constant(c))
             right = ad.matmul(tape.constant(a), ad.matmul(tape.constant(b), tape.constant(c)))
             np.testing.assert_allclose(left.value.array, right.value.array, atol=1e-9)
@@ -82,20 +83,20 @@ class TestMatmul:
 class TestUnary:
 
     def test_relu_clamps(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.apply_unary("relu", tape.constant([-1.0, 2.0]))
         np.testing.assert_array_equal(out.value.array, [0.0, 2.0])
 
     def test_sigmoid_at_zero(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         assert ad.apply_unary("sigmoid", tape.constant([0.0])).value.item() == 0.5
 
     def test_tanh_at_zero(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         assert ad.apply_unary("tanh", tape.constant([0.0])).value.item() == 0.0
 
     def test_unknown_kind_lists_alternatives(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(RegistryError, match="relu, sigmoid, tanh"):
             ad.apply_unary("gelu", tape.constant([0.0]))
 
@@ -103,30 +104,30 @@ class TestUnary:
 class TestReduce:
 
     def test_sum_matches_sequential_fold(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.reduce("sum", tape.constant([1.0, 2.0, 3.0]), axis=0)
         assert out.value.dims == (1,)
         assert out.value.item() == sequential_fold_sum([1.0, 2.0, 3.0])
 
     def test_mean_of_constant_tensor_is_constant(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.reduce("mean", tape.constant(np.full((3, 4), 2.5)), axis=0)
         np.testing.assert_array_equal(out.value.array, np.full(4, 2.5))
 
     def test_max_over_length_one_axis_squeezes(self):
         x = rng.normal(size=(3, 1, 2))
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.reduce("max", tape.constant(x), axis=1)
         np.testing.assert_array_equal(out.value.array, x[:, 0, :])
 
     def test_axis_out_of_range(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(ShapeError):
             ad.reduce("sum", tape.constant([1.0]), axis=1)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
     def test_sum_equals_mean_times_extent(self, values):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         node = tape.constant(values)
         total = ad.reduce("sum", node, axis=0).value.item()
         mean = ad.reduce("mean", node, axis=0).value.item()
@@ -137,13 +138,13 @@ class TestEmbeddingLookup:
 
     def test_single_row_gather(self):
         table = rng.normal(size=(5, 3))
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.embedding_lookup(tape.constant(table), [0])
         np.testing.assert_array_equal(out.value.array, table[[0]])
 
     def test_repeated_id_accumulates_gradient(self):
         table = rng.normal(size=(4, 2))
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         node = leaf(tape, table, "table")
         out = ad.reduce("sum", ad.reduce("sum", ad.embedding_lookup(node, [2, 2]), 1), 0)
         grads = tape.backward(out)
@@ -152,7 +153,7 @@ class TestEmbeddingLookup:
         np.testing.assert_array_equal(grads["table"], expected)
 
     def test_id_out_of_range_names_id(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(IndexOutOfRangeError, match="7"):
             ad.embedding_lookup(tape.constant(np.zeros((3, 2))), [0, 7])
 
@@ -180,13 +181,13 @@ class TestConv1d:
         x = rng.normal(size=(6, 3))
         filters = rng.normal(size=(1, 3, 4))
         bias = rng.normal(size=4)
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.conv1d(tape.constant(x), tape.constant(filters), tape.constant(bias), [2, 0, 4])
         np.testing.assert_allclose(out.value.array, x @ filters[0] + bias, atol=1e-12)
 
     def test_zero_input_yields_bias_rows(self):
         bias = rng.normal(size=4)
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.conv1d(tape.constant(np.zeros((5, 2))),
                         tape.constant(np.zeros((3, 2, 4))), tape.constant(bias), [5])
         np.testing.assert_allclose(out.value.array, np.tile(bias, (5, 1)), atol=1e-12)
@@ -201,7 +202,7 @@ class TestConv1d:
         filters = rng.normal(size=(width, h, f))
         bias = rng.normal(size=f)
         g = rng.normal(size=(n, f))
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         nodes = [leaf(tape, x, "x"), leaf(tape, filters, "f"), leaf(tape, bias, "b")]
         out = ad.conv1d(*nodes, lengths)
         np.testing.assert_allclose(out.value.array, conv1d_per_row(x, filters, bias, lengths),
@@ -222,14 +223,14 @@ class TestConv1d:
 
     @pytest.mark.parametrize("lengths", [[2, 1], [3, 3], [5, -1], []])
     def test_lengths_that_do_not_pack_the_rows_raise(self, lengths):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(ShapeError, match="do not pack 4 positions"):
             ad.conv1d(tape.constant(np.zeros((4, 2))),
                       tape.constant(np.zeros((3, 2, 3))), tape.constant(np.zeros(3)), lengths)
 
     def test_even_width_is_config_error(self):
         from ecdkit.errors import ConfigError
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(ConfigError, match="odd"):
             ad.conv1d(tape.constant(np.zeros((5, 2))),
                       tape.constant(np.zeros((4, 2, 3))), tape.constant(np.zeros(3)), [5])
@@ -241,13 +242,13 @@ class TestRnn:
         return tuple(tape.constant(v) for v in (x, w, u, b))
 
     def test_all_zero_weights(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.rnn(*self._nodes(tape, np.ones((3, 3)), np.zeros((3, 2)),
                                   np.zeros((2, 2)), np.zeros(2)), [2, 1])
         np.testing.assert_array_equal(out.value.array, np.zeros((2, 2, 2)))
 
     def test_bias_only(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.rnn(*self._nodes(tape, np.ones((3, 3)), np.zeros((3, 2)),
                                   np.zeros((2, 2)), np.ones(2)), [2, 1, 0])
         expected = np.tanh(1.0) * np.ones((2, 3, 2))
@@ -259,7 +260,7 @@ class TestRnn:
         w = rng.normal(size=(4, 3))
         u = rng.normal(size=(3, 3))
         b = rng.normal(size=3)
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = ad.rnn(*self._nodes(tape, x, w, u, b), [3, 2])
         first, second = rnn_scalar_loop([x[:3], x[3:]], w, u, b)
         np.testing.assert_allclose(out.value.array[:, 0], first, atol=1e-12)
@@ -275,7 +276,8 @@ class TestRnn:
         r = np.random.default_rng(seed)
         x = r.normal(size=(sum(lengths), 3))
         w, u, b = r.normal(size=(3, 4)), r.normal(size=(4, 4)) * 0.5, r.normal(size=4)
-        out = ad.rnn(*self._nodes(ad.Tape(grad=False), x, w, u, b), lengths).value.array
+        tape = ad.Tape(grad=False, dtype=np.float64)
+        out = ad.rnn(*self._nodes(tape, x, w, u, b), lengths).value.array
         assert out.shape == (max(lengths, default=0) or 1, len(lengths), 4)
         ends = np.cumsum(lengths)
         rows = [x[end - count : end] for end, count in zip(ends, lengths)]
@@ -294,13 +296,13 @@ class TestRnn:
         ((4, 2), (2,), (3, 3), (3,)),       # rank-1 w_in
     ])
     def test_mismatched_operands_raise_shape_error(self, dims):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(ShapeError, match="rnn"):
             ad.rnn(*(tape.constant(np.zeros(d)) for d in dims), [4])
 
     @pytest.mark.parametrize("lengths", [[1, 3], [2, 3, 0], [5, -1], [3, 3], [[2, 2]]])
     def test_lengths_not_non_increasing_or_not_packing_raise(self, lengths):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(ShapeError, match="rnn row lengths"):
             ad.rnn(*self._nodes(tape, np.zeros((4, 2)), np.zeros((2, 3)),
                                 np.zeros((3, 3)), np.zeros(3)), lengths)
@@ -310,30 +312,30 @@ class TestLosses:
 
     def test_uniform_logits_cross_entropy_is_log_c(self):
         for c in (2, 5, 11):
-            tape = ad.Tape()
+            tape = ad.Tape(dtype=np.float64)
             loss = ad.softmax_cross_entropy(tape.constant(np.zeros((4, c))), [0, 1, 0, c - 1])
             assert abs(loss.value.item() - np.log(c)) < 1e-12
 
     def test_mse_of_identical_is_zero(self):
         y = rng.normal(size=(6, 1))
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         assert ad.mse(tape.constant(y), y).value.item() == 0.0
 
     def test_cross_entropy_matches_logsumexp_oracle(self):
         logits = rng.normal(size=(8, 5))
         ids = rng.integers(0, 5, size=8)
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         loss = ad.softmax_cross_entropy(tape.constant(logits), ids)
         assert abs(loss.value.item() - cross_entropy_logsumexp(logits, ids)) < 1e-10
 
     def test_target_id_out_of_range(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(IndexOutOfRangeError):
             ad.softmax_cross_entropy(tape.constant(np.zeros((2, 3))), [0, 3])
 
     def test_bce_known_value(self):
         # logit 0 gives -log(0.5) regardless of the target
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         loss = ad.sigmoid_bce(tape.constant(np.zeros((3, 1))), np.array([[0.0], [1.0], [1.0]]))
         assert abs(loss.value.item() - np.log(2.0)) < 1e-12
 
@@ -345,7 +347,7 @@ class TestLosses:
 class TestBackward:
 
     def test_constant_root_has_zero_parameter_gradients(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         leaf(tape, [[1.0, 2.0]], "w")
         root = tape.constant([5.0])
         grads = tape.backward(root)
@@ -357,7 +359,7 @@ class TestBackward:
         def f(values):
             return float(values[0] * values[0])
 
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         x = leaf(tape, [[x0]], "x")
         grads = tape.backward(ad.matmul(x, x))
         fd = finite_difference_grad(lambda v: v[0] ** 2, np.array([x0]))
@@ -365,19 +367,19 @@ class TestBackward:
         assert max_relative_error(grads["x"].reshape(-1), fd) < 1e-7
 
     def test_fanout_accumulates(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         g = leaf(tape, [4.0], "g")
         grads = tape.backward(ad.add(g, g))
         np.testing.assert_array_equal(grads["g"], [2.0])
 
     def test_non_scalar_root_rejected(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         node = tape.constant([1.0, 2.0])
         with pytest.raises(ContractError):
             tape.backward(node)
 
     def test_backward_does_not_mutate_forward_values(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         w = leaf(tape, rng.normal(size=(3, 3)), "w")
         out = ad.reduce("sum", ad.reduce("sum", ad.apply_unary("tanh", ad.matmul(w, w)), 1), 0)
         nodes = list(tape.nodes)  # backward drops the tape's own list
@@ -387,7 +389,7 @@ class TestBackward:
             np.testing.assert_array_equal(node.value.array, snapshot)
 
     def test_a_parameter_has_one_leaf_per_tape(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         param = ad.Parameter("w", finite_array([3.0]))
         first, second = tape.leaf(param), tape.leaf(param)
         assert first is second
@@ -395,7 +397,7 @@ class TestBackward:
         np.testing.assert_array_equal(grads["w"], [3.0])
 
     def test_constants_take_no_gradient(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         batch = tape.constant(rng.normal(size=(3, 2)))
         out = ad.matmul(batch, leaf(tape, rng.normal(size=(2, 4)), "w"))
         out._backward(np.ones((3, 4)))
@@ -404,11 +406,11 @@ class TestBackward:
         assert batch.grad is None
 
     def test_packed_leaf_adds_into_the_stores_gradient_buffer(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         store.create("a", [[1.0, -2.0]])
         store.create("b", [0.5, -0.5])
         store.pack()
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         a, b = tape.leaf(store["a"]), tape.leaf(store["b"])
         root = ad.reduce("sum", ad.add(ad.apply_unary("tanh", a), b), 1)
         grads = tape.backward(root)
@@ -417,7 +419,7 @@ class TestBackward:
         assert store.grads.tobytes() == (0.0 + expected).tobytes()
 
     def test_unreachable_parameter_gets_zeros(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         used = leaf(tape, [2.0], "used")
         unused = leaf(tape, [[1.0, 1.0]], "unused")
         grads = tape.backward(ad.add(used, used))
@@ -438,11 +440,11 @@ def gradcheck(build, values: np.ndarray, probes: int = None) -> float:
     ``build`` maps a parameter node to a scalar node on the same tape.
     """
     def scalar(raw: np.ndarray) -> float:
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         node = tape.constant(raw.reshape(values.shape))
         return build(tape, node).value.item()
 
-    tape = ad.Tape()
+    tape = ad.Tape(dtype=np.float64)
     node = leaf(tape, values, "p")
     grads = tape.backward(build(tape, node))
     fd = finite_difference_grad(scalar, values.reshape(-1).copy(), h=FD_STEP)
@@ -532,6 +534,27 @@ def test_gradient_matches_finite_differences(name):
     assert worst < GRAD_TOL, f"{name}: max relative error {worst}"
 
 
+@pytest.mark.parametrize("name", OP_CASE_NAMES)
+def test_float32_inputs_give_float32_values_and_gradients(name, monkeypatch):
+    """On a float32 tape every op's output and every gradient buffer it adds
+    to stay float32: nothing upcasts to float64 on the way."""
+    grads_seen = []
+    for method in ("accumulate", "accumulate_at"):
+        def spy(node, *args, _sweep=getattr(ad.TapeNode, method), **kwargs):
+            _sweep(node, *args, **kwargs)
+            if node.grad is not None:
+                grads_seen.append(node.grad.dtype)
+        monkeypatch.setattr(ad.TapeNode, method, spy)
+    shape, build = _op_cases(np.random.default_rng(0))[name]
+    tape = ad.Tape()
+    root = build(tape, leaf(tape, np.random.default_rng(1).normal(size=shape)))
+    values = {node.value.array.dtype for node in tape.nodes}
+    grads = tape.backward(root)
+    float32 = np.dtype(np.float32)
+    assert tape.dtype == float32 and values == {float32}
+    assert grads_seen and set(grads_seen) == {float32} and grads["p"].dtype == float32
+
+
 def test_gradcheck_probe_count_is_at_least_100():
     """The parametrized sweep perturbs well over 100 scalar coordinates."""
     cases = _op_cases(np.random.default_rng(0))
@@ -574,7 +597,7 @@ def test_every_recorded_op_kind_has_a_gradcheck_case():
     assert {"const", "param", "conv1d", "relu", "reduce_max", "rnn"} <= recorded
     covered = set()
     for name, (shape, build) in _op_cases(np.random.default_rng(0)).items():
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         build(tape, leaf(tape, np.random.default_rng(1).normal(size=shape)))
         covered.update(node.op_kind for node in tape.nodes)
     assert recorded - {"const", "param"} - covered == set()
@@ -592,7 +615,7 @@ def _bits(values: np.ndarray) -> bytes:
 
 
 def test_first_contribution_maps_negative_zero_to_positive_zero():
-    node = leaf(ad.Tape(), [1.0, 2.0, 3.0])
+    node = leaf(ad.Tape(dtype=np.float64), [1.0, 2.0, 3.0])
     contribution = np.array([-0.0, 0.0, -1.5])
     node.accumulate(contribution)
     assert _bits(node.grad) == _bits(np.zeros(3) + contribution)
@@ -600,6 +623,15 @@ def test_first_contribution_maps_negative_zero_to_positive_zero():
     assert node.grad is not contribution
     node.accumulate(contribution)
     assert _bits(node.grad) == _bits(np.array([0.0, 0.0, -3.0]))
+
+
+def test_an_owned_first_contribution_becomes_the_buffer_without_negative_zero():
+    node = leaf(ad.Tape(dtype=np.float64), [1.0, 2.0, 3.0])
+    contribution = np.array([-0.0, 0.0, -1.5])
+    expected = _bits(np.zeros(3) + contribution)
+    node.accumulate(contribution, owned=True)
+    assert node.grad is contribution and _bits(node.grad) == expected
+    assert not np.signbit(node.grad[0])
 
 
 @given(data=st.data())
@@ -621,7 +653,7 @@ def test_select_gradient_is_bit_equal_to_the_dense_formula(data):
                                    max_size=int(np.prod(shape))))
         first = np.array(cells).reshape(shape)
 
-    tape = ad.Tape()
+    tape = ad.Tape(dtype=np.float64)
     x = leaf(tape, np.zeros(shape))
     nodes = [ad.select(x, axis=axis, index=index) for axis, index in picks]
     if first is not None:  # a consumer the sweep reaches before the selects
@@ -649,15 +681,30 @@ def test_embedding_gradient_is_bit_equal_to_add_at(data):
         cells = data.draw(st.lists(GRAD_VALUES, min_size=ids.size * width,
                                    max_size=ids.size * width))
         grad = np.array(cells, dtype=np.float64).reshape(ids.size, width)
-    tape = ad.Tape()
+    tape = ad.Tape(dtype=np.float64)
     table = leaf(tape, np.zeros((vocab, width)))
     node = ad.embedding_lookup(table, ids)
     node._backward(grad)
     assert _bits(table.grad) == _bits(embedding_grad_add_at(vocab, ids, grad))
 
 
+def test_embedding_gradient_adds_into_the_looked_up_rows_only():
+    store = ad.ParameterStore(np.float64)
+    store.create("table", np.zeros((5, 2)))
+    store.pack()
+    before = np.array([[1.0, -2.0], [0.5, 0.0], [3.0, 4.0], [-1.0, 1.0], [2.0, 2.0]])
+    store.grads[...] = before.reshape(-1)
+    tape = ad.Tape(dtype=np.float64)
+    ids = np.array([3, 1, 3])
+    grad = np.array([[1.0, 2.0], [-0.5, 0.25], [4.0, -8.0]])
+    ad.embedding_lookup(tape.leaf(store["table"]), ids)._backward(grad)
+    expected = before.copy()
+    expected[[1, 3]] += embedding_grad_add_at(5, ids, grad)[[1, 3]]
+    assert _bits(store["table"].grad) == _bits(expected)
+
+
 def test_backward_frees_each_interior_gradient_once_its_closure_has_run():
-    tape = ad.Tape()
+    tape = ad.Tape(dtype=np.float64)
     x = leaf(tape, [[1.0, -2.0, 3.0]])
     hidden = ad.apply_unary("tanh", x)
     scaled = ad.scale(hidden, 2.0)
@@ -703,7 +750,7 @@ def test_only_tape_record_attaches_a_backward_closure():
 def test_every_op_closure_takes_its_gradient():
     r = np.random.default_rng(2)
     for name, (shape, build) in _op_cases(np.random.default_rng(0)).items():
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         build(tape, leaf(tape, r.normal(size=shape)))
         ops = [node for node in tape.nodes if node.op_kind not in ("const", "param")]
         assert ops, name
@@ -725,7 +772,7 @@ def _case(name):
 def _tape_after_pass(name, grad):
     """Weak reference to the tape of one op case, after backward if ``grad``."""
     build, values = _case(name)
-    tape = ad.Tape(grad=grad)
+    tape = ad.Tape(grad=grad, dtype=np.float64)
     root = build(tape, leaf(tape, values))
     if grad:
         tape.backward(root)
@@ -735,7 +782,7 @@ def _tape_after_pass(name, grad):
 class TestTapeLifetime:
 
     def test_second_backward_raises(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         root = ad.reduce("sum", ad.apply_unary("tanh", leaf(tape, [[1.0, -2.0]])), 1)
         grads = tape.backward(root)
         assert tape.nodes is None and not tape.grad
@@ -746,9 +793,9 @@ class TestTapeLifetime:
     @pytest.mark.parametrize("name", OP_CASE_NAMES)
     def test_no_grad_tape_gives_equal_values_and_records_nothing(self, name):
         build, values = _case(name)
-        graded = ad.Tape()
+        graded = ad.Tape(dtype=np.float64)
         expected = build(graded, graded.constant(values)).value.array
-        tape = ad.Tape(grad=False)
+        tape = ad.Tape(grad=False, dtype=np.float64)
         root = build(tape, tape.constant(values))
         np.testing.assert_array_equal(root.value.array, expected)
         assert tape.nodes is None and root._backward is None
@@ -767,14 +814,14 @@ class TestTapeLifetime:
     @pytest.mark.parametrize("name", ["cross_entropy", "sigmoid_bce", "mse"])
     def test_loss_rows_reduce_to_the_value(self, name):
         build, values = _case(name)
-        tape = ad.Tape(grad=False)
+        tape = ad.Tape(grad=False, dtype=np.float64)
         node = build(tape, tape.constant(values))
         terms = node.rows
         assert terms.shape[0] == values.shape[0]
         assert node.value.item() == float(terms.sum() / terms.size)
 
     def test_cross_entropy_over_no_rows_is_zero(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         node = ad.softmax_cross_entropy(tape.constant(np.ones((0, 2))), [])
         assert node.value.item() == 0.0
         assert node.rows.shape == (0,)
@@ -787,7 +834,7 @@ class TestTapeLifetime:
 class TestParameterStore:
 
     def test_duplicate_name_rejected(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         store.create("a.b", [1.0])
         with pytest.raises(ContractError):
             store.create("a.b", [2.0])
@@ -797,7 +844,7 @@ class TestParameterStore:
             ad.Parameter("a..b", np.array([1.0]))
 
     def test_snapshot_restore_round_trip(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         store.create("w", [[1.0, 2.0]])
         store.pack()
         snap = store.snapshot()
@@ -806,7 +853,7 @@ class TestParameterStore:
         np.testing.assert_array_equal(store["w"].value, [[1.0, 2.0]])
 
     def test_pack_moves_every_value_into_one_buffer(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         store.create("w", [[1.0, 2.0], [3.0, 4.0]])
         store.create("b", [5.0])
         store.pack()
@@ -823,7 +870,7 @@ class TestParameterStore:
             store.restore({"b": np.array([1.0])})
 
     def test_non_finite_buffer_names_the_first_parameter_that_holds_one(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         for name in ("a", "b", "c"):
             store.create(name, [1.0, 2.0])
         store.pack()
@@ -834,14 +881,26 @@ class TestParameterStore:
 
     def test_restore_takes_the_arrays_it_is_handed(self):
         # a loaded model's weights reach its parameters without a second copy
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         store.create("w", [[1.0, 2.0]])
         values = np.array([[3.0, 4.0]])
         store.restore({"w": values})
         assert store["w"].value is values
 
-    def test_restore_rejects_non_finite_values(self):
+    @pytest.mark.parametrize("store_values", [
+        lambda store: store.create("big", [1.0, 1e39]),
+        lambda store: store.restore({"w": np.array([[-1e300, 2.0]])}),
+    ], ids=["create", "restore"])
+    def test_finite_values_beyond_float32_raise_without_a_warning(self, store_values):
         store = ad.ParameterStore()
+        store.create("w", [[1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="non-finite tensor values"):
+                store_values(store)
+
+    def test_restore_rejects_non_finite_values(self):
+        store = ad.ParameterStore(np.float64)
         store.create("w", [[1.0, 2.0]])
         with pytest.raises(NonFiniteError, match="non-finite tensor values"):
             store.restore({"w": np.array([[1.0, np.inf]])})

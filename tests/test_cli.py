@@ -14,13 +14,21 @@ import pytest
 
 import numpy as np
 
-from ecdkit.artifacts import read_weights, write_weights
+from ecdkit.artifacts import (
+    WEIGHTS_MAGIC,
+    WEIGHTS_VERSION,
+    read_weights,
+    write_weights,
+)
 from ecdkit.autodiff import ParameterStore
-from ecdkit.cache import digest64
+from ecdkit.cache import cache_path_for, digest64, write_cache, write_container
 from ecdkit.cli import main
+from ecdkit.config import parse_model_definition, resolve_defaults
+from ecdkit.data import SPLIT_NAMES
+from ecdkit.registry import build_default_registries
 
 import synth
-from oracles import as_version_1, as_version_2
+from oracles import as_version_1, as_version_2, unchecked_fingerprint
 
 CONFIG = (
     "input_features:\n"
@@ -83,7 +91,8 @@ class TestTrainCommand:
         config.write_text(
             CONFIG.replace("  batch_size: 32\n",
                            "  batch_size: 32\n  learning_rate: 1e18\n  optimizer: sgd\n")
-            .replace("type: binary", "type: binary\n    loss_weight: 1e300"),
+            # a float32 loss and gradient stay finite at this weight; lr times them does not
+            .replace("type: binary", "type: binary\n    loss_weight: 1e30"),
             encoding="utf-8")
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -158,7 +167,17 @@ class TestPredictCommand:
         assert run(["predict", "-m", weights.parent, "-d", dataset, "-o", tmp / "pred"]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert f"format version {version}, expected 3" in err
+        assert f"format version {version}, expected {WEIGHTS_VERSION}" in err
+
+    def test_version_3_model_exits_3_naming_its_version(self, workspace, capsys):
+        # the float64 (<f8) records of weights version 3, under a valid digest
+        def as_version_3(container: bytes) -> bytes:
+            path = workspace[0] / "v3.bin"
+            path.write_bytes(container)
+            write_container(path, WEIGHTS_MAGIC, 3, b"", read_weights(path), "<f8")
+            return path.read_bytes()
+
+        self.old_model_exits_3(workspace, capsys, as_version_3, 3)
 
     def test_version_1_model_exits_3_naming_its_version(self, workspace, capsys):
         self.old_model_exits_3(workspace, capsys, as_version_1, 1)
@@ -368,20 +387,92 @@ class TestHugeNumbers:
         assert "column 'x'" in err and "overflows float64" in err
 
 
+class TestBeyondFloat32:
+    """A preprocessed value that float32, the models' compute dtype, cannot
+    hold is a data error naming its feature and row, in train and predict."""
+
+    CONFIG = ("input_features:\n  - name: x\n    type: numerical\n"
+              "    preprocessing:\n      normalization: none\n"
+              "  - name: v\n    type: vector\n"
+              "output_features:\n  - name: y\n    type: numerical\n"
+              "    preprocessing:\n      normalization: none\n"
+              "training:\n  epochs: 1\n")
+
+    def rows(self, column=None, cell=None):
+        rows = [[repr(i / 7), f"{i % 3} 1", repr(3 * i / 7)] for i in range(40)]
+        if column is not None:
+            rows[5][["x", "v", "y"].index(column)] = cell
+        return rows
+
+    @pytest.mark.parametrize("column,cell", [("x", "-1e39"), ("v", "2 4e38"), ("y", "1e39")])
+    def test_train_exits_3_naming_the_feature_with_no_warning(self, tmp_path, capsys,
+                                                              column, cell):
+        config = tmp_path / "model.yaml"
+        config.write_text(self.CONFIG, encoding="utf-8")
+        dataset = synth.write_rows(tmp_path / "big.csv", ["x", "v", "y"],
+                                   self.rows(column, cell))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
+                        "--seed", 1, "--no-cache"])
+        assert code == 3
+        assert caught == []
+        err = one_line_error(capsys)
+        assert f"feature {column!r} row 7:" in err and "float32" in err
+
+    def test_a_cache_written_before_the_check_is_not_reused(self, tmp_path, capsys):
+        # a cache of the same format whose values were never checked, under
+        # the fingerprint its run had then: training preprocesses anew
+        config = tmp_path / "model.yaml"
+        config.write_text(self.CONFIG, encoding="utf-8")
+        dataset = synth.write_rows(tmp_path / "big.csv", ["x", "v", "y"],
+                                   self.rows("x", "-1e39"))
+        definition = resolve_defaults(parse_model_definition(self.CONFIG),
+                                      build_default_registries())
+        fingerprint = unchecked_fingerprint(dataset.read_bytes(), definition, 1)
+        write_cache(cache_path_for(dataset), fingerprint,
+                    {split: {"x": np.full((1, 1), -1e39), "v": np.zeros((1, 2)),
+                             "y": np.zeros((1, 1))} for split in SPLIT_NAMES})
+        capsys.readouterr()
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
+                    "--seed", 1]) == 3
+        assert "feature 'x' row 7:" in one_line_error(capsys)
+
+    def test_predict_exits_3_naming_the_feature(self, tmp_path, capsys):
+        config = tmp_path / "model.yaml"
+        config.write_text(self.CONFIG, encoding="utf-8")
+        dataset = synth.write_rows(tmp_path / "ok.csv", ["x", "v", "y"], self.rows())
+        assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run",
+                    "--seed", 1, "-q"]) == 0
+        bad = synth.write_rows(tmp_path / "big.csv", ["x", "v", "y"], self.rows("x", "4e38"))
+        capsys.readouterr()
+        assert run(["predict", "-m", tmp_path / "run" / "model", "-d", bad,
+                    "-o", tmp_path / "pred"]) == 3
+        err = one_line_error(capsys)
+        assert "feature 'x' row 7: preprocessed value 4e+38 is beyond float32's range" in err
+        assert not (tmp_path / "pred").exists()
+
+
 class TestNonFiniteForward:
     """Finite weights whose forward pass or scores overflow exit 4 with one line."""
 
-    @pytest.mark.parametrize("decoder,targets,scale,weight,found", [
-        ("", True, 1.0, 1e300, "loss terms"),  # the prediction itself stays finite
-        ("    fc_sizes: [2]\n", True, 1.0, 1e300, "predictions"),
-        ("    fc_sizes: [2]\n", False, 1.0, 1e300, "predictions"),
-        ("", False, 1e10, 1e300, "predictions"),  # finite until denormalized
-        # finite loss terms and predictions, whose ~1e160 raw errors overflow when squared
-        ("", True, 1e10, 1e150, "metric 'mse'"),
+    # The model computes in float32 (largest value ~3.4e38) and reports in
+    # float64. ``std``, when given, is written into the stored metadata as the
+    # output's std: a float32 prediction times the std of any column whose
+    # statistics float64 holds stays finite, so only such a std overflows it.
+    @pytest.mark.parametrize("decoder,targets,scale,weight,std,found", [
+        # the prediction itself stays finite, its ~1e30 error squared does not
+        ("", True, 1.0, 1e30, None, "loss terms"),
+        ("    fc_sizes: [2]\n", True, 1.0, 1e30, None, "predictions"),
+        ("    fc_sizes: [2]\n", False, 1.0, 1e30, None, "predictions"),
+        ("", False, 1.0, 1e30, 1e300, "predictions"),  # finite until denormalized
+        # finite loss terms and predictions, whose ~1e156 raw errors overflow when squared
+        ("", True, 1e140, 1e15, None, "metric 'mse'"),
     ], ids=["finite-prediction", "with-targets", "inputs-only", "denormalized",
             "metric-overflow"])
     def test_predict_exits_4_naming_the_output(self, tmp_path, capsys, decoder, targets,
-                                               scale, weight, found):
+                                               scale, weight, std, found):
         config = tmp_path / "model.yaml"
         config.write_text("input_features:\n  - name: x\n    type: numerical\n"
                           "output_features:\n  - name: y\n    type: numerical\n" + decoder +
@@ -395,6 +486,11 @@ class TestNonFiniteForward:
         for name, values in read_weights(weights).items():
             huge.create(name, np.full(values.shape, weight))
         write_weights(weights, huge)
+        if std is not None:
+            metadata_path = weights.parent / "metadata.json"
+            metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
+            metadata["y"]["std"] = std
+            metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
         if not targets:
             dataset = synth.write_rows(tmp_path / "x.csv", ["x"], [row[:1] for row in rows])
         capsys.readouterr()

@@ -115,12 +115,12 @@ def arrays_digest(blocks: list[dict]) -> str:
 
 PINNED_ARRAYS = "6213df89fcf8721b049e7b91b22d00c8b0ac76d208bddb4ac13826be63ccd46a"
 PINNED = {
-    "embed": ("af1c4878b1d1487b8bed1b58be83dbde9daf1fd140b0d1af31fd7cade8144603",
-              "c84f7004263794893ae9877e57751a74293f79a6033c50b75e06ce634cc28786"),
-    "rnn": ("161cd76ca69400e21e2b021a3d96085d32f77f172d88afd2aa75b41eb03813de",
-            "b8479fb26c216ad9e0dfe52cc9b27f684103240d3ec64ce4a47a8d492d1650da"),
-    "cnn": ("e3c4066b5e5cd7d56b05d3167fa6bf7ad5f238f8b6b1ae2f698a16fef8c96194",
-            "b3bee52e412fb392de75ac10a5dd34912a07934059fb37549febeb0114b305b5"),
+    "embed": ("79037d86555ee5f0157680cd74cde984b03b0a817e44996a1e552f228492d7ce",
+              "dc9d1b83fbea277df994af670dddfe2c875740812fd48c370d79eb63f1848115"),
+    "rnn": ("3861d0b6bda98b7c1ae18e4a0745c8c3e25642ec2f36dbed093842735a329e31",
+            "45bce15c87642a4401e386c0cbbfdef4554ba888a27552e0cf6d96d247e73706"),
+    "cnn": ("12a24d6d55302ea0ab9ef22d62d06821b60886d5830161116de20a997b37796f",
+            "e5dace5cbc31b242c5000c19d093ae7973178cb9b07edf9a9a64fc1b390682b8"),
 }
 
 

@@ -4,7 +4,7 @@ only read, by ``config`` from a user's definition; the package writes none.
 Only ``cache`` imports ``hashlib``, so ``cache.digest64`` is the one digest.
 Every module-level import is read in its module or listed in ``__all__``, so
 a deletion leaves no import behind. Outside the autodiff tape every value is
-a plain float64 array: only ``autodiff`` and ``tensor`` name ``Tensor``, the
+a plain array: only ``autodiff`` and ``tensor`` name ``Tensor``, the
 box of a tape node's value, and the package does not export it. Only
 ``autodiff`` and ``optim`` assign a ``.value``, so a trained parameter's value
 stays a view of its store's weight buffer."""

@@ -30,8 +30,9 @@ def make_meta(**columns):
 
 
 def build(text: str, metadata: dict, seed: int = 11) -> ECDModel:
+    """A float64 model: these tests hold it to float64 oracles and tolerances."""
     definition = resolve_defaults(parse_model_definition(text), REGS)
-    return ECDModel(definition, metadata, REGS, seed)
+    return ECDModel(definition, metadata, REGS, seed, dtype=np.float64)
 
 
 def zero_params(model: ECDModel, prefix: str) -> None:
@@ -52,7 +53,7 @@ class TestEncoders:
         model = build(
             "input_features:\n  - name: color\n    type: category\n    embedding_size: 16\n"
             "output_features:\n  - name: y\n    type: numerical\n", meta)
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = model.encoders["color"].forward(tape, np.array([[1.0], [2.0], [0.0], [1.0]]))
         assert out.hidden.value.dims == (4, 16)
 
@@ -64,14 +65,14 @@ class TestEncoders:
             "    state_size: 6\n"
             "output_features:\n  - name: y\n    type: numerical\n", meta)
         for s in (2, 5):
-            tape = ad.Tape()
+            tape = ad.Tape(dtype=np.float64)
             out = model.encoders["words"].forward(tape, np.ones((3, s)), states=True)
             assert out.hidden.value.dims == (3, 6)
             assert out.sequence.value.dims == (3 * s, 6)  # every position is a real token
             np.testing.assert_array_equal(out.lengths, [s, s, s])
             np.testing.assert_array_equal(out.sequence.value.array[s - 1 :: s],
                                           out.hidden.value.array)
-            unread = model.encoders["words"].forward(ad.Tape(), np.ones((3, s)))
+            unread = model.encoders["words"].forward(ad.Tape(dtype=np.float64), np.ones((3, s)))
             assert unread.sequence is None
             np.testing.assert_array_equal(unread.hidden.value.array, out.hidden.value.array)
 
@@ -82,7 +83,7 @@ class TestEncoders:
             "input_features:\n  - name: words\n    type: sequence\n    encoder: rnn\n"
             "    state_size: 6\n"
             "output_features:\n  - name: y\n    type: numerical\n", meta)
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         batch = np.array([[2.0, 3.0, 4.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0, 0.0]])
         out = model.encoders["words"].forward(tape, batch, states=True)
         assert [n.op_kind for n in tape.nodes].count("rnn") == 1
@@ -90,9 +91,11 @@ class TestEncoders:
         assert states.shape == (4, 6) and out.width == 5  # rows of 3 and 1 tokens
         np.testing.assert_array_equal(out.lengths, [3, 1])
         np.testing.assert_array_equal(hidden, states[[2, 3]])  # each row's last token
-        alone = model.encoders["words"].forward(ad.Tape(), batch[1:, :1], states=True)
+        alone = model.encoders["words"].forward(ad.Tape(dtype=np.float64), batch[1:, :1],
+                                                states=True)
         np.testing.assert_allclose(alone.sequence.value.array, states[3:], rtol=0, atol=1e-12)
-        empty = model.encoders["words"].forward(ad.Tape(), np.zeros((2, 4)), states=True)
+        empty = model.encoders["words"].forward(ad.Tape(dtype=np.float64), np.zeros((2, 4)),
+                                                states=True)
         np.testing.assert_array_equal(empty.hidden.value.array, np.zeros((2, 6)))
         assert empty.sequence.value.dims == (0, 6)
 
@@ -126,7 +129,7 @@ class TestEncoders:
             ids = np.zeros((len(batch_rows), width))
             for i, r in enumerate(batch_rows):
                 ids[i, : len(r)] = r
-            out = model.encoders["words"].forward(ad.Tape(grad=False), ids)
+            out = model.encoders["words"].forward(ad.Tape(grad=False, dtype=np.float64), ids)
             return out.hidden.value.array
 
         alone = hidden([row], max(1, len(row)))
@@ -159,7 +162,8 @@ class TestEncoders:
             for i, r in enumerate(batch_rows):
                 ids[i, : len(r)] = r
             probs = model.forward({"words": ids}, grad=False).predictions["tags"]
-            hidden = model.encoders["words"].forward(ad.Tape(grad=False), ids).hidden
+            tape = ad.Tape(grad=False, dtype=np.float64)
+            hidden = model.encoders["words"].forward(tape, ids).hidden
             return probs[index, : len(row)], hidden.value.array[index]
 
         alone = row_outputs([row], max(1, len(row)), 0)
@@ -175,13 +179,14 @@ class TestEncoders:
             "input_features:\n  - name: words\n    type: sequence\n    encoder: cnn\n"
             "    num_filters: 5\n    filter_widths: [3, 5, 7]\n"
             "output_features:\n  - name: y\n    type: numerical\n", meta)
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = model.encoders["words"].forward(tape, np.ones((2, 7)), states=True)
         assert out.hidden.value.dims == (2, 15)  # 3 branches x 5 filters
         assert out.sequence.value.dims == (14, 15)
         np.testing.assert_array_equal(out.sequence.value.array.reshape(2, 7, 15).max(axis=1),
                                       out.hidden.value.array)
-        assert model.encoders["words"].forward(ad.Tape(), np.ones((2, 7))).sequence is None
+        tape = ad.Tape(dtype=np.float64)
+        assert model.encoders["words"].forward(tape, np.ones((2, 7))).sequence is None
 
     @pytest.mark.parametrize("tagged", [False, True])
     def test_rnn_records_step_states_only_for_a_tagger(self, tagged):
@@ -215,7 +220,7 @@ class TestEncoders:
         def kinds(longest):
             batch = np.zeros((3, 40))
             batch[0, :longest] = batch[1, :3] = 2.0
-            tape = ad.Tape()
+            tape = ad.Tape(dtype=np.float64)
             model.encoders["words"].forward(tape, batch, states=states)
             return Counter(node.op_kind for node in tape.nodes)
 
@@ -230,7 +235,7 @@ class TestEncoders:
         table = model.store["encoders.tags.embedding"].value
         hot = np.zeros((1, meta["tags"].vocab_size))
         hot[0, 1] = hot[0, 2] = 1.0
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = model.encoders["tags"].forward(tape, hot)
         np.testing.assert_allclose(out.hidden.value.array, (table[1] + table[2])[None, :],
                                    atol=1e-12)
@@ -307,35 +312,35 @@ class TestReadNodesOnly:
 class TestConcatCombiner:
 
     def test_single_input_empty_fc_is_identity(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         combiner = ConcatCombiner(store, Lcg(0), 3, fc_sizes=[])
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         x = tape.constant(np.arange(6.0).reshape(2, 3))
         out = combiner.forward(tape, [x])
         np.testing.assert_array_equal(out.value.array, x.value.array)
 
     def test_concatenation_matches_oracle(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         combiner = ConcatCombiner(store, Lcg(0), 5, fc_sizes=[])
         a = np.random.default_rng(0).normal(size=(4, 2))
         b = np.random.default_rng(1).normal(size=(4, 3))
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = combiner.forward(tape, [tape.constant(a), tape.constant(b)])
         assert out.value.dims == (4, 5)
         np.testing.assert_array_equal(out.value.array, np.concatenate([a, b], axis=1))
 
     def test_fc_stack_sets_output_width(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         combiner = ConcatCombiner(store, Lcg(0), 5, fc_sizes=[8, 4])
         assert combiner.output_width == 4
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         out = combiner.forward(tape, [tape.constant(np.ones((2, 5)))])
         assert out.value.dims == (2, 4)
 
     def test_batch_mismatch_is_shape_error(self):
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float64)
         combiner = ConcatCombiner(store, Lcg(0), 4, fc_sizes=[])
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(ShapeError):
             combiner.forward(tape, [tape.constant(np.ones((2, 2))),
                                     tape.constant(np.ones((3, 2)))])
@@ -459,28 +464,28 @@ class TestCombinedLoss:
         return {name: tape.constant([v]) for name, v in values.items()}
 
     def test_singleton_weight_one(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         node = combined_loss(self.losses(tape, {"a": 0.75}), {"a": 1.0})
         assert node.value.item() == 0.75
 
     def test_zero_weight_excludes_term(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         node = combined_loss(self.losses(tape, {"a": 0.6, "b": 99.0}), {"a": 1.0, "b": 0.0})
         assert node.value.item() == 0.6
 
     def test_weighted_sum_oracle(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         node = combined_loss(self.losses(tape, {"a": 0.5, "b": 2.0}), {"a": 2.0, "b": 3.0})
         assert node.value.item() == 7.0
 
     def test_key_mismatch_is_contract_error(self):
-        tape = ad.Tape()
+        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(ContractError):
             combined_loss(self.losses(tape, {"a": 1.0}), {"a": 1.0, "b": 1.0})
 
     def test_linear_in_each_loss(self):
         for k in (0.5, 2.0, 10.0):
-            tape = ad.Tape()
+            tape = ad.Tape(dtype=np.float64)
             base = combined_loss(self.losses(tape, {"a": 0.3, "b": 0.7}),
                                  {"a": 1.5, "b": 2.5}).value.item()
             scaled = combined_loss(self.losses(tape, {"a": 0.3 * k, "b": 0.7}),

@@ -17,9 +17,10 @@ def optimizer_state(kind, learning_rate=1e-2):
     return OptimizerState(kind, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8)
 
 
-def packed(**values):
-    """A packed store holding one parameter per keyword."""
-    store = ParameterStore()
+def packed(dtype=np.float64, **values):
+    """A packed store holding one parameter per keyword: float64, to match
+    the float64 oracles, unless ``dtype`` says otherwise."""
+    store = ParameterStore(dtype)
     for name, value in values.items():
         store.create(name, value)
     store.pack()
@@ -91,21 +92,25 @@ class TestAdam:
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_in_place_update_is_bit_equal_to_the_formula(kind):
-    r = np.random.default_rng(5)
-    w0 = r.normal(size=(1000, 64))
-    grads = [r.normal(size=(1000, 64)) * 10.0 ** r.integers(-6, 3) for _ in range(5)]
-    store = packed(w=w0)
-    state = optimizer_state(kind, learning_rate=0.03)
-    for g in grads:
-        step(state, store, {"w": g})
-    w, m, v = optimizer_formula(kind, w0, grads, 0.03, state.beta1, state.beta2,
-                                state.epsilon)
-    assert store["w"].value.tobytes() == w.tobytes()
-    if kind == "adam":
-        assert state.first_moment.tobytes() == m.tobytes()
-        assert state.second_moment.tobytes() == v.tobytes()
-    else:
-        assert state.first_moment is None and state.second_moment is None
+    """In float64 and in float32, a model's dtype: the update computes in
+    the store's dtype, with no upcast on the way."""
+    for dtype in (np.float64, np.float32):
+        r = np.random.default_rng(5)
+        w0 = r.normal(size=(1000, 64)).astype(dtype)
+        grads = [(r.normal(size=(1000, 64)) * 10.0 ** r.integers(-6, 3)).astype(dtype)
+                 for _ in range(5)]
+        store = packed(dtype, w=w0)
+        state = optimizer_state(kind, learning_rate=0.03)
+        for g in grads:
+            step(state, store, {"w": g})
+        w, m, v = optimizer_formula(kind, w0, grads, 0.03, state.beta1, state.beta2,
+                                    state.epsilon)
+        assert w.dtype == dtype and store["w"].value.tobytes() == w.tobytes()
+        if kind == "adam":
+            assert state.first_moment.tobytes() == m.tobytes()
+            assert state.second_moment.tobytes() == v.tobytes()
+        else:
+            assert state.first_moment is None and state.second_moment is None
 
 
 SHAPES = st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),

@@ -34,19 +34,21 @@ def record(name: bytes, dims: tuple, payload: bytes) -> bytes:
     return struct.pack(f"<H{len(name)}sB{len(dims)}I", len(name), name, len(dims), *dims) + payload
 
 
-ONE_VALUE = struct.pack("<d", 1.5)
-
-# Record sections (count + records + extra bytes) that no writer produces.
+# Record sections (count + records + extra bytes) that no writer produces,
+# from the bytes of one value of the container's payload dtype.
 MALFORMED = {
-    "overrun": struct.pack("<I", 1) + record(b"t/x", (1000,), ONE_VALUE),
-    "bad_name": struct.pack("<I", 1) + record(b"t/\xff", (), ONE_VALUE),
-    "trailing": struct.pack("<I", 1) + record(b"t/x", (1,), ONE_VALUE) + bytes(16),
-    "duplicate": struct.pack("<I", 2) + record(b"t/x", (1,), ONE_VALUE) * 2,
+    "overrun": lambda one: struct.pack("<I", 1) + record(b"t/x", (1000,), one),
+    "bad_name": lambda one: struct.pack("<I", 1) + record(b"t/\xff", (), one),
+    "trailing": lambda one: struct.pack("<I", 1) + record(b"t/x", (1,), one) + bytes(16),
+    "duplicate": lambda one: struct.pack("<I", 2) + record(b"t/x", (1,), one) * 2,
 }
 
+# magic, version, header, reader, and 1.5 in the payload dtype: float64 for
+# the cache, float32 for the weights
 CONTAINERS = {
-    "cache": (MAGIC, FORMAT_VERSION, struct.pack("<Q", 1), lambda path: read_cache(path, 1)),
-    "weights": (WEIGHTS_MAGIC, WEIGHTS_VERSION, b"", read_weights),
+    "cache": (MAGIC, FORMAT_VERSION, struct.pack("<Q", 1), lambda path: read_cache(path, 1),
+              struct.pack("<d", 1.5)),
+    "weights": (WEIGHTS_MAGIC, WEIGHTS_VERSION, b"", read_weights, struct.pack("<f", 1.5)),
 }
 
 
@@ -59,17 +61,18 @@ class TestMalformedContainers:
     @pytest.mark.parametrize("defect", sorted(MALFORMED))
     @pytest.mark.parametrize("kind", sorted(CONTAINERS))
     def test_digest_valid_malformed_records_are_corruption(self, tmp_path, kind, defect):
-        magic, version, header, read = CONTAINERS[kind]
+        magic, version, header, read, one = CONTAINERS[kind]
         path = tmp_path / "container"
-        path.write_bytes(signed(magic + struct.pack("<H", version) + header + MALFORMED[defect]))
+        path.write_bytes(signed(magic + struct.pack("<H", version) + header
+                                + MALFORMED[defect](one)))
         with pytest.raises(CorruptionError, match=f"{kind} file"):
             read(path)
 
     @pytest.mark.parametrize("kind", sorted(CONTAINERS))
     def test_well_formed_hand_built_container_reads(self, tmp_path, kind):
-        magic, version, header, read = CONTAINERS[kind]
+        magic, version, header, read, one = CONTAINERS[kind]
         path = tmp_path / "container"
-        records = struct.pack("<I", 1) + record(b"t/x", (1,), ONE_VALUE)
+        records = struct.pack("<I", 1) + record(b"t/x", (1,), one)
         path.write_bytes(signed(magic + struct.pack("<H", version) + header + records))
         loaded = read(path)
         value = loaded["t"]["x"] if kind == "cache" else loaded["t/x"]
@@ -211,18 +214,20 @@ class TestWeights:
             read_weights(path)
 
     def test_layout_is_pinned(self, tmp_path):
-        # SHA-256 of the weights version 3 bytes for this store; a changed
+        # SHA-256 of the weights version 4 bytes for this store; a changed
         # writer must not move a byte of an existing model's file
         path = tmp_path / "weights.bin"
-        write_weights(path, self.store())
+        store = self.store()
+        write_weights(path, store)
         raw = path.read_bytes()
-        assert len(raw) == 237
+        assert len(raw) == 173
         assert hashlib.sha256(raw).hexdigest() == (
-            "cb2ccbccc33208d08cbde33f41d2c7b3eb3bc4cd73aa80a4fdd7f6388b273171")
-        # the records, between the version field and the trailer, are those
-        # of version 2
-        assert hashlib.sha256(raw[6:-8]).hexdigest() == (
-            "46356179a6bb886d7af41d8d4d745c46f99dbae41903aada890ca161d859be38")
+            "236fef5bd8c9bd07df88e9f1c9d3fbb54338c5fcf6870277a017cff64a50e5cb")
+        # version 4: each record's payload is its float32 values, little-endian
+        records = struct.pack("<I", 3) + b"".join(
+            record(param.name.encode(), param.value.shape,
+                   np.asarray(param.value, "<f4").tobytes()) for param in store)
+        assert raw == signed(WEIGHTS_MAGIC + struct.pack("<H", 4) + records)
         assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_file_is_artifact_error(self, tmp_path):

@@ -224,7 +224,8 @@ class TestTrain:
 
     def test_non_finite_loss_aborts_with_epoch_and_batch(self, tmp_path, binary_csv):
         text = BINARY_CONFIG.replace("learning_rate: 0.02", "learning_rate: 1e18") \
-                            .replace("type: binary", "type: binary\n    loss_weight: 1e300")
+                            .replace("type: binary", "type: binary\n    loss_weight: 1e30")
+        # a float32 loss and gradient stay finite at this weight; lr times them does not
         definition = parse_model_definition(text)
         with pytest.raises(TrainingRuntimeError,
                            match=r"^non-finite update for parameter '[\w.]+' at epoch 0, batch 0$"):
@@ -471,7 +472,7 @@ class TestExperiment:
         # its records (the file less its magic, version and trailer)
         weights = (tmp_path / "run" / "model" / "weights.bin").read_bytes()
         assert hashlib.sha256(weights[6:-8]).hexdigest() == \
-            "7349d8916ad51349cc34555d34284a4b184ab934c9025d126d616a440013a796"
+            "0505a9ba0f172a3fea1583012c08080d9e820ca3f72f3c61e8b7965ca6816efc"
 
     @pytest.mark.parametrize("config", [BINARY_CONFIG, EARLY_STOP_CONFIG],
                              ids=["last_epoch_best", "early_stop"])
@@ -654,8 +655,8 @@ TAGGER_WITH_UNREAD_PARTS = (
 # move no trained weight, and theirs stay as initialized
 #: SHA-256 of the weights records (the file less its magic, version and trailer)
 UNREAD_PARTS_WEIGHTS = {
-    "adam": "bcbb953fde208a412d71ccd4abc6ab5b9ab963a6ec13024af38d8dd1eb469e40",
-    "sgd": "6f1438502f72f5f86b7634ecaef6fe2527105199daf1d07a73c2e70782883b42",
+    "adam": "7f5b8128913e39bbfec3ae713b3a34886e8ed8023b984327e443730f6113a3e6",
+    "sgd": "c48e0570706c3bd517a23fed428364aaca3707eebcbe37a9321569c0411452e6",
 }
 
 
@@ -674,6 +675,24 @@ def test_tagger_with_unread_parts_trains_to_pinned_weights(tmp_path, optimizer):
                          use_cache=False)
     digest = hashlib.sha256((model_dir / "weights.bin").read_bytes()[6:-8]).hexdigest()
     assert digest == UNREAD_PARTS_WEIGHTS[optimizer]
+
+
+def test_same_seed_cnn_tagger_runs_write_identical_bytes(tmp_path):
+    """float32 training is deterministic per seed: the weights, metrics and
+    predictions of two runs are byte-identical."""
+    path = synth.token_tagging(tmp_path / "d.csv", n=120, seed=2)
+    text = ("input_features:\n  - name: tokens\n    type: sequence\n    encoder: cnn\n"
+            "output_features:\n  - name: tags\n    type: sequence\n    decoder: tagger\n"
+            "training:\n  epochs: 2\n  batch_size: 16\n")
+    files = []
+    for name in ("a", "b"):
+        model_dir, _, _ = experiment(resolved(text), path, tmp_path / name, seed=4,
+                                     use_cache=False)
+        predictions, _ = predict(model_dir, path, tmp_path / name / "pred")
+        files.append([(model_dir / "weights.bin").read_bytes(),
+                      (tmp_path / name / "metrics.json").read_bytes(),
+                      predictions.read_bytes()])
+    assert files[0] == files[1]
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +729,13 @@ def all_outputs_rows(n, seed=4):
     return rows
 
 
-def evaluation_inputs(model_dir, dataset_path, batch_size):
-    """``evaluate_split``'s arguments for a dataset, at ``batch_size``."""
-    model, definition, metadata = load_model(model_dir)
+def evaluation_inputs(model_dir, dataset_path, batch_size, dtype=np.float32):
+    """``evaluate_split``'s arguments for a dataset, at ``batch_size``, with
+    the loaded weights in a model of ``dtype``."""
+    loaded, definition, metadata = load_model(model_dir)
+    model = ECDModel(definition, metadata, build_default_registries(),
+                     definition.training.seed, initialize=False, dtype=dtype)
+    model.store.restore({param.name: param.value for param in loaded.store})
     definition = copy.deepcopy(definition)
     definition.training.batch_size = batch_size
     dataset = load_dataset(dataset_path)
@@ -735,8 +758,10 @@ class TestChunkedEvaluation:
     @settings(max_examples=25, deadline=None)
     @given(batch_size=st.integers(1, ALL_OUTPUTS_ROWS + 3))
     def test_any_chunk_size_matches_one_chunk(self, all_outputs_model, batch_size):
-        one = evaluation_inputs(*all_outputs_model, ALL_OUTPUTS_ROWS)
-        many = evaluation_inputs(*all_outputs_model, batch_size)
+        # float64, so that the last-bit BLAS differences between batch heights
+        # stay within the float64 bounds below
+        one = evaluation_inputs(*all_outputs_model, ALL_OUTPUTS_ROWS, np.float64)
+        many = evaluation_inputs(*all_outputs_model, batch_size, np.float64)
         expected, got = evaluate_split(*one), evaluate_split(*many)
         assert sorted(got) == sorted(expected)
         for name, block in expected.items():

@@ -26,6 +26,10 @@ def test_contiguous_float64_array_is_taken_uncopied():
     assert finite_array(values) is values
     converted = finite_array(np.ones((3, 2), dtype=np.int64).T)
     assert converted.dtype == np.float64 and converted.flags.c_contiguous
+    # as is a contiguous array of the dtype asked for, a model's float32
+    single = np.zeros((2, 3), dtype=np.float32)
+    assert finite_array(single, np.float32) is single
+    assert finite_array(values, np.float32).dtype == np.float32
 
 
 def test_item_requires_single_element():
