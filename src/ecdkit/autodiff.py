@@ -28,7 +28,7 @@ Op outputs are wrapped with ``Tensor.wrap``, unscanned: finiteness is
 checked at the tape's edges only. Constants and parameter values enter
 through ``tensor.finite_array``, and ``backward`` raises ``NonFiniteError``
 for a non-finite loss; the gradients are checked where a packed store
-collects them (``ParameterStore.check_finite``). A tape computes in one
+collects them (``ParameterStore.grad_norm``). A tape computes in one
 dtype, its ``dtype``: constants are cast to it as they enter, parameters
 have it from their store, and every op's output and gradients keep its
 inputs' dtype. A model's store and tapes are float32; gradchecks build
@@ -52,10 +52,11 @@ product for a constant left operand. ``select`` and ``embedding_lookup``
 add into the part of the parent's buffer they read (``accumulate_at``,
 allocated as zeros on first use) instead of building a whole-input array
 per call. ``rnn`` runs a whole recurrence as one op, so a batch records one
-node however long its longest row is. ``embedding_lookup`` sums the
-gradient rows of each id it looked up with one ``np.bincount`` over the
-flat (distinct id x width + column) index, which adds each cell's rows in
-order to 0.0 in float64, as ``np.add.at`` into float64 zeros does. Buffers
+node however long its longest row is, and ``conv1d`` runs every filter bank
+of a cnn as one op, writing their maps side by side. ``embedding_lookup``
+sums the gradient rows of each id it looked up with one ``np.bincount`` over
+the flat (distinct id x width + column) index, which adds each cell's rows
+in order to 0.0 in float64, as ``np.add.at`` into float64 zeros does. Buffers
 never hold -0.0, so the sums have the bits of adding every contribution to
 a zero buffer. The loss ops also expose their per-row terms as
 ``node.rows``, with the node's value equal to ``terms.sum() / terms.size``,
@@ -65,6 +66,7 @@ all their rows would have.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -168,6 +170,20 @@ class ParameterStore:
             for param, part in zip(self, self._slices):
                 check_finite(flat[part], f"{what} for parameter {param.name!r}")
         return flat
+
+    def grad_norm(self) -> float:
+        """The float64 2-norm of a packed store's gradient buffer, which is
+        also its finiteness check. A float32 buffer's float64 sum of squares
+        is finite exactly when every gradient is, so ``check_finite``'s scan,
+        which names the first bad parameter, runs only when the sum is not.
+        A float64 buffer's sum can overflow on finite values; there the scan
+        decides, and when it finds nothing the norm is inf."""
+        flat = self.grads.astype(np.float64, copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            norm = math.sqrt(np.dot(flat, flat))
+        if not math.isfinite(norm):
+            self.check_finite(self.grads, "gradient")
+        return norm
 
     def snapshot(self) -> np.ndarray:
         """Copy of a packed store's weight buffer, for checkpointing."""
@@ -537,17 +553,35 @@ def embedding_lookup(table: TapeNode, ids: Sequence[int]) -> TapeNode:
     return table.tape._record("embedding_lookup", tv[idx], backward)
 
 
+def _reduce_rows(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=1, keepdims=True)`` for ``np.add`` or
+    ``np.maximum`` of a rank-2 array, with its bits.
+
+    Below 8 columns numpy folds each row in order, a sum from 0.0 and a max
+    from the first column, so one whole-column pass per column gives the
+    same bits many times faster on the narrow rows of a few classes. From 8
+    columns on numpy sums with unrolled partial sums, so wider rows keep
+    ``axis=1``.
+    """
+    c = x.shape[1]
+    if not 0 < c < 8:
+        return ufunc.reduce(x, axis=1, keepdims=True)
+    out = x[:, :1] + 0.0 if ufunc is np.add else x[:, :1].copy()
+    for k in range(1, c):
+        ufunc(out, x[:, k : k + 1], out=out)
+    return out
+
+
 def softmax(x: TapeNode) -> TapeNode:
     """Row-wise softmax of a rank-2 tensor."""
     xv = x.value.array
     if xv.ndim != 2:
         raise ShapeError(f"softmax needs rank-2 input, got dims {x.value.dims}")
-    shifted = xv - xv.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(xv - _reduce_rows(np.maximum, xv))
+    p = e / _reduce_rows(np.add, e)
 
     def backward(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
+        dot = _reduce_rows(np.add, g * p)
         x.accumulate(p * (g - dot), owned=True)
 
     return x.tape._record("softmax", p, backward)
@@ -557,56 +591,77 @@ def softmax(x: TapeNode) -> TapeNode:
 # convolution and recurrence
 # ---------------------------------------------------------------------------
 
-def conv1d(x: TapeNode, filters: TapeNode, bias: TapeNode, lengths: Sequence[int]) -> TapeNode:
-    """Same-padded 1-d convolution of each row of a packed batch.
+def conv1d(x: TapeNode, banks: Sequence[tuple[TapeNode, TapeNode]],
+           lengths: Sequence[int]) -> TapeNode:
+    """Same-padded 1-d convolutions of each row of a packed batch by several
+    filter banks, all in one product.
 
     ``x`` is [n x h]: the real tokens of every row back to back, row ``i``
-    holding ``lengths[i]`` of them, so ``sum(lengths) == n``. ``filters`` is
-    [w x h x f] with odd width w; ``bias`` is [f]. Each row is convolved on
-    its own, with zeros past its two ends, and the output is [n x f] in the
-    same packing. One buffer holds the rows with ``w // 2`` zero rows before,
-    between and after them, so each tap is one product on a contiguous slice
-    of it, forward and backward; only the outputs at the gaps are dropped.
+    holding ``lengths[i]`` of them, so ``sum(lengths) == n``. Each bank is a
+    ``(filters, bias)`` pair, filters [w x h x f] with odd width w and bias
+    [f]. Each row is convolved on its own, with zeros past its two ends; the
+    output is [n x F], the banks' maps side by side in the same packing (F
+    the sum of their f). One buffer holds the rows with P = (widest w) // 2
+    zero rows before, between and after them. Each token's window of 2P+1
+    rows is gathered into a row of an [n x (2P+1)h] matrix and multiplied
+    once by a [(2P+1)h x F] matrix that holds each bank's taps in the rows
+    of their offsets and zeros elsewhere. Backward takes every filter
+    gradient from one product of the windows with the output gradient, the
+    biases' from its column sums, and x's from one product per offset on the
+    output gradient scattered into the gap-padded layout.
     """
-    fv = filters.value.array
-    bv = bias.value.array
-    if fv.ndim != 3:
-        raise ShapeError(f"conv1d filters must be rank 3 [w x h x f], got {filters.value.dims}")
-    w, h, f = fv.shape
-    if w % 2 == 0:
-        raise ConfigError(f"conv1d filter width must be odd, got {w}")
-    if bv.shape != (f,):
-        raise ShapeError(f"conv1d bias dims {bias.value.dims} do not match filter count {f}")
+    if not banks:
+        raise ContractError("conv1d needs at least one filter bank")
     xv = x.value.array
-    if xv.ndim != 2 or xv.shape[1] != h:
-        raise ShapeError(f"conv1d input dims {x.value.dims} incompatible with filters {filters.value.dims}")
-    n = xv.shape[0]
+    if xv.ndim != 2:
+        raise ShapeError(f"conv1d input must be rank 2 [n x h], got dims {x.value.dims}")
+    n, h = xv.shape
+    for filters, bias in banks:
+        fv = filters.value.array
+        if fv.ndim != 3 or fv.shape[1] != h:
+            raise ShapeError(f"conv1d filters {filters.value.dims} are not [w x {h} x f] "
+                             f"for input dims {x.value.dims}")
+        if fv.shape[0] % 2 == 0:
+            raise ConfigError(f"conv1d filter width must be odd, got {fv.shape[0]}")
+        if bias.value.array.shape != (fv.shape[2],):
+            raise ShapeError(f"conv1d bias dims {bias.value.dims} do not match "
+                             f"filter count {fv.shape[2]}")
     counts = np.asarray(lengths, dtype=np.int64)
     if counts.ndim != 1 or (counts < 0).any() or counts.sum() != n:
         raise ShapeError(f"conv1d row lengths {counts.tolist()} do not pack {n} positions")
-    pad = w // 2
-    # the tap products cover the rows and the gaps between them; in that span
-    # row i's tokens follow i gaps, and in the buffer one more, the first
+    pad = max(filters.value.array.shape[0] for filters, _ in banks) // 2
+    window = 2 * pad + 1
+    # ``real`` is each token's index among the rows and the gaps between
+    # them; the buffer has one more gap first, so a token sits at real + P
+    # and its window starts at real
     span = n + pad * max(counts.size - 1, 0)
     real = np.arange(n) + pad * np.repeat(np.arange(counts.size), counts)
     xp = np.zeros((span + 2 * pad, h), xv.dtype)
     xp[real + pad] = xv
-    full = xp[:span] @ fv[0]
-    for k in range(1, w):
-        full += xp[k : k + span] @ fv[k]
-    out = full[real] + bv
+    windows = np.take(xp, real[:, np.newaxis] + np.arange(window), axis=0).reshape(n, window * h)
+    stops = list(accumulate(filters.value.array.shape[2] for filters, _ in banks))
+    weight = np.zeros((window * h, stops[-1]), xv.dtype)
+    blocks = []  # each bank's rows and columns of the weight matrix
+    for (filters, _), stop in zip(banks, stops):
+        w, _, f = filters.value.dims
+        rows, cols = slice((pad - w // 2) * h, (pad + w // 2 + 1) * h), slice(stop - f, stop)
+        weight[rows, cols] = filters.value.array.reshape(w * h, f)
+        blocks.append((rows, cols))
+    out = windows @ weight
+    out += np.concatenate([bias.value.array for _, bias in banks])
 
     def backward(g):
-        gfull = np.zeros((span, f), g.dtype)
+        gw = windows.T @ g
+        gb = g.sum(axis=0)
+        for (filters, bias), (rows, cols) in zip(banks, blocks):
+            filters.accumulate(gw[rows, cols].reshape(filters.value.dims), owned=True)
+            bias.accumulate(gb[cols], owned=True)
+        gfull = np.zeros((span, stops[-1]), g.dtype)
         gfull[real] = g
         gxp = np.zeros_like(xp)
-        gf = np.empty_like(fv)
-        for k in range(w):
-            gxp[k : k + span] += gfull @ fv[k].T
-            gf[k] = xp[k : k + span].T @ gfull
+        for k in range(window):
+            gxp[k : k + span] += gfull @ weight[k * h : (k + 1) * h].T
         x.accumulate(gxp[real + pad], owned=True)
-        filters.accumulate(gf, owned=True)
-        bias.accumulate(g.sum(axis=0), owned=True)
 
     return x.tape._record("conv1d", out, backward)
 
@@ -699,13 +754,14 @@ def softmax_cross_entropy(logits: TapeNode, target_ids: Sequence[int]) -> TapeNo
         node = logits.tape.constant([0.0])
         node.rows = np.zeros(0)
         return node
-    shifted = lv - lv.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
-    terms = lse - lv[np.arange(b), ids]
+    top = _reduce_rows(np.maximum, lv)
+    shifted = lv - top
+    lse = np.log(_reduce_rows(np.add, np.exp(shifted))) + top
+    terms = lse[:, 0] - lv[np.arange(b), ids]
 
     def backward(g):
         p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
+        p /= _reduce_rows(np.add, p)
         p[np.arange(b), ids] -= 1.0
         logits.accumulate(g[0] * p * (1.0 / b), owned=True)
 

@@ -12,7 +12,8 @@ row of a table is never read. A sequence encoder builds only the nodes its
 caller reads: the states only with ``states=True``, the hidden tensor only
 with ``hidden=True`` (the default). The model asks for each only when some
 output reads it, so a classifier's rnn records no gather of its steps'
-states, and a tagger's cnn no max pool.
+states, and a tagger's cnn no max pool: only its embedding lookup, one
+``conv1d`` over every filter bank and one activation.
 
 Encoders accept an open keyword map; each implementation reads the keywords
 it understands and falls back to its declared defaults, so alternative
@@ -194,9 +195,11 @@ class SequenceRnnEncoder:
 
 
 class SequenceCnnEncoder:
-    """Parallel same-padded convolutions over each row's real tokens,
-    concatenated and max-pooled over each row's real positions. Only real
-    ids are looked up, so the PAD row of the table is never read or trained."""
+    """Parallel same-padded convolutions over each row's real tokens, one
+    bank per filter width, whose maps ``ad.conv1d`` computes side by side in
+    one node; one activation follows, then the max over each row's real
+    positions. Only real ids are looked up, so the PAD row of the table is
+    never read or trained."""
 
     DEFAULTS = {"embedding_size": 32, "num_filters": 32,
                 "filter_widths": [3, 5, 7], "activation": "relu"}
@@ -213,12 +216,9 @@ class SequenceCnnEncoder:
                 raise ConfigError(f"cnn filter widths must be odd positive integers, got {widths}")
         prefix = f"encoders.{feature}"
         self.table = _embedding(store, rng, feature, meta, emb)
-        self.branches = []
-        for w in widths:
-            filt = make_weight(store, rng, f"{prefix}.conv{w}.filters",
-                               w * emb, filters, (w, emb, filters))
-            bias = make_bias(store, f"{prefix}.conv{w}.bias", filters)
-            self.branches.append((filt, bias))
+        self.banks = [(make_weight(store, rng, f"{prefix}.conv{w}.filters",
+                                   w * emb, filters, (w, emb, filters)),
+                       make_bias(store, f"{prefix}.conv{w}.bias", filters)) for w in widths]
         self.output_width = filters * len(widths)
         self.sequence_width = self.output_width
 
@@ -226,9 +226,8 @@ class SequenceCnnEncoder:
                 hidden: bool = True) -> EncoderOutput:
         ids, lengths = _real_ids(batch)
         embedded = ad.embedding_lookup(tape.leaf(self.table), ids)
-        maps = ad.concat([ad.apply_unary(self.activation, ad.conv1d(
-            embedded, tape.leaf(filt), tape.leaf(bias), lengths))
-            for filt, bias in self.branches], axis=1)
+        maps = ad.apply_unary(self.activation, ad.conv1d(
+            embedded, [(tape.leaf(filt), tape.leaf(bias)) for filt, bias in self.banks], lengths))
         return EncoderOutput(_max_over_rows(tape, maps, lengths) if hidden else None,
                              maps if states else None, lengths, batch.shape[1])
 

@@ -154,6 +154,7 @@ class ECDModel:
         self.metadata = metadata
         self.seed = seed
         self.store = ad.ParameterStore(dtype)
+        self.grad_norm = float("nan")  # the last backward's
         rng = Lcg(mix_seed(seed, SALT_INIT)) if initialize else _NoDraws(0)
 
         self.encoders: dict[str, object] = {}
@@ -265,13 +266,14 @@ class ECDModel:
         )
 
     def backward(self, result: ForwardResult) -> dict[str, np.ndarray]:
-        """Fill the store's gradient buffer from one gradient pass and check
-        it finite. Returns each parameter's ``grad`` view, valid until the
-        next backward; a parameter no output reads has a zero gradient."""
+        """Fill the store's gradient buffer from one gradient pass, check it
+        finite and keep its float64 2-norm as ``grad_norm``. Returns each
+        parameter's ``grad`` view, valid until the next backward; a parameter
+        no output reads has a zero gradient."""
         if result.combined is None:
             raise ContractError("forward pass was run without targets or gradients; "
                                 "no loss to differentiate")
         self.store.grads.fill(0.0)
         result.tape.backward(result.combined)
-        self.store.check_finite(self.store.grads, "gradient")
+        self.grad_norm = self.store.grad_norm()
         return {param.name: param.grad for param in self.store}

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import math
 import os
 import time
 import warnings
@@ -431,8 +430,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
                     if running:
                         collector.add(result, batch, targets)
                     model.backward(result)
-                    grads = model.store.grads.astype(np.float64)  # a reported sum
-                    grad_norms.append(math.sqrt(np.dot(grads, grads)))
+                    grad_norms.append(model.grad_norm)
                     optimizer_step(optimizer, model.store)
             except NonFiniteError as exc:
                 raise TrainingRuntimeError(f"{exc} at epoch {epoch}, batch {batch_index}") from exc

@@ -3,6 +3,7 @@
 import ast
 import gc
 import inspect
+import math
 import warnings
 import weakref
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from ecdkit import autodiff as ad
 from ecdkit.errors import (
+    ConfigError,
     ContractError,
     IndexOutOfRangeError,
     NonFiniteError,
@@ -158,11 +160,14 @@ class TestEmbeddingLookup:
             ad.embedding_lookup(tape.constant(np.zeros((3, 2))), [0, 7])
 
 
-def conv1d_per_row(x, filters, bias, lengths):
-    """The sliding-window oracle applied to each packed row alone."""
+def conv1d_per_row(x, banks, lengths):
+    """The sliding-window oracle applied to each packed row alone and each
+    ``(filters, bias)`` bank, the banks' maps side by side."""
     starts = np.cumsum(lengths) - np.asarray(lengths)
-    return np.concatenate([conv1d_sliding_window(x[s : s + n], filters, bias)
-                           for s, n in zip(starts, lengths)])
+    width = sum(bias.size for _, bias in banks)
+    return np.concatenate([np.zeros((0, width))] + [np.concatenate(
+        [conv1d_sliding_window(x[s : s + n], filters, bias) for filters, bias in banks], axis=1)
+        for s, n in zip(starts, lengths)])
 
 
 def linear_grad(fn, shape):
@@ -175,65 +180,106 @@ def linear_grad(fn, shape):
     return grad.reshape(shape)
 
 
+def conv1d_constants(tape, x, banks, lengths):
+    return ad.conv1d(tape.constant(x), [(tape.constant(f), tape.constant(b)) for f, b in banks],
+                     lengths)
+
+
 class TestConv1d:
+
+    #: packed row lengths: an empty row, rows shorter than the wider filters,
+    #: and two batches with no tokens at all
+    ROWS = [[3, 0, 1, 5], [0, 2], [4], [0, 0], []]
 
     def test_width_one_equals_per_position_matmul(self):
         x = rng.normal(size=(6, 3))
         filters = rng.normal(size=(1, 3, 4))
         bias = rng.normal(size=4)
-        tape = ad.Tape(dtype=np.float64)
-        out = ad.conv1d(tape.constant(x), tape.constant(filters), tape.constant(bias), [2, 0, 4])
+        out = conv1d_constants(ad.Tape(dtype=np.float64), x, [(filters, bias)], [2, 0, 4])
         np.testing.assert_allclose(out.value.array, x @ filters[0] + bias, atol=1e-12)
 
     def test_zero_input_yields_bias_rows(self):
-        bias = rng.normal(size=4)
-        tape = ad.Tape(dtype=np.float64)
-        out = ad.conv1d(tape.constant(np.zeros((5, 2))),
-                        tape.constant(np.zeros((3, 2, 4))), tape.constant(bias), [5])
-        np.testing.assert_allclose(out.value.array, np.tile(bias, (5, 1)), atol=1e-12)
+        biases = [rng.normal(size=4), rng.normal(size=2)]
+        out = conv1d_constants(ad.Tape(dtype=np.float64), np.zeros((5, 2)),
+                               [(np.zeros((3, 2, 4)), biases[0]),
+                                (np.zeros((5, 2, 2)), biases[1])], [5])
+        np.testing.assert_allclose(out.value.array, np.tile(np.concatenate(biases), (5, 1)),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("width", [1, 3, 5, 7])
-    @pytest.mark.parametrize("lengths", [[3, 0, 1, 5], [0, 2], [4]])
+    @pytest.mark.parametrize("lengths", ROWS)
     def test_each_row_is_convolved_alone(self, lengths, width):
-        """Output and every gradient equal the oracle on each row alone; the
-        widths past 3 have rows shorter than the filter."""
-        n, h, f = sum(lengths), 2, 3
+        """One bank: output and every gradient equal the oracle on each row
+        alone; the widths past 3 have rows shorter than the filter."""
+        self.check_against_oracle(lengths, [width])
+
+    @pytest.mark.parametrize("widths", [[3, 5, 7], [5, 1, 3], [3, 3]])
+    @pytest.mark.parametrize("lengths", ROWS)
+    def test_banks_are_convolved_alone_and_joined_side_by_side(self, lengths, widths):
+        self.check_against_oracle(lengths, widths)
+
+    @staticmethod
+    def check_against_oracle(lengths, widths):
+        """Output and every gradient, x's and each bank's filters' and
+        bias's, equal the oracle on each row and each bank alone."""
+        n, h = sum(lengths), 2
+        sizes = [3, 2, 4][: len(widths)]
         x = rng.normal(size=(n, h))
-        filters = rng.normal(size=(width, h, f))
-        bias = rng.normal(size=f)
-        g = rng.normal(size=(n, f))
+        banks = [(rng.normal(size=(w, h, f)), rng.normal(size=f)) for w, f in zip(widths, sizes)]
+        g = rng.normal(size=(n, sum(sizes)))
         tape = ad.Tape(dtype=np.float64)
-        nodes = [leaf(tape, x, "x"), leaf(tape, filters, "f"), leaf(tape, bias, "b")]
-        out = ad.conv1d(*nodes, lengths)
-        np.testing.assert_allclose(out.value.array, conv1d_per_row(x, filters, bias, lengths),
+        xnode = leaf(tape, x, "x")
+        nodes = [(leaf(tape, f, f"f{i}"), leaf(tape, b, f"b{i}"))
+                 for i, (f, b) in enumerate(banks)]
+        out = ad.conv1d(xnode, nodes, lengths)
+        assert out.value.dims == (n, sum(sizes))
+        np.testing.assert_allclose(out.value.array, conv1d_per_row(x, banks, lengths),
                                    rtol=0, atol=1e-12)
         out._backward(g)  # the sweep's call, with the output's gradient given
-        zeros_f, zeros_b = np.zeros(filters.shape), np.zeros(f)
 
-        def score(*args):
-            return float((g * conv1d_per_row(*args, lengths)).sum())
+        def score(x, banks):
+            return float((g * conv1d_per_row(x, banks, lengths)).sum())
 
-        expected = {
-            "x": linear_grad(lambda e: score(e, filters, zeros_b), x.shape),
-            "f": linear_grad(lambda e: score(x, e, zeros_b), filters.shape),
-            "b": linear_grad(lambda e: score(np.zeros(x.shape), zeros_f, e), bias.shape),
-        }
-        for node in nodes:
+        def only(i, filters, bias):
+            """Bank ``i`` with these operands, every other bank's zero."""
+            return [(filters, bias) if j == i else (np.zeros(f.shape), np.zeros(b.shape))
+                    for j, (f, b) in enumerate(banks)]
+
+        expected = {"x": linear_grad(
+            lambda e: score(e, [(f, np.zeros(b.shape)) for f, b in banks]), x.shape)}
+        for i, (f, b) in enumerate(banks):
+            expected[f"f{i}"] = linear_grad(
+                lambda e, i=i: score(x, only(i, e, np.zeros(b.shape))), f.shape)
+            expected[f"b{i}"] = linear_grad(
+                lambda e, i=i: score(x, only(i, np.zeros(f.shape), e)), b.shape)
+        for node in [xnode] + [part for pair in nodes for part in pair]:
             np.testing.assert_allclose(node.grad, expected[node.param_name], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lengths", [[2, 1], [3, 3], [5, -1], []])
     def test_lengths_that_do_not_pack_the_rows_raise(self, lengths):
-        tape = ad.Tape(dtype=np.float64)
         with pytest.raises(ShapeError, match="do not pack 4 positions"):
-            ad.conv1d(tape.constant(np.zeros((4, 2))),
-                      tape.constant(np.zeros((3, 2, 3))), tape.constant(np.zeros(3)), lengths)
+            conv1d_constants(ad.Tape(dtype=np.float64), np.zeros((4, 2)),
+                             [(np.zeros((3, 2, 3)), np.zeros(3))], lengths)
 
     def test_even_width_is_config_error(self):
-        from ecdkit.errors import ConfigError
-        tape = ad.Tape(dtype=np.float64)
-        with pytest.raises(ConfigError, match="odd"):
-            ad.conv1d(tape.constant(np.zeros((5, 2))),
-                      tape.constant(np.zeros((4, 2, 3))), tape.constant(np.zeros(3)), [5])
+        with pytest.raises(ConfigError, match=r"^conv1d filter width must be odd, got 4$"):
+            conv1d_constants(ad.Tape(dtype=np.float64), np.zeros((5, 2)),
+                             [(np.zeros((3, 2, 3)), np.zeros(3)),
+                              (np.zeros((4, 2, 3)), np.zeros(3))], [5])
+
+    @pytest.mark.parametrize("banks, error, message", [
+        ([((3, 2, 3), (3,)), ((5, 2, 2), (3,))], ShapeError,
+         r"^conv1d bias dims \(3,\) do not match filter count 2$"),
+        ([((3, 2, 3), (3,)), ((5, 4, 3), (3,))], ShapeError,
+         r"^conv1d filters \(5, 4, 3\) are not \[w x 2 x f\] for input dims \(5, 2\)$"),
+        ([((3, 6), (6,))], ShapeError, r"^conv1d filters \(3, 6\) are not \[w x 2 x f\]"),
+        ([], ContractError, r"^conv1d needs at least one filter bank$"),
+    ], ids=["bias-mismatch", "other-h", "rank-2-filters", "no-banks"])
+    def test_a_bank_that_does_not_fit_raises_one_line(self, banks, error, message):
+        with pytest.raises(error, match=message) as raised:
+            conv1d_constants(ad.Tape(dtype=np.float64), np.zeros((5, 2)),
+                             [(np.zeros(f), np.zeros(b)) for f, b in banks], [5])
+        assert "\n" not in str(raised.value)
 
 
 class TestRnn:
@@ -338,6 +384,29 @@ class TestLosses:
         tape = ad.Tape(dtype=np.float64)
         loss = ad.sigmoid_bce(tape.constant(np.zeros((3, 1))), np.array([[0.0], [1.0], [1.0]]))
         assert abs(loss.value.item() - np.log(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("columns", range(1, 13))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_row_reductions_have_the_bits_of_numpy_axis_1(columns, dtype, data):
+    """The softmax and cross-entropy row maxima and sums, column by column
+    below 8 columns, equal numpy's ``axis=1`` reductions bit for bit: signed
+    zeros, magnitudes far apart and overflow included."""
+    rows = data.draw(st.integers(0, 6), label="rows")
+    cells = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(
+        allow_nan=False, allow_infinity=False, width=np.dtype(dtype).itemsize * 8)),
+        min_size=rows * columns, max_size=rows * columns), label="cells")
+    x = np.array(cells, dtype).reshape(rows, columns)
+    wide = np.random.default_rng(columns).normal(size=(2000, columns)).astype(dtype)
+    wide[::7, ::2] = -0.0
+    for values in (x, wide):
+        for ufunc in (np.add, np.maximum):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = ad._reduce_rows(ufunc, values)
+                expected = ufunc.reduce(values, axis=1, keepdims=True)
+            assert got.dtype == dtype and got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +533,22 @@ def _op_cases(r: np.random.Generator) -> dict:
     m34, m42 = (r.normal(size=s) for s in ((3, 4), (4, 2)))
     b34 = r.normal(size=(3, 4))
     c33 = r.normal(size=(3, 3))
-    cf32, cb2 = r.normal(size=(3, 3, 2)), r.normal(size=2)
-    cx52, cf324, cb4 = r.normal(size=(5, 2)), r.normal(size=(3, 2, 4)), r.normal(size=4)
-    # packed rows, one of them empty and one shorter than the filters
-    x_rows, cx_rows = [4, 0, 2], [1, 0, 4]
+    # three banks of widths 5, 1 and 3 over packed rows, one of them empty
+    # and one shorter than the filters; each case differentiates one operand
+    conv_operands = [r.normal(size=(5, 2)), r.normal(size=(5, 2, 3)), r.normal(size=3),
+                     r.normal(size=(1, 2, 2)), r.normal(size=2),
+                     r.normal(size=(3, 2, 4)), r.normal(size=4)]
+    conv_rows = [1, 0, 4]
     bce_targets = (r.normal(size=(5, 2)) > 0).astype(float)
     mse_targets = r.normal(size=(5, 1))
     rnn_operands = [r.normal(size=s) for s in ((7, 3), (3, 2), (2, 2), (2,))]
     rnn_readout = r.normal(size=(24, 1))
+
+    def banked_conv1d(t, x, slot):
+        ops = [t.constant(v) for v in conv_operands]
+        ops[slot] = x
+        return summed(ad.conv1d(ops[0], [(ops[1], ops[2]), (ops[3], ops[4]), (ops[5], ops[6])],
+                                conv_rows))
 
     def ragged_rnn(t, x, slot):
         """Rows of 3, 3, 1 and 0 tokens (a tie, a short row and an all-PAD
@@ -499,12 +576,13 @@ def _op_cases(r: np.random.Generator) -> dict:
         "reshape": ((3, 4), lambda t, x: summed(ad.reshape(x, (2, 6)))),
         "select": ((3, 4, 2), lambda t, x: summed(ad.select(x, axis=1, index=2))),
         "embedding": ((5, 3), lambda t, x: summed(ad.embedding_lookup(x, [0, 2, 2, 4]))),
-        "conv1d_input": ((6, 3), lambda t, x: summed(ad.conv1d(
-            x, t.constant(cf32), t.constant(cb2), x_rows))),
-        "conv1d_filters": ((3, 2, 4), lambda t, x: summed(ad.conv1d(
-            t.constant(cx52), x, t.constant(cb4), cx_rows))),
-        "conv1d_bias": ((4,), lambda t, x: summed(ad.conv1d(
-            t.constant(cx52), t.constant(cf324), x, cx_rows))),
+        "conv1d_input": ((5, 2), lambda t, x: banked_conv1d(t, x, 0)),
+        "conv1d_filters": ((5, 2, 3), lambda t, x: banked_conv1d(t, x, 1)),  # the widest bank
+        "conv1d_bias": ((3,), lambda t, x: banked_conv1d(t, x, 2)),
+        "conv1d_filters_w1": ((1, 2, 2), lambda t, x: banked_conv1d(t, x, 3)),
+        "conv1d_bias_w1": ((2,), lambda t, x: banked_conv1d(t, x, 4)),
+        "conv1d_filters_w3": ((3, 2, 4), lambda t, x: banked_conv1d(t, x, 5)),
+        "conv1d_bias_w3": ((4,), lambda t, x: banked_conv1d(t, x, 6)),
         "rnn_x": ((7, 3), lambda t, x: ragged_rnn(t, x, 0)),
         "rnn_w_in": ((3, 2), lambda t, x: ragged_rnn(t, x, 1)),
         "rnn_w_rec": ((2, 2), lambda t, x: ragged_rnn(t, x, 2)),
@@ -878,6 +956,25 @@ class TestParameterStore:
         with pytest.raises(NonFiniteError, match=r"^non-finite gradient for parameter 'b'$"):
             store.check_finite(flat, "gradient")
         assert store.check_finite(store.weights, "update") is store.weights
+
+    def test_grad_norm_is_the_float64_norm_and_the_finiteness_check(self):
+        store = ad.ParameterStore()
+        for name in ("a", "b", "c"):
+            store.create(name, [1.0, 2.0])
+        store.pack()
+        store.grads[...] = [3.0, -4.0, 1e30, 0.5, 3e38, -3e38]
+        flat = store.grads.astype(np.float64)
+        assert store.grad_norm() == math.sqrt(np.dot(flat, flat))
+        store.grads[3] = np.nan
+        with pytest.raises(NonFiniteError, match=r"^non-finite gradient for parameter 'b'$"):
+            store.grad_norm()
+
+    def test_a_float64_norm_that_overflows_on_finite_gradients_is_no_error(self):
+        store = ad.ParameterStore(np.float64)
+        store.create("a", [1.0, 2.0])
+        store.pack()
+        store.grads[...] = 1e200
+        assert store.grad_norm() == math.inf
 
     def test_restore_takes_the_arrays_it_is_handed(self):
         # a loaded model's weights reach its parameters without a second copy

@@ -116,11 +116,11 @@ def arrays_digest(blocks: list[dict]) -> str:
 PINNED_ARRAYS = "6213df89fcf8721b049e7b91b22d00c8b0ac76d208bddb4ac13826be63ccd46a"
 PINNED = {
     "embed": ("79037d86555ee5f0157680cd74cde984b03b0a817e44996a1e552f228492d7ce",
-              "dc9d1b83fbea277df994af670dddfe2c875740812fd48c370d79eb63f1848115"),
+              "b8443ab75002718c7a9802d816e1c0fb3f765f4f5cfe2c423b64c36e34a83796"),
     "rnn": ("3861d0b6bda98b7c1ae18e4a0745c8c3e25642ec2f36dbed093842735a329e31",
-            "45bce15c87642a4401e386c0cbbfdef4554ba888a27552e0cf6d96d247e73706"),
+            "69ed53124a07af4284694850014b5a5474eeea31280dc2bc299eb9bc488fb648"),
     "cnn": ("12a24d6d55302ea0ab9ef22d62d06821b60886d5830161116de20a997b37796f",
-            "e5dace5cbc31b242c5000c19d093ae7973178cb9b07edf9a9a64fc1b390682b8"),
+            "5dc666150f0da0550bee672cac5092308df38bb78e8faa4d0d0cfd2eff017dc8"),
 }
 
 

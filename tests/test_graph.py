@@ -181,7 +181,7 @@ class TestEncoders:
             "output_features:\n  - name: y\n    type: numerical\n", meta)
         tape = ad.Tape(dtype=np.float64)
         out = model.encoders["words"].forward(tape, np.ones((2, 7)), states=True)
-        assert out.hidden.value.dims == (2, 15)  # 3 branches x 5 filters
+        assert out.hidden.value.dims == (2, 15)  # 3 banks x 5 filters
         assert out.sequence.value.dims == (14, 15)
         np.testing.assert_array_equal(out.sequence.value.array.reshape(2, 7, 15).max(axis=1),
                                       out.hidden.value.array)
@@ -270,10 +270,10 @@ class TestReadNodesOnly:
         model = build(TAGGER_CNN, tagger_meta())
         result = model.forward({"tokens": TOKENS}, {"tags": TAGS})
         # no max pool, no pooled mean, no reshape of the packed states and no
-        # scale by the unit loss weight
-        assert len(result.tape.nodes) == 21
+        # scale by the unit loss weight; the three banks are one conv1d
+        assert len(result.tape.nodes) == 16
         assert kinds(result) == {"param": 9, "embedding_lookup": 1,
-                                 "conv1d": 3, "relu": 3, "concat": 1, "matmul": 1,
+                                 "conv1d": 1, "relu": 1, "matmul": 1,
                                  "add": 1, "softmax": 1, "softmax_cross_entropy": 1}
         assert result.predictions["tags"].shape == (2, 4, model.decoders["tags"].out_width)
 
@@ -292,6 +292,8 @@ class TestReadNodesOnly:
         for name in unread:
             assert not grads[name].any()
             assert grads[name].shape == model.store[name].value.shape
+        flat = np.concatenate([grads[name].reshape(-1) for name in model.store.names()])
+        assert model.grad_norm == np.sqrt(np.dot(flat.astype(np.float64), flat))
 
     @pytest.mark.parametrize("payload", [None, "last_hidden"])
     def test_the_tagger_pools_its_hidden_states_only_for_a_dependent(self, payload):

@@ -655,8 +655,8 @@ TAGGER_WITH_UNREAD_PARTS = (
 # move no trained weight, and theirs stay as initialized
 #: SHA-256 of the weights records (the file less its magic, version and trailer)
 UNREAD_PARTS_WEIGHTS = {
-    "adam": "7f5b8128913e39bbfec3ae713b3a34886e8ed8023b984327e443730f6113a3e6",
-    "sgd": "c48e0570706c3bd517a23fed428364aaca3707eebcbe37a9321569c0411452e6",
+    "adam": "6f6559bdd272d9f934318a1ec3d526ad2d2091d1b71ef798289d4478d2bb1e54",
+    "sgd": "e3dffd84a28293a21efa64b504e3afa852413452e4c022d68de2a013fc9a441c",
 }
 
 
