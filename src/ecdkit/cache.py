@@ -15,13 +15,14 @@ float32 (``<f4``) for the weights.
 
 ``digest64`` is SHA-256 cut to its first 8 bytes, read little-endian, and it
 is checked on every read. The cache's header is the run fingerprint (u64)
-and its record names are ``<split>/<feature>``; it is format version 4 (magic
+and its record names are ``<split>/<feature>``; it is format version 5 (magic
 ``ECDC``), and it holds the preprocessed arrays in float64, as preprocessing
-makes them; a model casts them once, as its tape takes them in. Version 3
-had the same layout under a BLAKE2b-64 trailer, version 2 also a per-record
-dtype byte, and version 1 an FNV-1a trailer; all are rejected by their
-version field, which is checked before the digest whose algorithm it
-determines.
+makes them; a model casts them once, as its tape takes them in. A numerical
+column's array holds its raw values, which the model normalizes. Version 4
+had the same layout with numerical arrays normalized, version 3 a
+BLAKE2b-64 trailer, version 2 also a per-record dtype byte, and version 1
+an FNV-1a trailer; all are rejected by their version field, which is
+checked before the digest whose algorithm it determines.
 
 The fingerprint hashes the dataset bytes together with the canonical
 preprocessing parameters, split policy, seed, and the float32 range check
@@ -44,7 +45,7 @@ from .definition import ModelDefinition
 from .errors import ArtifactError, CorruptionError, DataError, FormatVersionError
 
 MAGIC = b"ECDC"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def digest64(*chunks: bytes) -> int:

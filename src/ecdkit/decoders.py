@@ -13,6 +13,9 @@ width follows from the metadata, the output op is the class's ``OUTPUT``,
 the loss op is ``DEFAULT_LOSSES`` of the type. Every decoder receives
 ``seq_width``, the width of the tagged input's per-position states; only the
 tagger reads it. The first name in a type's ``DECODERS`` entry is its default.
+A numerical target batch holds raw values, as its column does: the
+numerical regressor normalizes it before the loss and denormalizes its
+predictions, so every decoder's predictions are in raw data space.
 
 The tagger reads the tagged input's packed states (see ``encoders``): the
 states of each row's real tokens back to back, with the rows' lengths. It
@@ -92,6 +95,7 @@ class _ProjectionDecoder:
                                   self.hidden_width, self.out_width)
         self.proj_b = make_bias(store, f"{prefix}.proj.bias", self.out_width)
         self.loss_op = DEFAULT_LOSSES[meta.type]
+        self.meta = meta
 
     def payload_width(self, kind: str) -> int:
         # a regressor's "probabilities" payload is its raw prediction
@@ -120,7 +124,17 @@ class BinaryRegressorDecoder(_ProjectionDecoder):
 
 
 class NumericalRegressorDecoder(_ProjectionDecoder):
+    """Trains on its normalized target and predicts raw values: its output
+    node, the payload a dependent reads, stays in normalized space."""
+
     OUTPUT = None
+
+    def forward(self, tape, x, target=None, seq_states=None, last_hidden=True) -> DecodeResult:
+        if target is not None:
+            target = self.meta.normalize(target)
+        result = super().forward(tape, x, target, seq_states, last_hidden)
+        result.predictions = self.meta.denormalize(result.predictions)
+        return result
 
 
 class SetClassifierDecoder(_ProjectionDecoder):

@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .decoders import mean_over_rows, real_positions, token_counts
 from .errors import ConfigError
-from .features import VectorMetadata
+from .features import NumericalMetadata, VectorMetadata
 from .layers import FcStack, make_bias, make_weight
 from .rng import Lcg
 
@@ -46,7 +46,8 @@ class EncoderOutput:
 
 
 class PassthroughEncoder:
-    """Numerical, binary and vector inputs: identity, or an optional fc stack."""
+    """Numerical, binary and vector inputs: identity, or an optional fc stack.
+    A numerical batch holds raw values, which it normalizes first."""
 
     DEFAULTS = {"fc_sizes": [], "activation": "relu"}
 
@@ -56,8 +57,11 @@ class PassthroughEncoder:
                              kwargs.get("fc_sizes", self.DEFAULTS["fc_sizes"]),
                              kwargs.get("activation", self.DEFAULTS["activation"]))
         self.output_width = self.stack.output_width
+        self.normalize = meta.normalize if isinstance(meta, NumericalMetadata) else None
 
     def forward(self, tape: ad.Tape, batch: np.ndarray) -> EncoderOutput:
+        if self.normalize is not None:
+            batch = self.normalize(batch)
         return EncoderOutput(self.stack.forward(tape, tape.constant(batch)))
 
 

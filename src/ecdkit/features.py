@@ -137,7 +137,8 @@ class NumericalMetadata:
             return (x - self.min) / span if span > 0 else np.zeros_like(x)
         return x
 
-    def denormalize(self, x: float) -> float:
+    def denormalize(self, x):
+        """``x``, a float or an array, in raw space."""
         if self.normalization == "zscore":
             return x * self.std + self.mean
         if self.normalization == "minmax":
@@ -284,21 +285,23 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
                       meta: FeatureMetadata, params: PreprocParams) -> np.ndarray:
     """Map a raw column into the [rows x width] float64 array of its type.
 
-    binary -> {0,1}, numerical -> normalized value, category -> integer id,
-    each of width 1; set -> multi-hot over the vocabulary; sequence/text ->
-    max_len integer ids right-padded with <PAD>; vector -> its fixed length
-    of floats. Missing cells are resolved by the configured strategy first;
-    a cell that does not parse is reported with its line from ``lines``.
-    The vocabulary types share one id pass, a cell's tokens at a time, cut
-    to max_len; out-of-vocabulary tokens get ``<UNK>``'s id. A numerical or
-    vector value that float32 cannot hold is a data error naming its line.
+    binary -> {0,1}, numerical -> raw value (the model normalizes it),
+    category -> integer id, each of width 1; set -> multi-hot over the
+    vocabulary; sequence/text -> max_len integer ids right-padded with
+    <PAD>; vector -> its fixed length of floats. Missing cells are resolved
+    by the configured strategy first; a cell that does not parse is
+    reported with its line from ``lines``. The vocabulary types share one id
+    pass, a cell's tokens at a time, cut to max_len; out-of-vocabulary
+    tokens get ``<UNK>``'s id. A vector value, or a numerical value once
+    normalized, that float32 cannot hold is a data error naming its line.
     """
     if ftype not in SUPPORTED_TYPES:
         raise RegistryError(f"unknown feature type {ftype!r}")
-    if ftype == "numerical":
-        values = meta.normalize(numerical_values(column, lines, meta, params))
-        return _within_float32(values.reshape(-1, 1), lines)
     cells = _filled_cells(column, ftype, meta, params)
+    if ftype == "numerical":
+        values = np.array(_parse_cells(zip(lines, cells), parse_float)).reshape(-1, 1)
+        _within_float32(meta.normalize(values), lines)
+        return values
     if ftype == "binary":
         return np.array(_parse_cells(zip(lines, cells), parse_binary)).reshape(-1, 1)
     if ftype == "vector":
@@ -334,14 +337,6 @@ def _within_float32(values: np.ndarray, lines: Sequence[int]) -> np.ndarray:
         raise DataError(f"row {lines[row]}: preprocessed value {value!r} is beyond "
                         "float32's range, in which models compute")
     return values
-
-
-def numerical_values(column: Sequence[str], lines: Sequence[int], meta: NumericalMetadata,
-                     params: PreprocParams) -> np.ndarray:
-    """A numerical column's raw values, missing cells filled: what
-    ``preprocess_column`` normalizes, and a numerical output's truths."""
-    cells = _filled_cells(column, "numerical", meta, params)
-    return np.array(_parse_cells(zip(lines, cells), parse_float))
 
 
 def _filled_cells(column: Sequence[str], ftype: str, meta: FeatureMetadata,
@@ -380,9 +375,9 @@ def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata,
     """Map a batch of predictions back into raw data space, one entry per row.
 
     category and set take [b x vocab] probabilities, binary [b x 1]
-    probabilities, numerical [b x 1] values already denormalized, sequence
-    the tag ids of every row's tokens back to back, with each row's token
-    count in ``lengths``. Argmax ties go to the lowest id; thresholds are
+    probabilities, numerical [b x 1] raw values, sequence the tag ids of
+    every row's tokens back to back, with each row's token count in
+    ``lengths``. Argmax ties go to the lowest id; thresholds are
     >= 0.5; a tag row loses its trailing ``<PAD>`` tags.
     """
     arr = np.asarray(batch)
@@ -421,8 +416,8 @@ def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata,
 # ---------------------------------------------------------------------------
 # A metric compares an output's predictions with its truths, the target array
 # its loss trains on (a tagger's at its real tokens), so a truth outside the
-# training vocabulary is scored as <UNK>. A numerical output is scored in raw
-# space: its denormalized predictions against ``numerical_values``.
+# training vocabulary is scored as <UNK>. A numerical output's predictions
+# and target array are both raw values, so it is scored in raw space.
 
 #: metric name -> (callable, higher_is_better)
 _METRICS: dict[str, tuple] = {}

@@ -18,11 +18,12 @@ over the concatenated per-row terms, so memory stays bounded by the chunk
 and the result equals that of one batch holding every row. Training
 collects its batches' rows with the same collector. An output's truths are
 the target rows passed to ``model.forward``, so a truth outside the
-training vocabulary is scored as ``<UNK>``, as the loss trains it; only a
-numerical output is scored against raw values, re-read from its column.
-Predictions become raw values only in ``predictions.csv``. ``predict``
-parses the targets before its single pass and scores that same pass, so a
-bad target cell writes no file. Row errors name the line of the CSV file.
+training vocabulary is scored as ``<UNK>``, as the loss trains it; a
+numerical output's target rows and predictions are raw values, as the
+model normalizes what it reads. Predictions become cells only in
+``predictions.csv``. ``predict`` parses the targets before its single pass
+and scores that same pass, so a bad target cell writes no file. Row errors
+name the line of the CSV file.
 
 Every run is fully determined by (definition, dataset, seed) and the BLAS
 thread count: rerunning with equal inputs under the same thread count
@@ -66,7 +67,6 @@ from .features import (
     compute_metric,
     higher_is_better,
     is_missing,
-    numerical_values,
     postprocess_prediction,
     preprocess_column,
     tokenize,
@@ -221,19 +221,16 @@ class _RowCollector:
     """The rows of consecutive forward passes, per output feature.
 
     Per output, what scoring and ``predictions.csv`` read: the predictions,
-    a numerical output's denormalized and a tagger's as argmax ids at the
-    real tokens (with each row's token count); and with targets the loss
-    terms, and as truths the target rows or tokens of the same
-    predictions (a numerical output's truths are its raw values instead).
-    Predictions and loss terms leave the tape, so they are checked for
-    finiteness here: each pass's predictions, a numerical output's again
-    once denormalized, and the loss terms once, over every row.
+    a tagger's as argmax ids at the real tokens (with each row's token
+    count); and with targets the loss terms, and as truths the target rows
+    or tokens of the same predictions. Predictions and loss terms leave the
+    tape, so they are checked for finiteness here: each pass's predictions,
+    and the loss terms once, over every row.
     """
 
-    def __init__(self, model: ECDModel, definition: ModelDefinition, metadata: dict):
+    def __init__(self, model: ECDModel, definition: ModelDefinition):
         self.specs = definition.output_features
         self.source = model.states_feature
-        self.metadata = metadata
         self.lengths: list[np.ndarray] = []
         self.parts: dict[str, tuple[list, list, list]] = {
             spec.name: ([], [], []) for spec in self.specs}
@@ -247,9 +244,7 @@ class _RowCollector:
             predictions, truths, terms = self.parts[spec.name]
             what = f"predictions for output {spec.name!r}"
             values = check_finite(result.predictions[spec.name], what)
-            if spec.type == "numerical":
-                values = check_finite(self.metadata[spec.name].denormalize(values), what)
-            elif spec.type == "sequence":
+            if spec.type == "sequence":
                 real = real_positions(lengths, values.shape[1])
                 values = np.argmax(values[real], axis=1)
             predictions.append(values)
@@ -261,7 +256,7 @@ class _RowCollector:
                 truths.append(truth == 1.0)  # hits, met by a >= 0.5 probability
             elif spec.type == "sequence":
                 truths.append(truth[real])
-            elif spec.type != "numerical":  # whose truths are its raw values
+            else:
                 truths.append(truth)
 
     def outputs(self) -> dict[str, _OutputRows]:
@@ -278,12 +273,11 @@ class _RowCollector:
 
 @np.errstate(all="ignore")  # finiteness is checked, not warned about
 def _forward_chunks(model: ECDModel, arrays: dict[str, np.ndarray], n: int,
-                    definition: ModelDefinition, metadata: dict,
-                    with_targets: bool) -> dict[str, _OutputRows]:
+                    definition: ModelDefinition, with_targets: bool) -> dict[str, _OutputRows]:
     """Run ``n`` rows forward in ``batch_size`` chunks on no-gradient tapes
     and collect their rows."""
     names = [spec.name for spec in definition.output_features]
-    collector = _RowCollector(model, definition, metadata)
+    collector = _RowCollector(model, definition)
     batch_size = definition.training.batch_size
     for start in range(0, n, batch_size):
         rows = slice(start, start + batch_size)
@@ -293,31 +287,20 @@ def _forward_chunks(model: ECDModel, arrays: dict[str, np.ndarray], n: int,
     return collector.outputs()
 
 
-def _raw_numbers(split: Dataset, output_specs, metadata: dict) -> dict[str, np.ndarray]:
-    """The raw values of each numerical output, its truths; a row's value
-    depends on no other row."""
-    return {spec.name: numerical_values(split.column(spec.name), split.lines,
-                                        metadata[spec.name], _preproc_params(spec))
-            for spec in output_specs if spec.type == "numerical"}
-
-
-def _score(outputs: dict[str, _OutputRows], output_specs,
-           numbers: dict[str, np.ndarray]) -> dict[str, dict[str, float]]:
+def _score(outputs: dict[str, _OutputRows], output_specs) -> dict[str, dict[str, float]]:
     """Loss plus every type-appropriate metric, per output feature.
 
-    The metrics compare each output's predictions with its truths: the
-    collected target rows, or a numerical output's raw ``numbers``. A loss
-    or metric that is not finite raises ``NonFiniteError`` naming it and the
-    output.
+    The metrics compare each output's predictions with its collected truths.
+    A loss or metric that is not finite raises ``NonFiniteError`` naming it
+    and the output.
     """
     report: dict[str, dict[str, float]] = {}
     for spec in output_specs:
         out = outputs[spec.name]
-        truths = numbers[spec.name] if spec.type == "numerical" else out.truths
         block = {"loss": out.loss()}
         for kind in TYPE_METRICS[spec.type]:
             try:
-                block[kind] = compute_metric(kind, truths, out.predictions)
+                block[kind] = compute_metric(kind, out.truths, out.predictions)
             except OverflowError:  # a raw-space error squared past the float range
                 block[kind] = np.inf
         # a report must be valid JSON, which has no infinity or nan
@@ -329,15 +312,13 @@ def _score(outputs: dict[str, _OutputRows], output_specs,
 
 
 def evaluate_split(model: ECDModel, arrays: dict[str, np.ndarray], split: Dataset,
-                   definition: ModelDefinition, metadata: dict) -> dict[str, dict[str, float]]:
+                   definition: ModelDefinition) -> dict[str, dict[str, float]]:
     """Loss plus every type-appropriate metric, per output feature, from one
-    chunked no-gradient pass over the split."""
+    chunked no-gradient pass over the split's arrays."""
     if len(split) == 0:
         return {}
-    outputs = _forward_chunks(model, arrays, len(split), definition, metadata,
-                              with_targets=True)
-    specs = definition.output_features
-    return _score(outputs, specs, _raw_numbers(split, specs, metadata))
+    outputs = _forward_chunks(model, arrays, len(split), definition, with_targets=True)
+    return _score(outputs, definition.output_features)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +384,6 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
     # with a validation split to steer by, the training split is scored on
     # the epoch's own batches; without one, it is evaluated in full and steers
     running = len(splits["validation"]) > 0
-    train_numbers = _raw_numbers(splits["train"], resolved.output_features, metadata) \
-        if running else {}
     stats = TrainingStats()
     started = time.monotonic()
     best_value = best_snapshot = None
@@ -418,7 +397,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
         order = np.asarray(order)
         loss_sum = 0.0
         grad_norms = []
-        collector = _RowCollector(model, resolved, metadata)
+        collector = _RowCollector(model, resolved)
         for batch_index, start in enumerate(range(0, n_train, tr.batch_size)):
             idx = order[start : start + tr.batch_size]
             batch = {name: train_arrays[name][idx] for name in input_names}
@@ -438,13 +417,11 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
         train_loss = loss_sum / n_train
 
         if running:
-            numbers = {name: values[order] for name, values in train_numbers.items()}
-            train_metrics = _score(collector.outputs(), resolved.output_features, numbers)
+            train_metrics = _score(collector.outputs(), resolved.output_features)
             val_metrics = evaluate_split(model, tensors["validation"], splits["validation"],
-                                         resolved, metadata)
+                                         resolved)
         else:
-            train_metrics = evaluate_split(model, tensors["train"], splits["train"],
-                                           resolved, metadata)
+            train_metrics = evaluate_split(model, tensors["train"], splits["train"], resolved)
             val_metrics = {}
         stats.epochs.append({"epoch": epoch, "train_loss": train_loss,
                              "train_metrics": train_metrics,
@@ -511,7 +488,7 @@ def experiment(definition: ModelDefinition, dataset_path: str | Path, output_dir
     for name in SPLIT_NAMES:
         if name not in metrics:
             metrics[name] = evaluate_split(run.model, run.tensors[name], run.splits[name],
-                                           run.definition, run.metadata)
+                                           run.definition)
     write_json(Path(output_dir) / METRICS_FILE, metrics)
     return run.model_dir, run.stats, metrics
 
@@ -589,11 +566,11 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
     if targets_present:
         _check_tagger_alignment(dataset, definition)
         arrays.update(preprocess_features(dataset, output_specs, metadata))
-    outputs = _forward_chunks(model, arrays, len(dataset), definition, metadata,
+    outputs = _forward_chunks(model, arrays, len(dataset), definition,
                               with_targets=targets_present)
     metrics = None
     if targets_present:
-        metrics = _score(outputs, output_specs, _raw_numbers(dataset, output_specs, metadata))
+        metrics = _score(outputs, output_specs)
 
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)

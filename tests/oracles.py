@@ -269,6 +269,15 @@ def as_version_2(container: bytes) -> bytes:
     return bytes(body) + hashlib.blake2b(bytes(body), digest_size=8).digest()
 
 
+def as_cache_version_4(container: bytes) -> bytes:
+    """A cache file re-signed as format version 4, which had the current
+    layout and digest but held a numerical column's array normalized. Only
+    the version field (bytes 4-5) and the SHA-256-64 trailer are rewritten."""
+    body = bytearray(container[:-8])
+    body[4:6] = (4).to_bytes(2, "little")
+    return bytes(body) + hashlib.sha256(bytes(body)).digest()[:8]
+
+
 def unchecked_fingerprint(dataset_bytes: bytes, definition, seed: int) -> int:
     """The cache fingerprint of a run before preprocessing checked that
     float32 holds its values: the same recipe without its ``fits`` entry,
@@ -341,6 +350,20 @@ def string_predictions(preds: np.ndarray, ftype: str, id2token: list[str],
                 tags.pop()
             rows.append(tags)
     return rows
+
+
+def numerical_values(cells: list[str], strategy: str = "fill_const",
+                     mean: float = 0.0) -> list[float]:
+    """A numerical column's raw values, one cell at a time: a missing cell
+    is 0 under ``fill_const`` and the training ``mean`` under ``fill_mean``;
+    any other cell is the float its text spells. Nothing is normalized."""
+    values = []
+    for cell in cells:
+        if cell == "":
+            values.append(mean if strategy == "fill_mean" else 0.0)
+        else:
+            values.append(float(cell))
+    return values
 
 
 def set_multi_hot_rows(token_rows: list[list[str]], id2token: list[str]) -> np.ndarray:

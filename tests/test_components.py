@@ -113,14 +113,14 @@ def arrays_digest(blocks: list[dict]) -> str:
     return h.hexdigest()
 
 
-PINNED_ARRAYS = "6213df89fcf8721b049e7b91b22d00c8b0ac76d208bddb4ac13826be63ccd46a"
+PINNED_ARRAYS = "e2ad9a2bbc0ebd3b71fb5a4aa8bfe19347b2e6365bc40976c484dc8ae657bb11"
 PINNED = {
     "embed": ("79037d86555ee5f0157680cd74cde984b03b0a817e44996a1e552f228492d7ce",
-              "b8443ab75002718c7a9802d816e1c0fb3f765f4f5cfe2c423b64c36e34a83796"),
+              "839079990f0ebcdbd213386d05c5b1262da1194fabb33171d9b4ef3e358703e9"),
     "rnn": ("3861d0b6bda98b7c1ae18e4a0745c8c3e25642ec2f36dbed093842735a329e31",
-            "69ed53124a07af4284694850014b5a5474eeea31280dc2bc299eb9bc488fb648"),
+            "7e4211b6ac692e52605381edfe41253272be523e7598cc45879795f75fb545d5"),
     "cnn": ("12a24d6d55302ea0ab9ef22d62d06821b60886d5830161116de20a997b37796f",
-            "5dc666150f0da0550bee672cac5092308df38bb78e8faa4d0d0cfd2eff017dc8"),
+            "a2290296d6479c62eeaca12a878005c95f5d49ac4c34f11f99388f701b01270b"),
 }
 
 

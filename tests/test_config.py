@@ -569,6 +569,19 @@ VALIDATE_DIAGNOSTICS = {
         "output_features.label: feature depends on itself"]),
     "unknown_dependency": check(lambda d: d.output_features[0].dependencies.append("ghost"), [
         "output_features.label: dependency 'ghost' is not a declared output feature"]),
+    # an output named like a cycle gets each dependency diagnostic once
+    "unknown_dependency_of_cycle": check(
+        lambda d: (setattr(d.output_features[0], "name", "cycle"),
+                   setattr(d.training, "validation_feature", "cycle"),
+                   d.output_features[0].dependencies.append("nope")), [
+            "output_features.cycle: dependency 'nope' is not a declared output feature"],
+        header=("title", "cycle")),
+    "self_dependency_of_bicycle": check(
+        lambda d: (setattr(d.output_features[0], "name", "bicycle"),
+                   setattr(d.training, "validation_feature", "bicycle"),
+                   d.output_features[0].dependencies.append("bicycle")), [
+            "output_features.bicycle: feature depends on itself"],
+        header=("title", "bicycle")),
     "cycle": check(lambda d: (d.output_features[0].dependencies.append("score"),
                               d.output_features[1].dependencies.append("label")), [
         "output_features: output dependencies form a cycle: label -> score -> label"],

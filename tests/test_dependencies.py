@@ -7,7 +7,10 @@ a deletion leaves no import behind. Outside the autodiff tape every value is
 a plain array: only ``autodiff`` and ``tensor`` name ``Tensor``, the
 box of a tape node's value, and the package does not export it. Only
 ``autodiff`` and ``optim`` assign a ``.value``, so a trained parameter's value
-stays a view of its store's weight buffer."""
+stays a view of its store's weight buffer. A numerical array holds raw
+values: only ``features`` (its range check), ``encoders`` and ``decoders``
+read ``normalize`` or ``denormalize``, and ``pipelines`` treats no feature
+type as ``"numerical"``."""
 
 import ast
 import sys
@@ -127,3 +130,21 @@ def value_assignments(path: Path) -> list[int]:
 def test_only_the_store_and_the_optimizer_rebind_parameter_values():
     assigners = [path.stem for path in sorted(PACKAGE.glob("*.py")) if value_assignments(path)]
     assert set(assigners) <= {"autodiff", "optim"}
+
+
+def reads_attribute(path: Path, names: set[str]) -> bool:
+    """Whether one source file reads an attribute named one of ``names``."""
+    return any(isinstance(node, ast.Attribute) and node.attr in names
+               and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                              filename=str(path))))
+
+
+def test_only_preprocessing_and_the_model_normalize_numbers():
+    normalizers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                   if reads_attribute(path, {"normalize", "denormalize"})]
+    assert normalizers == ["decoders", "encoders", "features"]
+    path = PACKAGE / "pipelines.py"
+    literals = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Constant) and node.value == "numerical"]
+    assert literals == []

@@ -101,6 +101,11 @@ def one_cell(raw, ftype, meta, p=None):
     return out[0]
 
 
+def normalized_cell(raw, meta, p=None):
+    """A one-cell numerical column's row as the model reads it, normalized."""
+    return meta.normalize(one_cell(raw, "numerical", meta, p))
+
+
 class TestPreprocessColumn:
 
     def test_binary_true_forms(self):
@@ -150,8 +155,8 @@ class TestPreprocessColumn:
 
     def test_numerical_zscore(self):
         meta = ft.build_metadata(["1", "2", "3"], "numerical", params())
-        out = one_cell("2", "numerical", meta)
-        assert abs(out[0]) < 1e-12
+        assert one_cell("2", "numerical", meta)[0] == 2.0  # the array stays raw
+        assert abs(normalized_cell("2", meta)[0]) < 1e-12
 
     def test_numerical_unparseable_is_error(self):
         meta = ft.build_metadata(["1"], "numerical", params())
@@ -167,9 +172,9 @@ class TestPreprocessColumn:
 
     def test_missing_values_fill_defaults(self):
         num_meta = ft.build_metadata(["2", "4"], "numerical", params())
-        filled = one_cell("", "numerical", num_meta)
-        assert filled[0] == num_meta.normalize(0.0)
-        mean_filled = one_cell("", "numerical", num_meta, params(missing_strategy="fill_mean"))
+        assert one_cell("", "numerical", num_meta)[0] == 0.0
+        assert normalized_cell("", num_meta)[0] == num_meta.normalize(0.0)
+        mean_filled = normalized_cell("", num_meta, params(missing_strategy="fill_mean"))
         assert abs(mean_filled[0]) < 1e-12
         cat_meta = ft.build_metadata(["a"], "category", params())
         assert one_cell("", "category", cat_meta)[0] == 0.0
@@ -198,8 +203,10 @@ class TestPreprocessColumn:
     def test_constant_minmax_column_maps_to_positive_zero(self):
         meta = ft.build_metadata(["5", "5"], "numerical", params(normalization="minmax"))
         out = ft.preprocess_column(["-3", "5", "8"], [2, 3, 4], "numerical", meta, params())
-        assert out.tolist() == [[0.0], [0.0], [0.0]]
-        assert not np.signbit(out).any()
+        assert out.tolist() == [[-3.0], [5.0], [8.0]]
+        normalized = meta.normalize(out)
+        assert normalized.tolist() == [[0.0], [0.0], [0.0]]
+        assert not np.signbit(normalized).any()
 
     @given(data=st.data(), ftype=st.sampled_from(ft.SUPPORTED_TYPES),
            n=st.integers(0, 12), lowercase=st.booleans())
@@ -220,9 +227,10 @@ class TestPreprocessColumn:
         assert out.shape == (n, expected_width(ftype, meta))
         assert out.tobytes() == b"".join(row.tobytes() for row in rows)
         if ftype == "numerical":
-            values = ft.numerical_values(column, lines, meta, p)
-            assert values.tolist() == [v for line, cell in zip(lines, column)
-                                       for v in ft.numerical_values([cell], [line], meta, p)]
+            raw = oracles.numerical_values(column, fill, meta.mean)
+            assert out[:, 0].tolist() == raw
+            assert meta.normalize(out).tobytes() == b"".join(
+                meta.normalize(row).tobytes() for row in rows)
 
     @given(data=st.data(), ftype=st.sampled_from(["category", "sequence", "text"]),
            tokenizer=st.sampled_from(ft.TOKENIZERS), lowercase=st.booleans(),
@@ -298,7 +306,7 @@ class TestZscoreInvariant:
         assume(float(np.std(np.asarray(values))) > 1e-9)  # degenerate columns keep std = 1
         column = [repr(v) for v in values]
         meta = ft.build_metadata(column, "numerical", params())
-        normalized = np.array([one_cell(c, "numerical", meta)[0] for c in column])
+        normalized = np.array([normalized_cell(c, meta)[0] for c in column])
         assert abs(normalized.mean()) < 1e-9
         assert abs(math.sqrt(((normalized - normalized.mean()) ** 2).mean()) - 1.0) < 1e-9
 
@@ -484,38 +492,45 @@ class TestMinmaxNormalization:
 
     def test_maps_training_range_to_unit_interval(self):
         meta = ft.build_metadata(["2", "4", "10"], "numerical", params(normalization="minmax"))
-        assert one_cell("2", "numerical", meta)[0] == 0.0
-        assert one_cell("10", "numerical", meta)[0] == 1.0
-        assert one_cell("6", "numerical", meta)[0] == 0.5
+        assert normalized_cell("2", meta)[0] == 0.0
+        assert normalized_cell("10", meta)[0] == 1.0
+        assert normalized_cell("6", meta)[0] == 0.5
 
     def test_denormalize_inverts(self):
         meta = ft.build_metadata(["2", "4", "10"], "numerical", params(normalization="minmax"))
         for raw in ("2.0", "5.5", "10.0"):
-            encoded = one_cell(raw, "numerical", meta)[0]
+            encoded = normalized_cell(raw, meta)[0]
             assert abs(meta.denormalize(encoded) - float(raw)) < 1e-12
 
     def test_none_normalization_is_identity(self):
         meta = ft.build_metadata(["3", "7"], "numerical", params(normalization="none"))
-        assert one_cell("5", "numerical", meta)[0] == 5.0
+        assert normalized_cell("5", meta)[0] == 5.0
 
 
 class TestNumericalValues:
+    """A numerical column's array is its raw values, missing cells filled."""
+
+    @staticmethod
+    def column(cells, lines, meta, p):
+        out = ft.preprocess_column(cells, lines, "numerical", meta, p)
+        assert out.dtype == np.float64 and out.shape == (len(cells), 1)
+        return out[:, 0].tolist()
 
     def test_missing_cell_is_its_filled_value(self):
         meta = ft.build_metadata(["2", "5"], "numerical", params())
-        assert ft.numerical_values(["", "4"], [2, 3], meta, params()).tolist() == [0.0, 4.0]
-        assert ft.numerical_values([""], [2], meta,
-                                   params(missing_strategy="fill_mean")).tolist() == [3.5]
+        assert self.column(["", "4"], [2, 3], meta, params()) == [0.0, 4.0]
+        assert self.column([""], [2], meta, params(missing_strategy="fill_mean")) == [3.5]
 
     def test_values_stay_raw_under_every_normalization(self):
         for normalization in ft.NORMALIZATIONS:
-            meta = ft.build_metadata(["2", "5"], "numerical", params(normalization=normalization))
-            assert ft.numerical_values(["0.1", "7"], [2, 3], meta, params()).tolist() == [0.1, 7.0]
+            p = params(normalization=normalization)
+            meta = ft.build_metadata(["2", "5"], "numerical", p)
+            assert self.column(["0.1", "7"], [2, 3], meta, p) == [0.1, 7.0]
 
     def test_bad_cell_names_its_line(self):
         meta = ft.build_metadata(["2", "5"], "numerical", params())
         with pytest.raises(DataError, match=r"^row 7: unparseable numerical value 'abc'$"):
-            ft.numerical_values(["1", "abc"], [2, 7], meta, params())
+            ft.preprocess_column(["1", "abc"], [2, 7], "numerical", meta, params())
 
 
 class TestMetadataSerialization:

@@ -436,10 +436,14 @@ class TestDecoders:
             without_dep.decoders["score"].stack.input_width + c
 
     def test_numerical_zero_final_layer_predicts_zero(self):
-        model = build(TWO_OUTPUT, two_output_meta())
+        # zero in normalized space; predictions are raw values, so the
+        # output's denormalized zero
+        meta = two_output_meta()
+        model = build(TWO_OUTPUT, meta)
         zero_params(model, "decoders.score.proj")
         result = model.forward({"x": np.array([[0.1], [2.0], [-3.0]])})
-        np.testing.assert_array_equal(result.predictions["score"], np.zeros((3, 1)))
+        np.testing.assert_array_equal(result.predictions["score"],
+                                      np.full((3, 1), meta["score"].denormalize(0.0)))
 
     def test_tagger_prediction_dims(self):
         meta = make_meta(words=("sequence", ["a b c", "c b a"]),

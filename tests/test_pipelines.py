@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecdkit import autodiff as ad
 from ecdkit import features as ft
 from ecdkit import pipelines
 from ecdkit.artifacts import read_weights, write_weights
 from ecdkit.autodiff import ParameterStore
 from ecdkit.cache import FORMAT_VERSION, cache_path_for
 from ecdkit.config import parse_model_definition, resolve_defaults
-from ecdkit.data import SPLIT_NAMES, load_dataset, split_dataset
+from ecdkit.data import SPLIT_NAMES, Dataset, load_dataset, split_dataset
 from ecdkit.errors import ArtifactError, DataError, TrainingRuntimeError
 from ecdkit.graph import ECDModel
 from ecdkit.pipelines import (
@@ -38,7 +39,8 @@ from ecdkit.registry import build_default_registries
 from ecdkit.rng import Lcg
 
 import synth
-from oracles import as_version_1, as_version_2, string_metric
+import oracles
+from oracles import as_cache_version_4, as_version_1, as_version_2, string_metric
 
 BINARY_CONFIG = (
     "input_features:\n"
@@ -162,16 +164,21 @@ class TestPreprocessDataset:
             warm = self.run_once(text_csv, definition)
         np.testing.assert_array_equal(cold["train"]["text"], warm["train"]["text"])
 
-    def old_cache_warns_and_recomputes(self, text_csv, resign, version):
-        definition = resolved(TEXT_CONFIG)
-        cold = self.run_once(text_csv, definition)
-        cache_file = cache_path_for(text_csv)
+    def old_cache_warns_and_recomputes(self, csv_path, resign, version, config=TEXT_CONFIG):
+        """The rebuilt tensors, after a cache re-signed by ``resign`` as
+        ``version`` was discarded with a warning."""
+        definition = resolved(config)
+        cold = self.run_once(csv_path, definition)
+        cache_file = cache_path_for(csv_path)
         cache_file.write_bytes(resign(cache_file.read_bytes()))
         with pytest.warns(UserWarning,
                           match=f"discarding.*format version {version}, expected {FORMAT_VERSION}"):
-            warm = self.run_once(text_csv, definition)
-        np.testing.assert_array_equal(cold["train"]["text"], warm["train"]["text"])
+            warm = self.run_once(csv_path, definition)
+        for split in cold:
+            for name in cold[split]:
+                np.testing.assert_array_equal(cold[split][name], warm[split][name])
         assert cache_file.read_bytes()[4:6] == FORMAT_VERSION.to_bytes(2, "little")
+        return warm
 
     def test_version_1_cache_warns_and_recomputes(self, text_csv):
         self.old_cache_warns_and_recomputes(text_csv, as_version_1, 1)
@@ -179,6 +186,17 @@ class TestPreprocessDataset:
     def test_version_3_cache_warns_and_recomputes(self, text_csv):
         # the BLAKE2b-64 cache of format version 3 is rebuilt, not trusted
         self.old_cache_warns_and_recomputes(text_csv, as_version_2, 3)
+
+    def test_version_4_cache_warns_and_recomputes(self, binary_csv):
+        # version 4 held numerical arrays normalized: read as raw, they would be wrong
+        warm = self.old_cache_warns_and_recomputes(binary_csv, as_cache_version_4, 4,
+                                                   BINARY_CONFIG)
+        splits = split_dataset(load_dataset(binary_csv), [0.7, 0.1, 0.2], None, seed=3)
+        for split, arrays in warm.items():
+            for name in ("f0", "f1", "f2", "f3"):
+                raw = [float(cell) for cell in splits[split].column(name)]
+                assert arrays[name].shape == (len(raw), 1)
+                assert arrays[name][:, 0].tolist() == raw
 
     def test_full_path_matches_direct_preprocess_column(self, text_csv):
         definition = resolved(TEXT_CONFIG)
@@ -481,7 +499,7 @@ class TestExperiment:
         definition = resolved(config)
         run = pipelines._run_training(definition, binary_csv, tmp_path / "a", 3, True, None, None)
         fresh = {name: evaluate_split(run.model, run.tensors[name], run.splits[name],
-                                      run.definition, run.metadata) for name in SPLIT_NAMES}
+                                      run.definition) for name in SPLIT_NAMES}
         experiment(definition, binary_csv, tmp_path / "b", seed=3)
         assert (tmp_path / "b" / "metrics.json").read_text(encoding="utf-8") == \
             json.dumps(fresh, sort_keys=True, indent=2) + "\n"
@@ -639,6 +657,52 @@ class TestMissingValueStrategies:
         assert len(predictions_path.read_text().strip().splitlines()) == 4  # header + 3
 
 
+class TestNumericalOracle:
+    """A numerical column is parsed once, to raw values that the model
+    normalizes; scoring reads those arrays, not the cells again."""
+
+    TRAIN_CELLS = st.sampled_from(["0", "2.25", "-7", "1e3", "0.5"])
+    CELLS = st.sampled_from(["0", "2.25", "-7", "1e3", "0.5", "-0.125", ""])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), normalization=st.sampled_from(ft.NORMALIZATIONS),
+           fill=st.sampled_from(["fill_const", "fill_mean"]), batch_size=st.integers(1, 5))
+    def test_scores_and_encoder_input_follow_the_raw_oracle(self, data, normalization, fill,
+                                                            batch_size):
+        preprocessing = (f"    preprocessing:\n      normalization: {normalization}\n"
+                         f"      missing_strategy: {fill}\n")
+        definition = resolved("input_features:\n  - name: x\n    type: numerical\n"
+                              + preprocessing + "output_features:\n  - name: y\n"
+                              "    type: numerical\n" + preprocessing
+                              + f"training:\n  batch_size: {batch_size}\n")
+        n, m = data.draw(st.integers(1, 6), label="train rows"), data.draw(st.integers(1, 9))
+        train_cells = {name: data.draw(st.lists(self.TRAIN_CELLS, min_size=n, max_size=n),
+                                       label=f"train {name}") for name in ("x", "y")}
+        cells = {name: data.draw(st.lists(self.CELLS, min_size=m, max_size=m), label=name)
+                 for name in ("x", "y")}
+        metadata = collect_metadata(Dataset("train", train_cells, list(range(2, n + 2))),
+                                    definition)
+        split = Dataset("split", cells, list(range(2, m + 2)))
+        specs = [*definition.input_features, *definition.output_features]
+        arrays = preprocess_features(split, specs, metadata)
+        model = ECDModel(definition, metadata, build_default_registries(), seed=5)
+        oracle = {name: np.array(oracles.numerical_values(cells[name], fill, metadata[name].mean))
+                  .reshape(-1, 1) for name in ("x", "y")}
+
+        # the scores are the metrics of the split's predictions against the raw cells
+        report = evaluate_split(model, arrays, split, definition)["y"]
+        predictions = _forward_chunks(model, arrays, len(split), definition, True)["y"].predictions
+        for kind in ("mse", "mae", "r2"):
+            assert report[kind] == ft.compute_metric(kind, oracle["y"], predictions), kind
+
+        # the encoder's constant is the normalized raw value, cast once to float32
+        hidden = model.encoders["x"].forward(ad.Tape(grad=False, dtype=np.float32),
+                                             arrays["x"]).hidden
+        expected = np.asarray(metadata["x"].normalize(oracle["x"]), np.float32)
+        assert hidden.value.array.dtype == np.float32
+        assert hidden.value.array.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # a tagger reads neither the combiner nor the other inputs
 # ---------------------------------------------------------------------------
@@ -740,7 +804,7 @@ def evaluation_inputs(model_dir, dataset_path, batch_size, dtype=np.float32):
     definition.training.batch_size = batch_size
     dataset = load_dataset(dataset_path)
     specs = list(definition.input_features) + list(definition.output_features)
-    return model, preprocess_features(dataset, specs, metadata), dataset, definition, metadata
+    return model, preprocess_features(dataset, specs, metadata), dataset, definition
 
 
 @pytest.fixture(scope="module")
@@ -768,8 +832,8 @@ class TestChunkedEvaluation:
             assert sorted(got[name]) == sorted(block)
             for kind, value in block.items():
                 assert abs(got[name][kind] - value) <= 1e-12, (name, kind)
-        rows = [_forward_chunks(model, arrays, len(dataset), definition, metadata, True)
-                for model, arrays, dataset, definition, metadata in (one, many)]
+        rows = [_forward_chunks(model, arrays, len(dataset), definition, True)
+                for model, arrays, dataset, definition in (one, many)]
         for name, out in rows[0].items():
             if name == "tags":
                 np.testing.assert_array_equal(rows[1][name].predictions, out.predictions)
@@ -811,14 +875,14 @@ class TestChunkedEvaluation:
                 "output_features:\n  - name: tags\n    type: sequence\n    decoder: tagger\n"
                 "training:\n  epochs: 0\n  batch_size: 128\n")
         model_dir, _ = train(resolved(text), path, tmp_path / "run", seed=1, use_cache=False)
-        model, arrays, dataset, definition, metadata = evaluation_inputs(model_dir, path, 128)
+        model, arrays, dataset, definition = evaluation_inputs(model_dir, path, 128)
 
         def peak(n):
             split = dataset.subset(list(range(n)))
             head = {name: array[:n] for name, array in arrays.items()}
             tracemalloc.start()
             try:
-                evaluate_split(model, head, split, definition, metadata)
+                evaluate_split(model, head, split, definition)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
