@@ -553,19 +553,29 @@ def embedding_lookup(table: TapeNode, ids: Sequence[int]) -> TapeNode:
     return table.tape._record("embedding_lookup", tv[idx], backward)
 
 
+#: the fewest rows on which a column pass beats ``axis=1``, per ufunc
+_COLUMN_PASS_ROWS = {np.maximum: 64, np.add: 300}
+
+
 def _reduce_rows(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(x, axis=1, keepdims=True)`` for ``np.add`` or
     ``np.maximum`` of a rank-2 array, with its bits.
 
     Below 8 columns numpy folds each row in order, a sum from 0.0 and a max
     from the first column, so one whole-column pass per column gives the
-    same bits many times faster on the narrow rows of a few classes. From 8
-    columns on numpy sums with unrolled partial sums, so wider rows keep
-    ``axis=1``.
+    same bits many times faster on many narrow rows of a few classes; on a
+    few rows its per-column calls cost more than ``axis=1``. From 8 columns
+    on numpy sums with unrolled partial sums, so wider rows keep ``axis=1``.
     """
+    rows, c = x.shape
+    if 0 < c < 8 and rows >= _COLUMN_PASS_ROWS[ufunc]:
+        return _reduce_columns(ufunc, x)
+    return ufunc.reduce(x, axis=1, keepdims=True)
+
+
+def _reduce_columns(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``_reduce_rows`` one whole-column pass per column."""
     c = x.shape[1]
-    if not 0 < c < 8:
-        return ufunc.reduce(x, axis=1, keepdims=True)
     out = x[:, :1] + 0.0 if ufunc is np.add else x[:, :1].copy()
     for k in range(1, c):
         ufunc(out, x[:, k : k + 1], out=out)

@@ -200,6 +200,12 @@ class ECDModel:
                             if kind == "last_hidden"}
 
         self.loss_weights = {spec.name: float(spec.loss_weight) for spec in definition.output_features}
+        # one row's widest prediction in values: the padded positions of the
+        # widest sequence input (1 without one) times the widest output
+        positions = max((metadata[spec.name].max_sequence_length
+                         for spec in definition.input_features
+                         if spec.type in ("sequence", "text")), default=1)
+        self.row_values = positions * max(dec.out_width for dec in self.decoders.values())
 
     def forward(self, batch: dict[str, np.ndarray],
                 targets: dict[str, np.ndarray] | None = None,

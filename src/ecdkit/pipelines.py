@@ -12,18 +12,21 @@ metadata, and post-process model outputs back into raw data space.
 ``experiment`` composes both halves and reports metrics for all three
 splits.
 
-Evaluation and prediction share one loop: ``batch_size``-row chunks run
-forward on tapes that keep no gradients, and the losses are reduced once
-over the concatenated per-row terms, so memory stays bounded by the chunk
-and the result equals that of one batch holding every row. Training
-collects its batches' rows with the same collector. An output's truths are
-the target rows passed to ``model.forward``, so a truth outside the
-training vocabulary is scored as ``<UNK>``, as the loss trains it; a
-numerical output's target rows and predictions are raw values, as the
-model normalizes what it reads. Predictions become cells only in
-``predictions.csv``. ``predict`` parses the targets before its single pass
-and scores that same pass, so a bad target cell writes no file. Row errors
-name the line of the CSV file.
+Evaluation and prediction share one loop: inference blocks run forward on
+tapes that keep no gradients, and the losses are reduced once over the
+concatenated per-row terms, so memory stays bounded by the block and the
+result equals that of one batch holding every row. A block is a whole number
+of training batches, as many as fit a fixed budget of prediction values:
+1,024 rows on the tabular benchmark model, one 128-row batch on the text and
+tagger ones. There a row's predictions have the bytes they have in training
+batches; that is measured, not guaranteed for every model. Training collects
+its batches' rows with the same collector. An output's truths are the target
+rows passed to ``model.forward``, so a truth outside the training vocabulary
+is scored as ``<UNK>``, as the loss trains it; a numerical output's target
+rows and predictions are raw values, as the model normalizes what it reads.
+Predictions become cells only in ``predictions.csv``. ``predict`` parses the
+targets before its single pass and scores that same pass, so a bad target
+cell writes no file. Row errors name the line of the CSV file.
 
 Every run is fully determined by (definition, dataset, seed) and the BLAS
 thread count: rerunning with equal inputs under the same thread count
@@ -97,19 +100,21 @@ class ValidationFailed(ConfigError):
 class TrainingStats:
     """What ``training_stats.json`` records: per epoch its losses, metrics,
     learning rate and the mean and max over its steps of the global L2 norm
-    of the gradient; the best epoch; the wall time; and the BLAS thread
-    variables in effect."""
+    of the gradient; the best epoch; the wall time; the BLAS thread
+    variables in effect; and the rows of the run's inference blocks."""
 
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int | None = None
     wall_clock_seconds: float = 0.0
     blas_threads: dict[str, str | None] = field(default_factory=lambda: {
         name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES})
+    inference_block_rows: int | None = None
 
     def to_dict(self) -> dict:
         return {"epochs": self.epochs, "best_epoch": self.best_epoch,
                 "wall_clock_seconds": self.wall_clock_seconds,
-                "blas_threads": self.blas_threads}
+                "blas_threads": self.blas_threads,
+                "inference_block_rows": self.inference_block_rows}
 
 
 def _preproc_params(spec) -> PreprocParams:
@@ -271,16 +276,37 @@ class _RowCollector:
         return outputs
 
 
+#: the values (rows times ``ECDModel.row_values``) an inference block holds,
+#: unless one training batch alone holds more: 1,024 rows of a 5-class output
+INFERENCE_BLOCK_VALUES = 5120
+
+
+def inference_block_rows(model: ECDModel, definition: ModelDefinition) -> int:
+    """The rows of one inference block: the most whole training batches, at
+    least one, whose predictions fit ``INFERENCE_BLOCK_VALUES`` values."""
+    batch_size = definition.training.batch_size
+    return batch_size * max(1, INFERENCE_BLOCK_VALUES // (batch_size * model.row_values))
+
+
 @np.errstate(all="ignore")  # finiteness is checked, not warned about
 def _forward_chunks(model: ECDModel, arrays: dict[str, np.ndarray], n: int,
                     definition: ModelDefinition, with_targets: bool) -> dict[str, _OutputRows]:
-    """Run ``n`` rows forward in ``batch_size`` chunks on no-gradient tapes
-    and collect their rows."""
+    """Run ``n`` rows forward in inference blocks on no-gradient tapes and
+    collect their rows.
+
+    A block is a whole number of training batches (``inference_block_rows``),
+    so the last block keeps the rows left over by batches: 1,024 rows for the
+    tabular benchmark model (batches of 32, a 5-class widest output), one
+    128-row batch for its text and tagger models, whose padded positions
+    alone outgrow the budget. On those models a row's prediction has the
+    bytes it has in ``batch_size`` chunks, but a matrix product's bits may
+    depend on its row count, so that is measured, not guaranteed.
+    """
     names = [spec.name for spec in definition.output_features]
     collector = _RowCollector(model, definition)
-    batch_size = definition.training.batch_size
-    for start in range(0, n, batch_size):
-        rows = slice(start, start + batch_size)
+    block = inference_block_rows(model, definition)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
         inputs = {s.name: arrays[s.name][rows] for s in definition.input_features}
         targets = {name: arrays[name][rows] for name in names} if with_targets else None
         collector.add(model.forward(inputs, targets, grad=False), inputs, targets)
@@ -384,7 +410,7 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
     # with a validation split to steer by, the training split is scored on
     # the epoch's own batches; without one, it is evaluated in full and steers
     running = len(splits["validation"]) > 0
-    stats = TrainingStats()
+    stats = TrainingStats(inference_block_rows=inference_block_rows(model, resolved))
     started = time.monotonic()
     best_value = best_snapshot = None
     stale = 0
@@ -575,7 +601,7 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     predictions_path = output_dir / PREDICTIONS_FILE
-    _write_predictions_csv(predictions_path, dataset, definition, metadata, outputs)
+    _write_predictions_csv(predictions_path, definition, metadata, outputs)
     metrics_path = None
     if metrics is not None:
         metrics_path = output_dir / METRICS_FILE
@@ -590,28 +616,21 @@ def _with_fill_strategy(spec):
     return spec
 
 
-def _write_predictions_csv(path: Path, dataset: Dataset, definition: ModelDefinition,
-                           metadata: dict, outputs: dict[str, _OutputRows]) -> None:
+def _write_predictions_csv(path: Path, definition: ModelDefinition, metadata: dict,
+                           outputs: dict[str, _OutputRows]) -> None:
     header: list[str] = []
-    columns: list[tuple[list, list | None]] = []  # per output: its cells, its probability rows
+    columns: list = []  # per output: its cells, then its probability columns
     for spec in definition.output_features:
         meta, out = metadata[spec.name], outputs[spec.name]
         cells = postprocess_prediction(out.predictions, spec.type, meta, out.lengths)
         header.append(spec.name)
-        probabilities = None
+        # a set or tag row is a list of tokens
+        columns.append(map(" ".join, cells) if spec.type in ("set", "sequence") else cells)
         if spec.type in ("binary", "category", "set"):
             header.extend([f"{spec.name}_probability"] if spec.type == "binary" else
                           [f"{spec.name}_probability_{token}" for token in meta.id2token])
-            probabilities = out.predictions.tolist()
-        columns.append((cells, probabilities))
+            columns.extend(out.predictions.T.tolist())  # csv writes a float as its repr
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i in range(len(dataset)):
-            row = []
-            for cells, probabilities in columns:
-                # a set or tag row is a list of tokens; csv writes a float as its repr
-                row.append(" ".join(cells[i]) if isinstance(cells[i], list) else cells[i])
-                if probabilities is not None:
-                    row.extend(probabilities[i])
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

@@ -404,9 +404,26 @@ def test_row_reductions_have_the_bits_of_numpy_axis_1(columns, dtype, data):
     for values in (x, wide):
         for ufunc in (np.add, np.maximum):
             with np.errstate(over="ignore", invalid="ignore"):
-                got = ad._reduce_rows(ufunc, values)
                 expected = ufunc.reduce(values, axis=1, keepdims=True)
-            assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+                reductions = [ad._reduce_rows(ufunc, values)]
+                if columns < 8:
+                    reductions.append(ad._reduce_columns(ufunc, values))
+            for got in reductions:
+                assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ufunc", [np.maximum, np.add], ids=["max", "sum"])
+@pytest.mark.parametrize("rows", [1, 16, 63, 64, 299, 300, 2000])
+def test_row_reduction_paths_agree_at_every_row_count(rows, ufunc, dtype):
+    """Either side of the row count at which ``_reduce_rows`` switches from
+    ``axis=1`` to the column pass, both paths give the same bits."""
+    for columns in range(1, 8):
+        x = np.random.default_rng(rows * 8 + columns).normal(size=(rows, columns)).astype(dtype)
+        x[::5, ::2] = -0.0
+        expected = ufunc.reduce(x, axis=1, keepdims=True)
+        for got in (ad._reduce_rows(ufunc, x), ad._reduce_columns(ufunc, x)):
+            assert got.dtype == dtype and got.tobytes() == expected.tobytes(), columns
 
 
 # ---------------------------------------------------------------------------

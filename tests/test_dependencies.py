@@ -10,7 +10,9 @@ box of a tape node's value, and the package does not export it. Only
 stays a view of its store's weight buffer. A numerical array holds raw
 values: only ``features`` (its range check), ``encoders`` and ``decoders``
 read ``normalize`` or ``denormalize``, and ``pipelines`` treats no feature
-type as ``"numerical"``."""
+type as ``"numerical"``. Only the training loop and the inference block rule
+read ``training.batch_size``, so no inference path cuts at the training
+batch."""
 
 import ast
 import sys
@@ -148,3 +150,25 @@ def test_only_preprocessing_and_the_model_normalize_numbers():
     literals = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                 if isinstance(node, ast.Constant) and node.value == "numerical"]
     assert literals == []
+
+
+def batch_size_readers(path: Path) -> set[str]:
+    """``module.function`` (or the module, outside any function) of every
+    attribute named ``batch_size`` in one source file."""
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{path.stem}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr == "batch_size":
+            readers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    return readers
+
+
+def test_only_training_and_the_block_rule_read_the_batch_size():
+    readers = set().union(*(batch_size_readers(path) for path in sorted(PACKAGE.glob("*.py"))))
+    assert readers == {"pipelines._run_training", "pipelines.inference_block_rows"}

@@ -28,6 +28,7 @@ from ecdkit.pipelines import (
     collect_metadata,
     evaluate_split,
     experiment,
+    inference_block_rows,
     load_model,
     predict,
     preprocess_dataset,
@@ -618,6 +619,8 @@ class TestOtherFeatureTypes:
         assert written["blas_threads"] == {name: os.environ.get(name) for name in
                                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                             "MKL_NUM_THREADS")}
+        # 25 batches of 200 rows hold 5,000 one-value predictions
+        assert written["inference_block_rows"] == stats.inference_block_rows == 5000
 
     def test_preprocess_error_carries_feature_and_row(self, tmp_path):
         rows = [["1.0", "true"], ["oops", "false"], ["3.0", "true"], ["4.0", "false"]]
@@ -793,6 +796,41 @@ def all_outputs_rows(n, seed=4):
     return rows
 
 
+# the benchmark's tabular model: numerical, category and set inputs; a
+# category output, a binary one that reads its probabilities, a numerical one
+TABULAR_CONFIG = (
+    "input_features:\n"
+    "  - name: x1\n    type: numerical\n"
+    "  - name: x2\n    type: numerical\n"
+    "  - name: store\n    type: category\n"
+    "  - name: basket\n    type: set\n"
+    "output_features:\n"
+    "  - name: quadrant\n    type: category\n"
+    "  - name: same_sign\n    type: binary\n    dependencies: [quadrant]\n"
+    "    dependency_payload: probabilities\n"
+    "  - name: amount\n    type: numerical\n"
+    "training:\n  batch_size: 32\n"
+)
+
+
+def tabular_dataset(n, seed=6):
+    """``n`` rows for ``TABULAR_CONFIG``: four quadrants, 200 stores, baskets
+    of up to three of twelve items."""
+    rng = np.random.default_rng(seed)
+    x1, x2 = rng.normal(size=(2, n))
+    columns = {
+        "x1": [repr(v) for v in x1.tolist()],
+        "x2": [repr(v) for v in x2.tolist()],
+        "store": [f"s{i}" for i in rng.integers(200, size=n).tolist()],
+        "basket": [" ".join(sorted({f"item{i}" for i in rng.integers(12, size=k).tolist()}))
+                   for k in rng.integers(4, size=n).tolist()],
+        "quadrant": [f"q{2 * a + b}" for a, b in zip((x1 > 0).tolist(), (x2 > 0).tolist())],
+        "same_sign": ["true" if v > 0 else "false" for v in (x1 * x2).tolist()],
+        "amount": [repr(v) for v in (x1 - 2 * x2).tolist()],
+    }
+    return Dataset("tabular", columns, list(range(2, n + 2)))
+
+
 def evaluation_inputs(model_dir, dataset_path, batch_size, dtype=np.float32):
     """``evaluate_split``'s arguments for a dataset, at ``batch_size``, with
     the loaded weights in a model of ``dtype``."""
@@ -820,29 +858,36 @@ def all_outputs_model(tmp_path_factory):
 class TestChunkedEvaluation:
 
     @settings(max_examples=25, deadline=None)
-    @given(batch_size=st.integers(1, ALL_OUTPUTS_ROWS + 3))
-    def test_any_chunk_size_matches_one_chunk(self, all_outputs_model, batch_size):
+    @given(block=st.integers(1, ALL_OUTPUTS_ROWS + 3))
+    def test_any_chunk_size_matches_one_chunk(self, all_outputs_model, block):
         # float64, so that the last-bit BLAS differences between batch heights
         # stay within the float64 bounds below
-        one = evaluation_inputs(*all_outputs_model, ALL_OUTPUTS_ROWS, np.float64)
-        many = evaluation_inputs(*all_outputs_model, batch_size, np.float64)
-        expected, got = evaluate_split(*one), evaluate_split(*many)
+        inputs = evaluation_inputs(*all_outputs_model, ALL_OUTPUTS_ROWS, np.float64)
+        model, arrays, dataset, definition = inputs
+        assert inference_block_rows(model, definition) >= ALL_OUTPUTS_ROWS
+
+        def run(rows):
+            # the rule's blocks cover every row at once, so the blocks are set here
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pipelines, "inference_block_rows", lambda *_: rows)
+                return (evaluate_split(*inputs),
+                        _forward_chunks(model, arrays, len(dataset), definition, True))
+
+        (expected, one), (got, many) = run(ALL_OUTPUTS_ROWS), run(block)
         assert sorted(got) == sorted(expected)
-        for name, block in expected.items():
-            assert sorted(got[name]) == sorted(block)
-            for kind, value in block.items():
+        for name, scores in expected.items():
+            assert sorted(got[name]) == sorted(scores)
+            for kind, value in scores.items():
                 assert abs(got[name][kind] - value) <= 1e-12, (name, kind)
-        rows = [_forward_chunks(model, arrays, len(dataset), definition, True)
-                for model, arrays, dataset, definition in (one, many)]
-        for name, out in rows[0].items():
+        for name, out in one.items():
             if name == "tags":
-                np.testing.assert_array_equal(rows[1][name].predictions, out.predictions)
+                np.testing.assert_array_equal(many[name].predictions, out.predictions)
             else:
                 # a row's BLAS result may differ in the last bit with the batch height
-                np.testing.assert_allclose(rows[1][name].predictions, out.predictions,
+                np.testing.assert_allclose(many[name].predictions, out.predictions,
                                            rtol=0, atol=1e-12)
-            for got, want in ((rows[1][name].truths, out.truths),
-                              (rows[1][name].lengths, out.lengths)):
+            for got, want in ((many[name].truths, out.truths),
+                              (many[name].lengths, out.lengths)):
                 np.testing.assert_array_equal(got, want)
 
     def test_predict_runs_one_forward_per_chunk(self, all_outputs_model, tmp_path, monkeypatch):
@@ -857,10 +902,47 @@ class TestChunkedEvaluation:
         monkeypatch.setattr(ECDModel, "forward", spy)
         _, metrics_path = predict(model_dir, path, tmp_path / "pred")
         assert metrics_path is not None
-        batch_size = load_model(model_dir)[1].training.batch_size
-        assert len(calls) == math.ceil(ALL_OUTPUTS_ROWS / batch_size)
+        block = inference_block_rows(*load_model(model_dir)[:2])
+        assert len(calls) == math.ceil(ALL_OUTPUTS_ROWS / block)
         assert sum(rows for rows, _, _ in calls) == ALL_OUTPUTS_ROWS
         assert all(with_targets and not grad for _, with_targets, grad in calls)
+
+    def test_inference_blocks_predict_the_bytes_of_training_batches(self, monkeypatch):
+        """float32, a tabular-shaped model: rows that run in 1,024-row blocks
+        get the predictions and loss terms they get in 32-row batches."""
+        definition = resolved(TABULAR_CONFIG)
+        dataset = tabular_dataset(2500)
+        metadata = collect_metadata(dataset, definition)
+        specs = [*definition.input_features, *definition.output_features]
+        arrays = preprocess_features(dataset, specs, metadata)
+        model = ECDModel(definition, metadata, build_default_registries(), seed=7)
+        assert inference_block_rows(model, definition) == 1024
+        blocks = _forward_chunks(model, arrays, len(dataset), definition, True)
+        monkeypatch.setattr(pipelines, "INFERENCE_BLOCK_VALUES", 0)  # one batch a block
+        assert inference_block_rows(model, definition) == 32
+        batches = _forward_chunks(model, arrays, len(dataset), definition, True)
+        for name, out in blocks.items():
+            assert out.predictions.dtype == np.float64 and len(out.predictions) == 2500
+            assert out.predictions.tobytes() == batches[name].predictions.tobytes(), name
+            assert out.loss_terms.tobytes() == batches[name].loss_terms.tobytes(), name
+
+    @pytest.mark.parametrize("edit, rows, expected", [
+        ({}, 40, 1024),
+        # 2,000 classes: one batch's predictions alone outgrow the budget
+        ({"quadrant": [f"c{i}" for i in range(2000)]}, 2000, 32),
+        # a text input's 4 padded positions count against the budget too
+        ({"basket": ["w w w w"] + ["w"] * 39}, 40, 256),
+    ], ids=["tabular", "wide_output", "positions"])
+    def test_block_rule_fits_whole_batches_to_the_budget(self, edit, rows, expected):
+        text = TABULAR_CONFIG
+        if "basket" in edit:
+            text = text.replace("name: basket\n    type: set", "name: basket\n    type: text")
+        definition = resolved(text)
+        dataset = tabular_dataset(rows)
+        dataset.columns.update(edit)
+        model = ECDModel(definition, collect_metadata(dataset, definition),
+                         build_default_registries(), seed=1, initialize=False)
+        assert inference_block_rows(model, definition) == expected
 
     def test_evaluation_memory_is_bounded_by_the_chunk(self, tmp_path):
         rng = np.random.default_rng(8)
