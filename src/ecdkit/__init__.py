@@ -20,7 +20,7 @@ from .config import Diagnostic, parse_model_definition, resolve_defaults, valida
 from .definition import CombinerSpec, DecoderSpec, EncoderSpec, ModelDefinition, TrainingParams
 from .graph import ECDModel, build_dependency_order, combined_loss
 from .pipelines import TrainingStats, ValidationFailed, experiment, load_model, predict, save_model, train
-from .registry import Registries, Registry, build_default_registries, register_component
+from .registry import Registries, Registry, build_default_registries
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "load_model",
     "parse_model_definition",
     "predict",
-    "register_component",
     "resolve_defaults",
     "save_model",
     "train",

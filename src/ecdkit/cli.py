@@ -11,10 +11,12 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .config import parse_model_definition
 from .data import read_text
+from .definition import TrainingParams
 from .errors import (
     ArtifactError,
     ConfigError,
@@ -30,7 +32,6 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 SEED_ENV_VAR = "ECD_SEED"
-DEFAULT_SEED = 42
 
 
 class _UsageExit(Exception):
@@ -56,10 +57,11 @@ def build_parser() -> _Parser:
         p.add_argument("-q", "--quiet", action="store_true",
                        help="suppress progress output (never diagnostics)")
         if trains:
+            seed = next(f for f in fields(TrainingParams) if f.name == "seed").metadata["default"]
             p.add_argument("-c", "--config", required=True, help="model definition file")
             p.add_argument("--seed", type=int, default=None,
                            help=f"random seed (falls back to ${SEED_ENV_VAR}, then the "
-                                f"definition, then {DEFAULT_SEED})")
+                                f"definition, then {seed})")
             p.add_argument("--no-cache", action="store_true",
                            help="disable the preprocessed-tensor cache")
 

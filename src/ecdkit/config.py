@@ -9,11 +9,14 @@ keywords the named component declares during validation, so typos surface
 either way.
 
 Each key is declared once, and parsing, ``resolve_defaults`` and
-``validate`` read that declaration: a training key is a field of
-``definition.TrainingParams``, a preprocessing key a field of
+``validate`` read that declaration: a feature's own key is a field of
+``definition.EncoderSpec`` or ``definition.DecoderSpec``, a training key a
+field of ``definition.TrainingParams``, a preprocessing key a field of
 ``features.PreprocParams`` (``features.TYPE_PREPROC_DEFAULTS`` names the
 keys each type takes), and a component keyword a key of its component's
-``DEFAULTS``, bounded by name in ``_KEYWORD_CHECKS``.
+``DEFAULTS``, bounded by name in ``_KEYWORD_CHECKS``. A feature's default
+encoder or decoder, and the default combiner, is the first name registered
+for it in the run's registries.
 
 ``validate`` never throws mid-run; it returns an ordered list of diagnostics
 so a single invocation reports every problem in the file.
@@ -27,20 +30,18 @@ from dataclasses import dataclass, fields
 
 from . import yamlish
 from .autodiff import UNARY_KINDS
-from .decoders import DECODERS, DEFAULT_LOSSES
 from .definition import (
     OPTIMIZERS,
-    PAYLOAD_KINDS,
     CombinerSpec,
     DecoderSpec,
     EncoderSpec,
     ModelDefinition,
     TrainingParams,
     choice,
+    number,
     positive_int,
     positive_ints,
 )
-from .encoders import ENCODERS
 from .errors import ConfigError, SchemaError
 from .features import (
     OUTPUT_TYPES,
@@ -50,18 +51,17 @@ from .features import (
     PreprocParams,
 )
 from .graph import build_dependency_order
-from .registry import Registries
+from .registry import GLOBAL_SCOPE, Registries, Registry
 
 TOP_LEVEL_KEYS = ("input_features", "combiner", "output_features", "preprocessing", "training")
-#: a feature's own keys; every other key is a component keyword
-_INPUT_RESERVED = frozenset(f.name for f in fields(EncoderSpec)) - {"params"}
-_OUTPUT_RESERVED = frozenset(f.name for f in fields(DecoderSpec)) - {"params"}
 
 #: diagnostic for a value that ``resolve_defaults`` would have set
 _MISSING = "missing value"
 
 _TRAINING_KEYS = {f.name: f.metadata for f in fields(TrainingParams)}
 _PREPROC_KEYS = {f.name: f.metadata for f in fields(PreprocParams)}
+_FEATURE_KEYS = {cls: {f.name: f.metadata for f in fields(cls) if f.metadata}
+                 for cls in (EncoderSpec, DecoderSpec)}
 
 #: the bound of a component keyword, by name, whichever component takes it
 _KEYWORD_CHECKS = {
@@ -120,7 +120,9 @@ def _parse_features(section, path: str, is_output: bool):
         raise SchemaError(f"missing required section {path!r}")
     if not isinstance(section, list) or not section:
         raise SchemaError(f"{path} must be a non-empty list of feature definitions")
-    reserved = _OUTPUT_RESERVED if is_output else _INPUT_RESERVED
+    cls = DecoderSpec if is_output else EncoderSpec
+    # every key but a feature's own is a component keyword
+    reserved = frozenset(f.name for f in fields(cls)) - {"params"}
     features = []
     for i, entry in enumerate(section):
         where = f"{path}[{i}]"
@@ -138,37 +140,17 @@ def _parse_features(section, path: str, is_output: bool):
         if is_output and ftype not in OUTPUT_TYPES:
             raise SchemaError(f"{where} ({name}): type {ftype!r} cannot be an output feature")
         preprocessing = _parse_feature_preprocessing(entry.get("preprocessing"), ftype, f"{where}.preprocessing")
+        own = {}
+        for key, declared in _FEATURE_KEYS[cls].items():
+            value = entry.get(key)
+            if value is None:
+                continue
+            if not declared["accepts"](value):
+                raise SchemaError(f"{where} ({name}): {declared['parse']}")
+            own[key] = _finite(value, f"{where} ({name}): {key}") if number(value) else value
         params = {k: v for k, v in entry.items() if k not in reserved}
-        if is_output:
-            deps = entry.get("dependencies", [])
-            if deps is None:
-                deps = []
-            if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
-                raise SchemaError(f"{where} ({name}): dependencies must be a list of feature names")
-            payload = entry.get("dependency_payload")
-            if payload is not None and payload not in PAYLOAD_KINDS:
-                raise SchemaError(f"{where} ({name}): dependency_payload must be one of "
-                                  f"{', '.join(PAYLOAD_KINDS)}")
-            loss = entry.get("loss")
-            if loss is not None and not isinstance(loss, str):
-                raise SchemaError(f"{where} ({name}): loss must be a string")
-            weight = entry.get("loss_weight")
-            if weight is not None and not isinstance(weight, (int, float)):
-                raise SchemaError(f"{where} ({name}): loss_weight must be a number")
-            decoder = entry.get("decoder")
-            if decoder is not None and not isinstance(decoder, str):
-                raise SchemaError(f"{where} ({name}): decoder must be a string")
-            features.append(DecoderSpec(name=name, type=ftype, decoder=decoder, params=params,
-                                        loss=loss,
-                                        loss_weight=float(weight) if weight is not None else None,
-                                        dependencies=list(deps), dependency_payload=payload,
-                                        preprocessing=preprocessing))
-        else:
-            encoder = entry.get("encoder")
-            if encoder is not None and not isinstance(encoder, str):
-                raise SchemaError(f"{where} ({name}): encoder must be a string")
-            features.append(EncoderSpec(name=name, type=ftype, encoder=encoder, params=params,
-                                        preprocessing=preprocessing))
+        features.append(cls(name=name, type=ftype, params=params, preprocessing=preprocessing,
+                            **own))
     return features
 
 
@@ -226,23 +208,23 @@ def _parse_training(section) -> TrainingParams:
             raise SchemaError(f"training.{key}: expected "
                               f"{'a number' if kind is float else kind.__name__}, got {value!r}")
         if kind is list:
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            if not all(number(v) for v in value):
                 raise SchemaError(f"training.{key}: fractions must be numbers")
-            value = [_finite(v, key) for v in value]
-        kwargs[key] = _finite(value, key) if kind is float else value
+            value = [_finite(v, f"training.{key}") for v in value]
+        kwargs[key] = _finite(value, f"training.{key}") if kind is float else value
     return TrainingParams(**kwargs)
 
 
-def _finite(number: int | float, key: str) -> float:
-    """``number`` as a finite float: an infinite or nan training value, or an
-    integer too large for a float, would train on updates that are all 0 or
-    all non-finite."""
+def _finite(value: int | float, path: str) -> float:
+    """``value`` as a finite float: an infinite or nan number, or an integer
+    too large for a float, would train on updates or a loss that are all 0
+    or all non-finite."""
     try:
-        value = float(number)
+        value = float(value)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise SchemaError(f"training.{key}: expected a finite number, got {value}")
+        raise SchemaError(f"{path}: expected a finite number, got {value}")
     return value
 
 
@@ -258,31 +240,16 @@ def resolve_defaults(definition: ModelDefinition, registries: Registries) -> Mod
     already-resolved definition is the identity.
     """
     out = copy.deepcopy(definition)
-    for spec in out.input_features:
-        if spec.encoder is None:
-            spec.encoder = next(iter(ENCODERS[spec.type]))
-        if registries.encoders.has(spec.encoder, scope=spec.type):
-            cls = registries.encoders.lookup(spec.encoder, scope=spec.type)
-            spec.params = _merged(getattr(cls, "DEFAULTS", {}), spec.params)
-
-    if out.combiner.name is None:
-        out.combiner.name = "concat"
-    if registries.combiners.has(out.combiner.name):
-        cls = registries.combiners.lookup(out.combiner.name)
-        out.combiner.params = _merged(getattr(cls, "DEFAULTS", {}), out.combiner.params)
-
-    for spec in out.output_features:
-        if spec.decoder is None:
-            spec.decoder = next(iter(DECODERS.get(spec.type, ())), None)
-        if spec.decoder is not None and registries.decoders.has(spec.decoder, scope=spec.type):
-            cls = registries.decoders.lookup(spec.decoder, scope=spec.type)
-            spec.params = _merged(getattr(cls, "DEFAULTS", {}), spec.params)
-        if spec.loss is None:
-            spec.loss = DEFAULT_LOSSES.get(spec.type)
-        if spec.loss_weight is None:
-            spec.loss_weight = 1.0
-
+    out.combiner.name, out.combiner.params = _component(
+        registries.combiners, out.combiner.name, GLOBAL_SCOPE, out.combiner.params)
     for spec in out.input_features + out.output_features:
+        for key, declared in _FEATURE_KEYS[type(spec)].items():
+            if declared["component"]:
+                name, spec.params = _component(getattr(registries, declared["component"]),
+                                               getattr(spec, key), spec.type, spec.params)
+                setattr(spec, key, name)
+            elif getattr(spec, key) is None:
+                setattr(spec, key, declared["default"])
         spec.preprocessing = _merged(TYPE_PREPROC_DEFAULTS[spec.type],
                                      out.preprocessing.get(spec.type, {}), spec.preprocessing)
 
@@ -296,6 +263,16 @@ def resolve_defaults(definition: ModelDefinition, registries: Registries) -> Mod
     if tr.validation_feature is None:
         tr.validation_feature = out.output_features[0].name
     return out
+
+
+def _component(registry: Registry, name: str | None, scope: str, params: dict):
+    """``name``, or the first one registered for ``scope``, and ``params``
+    over the defaults its component declares."""
+    if name is None:
+        name = registry.default(scope)
+    if registry.has(name, scope):
+        params = _merged(getattr(registry.lookup(name, scope), "DEFAULTS", {}), params)
+    return name, params
 
 
 def _merged(*layers: dict) -> dict:
@@ -321,19 +298,12 @@ def validate(definition: ModelDefinition, header: list[str],
 
     for spec in definition.input_features:
         path = f"input_features.{spec.name}"
-        diags.extend(_check_feature(path, spec, spec.encoder, registries.encoders,
-                                    seen_names, header_set))
+        diags.extend(_check_feature(path, spec, registries, seen_names, header_set))
         diags.extend(_check_preprocessing(path, spec.type, spec.preprocessing))
 
     for spec in definition.output_features:
         path = f"output_features.{spec.name}"
-        diags.extend(_check_feature(path, spec, spec.decoder, registries.decoders,
-                                    seen_names, header_set))
-        if spec.loss != DEFAULT_LOSSES.get(spec.type):
-            diags.append(Diagnostic(path, f"loss {spec.loss!r} is not valid for type "
-                                          f"{spec.type!r}; expected {DEFAULT_LOSSES.get(spec.type)!r}"))
-        if spec.loss_weight is None or spec.loss_weight <= 0:
-            diags.append(Diagnostic(path, f"loss_weight must be positive, got {spec.loss_weight}"))
+        diags.extend(_check_feature(path, spec, registries, seen_names, header_set))
         for dep in spec.dependencies:
             if dep == spec.name:
                 diags.append(Diagnostic(path, "feature depends on itself"))
@@ -355,28 +325,40 @@ def validate(definition: ModelDefinition, header: list[str],
             diags.append(Diagnostic("output_features", str(exc)))
 
     diags.extend(_check_tagger(definition))
-    diags.extend(_check_combiner(definition, registries))
+    diags.extend(_check_component("combiner", registries.combiners, definition.combiner.name,
+                                  GLOBAL_SCOPE, definition.combiner.params))
     diags.extend(_check_training(definition, header_set, output_names))
     return diags
 
 
-def _check_feature(path: str, spec, component, registry, seen_names: set,
+def _check_feature(path: str, spec, registries: Registries, seen_names: set,
                    header_set: set) -> list[Diagnostic]:
     """What an input and an output feature share: its name, its column, and
-    its encoder or decoder with that component's keywords."""
+    each declared key: its encoder or decoder with that component's
+    keywords, or a value within its bound."""
     out = []
     if spec.name in seen_names:
         out.append(Diagnostic(path, "duplicate feature name"))
     seen_names.add(spec.name)
     if spec.name not in header_set:
         out.append(Diagnostic(path, f"column {spec.name!r} not found in dataset header"))
-    if not registry.has(component, scope=spec.type):
-        names = ", ".join(registry.names(spec.type)) or "(none)"
-        out.append(Diagnostic(path, f"unknown {registry.kind} {component!r} for type "
-                                    f"{spec.type!r}; registered: {names}"))
-    else:
-        out.extend(_check_keywords(path, spec.params, registry.lookup(component, scope=spec.type)))
+    for key, declared in _FEATURE_KEYS[type(spec)].items():
+        value = getattr(spec, key)
+        if declared["component"]:
+            out.extend(_check_component(path, getattr(registries, declared["component"]),
+                                        value, spec.type, spec.params))
+        elif declared["bound"] is not None and (value is None or not declared["bound"](value)):
+            out.append(Diagnostic(path, declared["message"].format(value=value)))
     return out
+
+
+def _check_component(path: str, registry: Registry, name: str | None, scope: str,
+                     params: dict) -> list[Diagnostic]:
+    if not registry.has(name, scope):
+        where = "" if scope == GLOBAL_SCOPE else f" for type {scope!r}"
+        names = ", ".join(registry.names(scope)) or "(none)"
+        return [Diagnostic(path, f"unknown {registry.kind} {name!r}{where}; registered: {names}")]
+    return _check_keywords(path, params, registry.lookup(name, scope))
 
 
 def _check_keywords(path: str, params: dict, cls) -> list[Diagnostic]:
@@ -435,15 +417,6 @@ def _check_tagger(definition: ModelDefinition) -> list[Diagnostic]:
                                   f"tagger max_sequence_length {dst_cap} must match input feature "
                                   f"{source.name!r} ({src_cap})"))
     return out
-
-
-def _check_combiner(definition: ModelDefinition, registries: Registries) -> list[Diagnostic]:
-    name = definition.combiner.name
-    if not registries.combiners.has(name):
-        return [Diagnostic("combiner", f"unknown combiner {name!r}; "
-                                       f"registered: {', '.join(registries.combiners.names())}")]
-    cls = registries.combiners.lookup(name)
-    return _check_keywords("combiner", definition.combiner.params, cls)
 
 
 def _check_training(definition: ModelDefinition, header_set: set, output_names: list) -> list[Diagnostic]:

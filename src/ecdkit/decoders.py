@@ -12,7 +12,7 @@ The built-in decoders share one body and differ only in data: the output
 width follows from the metadata, the output op is the class's ``OUTPUT``,
 the loss op is ``DEFAULT_LOSSES`` of the type. Every decoder receives
 ``seq_width``, the width of the tagged input's per-position states; only the
-tagger reads it. The first name in a type's ``DECODERS`` entry is its default.
+tagger reads it. A type's ``DECODERS`` entry registers its default first.
 A numerical target batch holds raw values, as its column does: the
 numerical regressor normalizes it before the loss and denormalizes its
 predictions, so every decoder's predictions are in raw data space.

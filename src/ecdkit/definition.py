@@ -7,10 +7,10 @@ declaration order, so ``config.definition_from_dict`` reads either state
 back to an equal definition. A model directory stores the resolved state's
 dict as JSON.
 
-A key of a fixed section is declared once, as a dataclass field whose
-metadata holds its ``bound`` (a predicate on a set value) and the
-``message`` that ``config.validate`` reports when the bound fails, with
-``{value}`` standing for the value.
+A key of a fixed section, and a feature's own key, is declared once, as a
+dataclass field whose metadata holds its ``bound`` (a predicate on a set
+value) and the ``message`` that ``config.validate`` reports when the bound
+fails, with ``{value}`` standing for the value.
 """
 
 from __future__ import annotations
@@ -37,6 +37,21 @@ def choice(name: str, options) -> dict:
     options = tuple(options)  # a tuple takes an unhashable value too
     return {"bound": lambda value: value in options,
             "message": f"unknown {name} {{value!r}}; available: {', '.join(options)}"}
+
+
+def number(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool is neither."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def feature_key(accepts, parse: str, default=None, bound=None, message: str = "",
+                component: str | None = None) -> dict:
+    """A feature's own key: ``accepts`` a document's value (null leaves it
+    unset, and a number is stored as a finite float), else ``parse`` is the
+    schema error; its ``default``, or the first name registered for the
+    feature's type in the run's ``component`` registry, fills it in."""
+    return {"accepts": accepts, "parse": parse, "default": default, "bound": bound,
+            "message": message, "component": component}
 
 
 def declare(kind: type, default=None, bound=None, message: str = "") -> Any:
@@ -79,22 +94,30 @@ class EncoderSpec(_Section):
 
     name: str
     type: str
-    encoder: str | None = None
+    encoder: str | None = field(default=None, metadata=feature_key(
+        lambda v: isinstance(v, str), "encoder must be a string", component="encoders"))
     params: dict[str, Any] = field(default_factory=dict)
     preprocessing: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
 class DecoderSpec(_Section):
-    """One output feature: decoder, loss, and output-dependency wiring."""
+    """One output feature: decoder, loss weight, and output-dependency wiring;
+    its loss is its type's."""
 
     name: str
     type: str
-    decoder: str | None = None
-    loss: str | None = None
-    loss_weight: float | None = None
-    dependencies: list[str] = field(default_factory=list)
-    dependency_payload: str | None = None
+    decoder: str | None = field(default=None, metadata=feature_key(
+        lambda v: isinstance(v, str), "decoder must be a string", component="decoders"))
+    loss_weight: float | None = field(default=None, metadata=feature_key(
+        number, "loss_weight must be a number", 1.0, lambda v: v > 0,
+        "loss_weight must be positive, got {value}"))
+    dependencies: list[str] = field(default_factory=list, metadata=feature_key(
+        lambda v: isinstance(v, list) and all(isinstance(d, str) for d in v),
+        "dependencies must be a list of feature names"))
+    dependency_payload: str | None = field(default=None, metadata=feature_key(
+        lambda v: v in PAYLOAD_KINDS,
+        f"dependency_payload must be one of {', '.join(PAYLOAD_KINDS)}"))
     params: dict[str, Any] = field(default_factory=dict)
     preprocessing: dict[str, Any] = field(default_factory=dict)
 

@@ -20,7 +20,7 @@ it understands and falls back to its declared defaults, so alternative
 implementations stay interchangeable behind one interface. Where two
 encoders differ only in defaults they share one class: ``DenseEncoder`` is
 ``PassthroughEncoder`` with a 32-wide fc layer, its input width the vector
-length. The first name in a type's ``ENCODERS`` entry is its default encoder.
+length. A type's ``ENCODERS`` entry registers its default encoder first.
 """
 
 from __future__ import annotations

@@ -440,7 +440,9 @@ def _metric(name, higher_is_better):
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
-    """The sum of ``values`` added one at a time, first to last."""
+    """The sum of ``values`` added one at a time, first to last; builtin
+    ``sum`` compensates its rounding since Python 3.12, so its bits would
+    depend on the interpreter."""
     total = 0.0
     for value in values:
         total += value
@@ -464,19 +466,19 @@ def _cross_entropy(truths, preds):
 
 @_metric("mse", False)
 def _mse(truths, preds):
-    return sum((t - p) ** 2 for t, p in _raw_pairs(truths, preds)) / len(truths)
+    return _sum_in_order((t - p) ** 2 for t, p in _raw_pairs(truths, preds)) / len(truths)
 
 
 @_metric("mae", False)
 def _mae(truths, preds):
-    return sum(abs(t - p) for t, p in _raw_pairs(truths, preds)) / len(truths)
+    return _sum_in_order(abs(t - p) for t, p in _raw_pairs(truths, preds)) / len(truths)
 
 
 @_metric("r2", True)
 def _r2(truths, preds):
-    mean = sum(truths.ravel().tolist()) / len(truths)
-    ss_tot = sum((t - mean) ** 2 for t in truths.ravel().tolist())
-    ss_res = sum((t - p) ** 2 for t, p in _raw_pairs(truths, preds))
+    mean = _sum_in_order(truths.ravel().tolist()) / len(truths)
+    ss_tot = _sum_in_order((t - mean) ** 2 for t in truths.ravel().tolist())
+    ss_res = _sum_in_order((t - p) ** 2 for t, p in _raw_pairs(truths, preds))
     if ss_tot == 0.0:
         return 0.0
     return 1.0 - ss_res / ss_tot

@@ -1,10 +1,10 @@
 """Name -> factory registries for every pluggable component kind.
 
 Components are addressed from the declarative definition purely by name, so
-adding a behavior is one ``register_component`` call. Names are unique per
-(kind, feature-type scope); re-registration is an error rather than a silent
-override. Factories receive the full keyword map of the feature definition
-and read the keys they understand.
+adding a behavior is one ``Registry.register`` call, and the first name
+registered for a feature-type scope is its default. Names are unique per
+(kind, scope); re-registration is an error rather than a silent override.
+Factories receive the full keyword map of the feature definition.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ class Registry:
     def has(self, name: str, scope: str = GLOBAL_SCOPE) -> bool:
         return name in self._entries.get(scope, {})
 
-
-def register_component(registry: Registry, name: str, factory, scope: str = GLOBAL_SCOPE) -> Registry:
-    registry.register(name, factory, scope)
-    return registry
+    def default(self, scope: str = GLOBAL_SCOPE) -> str | None:
+        """The first name registered for ``scope``; None if there is none."""
+        return next(iter(self._entries.get(scope, {})), None)
 
 
 @dataclass

@@ -672,17 +672,27 @@ class TestValuesOutOfBounds:
             "lowercase_number", "lowercase_word"])
     def test_train_exits_2_with_one_line(self, tmp_path, capsys, preprocessing, training,
                                          expected):
+        assert self.train_error(tmp_path, capsys, preprocessing=preprocessing,
+                                training=training) == f"error: {expected}\n"
+
+    def test_a_loss_weight_beyond_a_float_exits_2_with_one_line(self, tmp_path, capsys):
+        assert self.train_error(tmp_path, capsys, output=f"    loss_weight: {'9' * 400}\n") == (
+            "error: output_features[0] (label): loss_weight: expected a finite number, got inf\n")
+
+    @staticmethod
+    def train_error(tmp_path, capsys, preprocessing="", output="", training=""):
+        """The one stderr line of a ``train`` that exits 2 before any work."""
         dataset = synth.keyword_text(tmp_path / "text.csv", n=10, seed=0)
         config = tmp_path / "model.yaml"
         config.write_text("input_features:\n  - name: text\n    type: text\n"
                           "    preprocessing:\n      tokenizer: space\n" + preprocessing
-                          + "output_features:\n  - name: label\n    type: category\n"
-                          "training:\n  epochs: 1\n" + training, encoding="utf-8")
+                          + "output_features:\n  - name: label\n    type: category\n" + output
+                          + "training:\n  epochs: 1\n" + training, encoding="utf-8")
         capsys.readouterr()
         assert run(["train", "-c", config, "-d", dataset, "-o", tmp_path / "run"]) == 2
-        assert one_line_error(capsys) == f"error: {expected}\n"
         assert not (tmp_path / "run").exists()
         assert not (tmp_path / "text.csv.ecdc").exists()
+        return one_line_error(capsys)
 
 
 def _damage_definition(text):
@@ -701,7 +711,11 @@ class TestDamagedDefinition:
         (_damage_definition, "fc_sizes must be a list of positive integers, got 7"),
         (lambda text: text.replace('"type": "numerical"', '"type": "image"', 1),
          "unknown type 'image'"),
-    ], ids=["truncated", "unknown_encoder", "fc_sizes_not_a_list", "schema"])
+        # a model saved when an output stored its loss must be retrained
+        (lambda text: text.replace('"decoder": "regressor"',
+                                   '"decoder": "regressor", "loss": "sigmoid_bce"', 1),
+         "output_features.label.loss: keyword 'loss' is not accepted by BinaryRegressorDecoder"),
+    ], ids=["truncated", "unknown_encoder", "fc_sizes_not_a_list", "schema", "stored_loss"])
     def test_predict_exits_3_with_one_line(self, mixed_model, tmp_path, capsys,
                                            corrupt, expected):
         _, trained = mixed_model

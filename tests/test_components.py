@@ -176,4 +176,3 @@ class TestTypeTables:
             assert spec.encoder == next(iter(ENCODERS[spec.type]))
         for spec in definition.output_features:
             assert spec.decoder == next(iter(DECODERS[spec.type]))
-            assert spec.loss == DEFAULT_LOSSES[spec.type]

@@ -21,7 +21,7 @@ from ecdkit.encoders import ENCODERS
 from ecdkit.errors import RegistryError, SchemaError
 from ecdkit.features import OUTPUT_TYPES, SUPPORTED_TYPES, TYPE_PREPROC_DEFAULTS
 from ecdkit.graph import ConcatCombiner
-from ecdkit.registry import Registry, build_default_registries, register_component
+from ecdkit.registry import Registries, Registry, build_default_registries
 
 MINIMAL = (
     "input_features:\n"
@@ -141,7 +141,6 @@ class TestResolveDefaults:
         d = resolve_defaults(parse_model_definition(MINIMAL), registries)
         assert d.input_features[0].encoder == "embed"
         assert d.output_features[0].decoder == "classifier"
-        assert d.output_features[0].loss == "softmax_cross_entropy"
         assert d.output_features[0].loss_weight == 1.0
 
     def test_encoder_default_hyperparameters_filled(self, registries):
@@ -263,7 +262,7 @@ class TestValidate:
     def test_multiple_problems_all_reported(self, registries):
         d = resolve_defaults(parse_model_definition(MINIMAL), registries)
         d.input_features[0].encoder = "nope"
-        d.output_features[0].loss = "mse"
+        d.output_features[0].loss_weight = 0.0
         diags = validate(d, ["wrong_column"], registries)
         assert len(diags) >= 3
 
@@ -325,7 +324,7 @@ class TestRegistry:
         class MyEncoder:
             DEFAULTS = {"width": 4}
 
-        register_component(registries.encoders, "myenc", MyEncoder, scope="text")
+        registries.encoders.register("myenc", MyEncoder, scope="text")
         d = parse_model_definition(MINIMAL.replace("type: text", "type: text\n    encoder: myenc"))
         resolved = resolve_defaults(d, registries)
         assert resolved.input_features[0].params == {"width": 4}
@@ -338,6 +337,17 @@ class TestRegistry:
             "MyEncoder; accepted: width",
             "input_features.title.embedding_size: embedding_size must be a positive integer, "
             "got 0"]
+
+    def test_default_is_the_first_name_registered_for_the_type(self):
+        class MyEncoder:
+            DEFAULTS = {"width": 4}
+
+        registries = Registries()
+        registries.encoders.register("myenc", MyEncoder, scope="text")
+        resolved = resolve_defaults(parse_model_definition(MINIMAL), registries)
+        assert (resolved.input_features[0].encoder, resolved.input_features[0].params) == \
+            ("myenc", {"width": 4})
+        assert (resolved.output_features[0].decoder, resolved.combiner.name) == (None, None)
 
     def test_duplicate_registration_is_error(self, registries):
         with pytest.raises(RegistryError, match="rnn"):
@@ -417,10 +427,16 @@ SCHEMA_ERRORS = [
     pytest.param(doc(outputs=(dict(Y, dependency_payload="logits"),)),
                  "output_features[0] (y): dependency_payload must be one of "
                  "last_hidden, probabilities", id="dependency_payload"),
-    pytest.param(doc(outputs=(dict(Y, loss=1),)), "output_features[0] (y): loss must be a string",
-                 id="loss"),
     pytest.param(doc(outputs=(dict(Y, loss_weight="2"),)),
                  "output_features[0] (y): loss_weight must be a number", id="loss_weight"),
+    pytest.param(doc(outputs=(dict(Y, loss_weight=True),)),
+                 "output_features[0] (y): loss_weight must be a number", id="loss_weight_bool"),
+    pytest.param(doc(outputs=(dict(Y, loss_weight=1e400),)),
+                 "output_features[0] (y): loss_weight: expected a finite number, got inf",
+                 id="loss_weight_inf"),
+    pytest.param(doc(outputs=(dict(Y, loss_weight=10**400),)),
+                 "output_features[0] (y): loss_weight: expected a finite number, got inf",
+                 id="loss_weight_huge_int"),
     pytest.param(doc(outputs=(dict(Y, decoder=1),)),
                  "output_features[0] (y): decoder must be a string", id="decoder"),
     pytest.param(doc(inputs=(dict(X, encoder=["rnn"]),)),
@@ -560,9 +576,11 @@ VALIDATE_DIAGNOSTICS = {
     "unknown_decoder": check(lambda d: setattr(d.output_features[0], "decoder", "regressor"), [
         "output_features.label: unknown decoder 'regressor' for type 'category'; "
         "registered: classifier"]),
-    "loss": check(lambda d: setattr(d.output_features[0], "loss", "mse"), [
-        "output_features.label: loss 'mse' is not valid for type 'category'; "
-        "expected 'softmax_cross_entropy'"]),
+    # a model saved with the old loss key is refused as it is stored
+    "loss": check(lambda d: None, [
+        "output_features.label.loss: keyword 'loss' is not accepted by "
+        "CategoryClassifierDecoder; accepted: activation, fc_sizes"],
+        text=MINIMAL + "    loss: softmax_cross_entropy\n"),
     "loss_weight": check(lambda d: setattr(d.output_features[0], "loss_weight", 0.0), [
         "output_features.label: loss_weight must be positive, got 0.0"]),
     "self_dependency": check(lambda d: d.output_features[0].dependencies.append("label"), [
@@ -660,8 +678,10 @@ def test_each_validate_diagnostic_word_for_word(registries, text, damage, header
 # any value at any declared key: a SchemaError, or a definition validate reads
 # ---------------------------------------------------------------------------
 
-#: YAML values: negative, zero, fractional, positive, bool, string, lists, null
-POOL = ("-1", "0", "0.5", "3", "true", "maybe", "[]", "[3, 0.5]", "[3, 5]", "null")
+#: YAML values: negative, zero, fractional, positive, bool, string, lists, null, and
+#: two numbers beyond a float: one that reads as inf, and a 400-digit integer
+POOL = ("-1", "0", "0.5", "3", "true", "maybe", "[]", "[3, 0.5]", "[3, 5]", "null", "1e400",
+        "9" * 400)
 INPUTS = [(f"in_{t}", t) for t in SUPPORTED_TYPES]
 OUTPUTS = [(f"out_{t}", t) for t in OUTPUT_TYPES]
 
@@ -670,15 +690,18 @@ def keywords(table, ftype):
     return sorted({key for cls in table[ftype].values() for key in cls.DEFAULTS})
 
 
-#: (section, owner, key): every training key, every preprocessing key of
-#: each type, and every keyword of a built-in component
+#: (section, owner, key): every training key, every feature's own keys, every
+#: preprocessing key of each type, and every keyword of a built-in component
 SLOTS = ([("training", None, f.name) for f in fields(TrainingParams)]
          + [("combiner", None, key) for key in ConcatCombiner.DEFAULTS]
          + [(kind, name, key) for name, ftype in INPUTS
-            for kind, keys in (("keyword", keywords(ENCODERS, ftype)),
+            for kind, keys in (("feature", ("encoder",)),
+                               ("keyword", keywords(ENCODERS, ftype)),
                                ("preprocessing", TYPE_PREPROC_DEFAULTS[ftype])) for key in keys]
          + [(kind, name, key) for name, ftype in OUTPUTS
-            for kind, keys in (("keyword", keywords(DECODERS, ftype)),
+            for kind, keys in (("feature", ("decoder", "loss_weight", "dependencies",
+                                            "dependency_payload")),
+                               ("keyword", keywords(DECODERS, ftype)),
                                ("preprocessing", TYPE_PREPROC_DEFAULTS[ftype])) for key in keys])
 
 
@@ -691,9 +714,12 @@ def definition_yaml(values: dict, encoders: dict) -> str:
 
     def feature(name, ftype, encoder=None):
         pre = block("preprocessing", name, "      ")
+        # an encoder at its slot replaces the one drawn for the type
+        if ("feature", name, "encoder") in values:
+            encoder = None
         return (f"  - name: {name}\n    type: {ftype}\n"
                 + (f"    encoder: {encoder}\n" if encoder else "")
-                + block("keyword", name, "    ")
+                + block("feature", name, "    ") + block("keyword", name, "    ")
                 + (f"    preprocessing:\n{pre}" if pre else ""))
 
     return ("input_features:\n"

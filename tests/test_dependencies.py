@@ -12,7 +12,9 @@ values: only ``features`` (its range check), ``encoders`` and ``decoders``
 read ``normalize`` or ``denormalize``, and ``pipelines`` treats no feature
 type as ``"numerical"``. Only the training loop and the inference block rule
 read ``training.batch_size``, so no inference path cuts at the training
-batch."""
+batch. Only ``registry`` reads the built-in ``ENCODERS`` and ``DECODERS``
+tables, so a run's components and defaults come from the registries it was
+given, and only ``decoders`` reads ``DEFAULT_LOSSES``."""
 
 import ast
 import sys
@@ -172,3 +174,19 @@ def batch_size_readers(path: Path) -> set[str]:
 def test_only_training_and_the_block_rule_read_the_batch_size():
     readers = set().union(*(batch_size_readers(path) for path in sorted(PACKAGE.glob("*.py"))))
     assert readers == {"pipelines._run_training", "pipelines.inference_block_rows"}
+
+
+def reads_name(path: Path, name: str) -> bool:
+    """Whether one source file imports or reads the module-level ``name``."""
+    return any(isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+               or isinstance(node, ast.alias) and node.name == name
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                              filename=str(path))))
+
+
+def test_only_the_registries_read_the_component_tables():
+    def readers(name):
+        return [path.stem for path in sorted(PACKAGE.glob("*.py")) if reads_name(path, name)]
+
+    assert readers("ENCODERS") == readers("DECODERS") == ["registry"]
+    assert readers("DEFAULT_LOSSES") == ["decoders"]

@@ -445,6 +445,18 @@ class TestMetrics:
     def test_mse(self):
         assert ft.compute_metric("mse", [1.0, 2.0], [[2.0], [4.0]]) == 2.5
 
+    def test_numerical_metrics_sum_rows_in_order(self):
+        # errors of 1e16, 1 and 1: added first to last, each 1 rounds away in
+        # 1e16, while a compensated sum (builtin sum since Python 3.12) keeps both
+        zeros = [[0.0]] * 3
+        assert 1e16 + 1.0 + 1.0 != math.fsum([1e16, 1.0, 1.0])
+        assert ft.compute_metric("mse", [1e8, 1.0, 1.0], zeros) == (1e16 + 1.0 + 1.0) / 3
+        assert ft.compute_metric("mae", [1e16, 1.0, 1.0], zeros) == (1e16 + 1.0 + 1.0) / 3
+        mean = (1e8 + 1.0 + 1.0) / 3
+        ss_tot = (1e8 - mean) ** 2 + (1.0 - mean) ** 2 + (1.0 - mean) ** 2
+        assert ft.compute_metric("r2", [1e8, 1.0, 1.0], zeros) == \
+            1.0 - (1e16 + 1.0 + 1.0) / ss_tot
+
     def test_token_accuracy_counts_a_predicted_pad_as_a_miss(self):
         meta = ft.build_metadata(["a b c x"], "sequence", params())
         preds = np.zeros((1, 4, meta.vocab_size))
