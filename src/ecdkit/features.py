@@ -21,8 +21,9 @@ import math
 import sys
 import typing
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -37,10 +38,15 @@ UNK = "<UNK>"
 
 TRUE_FORMS = frozenset({"true", "1", "t", "yes"})
 FALSE_FORMS = frozenset({"false", "0", "f", "no"})
+#: a binary cell's value by its stripped, lowercased form
+BINARY_VALUES = {**dict.fromkeys(TRUE_FORMS, 1.0), **dict.fromkeys(FALSE_FORMS, 0.0)}
 
 TOKENIZERS = ("space", "character")
 NORMALIZATIONS = ("zscore", "minmax", "none")
 MISSING_STRATEGIES = ("fill_const", "fill_mean", "drop_row")
+#: the rows whose token lists preprocessing holds at once, so that they are
+#: not all held together
+ID_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -85,12 +91,13 @@ def is_missing(raw: str) -> bool:
     return raw is None or raw == ""
 
 
-def tokenize(text: str, strategy: str) -> list[str]:
-    """Split text into tokens: on whitespace runs, or into unicode characters."""
+def tokenizer(strategy: str) -> Callable[[str], list[str]]:
+    """The function that splits text into tokens: on whitespace runs
+    (``space``), or into unicode characters (``character``)."""
     if strategy == "space":
-        return text.split()
+        return str.split
     if strategy == "character":
-        return list(text)
+        return list
     raise RegistryError(f"unknown tokenizer {strategy!r}; available: {', '.join(TOKENIZERS)}")
 
 
@@ -162,13 +169,9 @@ class VectorMetadata:
 FeatureMetadata = VocabMetadata | NumericalMetadata | BinaryMetadata | VectorMetadata
 
 
-def _tokens(cell: str, ftype: str, params: PreprocParams) -> list[str]:
-    """The vocabulary tokens of one (lowercased as configured) cell."""
-    if ftype == "category":
-        return [cell]
-    if ftype == "set":
-        return cell.split()
-    return tokenize(cell, params.tokenizer)  # sequence, text
+def _token_splitter(ftype: str, params: PreprocParams) -> Callable[[str], list[str]]:
+    """The function that splits a set, sequence or text cell into its tokens."""
+    return str.split if ftype == "set" else tokenizer(params.tokenizer)
 
 
 def build_metadata(column: list[str], ftype: str, params: PreprocParams,
@@ -186,15 +189,18 @@ def build_metadata(column: list[str], ftype: str, params: PreprocParams,
         raise RegistryError(f"unknown feature type {ftype!r}; available: {', '.join(SUPPORTED_TYPES)}")
     if lines is None:
         lines = range(2, len(column) + 2)
-    present = [(line, raw) for line, raw in zip(lines, column) if not is_missing(raw)]
+    cells = column
+    if "" in column or None in column:  # only the present cells, with their lines
+        kept = [i for i, raw in enumerate(column) if not is_missing(raw)]
+        cells, lines = [column[i] for i in kept], [lines[i] for i in kept]
     if ftype == "binary":
-        _parse_cells(present, parse_binary)
+        _binary_column(cells, lines)
         return BinaryMetadata()
-    if not present:
+    if not cells:
         raise MetadataError(f"column has no usable values for type {ftype!r}")
 
     if ftype == "numerical":
-        values = np.array(_parse_cells(present, parse_float))
+        values = _number_column(cells, lines)
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(values.mean())
             std = float(math.sqrt(float(((values - mean) ** 2).mean())))
@@ -209,21 +215,22 @@ def build_metadata(column: list[str], ftype: str, params: PreprocParams,
                                  min=float(values.min()), max=float(values.max()))
 
     if ftype == "vector":
-        length = len(_parse_cells(present[:1], parse_vector)[0])
+        length = len(_parse_cells([(lines[0], cells[0])], parse_vector)[0])
         return VectorMetadata(type="vector", length=length)
 
-    token_rows = [_tokens(raw.lower() if params.lowercase else raw, ftype, params)
-                  for _, raw in present]
-    counts = Counter()
-    for row in token_rows:
-        counts.update(row)
+    if params.lowercase:
+        cells = list(map(str.lower, cells))
+    max_len = 1
+    if ftype == "category":
+        counts = Counter(cells)
+    else:
+        token_rows = list(map(_token_splitter(ftype, params), cells))
+        counts = Counter(chain.from_iterable(token_rows))
+        if ftype in ("sequence", "text"):
+            max_len = max(1, min(max(map(len, token_rows)), params.max_sequence_length))
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     reserved = [PAD, UNK] if ftype in ("sequence", "text") else [UNK]
     kept = [tok for tok, _ in ordered[: params.vocab_size] if tok not in reserved]
-    max_len = 1
-    if ftype in ("sequence", "text"):
-        observed = max((len(row) for row in token_rows), default=1)
-        max_len = max(1, min(observed, params.max_sequence_length))
     return VocabMetadata(type=ftype, id2token=reserved + kept, max_sequence_length=max_len)
 
 
@@ -242,12 +249,33 @@ def _parse_cells(cells: Iterable[tuple[int, str]], parse) -> list:
     return values
 
 
+def _number_column(cells: Sequence[str], lines: Sequence[int]) -> np.ndarray:
+    """The float64 values of a numerical column, ``parse_float`` of each
+    cell: ``float`` over the whole column and one finiteness test, with the
+    per-cell path run only to name the line of a bad cell."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        values = np.array(_parse_cells(zip(lines, cells), parse_float), dtype=np.float64)
+    return values
+
+
+def _binary_column(cells: Sequence[str], lines: Sequence[int]) -> np.ndarray:
+    """The 0/1 values of a binary column, ``parse_binary`` of each cell: each
+    distinct cell is looked up once, with the per-cell path run only to name
+    the line of a bad cell."""
+    forms = {raw: BINARY_VALUES.get(raw.strip().lower()) for raw in set(cells)}
+    if None in forms.values():
+        return np.array(_parse_cells(zip(lines, cells), parse_binary), dtype=np.float64)
+    return np.fromiter(map(forms.__getitem__, cells), np.float64, len(cells))
+
+
 def parse_binary(raw: str) -> float:
-    low = raw.strip().lower()
-    if low in TRUE_FORMS:
-        return 1.0
-    if low in FALSE_FORMS:
-        return 0.0
+    value = BINARY_VALUES.get(raw.strip().lower())
+    if value is not None:
+        return value
     raise DataError(f"unrecognized binary value {raw!r} "
                     f"(expected one of {sorted(TRUE_FORMS)} / {sorted(FALSE_FORMS)})")
 
@@ -289,9 +317,10 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
     category -> integer id, each of width 1; set -> multi-hot over the
     vocabulary; sequence/text -> max_len integer ids right-padded with
     <PAD>; vector -> its fixed length of floats. Missing cells are resolved
-    by the configured strategy first; a cell that does not parse is
-    reported with its line from ``lines``. The vocabulary types share one id
-    pass, a cell's tokens at a time, cut to max_len; out-of-vocabulary
+    by the configured strategy first. Numerical and binary cells parse a
+    column at a time; a cell that does not parse is reported with its line
+    from ``lines``. The vocabulary types share one id lookup pass over every
+    token of the column, a row's tokens cut to max_len; out-of-vocabulary
     tokens get ``<UNK>``'s id. A vector value, or a numerical value once
     normalized, that float32 cannot hold is a data error naming its line.
     """
@@ -299,25 +328,26 @@ def preprocess_column(column: Sequence[str], lines: Sequence[int], ftype: str,
         raise RegistryError(f"unknown feature type {ftype!r}")
     cells = _filled_cells(column, ftype, meta, params)
     if ftype == "numerical":
-        values = np.array(_parse_cells(zip(lines, cells), parse_float)).reshape(-1, 1)
+        values = _number_column(cells, lines).reshape(-1, 1)
         _within_float32(meta.normalize(values), lines)
         return values
     if ftype == "binary":
-        return np.array(_parse_cells(zip(lines, cells), parse_binary)).reshape(-1, 1)
+        return _binary_column(cells, lines).reshape(-1, 1)
     if ftype == "vector":
         rows = _parse_cells(zip(lines, cells), lambda raw: parse_vector(raw, meta.length))
         return _within_float32(np.array(rows).reshape(-1, meta.length), lines)
 
     get, unk = meta.token2id.get, meta.token2id[UNK]
-    width = meta.max_sequence_length if ftype in ("sequence", "text") else None
-    ids, counts = [], []
-    for cell in cells:
-        tokens = _tokens(cell, ftype, params)[:width]
-        ids += [get(tok, unk) for tok in tokens]
-        counts.append(len(tokens))
-    ids, counts = np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64)
     if ftype == "category":
-        return ids.astype(np.float64).reshape(-1, 1)
+        return np.fromiter(map(get, cells, repeat(unk)), np.float64, len(cells)).reshape(-1, 1)
+    split = _token_splitter(ftype, params)
+    width = meta.max_sequence_length if ftype in ("sequence", "text") else None
+    counts, ids = [], [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(cells), ID_BLOCK_ROWS):
+        token_rows = [tokens[:width] for tokens in map(split, cells[start:start + ID_BLOCK_ROWS])]
+        counts += map(len, token_rows)
+        ids.append(np.fromiter(map(get, chain.from_iterable(token_rows), repeat(unk)), np.int64))
+    counts, ids = np.array(counts, dtype=np.int64), np.concatenate(ids)
     if ftype == "set":
         hot = np.zeros((len(cells), meta.vocab_size))
         hot[np.repeat(np.arange(len(cells)), counts), ids] = 1.0
@@ -340,13 +370,13 @@ def _within_float32(values: np.ndarray, lines: Sequence[int]) -> np.ndarray:
 
 
 def _filled_cells(column: Sequence[str], ftype: str, meta: FeatureMetadata,
-                  params: PreprocParams) -> list[str]:
+                  params: PreprocParams) -> Sequence[str]:
     """The cells as preprocessing reads them: missing ones filled by the
     configured strategy, then all lowercased if so configured."""
-    if any(is_missing(raw) for raw in column):
+    if "" in column or None in column:
         fill = _fill_missing(ftype, meta, params)
         column = [fill if is_missing(raw) else raw for raw in column]
-    return [raw.lower() for raw in column] if params.lowercase else list(column)
+    return list(map(str.lower, column)) if params.lowercase else column
 
 
 def _fill_missing(ftype: str, meta: FeatureMetadata, params: PreprocParams) -> str:
@@ -391,7 +421,7 @@ def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata,
         if arr.ndim != 2 or arr.shape[1] != meta.vocab_size:
             raise ShapeError(f"{ftype} prediction dims {arr.shape} != [b x {meta.vocab_size}]")
         if ftype == "category":
-            return [meta.id2token[i] for i in np.argmax(arr, axis=1).tolist()]
+            return list(map(meta.id2token.__getitem__, np.argmax(arr, axis=1).tolist()))
         return [[tok for tok, hit in zip(meta.id2token, row) if hit]
                 for row in (arr >= 0.5).tolist()]
     if ftype == "sequence":
@@ -439,14 +469,14 @@ def _metric(name, higher_is_better):
     return deco
 
 
-def _sum_in_order(values: Iterable[float]) -> float:
-    """The sum of ``values`` added one at a time, first to last; builtin
-    ``sum`` compensates its rounding since Python 3.12, so its bits would
-    depend on the interpreter."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def _sum_in_order(values: Sequence[float] | np.ndarray) -> float:
+    """The sum of ``values`` added one at a time to 0.0, first to last (so
+    terms of -0.0 sum to 0.0). ``np.add.accumulate`` adds strictly in order,
+    where ``np.sum`` adds pairwise and builtin ``sum`` compensates its
+    rounding since Python 3.12, so their bits would depend on the library or
+    the interpreter. A sum may overflow to inf, as float addition does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.add.accumulate(np.append(0.0, values))[-1])
 
 
 @_metric("accuracy", True)
@@ -459,34 +489,45 @@ def _accuracy(truths, preds):
 
 @_metric("cross_entropy", False)
 def _cross_entropy(truths, preds):
-    # truths: [n x 1] class ids; preds: [n x c] probabilities
+    # truths: [n x 1] class ids; preds: [n x c] probabilities. Each term is
+    # math.log's negated, as the clip and the negation round nothing.
     picked = preds[np.arange(len(truths)), truths[:, 0].astype(np.int64)]
-    return _sum_in_order(-math.log(max(p, 1e-12)) for p in picked.tolist()) / len(truths)
+    logs = np.array(list(map(math.log, np.maximum(picked, 1e-12).tolist())))
+    return _sum_in_order(-logs) / len(truths)
 
 
 @_metric("mse", False)
 def _mse(truths, preds):
-    return _sum_in_order((t - p) ** 2 for t, p in _raw_pairs(truths, preds)) / len(truths)
+    return _sum_in_order(_squares(_errors(truths, preds))) / len(truths)
 
 
 @_metric("mae", False)
 def _mae(truths, preds):
-    return _sum_in_order(abs(t - p) for t, p in _raw_pairs(truths, preds)) / len(truths)
+    return _sum_in_order(np.abs(_errors(truths, preds))) / len(truths)
 
 
 @_metric("r2", True)
 def _r2(truths, preds):
-    mean = _sum_in_order(truths.ravel().tolist()) / len(truths)
-    ss_tot = _sum_in_order((t - mean) ** 2 for t in truths.ravel().tolist())
-    ss_res = _sum_in_order((t - p) ** 2 for t, p in _raw_pairs(truths, preds))
+    mean = _sum_in_order(truths.ravel()) / len(truths)
+    ss_tot = _sum_in_order(_squares(_errors(truths, mean)))
+    ss_res = _sum_in_order(_squares(_errors(truths, preds)))
     if ss_tot == 0.0:
         return 0.0
     return 1.0 - ss_res / ss_tot
 
 
-def _raw_pairs(truths, preds):
-    """(truth, prediction) of each row of a numerical output, as Python floats."""
-    return zip(truths.ravel().tolist(), preds.ravel().tolist())
+def _errors(truths, preds) -> np.ndarray:
+    """truth - prediction of each row of a numerical output (or truth - one
+    value for every row), rounded as Python's float subtraction rounds it:
+    to inf past the float range, and to nan for inf - inf, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return truths.ravel() - np.ravel(preds)
+
+
+def _squares(values: np.ndarray) -> list[float]:
+    """``v ** 2`` of each value by Python's float power, whose bits numpy's
+    square need not share; one past the float range raises OverflowError."""
+    return list(map(pow, values.tolist(), repeat(2)))
 
 
 @_metric("token_accuracy", True)
@@ -503,7 +544,7 @@ def _jaccard(truths, preds):
     shared = np.count_nonzero(hot & hits, axis=1)
     # a row with an empty union scores 1
     scores = np.divide(shared, union, out=np.ones(len(truths)), where=union > 0)
-    return _sum_in_order(scores.tolist()) / len(truths)
+    return _sum_in_order(scores) / len(truths)
 
 
 def higher_is_better(kind: str) -> bool:

@@ -28,6 +28,13 @@ Predictions become cells only in ``predictions.csv``. ``predict`` parses the
 targets before its single pass and scores that same pass, so a bad target
 cell writes no file. Row errors name the line of the CSV file.
 
+Bulk prediction works a column at a time: a column is parsed, its ids
+looked up and its token counts checked against a tagger's in whole-column
+passes, and a cell-at-a-time rescan runs only to name the line of a bad
+cell. ``predictions.csv`` is written without ``csv``, a column of cells at a
+time (a float as its ``repr``, a string quoted once per distinct value), in
+blocks of lines, with the bytes ``csv.writer`` would write.
+
 Every run is fully determined by (definition, dataset, seed) and the BLAS
 thread count: rerunning with equal inputs under the same thread count
 produces byte-identical artifacts. Another thread count may sum a matrix
@@ -40,11 +47,13 @@ three model files again.
 from __future__ import annotations
 
 import copy
-import csv
 import os
+import re
 import time
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +81,7 @@ from .features import (
     is_missing,
     postprocess_prediction,
     preprocess_column,
-    tokenize,
+    tokenizer,
 )
 from .graph import ECDModel
 from .optim import OptimizerState, optimizer_step
@@ -157,15 +166,20 @@ def _check_tagger_alignment(split: Dataset, definition: ModelDefinition) -> None
     if not sources:
         return
     source = sources[0]
-    tokenizer = _preproc_params(source).tokenizer
+    counts = _token_counts(split, source)
     for spec in taggers:
-        tag_tokenizer = _preproc_params(spec).tokenizer
-        for line, src, dst in zip(split.lines, split.column(source.name), split.column(spec.name)):
-            n_src, n_dst = len(tokenize(src, tokenizer)), len(tokenize(dst, tag_tokenizer))
-            if n_src != n_dst:
-                raise DataError(
-                    f"row {line}: tag sequence {spec.name!r} has {n_dst} tokens but input "
-                    f"{source.name!r} has {n_src}; tagging requires 1:1 alignment")
+        tag_counts = _token_counts(split, spec)
+        if tag_counts != counts:
+            line, n_src, n_dst = next(row for row in zip(split.lines, counts, tag_counts)
+                                      if row[1] != row[2])
+            raise DataError(
+                f"row {line}: tag sequence {spec.name!r} has {n_dst} tokens but input "
+                f"{source.name!r} has {n_src}; tagging requires 1:1 alignment")
+
+
+def _token_counts(split: Dataset, spec) -> list[int]:
+    """The token count of each of a sequence or text column's cells."""
+    return list(map(len, map(tokenizer(_preproc_params(spec).tokenizer), split.column(spec.name))))
 
 
 def preprocess_features(split: Dataset, specs, metadata: dict) -> dict[str, np.ndarray]:
@@ -616,21 +630,45 @@ def _with_fill_strategy(spec):
     return spec
 
 
+#: the predictions.csv lines built and written at a time
+WRITE_BLOCK_ROWS = 256
+#: a character for which csv's minimal quoting quotes a field
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def _write_predictions_csv(path: Path, definition: ModelDefinition, metadata: dict,
                            outputs: dict[str, _OutputRows]) -> None:
+    """Write the header and one line per row, with the bytes ``csv.writer``
+    writes in its default dialect."""
     header: list[str] = []
-    columns: list = []  # per output: its cells, then its probability columns
+    columns: list[list] = []  # per output: its cells, then its probability columns
     for spec in definition.output_features:
         meta, out = metadata[spec.name], outputs[spec.name]
         cells = postprocess_prediction(out.predictions, spec.type, meta, out.lengths)
         header.append(spec.name)
         # a set or tag row is a list of tokens
-        columns.append(map(" ".join, cells) if spec.type in ("set", "sequence") else cells)
+        columns.append(list(map(" ".join, cells)) if spec.type in ("set", "sequence") else cells)
         if spec.type in ("binary", "category", "set"):
             header.extend([f"{spec.name}_probability"] if spec.type == "binary" else
                           [f"{spec.name}_probability_{token}" for token in meta.id2token])
-            columns.extend(out.predictions.T.tolist())  # csv writes a float as its repr
+            columns.extend(out.predictions.T.tolist())
+    alone = len(header) == 1
+    lines = map(",".join, zip(*(_csv_fields(column, alone) for column in columns)))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        handle.write(",".join(_csv_fields(header, alone)) + "\r\n")
+        while block := list(islice(lines, WRITE_BLOCK_ROWS)):
+            handle.write("\r\n".join(block) + "\r\n")
+
+
+def _csv_fields(cells: list, alone: bool) -> Iterable[str]:
+    """One column's cells as ``csv.writer`` writes them, ``alone`` when each
+    is its row's only field: a float as its ``repr``; a string in double
+    quotes, with its quotes doubled, when it holds a comma, a quote or a line
+    break, or when it is empty and alone; as itself otherwise. Each distinct
+    string is quoted once."""
+    if isinstance(cells[0], float):
+        return map(repr, cells)
+    quoted = {cell: '"' + cell.replace('"', '""') + '"'
+              if _NEEDS_QUOTES.search(cell) or alone and not cell else cell
+              for cell in set(cells)}
+    return map(quoted.__getitem__, cells)

@@ -7,7 +7,9 @@ two paths is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 
@@ -84,6 +86,53 @@ def sequential_fold_sum(values) -> float:
     for v in values:
         acc = acc + v
     return acc
+
+
+def numerical_metric_loop(kind: str, truths: list[float], preds: list[float]) -> float:
+    """``mse``, ``mae`` or ``r2`` one row at a time in Python float arithmetic,
+    each sum a left-to-right fold from 0.0; an error squared past the float
+    range raises OverflowError, as Python's ``**`` does."""
+    n = len(truths)
+    if kind == "mae":
+        return sequential_fold_sum(abs(t - p) for t, p in zip(truths, preds)) / n
+    squared = sequential_fold_sum((t - p) ** 2 for t, p in zip(truths, preds))
+    if kind == "mse":
+        return squared / n
+    mean = sequential_fold_sum(truths) / n
+    spread = sequential_fold_sum((t - mean) ** 2 for t in truths)
+    return 0.0 if spread == 0.0 else 1.0 - squared / spread
+
+
+def parse_cells_one_at_a_time(cells: list[str], lines: list[int], ftype: str):
+    """A numerical or binary column parsed one cell at a time: ``(values,
+    None)``, or ``(None, message)`` for the first cell that does not parse,
+    worded as the package words it, with the cell's line."""
+    true_forms, false_forms = ["1", "t", "true", "yes"], ["0", "f", "false", "no"]
+    values = []
+    for line, cell in zip(lines, cells):
+        if ftype == "binary":
+            form = cell.strip().lower()
+            if form not in true_forms + false_forms:
+                return None, (f"row {line}: unrecognized binary value {cell!r} "
+                              f"(expected one of {true_forms} / {false_forms})")
+            values.append(1.0 if form in true_forms else 0.0)
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            return None, f"row {line}: unparseable numerical value {cell!r}"
+        if math.isnan(value) or math.isinf(value):
+            return None, f"row {line}: non-finite numerical value {cell!r}"
+        values.append(value)
+    return values, None
+
+
+def csv_writer_bytes(rows: list[list]) -> bytes:
+    """UTF-8 bytes of ``rows`` written by ``csv.writer`` in its default
+    dialect: minimal quoting, ``\\r\\n`` line ends, a float as its repr."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode("utf-8")
 
 
 def adam_recurrence(w0: float, grads: list[float], lr: float, beta1: float,

@@ -2,6 +2,8 @@
 outside the standard library, at module level or inside a function. YAML is
 only read, by ``config`` from a user's definition; the package writes none.
 Only ``cache`` imports ``hashlib``, so ``cache.digest64`` is the one digest.
+Only ``data`` imports ``csv``, so it is the one CSV reader, and
+``pipelines`` writes ``predictions.csv`` without it.
 Every module-level import is read in its module or listed in ``__all__``, so
 a deletion leaves no import behind. Outside the autodiff tape every value is
 a plain array: only ``autodiff`` and ``tensor`` name ``Tensor``, the
@@ -67,6 +69,12 @@ def test_only_cache_hashes():
     hashers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
                if "hashlib" in {name for _, name in absolute_imports(path)}]
     assert hashers == ["cache"]
+
+
+def test_only_data_reads_csv():
+    readers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+               if "csv" in {name for _, name in absolute_imports(path)}]
+    assert readers == ["data"]
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -23,22 +23,22 @@ def params(**overrides):
 class TestTokenize:
 
     def test_space_splits_on_whitespace_runs(self):
-        assert ft.tokenize("a b", "space") == ["a", "b"]
-        assert ft.tokenize("a   b\tc", "space") == ["a", "b", "c"]
+        assert ft.tokenizer("space")("a b") == ["a", "b"]
+        assert ft.tokenizer("space")("a   b\tc") == ["a", "b", "c"]
 
     def test_empty_input(self):
-        assert ft.tokenize("", "space") == []
+        assert ft.tokenizer("space")("") == []
 
     def test_character_strategy(self):
-        assert ft.tokenize("abc", "character") == ["a", "b", "c"]
+        assert ft.tokenizer("character")("abc") == ["a", "b", "c"]
 
     def test_unknown_strategy(self):
         with pytest.raises(RegistryError, match="space, character"):
-            ft.tokenize("a", "bpe")
+            ft.tokenizer("bpe")
 
     @given(st.text())
     def test_character_strategy_preserves_content(self, text):
-        assert "".join(ft.tokenize(text, "character")) == text
+        assert "".join(ft.tokenizer("character")(text)) == text
 
 
 class TestBuildMetadata:
@@ -297,6 +297,77 @@ class TestParsers:
         assert ft.parse_vector("1e308 -0.0") == [1e308, 0.0]
 
 
+#: per type: cells a column under test draws from, good and bad ("" is missing)
+PARSER_CELLS = {
+    "numerical": ["1", "-2.5", "1e3", "1e30", "-5e-324", "-0.0", " 2 ", "1_000", "",
+                  "nan", "NaN", "inf", "-inf", "1e400", "abc", "1__0", "0x10"],
+    "binary": ["true", "0", "YES", " f ", "No", "T\t", "", "maybe", "2", "truee"],
+}
+
+
+class TestColumnParsers:
+    """Numerical and binary columns parse a column at a time; each value and
+    each diagnostic is that of the cells parsed one at a time."""
+
+    @staticmethod
+    def expect(column, lines, ftype, fill):
+        """The per-cell oracle over the cells as preprocessing reads them."""
+        return oracles.parse_cells_one_at_a_time([cell or fill for cell in column], lines, ftype)
+
+    @given(data=st.data(), ftype=st.sampled_from(sorted(PARSER_CELLS)), n=st.integers(1, 10))
+    @settings(max_examples=200)
+    def test_preprocessed_column_is_the_per_cell_path(self, data, ftype, n):
+        column = data.draw(st.lists(st.sampled_from(PARSER_CELLS[ftype]), min_size=n, max_size=n))
+        lines = sorted(data.draw(st.sets(st.integers(2, 500), min_size=n, max_size=n)))
+        meta = ft.build_metadata(["1", "4"] if ftype == "numerical" else ["true"], ftype, params())
+        values, message = self.expect(column, lines, ftype, "0" if ftype == "numerical" else "false")
+        if message is None:
+            out = ft.preprocess_column(column, lines, ftype, meta, params())
+            assert out[:, 0].tolist() == values
+            assert out.tobytes() == np.array(values).tobytes()  # -0.0 keeps its sign
+        else:
+            with pytest.raises(DataError) as caught:
+                ft.preprocess_column(column, lines, ftype, meta, params())
+            assert str(caught.value) == message
+
+    @given(data=st.data(), ftype=st.sampled_from(sorted(PARSER_CELLS)), n=st.integers(1, 10))
+    @settings(max_examples=200)
+    def test_metadata_column_is_the_per_cell_path(self, data, ftype, n):
+        column = data.draw(st.lists(st.sampled_from(PARSER_CELLS[ftype]), min_size=n, max_size=n))
+        lines = list(range(3, 3 + 2 * n, 2))
+        present = [(line, cell) for line, cell in zip(lines, column) if cell]
+        values, message = oracles.parse_cells_one_at_a_time(
+            [cell for _, cell in present], [line for line, _ in present], ftype)
+        if message is not None:
+            with pytest.raises(DataError) as caught:
+                ft.build_metadata(column, ftype, params(), lines)
+            assert str(caught.value) == message
+        elif ftype == "numerical" and values:
+            meta = ft.build_metadata(column, ftype, params(), lines)
+            assert (meta.min, meta.max) == (min(values), max(values))
+
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "non-finite numerical value 'nan'"),
+        ("inf", "non-finite numerical value 'inf'"),
+        ("1e400", "non-finite numerical value '1e400'"),
+        ("abc", "unparseable numerical value 'abc'"),
+    ])
+    def test_a_bad_last_cell_names_its_line(self, cell, message):
+        column = ["1", "2", "3", cell]
+        meta = ft.build_metadata(["1", "4"], "numerical", params())
+        with pytest.raises(DataError, match=f"^row 41: {message}$"):
+            ft.preprocess_column(column, [2, 3, 5, 41], "numerical", meta, params())
+        with pytest.raises(DataError, match=f"^row 41: {message}$"):
+            ft.build_metadata(column, "numerical", params(), [2, 3, 5, 41])
+
+    def test_python_float_syntax_parses_as_it_does_per_cell(self):
+        meta = ft.build_metadata(["1", "4"], "numerical", params())
+        out = ft.preprocess_column(["1_000", " 2 ", "-0.0"], [2, 3, 4], "numerical", meta,
+                                   params())
+        assert out[:, 0].tolist() == [ft.parse_float(c) for c in ["1_000", " 2 ", "-0.0"]]
+        assert out[:, 0].tolist() == [1000.0, 2.0, -0.0]
+
+
 class TestZscoreInvariant:
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=50))
@@ -456,6 +527,42 @@ class TestMetrics:
         ss_tot = (1e8 - mean) ** 2 + (1.0 - mean) ** 2 + (1.0 - mean) ** 2
         assert ft.compute_metric("r2", [1e8, 1.0, 1.0], zeros) == \
             1.0 - (1e16 + 1.0 + 1.0) / ss_tot
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1.0])
+                    | st.floats(allow_nan=False), max_size=30))
+    @settings(max_examples=300)
+    def test_sum_is_the_left_to_right_fold(self, values):
+        # RuntimeWarning is an error under the test configuration, so an
+        # overflow to inf, or inf - inf, must not warn
+        got, expected = ft._sum_in_order(values), oracles.sequential_fold_sum(values)
+        assert type(got) is float
+        assert got == expected or math.isnan(got) and math.isnan(expected)
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+        assert ft._sum_in_order(np.array(values, dtype=np.float64)) == got or math.isnan(got)
+
+    def test_terms_of_negative_zero_sum_to_positive_zero(self):
+        assert math.copysign(1.0, ft._sum_in_order([-0.0, -0.0])) == 1.0
+        assert ft._sum_in_order([]) == 0.0
+        # -log(1.0) is -0.0 for every row; the loss of a certain prediction is +0.0
+        score = ft.compute_metric("cross_entropy", [[0.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]])
+        assert score == 0.0 and math.copysign(1.0, score) == 1.0
+
+    @given(data=st.data(), n=st.integers(1, 12))
+    @settings(max_examples=200)
+    def test_numerical_metrics_are_the_per_row_loops(self, data, n):
+        values = st.sampled_from([0.0, -0.0, 1e16, 1.0, 1e154, 1e200, -1e308, 5e-324]) \
+            | st.floats(allow_nan=False, allow_infinity=False)
+        truths = data.draw(st.lists(values, min_size=n, max_size=n))
+        preds = data.draw(st.lists(values, min_size=n, max_size=n))
+        for kind in ("mse", "mae", "r2"):
+            try:
+                expected = oracles.numerical_metric_loop(kind, truths, preds)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    ft.compute_metric(kind, truths, [[p] for p in preds])
+                continue
+            got = ft.compute_metric(kind, truths, [[p] for p in preds])
+            assert got == expected or math.isnan(got) and math.isnan(expected), kind
 
     def test_token_accuracy_counts_a_predicted_pad_as_a_miss(self):
         meta = ft.build_metadata(["a b c x"], "sequence", params())

@@ -6,11 +6,13 @@ import json
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ecdkit import autodiff as ad
 from ecdkit import features as ft
@@ -415,6 +417,119 @@ class TestPredict:
     def test_unknown_model_dir_is_artifact_error(self, tmp_path, binary_csv):
         with pytest.raises(ArtifactError):
             predict(tmp_path / "missing", binary_csv, tmp_path / "pred")
+
+    def test_clean_columns_parse_without_the_per_cell_path(self, tmp_path, binary_csv,
+                                                           monkeypatch):
+        calls = []
+        for name in ("parse_float", "parse_binary"):
+            real = getattr(ft, name)
+            monkeypatch.setattr(ft, name, lambda raw, real=real, name=name: (
+                calls.append(name), real(raw))[1])
+        definition = resolved(BINARY_CONFIG)
+        experiment(definition, binary_csv, tmp_path / "cold", seed=3)
+        calls.clear()
+        model_dir, _, _ = experiment(definition, binary_csv, tmp_path / "warm", seed=3)
+        predict(model_dir, binary_csv, tmp_path / "pred")
+        assert calls == []
+        # a bad cell runs the per-cell path, which names its line
+        rows = [line.split(",") for line in binary_csv.read_text().splitlines()]
+        rows[7][1], rows[9][4] = "1e400", "maybe"
+        dirty = synth.write_rows(tmp_path / "dirty.csv", rows[0], rows[1:])
+        with pytest.raises(DataError, match=r"^feature 'f1' row 8: non-finite numerical "
+                                            r"value '1e400'$"):
+            predict(model_dir, dirty, tmp_path / "pred")
+        assert "parse_float" in calls
+        rows[7][1] = "0.5"
+        dirty = synth.write_rows(tmp_path / "dirty.csv", rows[0], rows[1:])
+        with pytest.raises(DataError, match=r"^feature 'label' row 10: unrecognized binary "
+                                            r"value 'maybe'"):
+            predict(model_dir, dirty, tmp_path / "pred")
+        assert "parse_binary" in calls
+
+
+def predictions_csv_cases():
+    """(definition, metadata, outputs) for ``_write_predictions_csv``: one to
+    three outputs of any type, with cells and vocabulary tokens that need
+    quoting, rows without tags, and floats of every kind."""
+    text = st.text(st.sampled_from(["a", "Z", ",", '"', "\r", "\n", " ", "é", "\x00", "\t"])
+                   | st.characters(codec="utf-8"), max_size=5)
+    floats = st.sampled_from([1e-06, 5e-324, 1e16, -0.0, 0.5, 1.0]) \
+        | st.floats(allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(1, 6))
+        kinds = draw(st.lists(st.sampled_from(ft.OUTPUT_TYPES), min_size=1, max_size=3))
+        specs, metadata, outputs = [], {}, {}
+        for i, kind in enumerate(kinds):
+            name = draw(text.filter(bool)) + f"{i}"
+            tokens = draw(st.lists(text.filter(lambda t: t and t not in (ft.PAD, ft.UNK)),
+                                   min_size=1, max_size=4, unique=True))
+            lengths = None
+            if kind == "binary":
+                meta, shape = ft.BinaryMetadata(), (n, 1)
+            elif kind == "numerical":
+                meta, shape = ft.NumericalMetadata("numerical", 0.0, 1.0, "none", 0.0, 1.0), (n, 1)
+            elif kind == "sequence":
+                meta = ft.VocabMetadata("sequence", [ft.PAD, ft.UNK] + tokens)
+                lengths = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+            else:
+                meta = ft.VocabMetadata(kind, [ft.UNK] + tokens)
+                shape = (n, meta.vocab_size)
+            if kind == "sequence":
+                predictions = np.array(draw(st.lists(st.integers(0, meta.vocab_size - 1),
+                                                     min_size=int(lengths.sum()),
+                                                     max_size=int(lengths.sum()))))
+            else:
+                predictions = draw(arrays(np.float64, shape, elements=floats))
+            specs.append(SimpleNamespace(name=name, type=kind))
+            metadata[name] = meta
+            outputs[name] = pipelines._OutputRows(predictions, None, lengths, None)
+        return SimpleNamespace(output_features=specs), metadata, outputs
+
+    return build()
+
+
+def csv_writer_rows(definition, metadata, outputs):
+    """The header and rows ``predictions.csv`` holds, as the values
+    ``csv.writer`` was given: strings, and floats it writes as their repr."""
+    header, columns = [], []
+    for spec in definition.output_features:
+        meta, out = metadata[spec.name], outputs[spec.name]
+        cells = ft.postprocess_prediction(out.predictions, spec.type, meta, out.lengths)
+        header.append(spec.name)
+        columns.append([" ".join(c) for c in cells] if spec.type in ("set", "sequence")
+                       else cells)
+        if spec.type == "binary":
+            header.append(f"{spec.name}_probability")
+        elif spec.type in ("category", "set"):
+            header += [f"{spec.name}_probability_{token}" for token in meta.id2token]
+        if spec.type in ("binary", "category", "set"):
+            columns += [[float(v) for v in column] for column in out.predictions.T]
+    return [header] + [list(row) for row in zip(*columns)]
+
+
+class TestPredictionsCsv:
+    """``predictions.csv`` has the bytes ``csv.writer`` gives it."""
+
+    @given(case=predictions_csv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_are_csv_writers(self, tmp_path_factory, case):
+        path = tmp_path_factory.mktemp("csv") / "predictions.csv"
+        pipelines._write_predictions_csv(path, *case)
+        assert path.read_bytes() == oracles.csv_writer_bytes(csv_writer_rows(*case))
+
+    def test_an_empty_only_field_is_quoted(self, tmp_path):
+        meta = ft.VocabMetadata("sequence", [ft.PAD, ft.UNK, "a,b", "c"])
+        outputs = {"tags": pipelines._OutputRows(np.array([2, 3, 0, 0]), None,
+                                                 np.array([2, 0, 1, 1]), None)}
+        definition = SimpleNamespace(output_features=[SimpleNamespace(name="tags",
+                                                                      type="sequence")])
+        path = tmp_path / "predictions.csv"
+        pipelines._write_predictions_csv(path, definition, {"tags": meta}, outputs)
+        assert path.read_bytes() == b'tags\r\n"a,b c"\r\n""\r\n""\r\n""\r\n'
+        assert path.read_bytes() == oracles.csv_writer_bytes(
+            csv_writer_rows(definition, {"tags": meta}, outputs))
 
 
 class TestExperiment:
