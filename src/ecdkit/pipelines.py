@@ -31,9 +31,8 @@ cell writes no file. Row errors name the line of the CSV file.
 Bulk prediction works a column at a time: a column is parsed, its ids
 looked up and its token counts checked against a tagger's in whole-column
 passes, and a cell-at-a-time rescan runs only to name the line of a bad
-cell. ``predictions.csv`` is written without ``csv``, a column of cells at a
-time (a float as its ``repr``, a string quoted once per distinct value), in
-blocks of lines, with the bytes ``csv.writer`` would write.
+cell. ``predictions.csv`` is written by one row template, a probability as
+``'%.9g'`` of its float32, with ``csv.writer``'s quoting, in blocks of lines.
 
 Every run is fully determined by (definition, dataset, seed) and the BLAS
 thread count: rerunning with equal inputs under the same thread count
@@ -638,10 +637,10 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 def _write_predictions_csv(path: Path, definition: ModelDefinition, metadata: dict,
                            outputs: dict[str, _OutputRows]) -> None:
-    """Write the header and one line per row, with the bytes ``csv.writer``
-    writes in its default dialect."""
+    """Write the header and one line per row, with ``csv.writer``'s quoting
+    and line ends and each probability at its float32's precision."""
     header: list[str] = []
-    columns: list[list] = []  # per output: its cells, then its probability columns
+    columns: list = []  # per output: its cells, then its float32 probability columns
     for spec in definition.output_features:
         meta, out = metadata[spec.name], outputs[spec.name]
         cells = postprocess_prediction(out.predictions, spec.type, meta, out.lengths)
@@ -651,24 +650,25 @@ def _write_predictions_csv(path: Path, definition: ModelDefinition, metadata: di
         if spec.type in ("binary", "category", "set"):
             header.extend([f"{spec.name}_probability"] if spec.type == "binary" else
                           [f"{spec.name}_probability_{token}" for token in meta.id2token])
-            columns.extend(out.predictions.T.tolist())
+            columns.extend(out.predictions.astype(np.float32, copy=False).T)
     alone = len(header) == 1
-    lines = map(",".join, zip(*(_csv_fields(column, alone) for column in columns)))
+    fields, values = zip(*(_csv_field(column, alone) for column in columns))
+    lines = map((",".join(fields) + "\r\n").__mod__, zip(*values))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(_csv_fields(header, alone)) + "\r\n")
-        while block := list(islice(lines, WRITE_BLOCK_ROWS)):
-            handle.write("\r\n".join(block) + "\r\n")
+        handle.write(",".join(_csv_field(header, alone)[1]) + "\r\n")
+        while block := "".join(islice(lines, WRITE_BLOCK_ROWS)):
+            handle.write(block)
 
 
-def _csv_fields(cells: list, alone: bool) -> Iterable[str]:
-    """One column's cells as ``csv.writer`` writes them, ``alone`` when each
-    is its row's only field: a float as its ``repr``; a string in double
-    quotes, with its quotes doubled, when it holds a comma, a quote or a line
-    break, or when it is empty and alone; as itself otherwise. Each distinct
-    string is quoted once."""
-    if isinstance(cells[0], float):
-        return map(repr, cells)
+def _csv_field(cells: list | np.ndarray, alone: bool) -> tuple[str, Iterable]:
+    """One column's field in the row template and the values it formats,
+    ``alone`` when each cell is its row's only field: a float32 as ``'%.9g'``,
+    which reads back as that float32; a float as its ``repr``; a string in
+    quotes, with its quotes doubled, if it holds a comma, a quote or a line
+    break or is empty and alone. Each distinct string is quoted once."""
+    if not isinstance(cells[0], str):  # floats, or a float32 array
+        return ("%.9g", cells.tolist()) if isinstance(cells, np.ndarray) else ("%r", cells)
     quoted = {cell: '"' + cell.replace('"', '""') + '"'
               if _NEEDS_QUOTES.search(cell) or alone and not cell else cell
               for cell in set(cells)}
-    return map(quoted.__getitem__, cells)
+    return "%s", map(quoted.__getitem__, cells)

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior: caching, determinism, artifacts, prediction."""
 
 import copy
+import csv
 import hashlib
 import json
 import math
@@ -414,6 +415,22 @@ class TestPredict:
             assert all(0.0 <= v <= 1.0 for v in values)
             assert abs(sum(values) - 1.0) < 1e-6
 
+    def test_probability_cells_are_the_float32_predictions(self, tmp_path, text_csv,
+                                                          monkeypatch):
+        definition = resolved(TEXT_CONFIG)
+        model_dir, _ = train(definition, text_csv, tmp_path / "run", seed=3)
+        passes = []
+        monkeypatch.setattr(pipelines, "_forward_chunks", lambda *args, real=_forward_chunks,
+                            **kwargs: passes.append(real(*args, **kwargs)) or passes[-1])
+        predictions_path, _ = predict(model_dir, text_csv, tmp_path / "pred")
+        _, _, metadata = load_model(model_dir)
+        header, columns = read_columns(predictions_path)
+        cells = np.array([[float(cell) for cell in columns[header.index(
+            f"label_probability_{token}")]] for token in metadata["label"].id2token])
+        [outputs] = passes
+        assert cells.astype(np.float32).tobytes() == \
+            outputs["label"].predictions.T.astype(np.float32).tobytes()
+
     def test_unknown_model_dir_is_artifact_error(self, tmp_path, binary_csv):
         with pytest.raises(ArtifactError):
             predict(tmp_path / "missing", binary_csv, tmp_path / "pred")
@@ -450,11 +467,17 @@ class TestPredict:
 def predictions_csv_cases():
     """(definition, metadata, outputs) for ``_write_predictions_csv``: one to
     three outputs of any type, with cells and vocabulary tokens that need
-    quoting, rows without tags, and floats of every kind."""
+    quoting, rows without tags, numerical values of every float64 kind and
+    probabilities of every float32 kind."""
     text = st.text(st.sampled_from(["a", "Z", ",", '"', "\r", "\n", " ", "é", "\x00", "\t"])
                    | st.characters(codec="utf-8"), max_size=5)
     floats = st.sampled_from([1e-06, 5e-324, 1e16, -0.0, 0.5, 1.0]) \
         | st.floats(allow_nan=False, allow_infinity=False)
+    # float32 values: -0.0, the smallest subnormal, a subnormal, the smallest
+    # normal, the largest, and numbers of 9 significant digits
+    float32s = st.sampled_from([float(np.float32(v)) for v in (
+        1e-06, 1e-45, 3e-39, 1.1754944e-38, 3.4028235e38, -0.0, 0.5, 1.0, 0.8173269)]) \
+        | st.floats(width=32, allow_nan=False, allow_infinity=False)
 
     @st.composite
     def build(draw):
@@ -480,8 +503,10 @@ def predictions_csv_cases():
                 predictions = np.array(draw(st.lists(st.integers(0, meta.vocab_size - 1),
                                                      min_size=int(lengths.sum()),
                                                      max_size=int(lengths.sum()))))
-            else:
+            elif kind == "numerical":
                 predictions = draw(arrays(np.float64, shape, elements=floats))
+            else:
+                predictions = draw(arrays(np.float32, shape, elements=float32s))
             specs.append(SimpleNamespace(name=name, type=kind))
             metadata[name] = meta
             outputs[name] = pipelines._OutputRows(predictions, None, lengths, None)
@@ -492,7 +517,8 @@ def predictions_csv_cases():
 
 def csv_writer_rows(definition, metadata, outputs):
     """The header and rows ``predictions.csv`` holds, as the values
-    ``csv.writer`` was given: strings, and floats it writes as their repr."""
+    ``csv.writer`` was given: strings, a probability as the string ``'%.9g'``
+    of its float32, and a numerical value as a float it writes as its repr."""
     header, columns = [], []
     for spec in definition.output_features:
         meta, out = metadata[spec.name], outputs[spec.name]
@@ -505,12 +531,21 @@ def csv_writer_rows(definition, metadata, outputs):
         elif spec.type in ("category", "set"):
             header += [f"{spec.name}_probability_{token}" for token in meta.id2token]
         if spec.type in ("binary", "category", "set"):
-            columns += [[float(v) for v in column] for column in out.predictions.T]
+            columns += [["%.9g" % v for v in column]
+                        for column in out.predictions.astype(np.float32).T.tolist()]
     return [header] + [list(row) for row in zip(*columns)]
 
 
+def read_columns(path) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The header and the columns of cells of a written ``predictions.csv``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    return header, list(zip(*rows))
+
+
 class TestPredictionsCsv:
-    """``predictions.csv`` has the bytes ``csv.writer`` gives it."""
+    """``predictions.csv`` has the bytes ``csv.writer`` gives a probability's
+    ``'%.9g'`` and a numerical value's float, and every value reads back."""
 
     @given(case=predictions_csv_cases())
     @settings(max_examples=150, deadline=None)
@@ -518,6 +553,29 @@ class TestPredictionsCsv:
         path = tmp_path_factory.mktemp("csv") / "predictions.csv"
         pipelines._write_predictions_csv(path, *case)
         assert path.read_bytes() == oracles.csv_writer_bytes(csv_writer_rows(*case))
+
+    @given(case=predictions_csv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_every_value_reads_back_with_its_bits(self, tmp_path_factory, case):
+        definition, metadata, outputs = case
+        path = tmp_path_factory.mktemp("csv") / "predictions.csv"
+        pipelines._write_predictions_csv(path, *case)
+        _, columns = read_columns(path)
+        position = 0
+        for spec in definition.output_features:
+            predictions = outputs[spec.name].predictions
+            if spec.type == "numerical":
+                cells = np.array([float(cell) for cell in columns[position]])
+                assert cells.tobytes() == predictions[:, 0].astype(np.float64).tobytes()
+            position += 1
+            if spec.type in ("binary", "category", "set"):
+                width = predictions.shape[1]
+                cells = np.array([[float(cell) for cell in column]
+                                  for column in columns[position:position + width]])
+                assert cells.astype(np.float32).tobytes() == \
+                    predictions.T.astype(np.float32).tobytes()
+                position += width
+        assert position == len(columns)
 
     def test_an_empty_only_field_is_quoted(self, tmp_path):
         meta = ft.VocabMetadata("sequence", [ft.PAD, ft.UNK, "a,b", "c"])
