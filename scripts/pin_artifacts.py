@@ -4,10 +4,13 @@
 For seeds 1 and 2 of each workload in ``benchmark/workloads.py``, the
 dataset and request CSVs are generated at benchmark size and run as the
 benchmark runs them: ``experiment()`` with the benchmark's training seed,
-one bulk ``predict()`` over the dataset and one request ``predict()``. The
-digests of every file those write are stored in ``tests/artifact_pins.json``,
-which ``tests/test_artifact_pins.py`` checks. A change that alters bits on
-purpose reruns this script and lists the pins it prints as changed.
+which misses the cache and writes it, a second, warm ``experiment()``, which
+must hit it, one bulk ``predict()`` over the dataset and one request
+``predict()``. The digests of every file those write are stored in
+``tests/artifact_pins.json``, which ``tests/test_artifact_pins.py`` checks;
+the warm run's ``metrics.json`` and ``weights.bin`` must equal the cold
+run's. A change that alters bits on purpose reruns this script and lists the
+pins it prints as changed.
 
 The digests hold for one BLAS thread count (one unless the environment sets
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``) and
@@ -48,13 +51,22 @@ def artifact_digests(workloads, name: str, seed: int, work: Path) -> dict[str, s
     ``workloads`` is the module ``load_workloads`` returns."""
     workload = workloads.WORKLOADS[name]
     paths = workloads.write_workload(workload, seed, work)
-    run_dir = work / "experiment"
-    model_dir, _, _ = experiment(parse_model_definition(workload.definition), paths["dataset"],
-                                 run_dir, seed=workloads.training_seed(seed))
+    definition = parse_model_definition(workload.definition)
+    run_dir, warm_dir = work / "experiment", work / "warm"
+    model_dir, _, _ = experiment(definition, paths["dataset"], run_dir,
+                                 seed=workloads.training_seed(seed))
+    cache = cache_path_for(paths["dataset"])
+    written = cache.stat()
+    experiment(definition, paths["dataset"], warm_dir, seed=workloads.training_seed(seed))
+    read = cache.stat()
+    if (read.st_ino, read.st_mtime_ns) != (written.st_ino, written.st_mtime_ns):
+        raise RuntimeError(f"the warm experiment() of {name} seed {seed} rewrote its cache")
     bulk, bulk_metrics = predict(model_dir, paths["dataset"], work / "bulk")
     request, _ = predict(model_dir, paths["request"], work / "request")
     files = {"metrics.json": run_dir / "metrics.json", "weights.bin": model_dir / "weights.bin",
-             "cache": cache_path_for(paths["dataset"]), "bulk predictions.csv": bulk,
+             "warm metrics.json": warm_dir / "metrics.json",
+             "warm weights.bin": warm_dir / "model" / "weights.bin",
+             "cache": cache, "bulk predictions.csv": bulk,
              "bulk metrics.json": bulk_metrics, "request predictions.csv": request}
     return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items()}
 

@@ -734,7 +734,10 @@ def rnn(x: TapeNode, w_in: TapeNode, w_rec: TapeNode, bias: TapeNode,
             if t:
                 gu += out[t - 1, :r].T @ step
                 np.matmul(step, uv.T, out=carry[:r])
-        x.accumulate((grad_pre @ wv.T)[np.argsort(time_major)], owned=True)
+        grad_tm = grad_pre @ wv.T
+        grad_x = np.empty_like(grad_tm)
+        grad_x[time_major] = grad_tm  # back from time-major into row order
+        x.accumulate(grad_x, owned=True)
         w_in.accumulate(x_tm.T @ grad_pre, owned=True)
         w_rec.accumulate(gu, owned=True)
         bias.accumulate(grad_pre.sum(axis=0), owned=True)

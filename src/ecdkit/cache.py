@@ -4,31 +4,41 @@
 the record format shared by the cache (``<dataset>.ecdc``) and the weights
 file (``weights.bin``, see ``artifacts``). Layout, all little-endian:
 
-    magic (4 bytes) | version (u16) | fixed-size header | count (u32)
+    magic (4 bytes) | version (u16) | header | count (u32)
     count x [name length (u16) | utf-8 name | rank (u8) | dims (rank x u32)
              | payload]
     digest64 of everything before it (u64)
 
 Every payload of a file has the one float dtype its kind and version fix,
 which the caller passes to both functions: float64 (``<f8``) for the cache,
-float32 (``<f4``) for the weights.
+float32 (``<f4``) for the weights. The weights' header is empty, and
+``read_container`` reads a header of fixed size; the cache's header holds
+its metadata, so ``read_cache`` reads it with the same checks and record
+parser.
 
 ``digest64`` is SHA-256 cut to its first 8 bytes, read little-endian, and it
-is checked on every read. The cache's header is the run fingerprint (u64)
-and its record names are ``<split>/<feature>``; it is format version 5 (magic
-``ECDC``), and it holds the preprocessed arrays in float64, as preprocessing
-makes them; a model casts them once, as its tape takes them in. A numerical
-column's array holds its raw values, which the model normalizes. Version 4
-had the same layout with numerical arrays normalized, version 3 a
-BLAKE2b-64 trailer, version 2 also a per-record dtype byte, and version 1
-an FNV-1a trailer; all are rejected by their version field, which is
-checked before the digest whose algorithm it determines.
+is checked on every read.
+
+The cache (magic ``ECDC``) is format version 6. Its header is the run
+fingerprint (u64), then the training metadata as UTF-8 JSON, one
+``metadata_to_dict`` object per feature as ``metadata.json`` holds it,
+after its byte length (u32); its record names are ``<split>/<feature>``,
+and they hold the preprocessed arrays in float64, as preprocessing makes
+them; a model casts them once, as its tape takes them in. A numerical
+column's array holds its raw values, which the model normalizes. So a hit
+needs nothing of the dataset but its bytes, for the fingerprint, and its
+header record, for validation: the metadata, the arrays and each split's
+row count are all in the cache. Version 5 had no metadata, version 4 held
+numerical arrays normalized, version 3 had a BLAKE2b-64 trailer, version 2
+also a per-record dtype byte, and version 1 an FNV-1a trailer; all are
+rejected by their version field, which is checked before the digest whose
+algorithm it determines.
 
 The fingerprint hashes the dataset bytes together with the canonical
 preprocessing parameters, split policy, seed, and the float32 range check
 preprocessing applies, so any change that could alter the tensors, or let
-through one that the check rejects, invalidates the cache. A corrupt or mismatched file is
-never trusted: readers report it and callers recompute.
+through one that the check rejects, invalidates the cache. A corrupt or
+mismatched file is never trusted: readers report it and callers recompute.
 """
 
 from __future__ import annotations
@@ -41,11 +51,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data
 from .definition import ModelDefinition
 from .errors import ArtifactError, CorruptionError, DataError, FormatVersionError
+from .features import FeatureMetadata, metadata_from_dict, metadata_to_dict
 
 MAGIC = b"ECDC"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def digest64(*chunks: bytes) -> int:
@@ -95,12 +107,21 @@ def read_container(path: str | Path, magic: bytes, version: int, header_size: in
     ``FormatVersionError``. ``what`` names the file kind in messages. Each
     record is copied once out of the file's bytes, into an array of its own.
     """
+    body = _checked_body(path, magic, version, header_size, what)
+    start = len(magic) + 2
+    header = bytes(body[start : start + header_size])
+    return header, _records(body, start + header_size, path, what, dtype)
+
+
+def _checked_body(path: str | Path, magic: bytes, version: int, header_size: int,
+                  what: str) -> memoryview:
+    """A container's bytes less its digest, once its magic, version and
+    digest are checked and it is long enough for a ``header_size`` header."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise CorruptionError(f"cannot read {what} file {path}: {exc.strerror}") from None
-    start = len(magic) + 2
-    if len(raw) < start + header_size + 4 + 8:
+    if len(raw) < len(magic) + 2 + header_size + 4 + 8:
         raise CorruptionError(f"{what} file {path} is truncated")
     if raw[: len(magic)] != magic:
         raise CorruptionError(f"{what} file {path} has wrong magic bytes")
@@ -111,8 +132,12 @@ def read_container(path: str | Path, magic: bytes, version: int, header_size: in
     body = memoryview(raw)[:-8]
     if digest64(body) != struct.unpack_from("<Q", raw, len(body))[0]:
         raise CorruptionError(f"{what} file {path} failed its integrity digest")
-    header = raw[start : start + header_size]
-    offset = start + header_size
+    return body
+
+
+def _records(body: memoryview, offset: int, path: str | Path, what: str,
+             dtype: str) -> dict[str, np.ndarray]:
+    """The records from ``offset``, which must fill the body exactly."""
     itemsize = np.dtype(dtype).itemsize
     arrays: dict[str, np.ndarray] = {}
     try:
@@ -137,7 +162,7 @@ def read_container(path: str | Path, magic: bytes, version: int, header_size: in
         raise CorruptionError(f"{what} file {path} has a malformed record") from None
     if offset != len(body):
         raise CorruptionError(f"{what} file {path} has {len(body) - offset} trailing bytes")
-    return header, arrays
+    return arrays
 
 
 def compute_fingerprint(dataset_bytes: bytes, definition: ModelDefinition, seed: int) -> int:
@@ -157,41 +182,54 @@ def compute_fingerprint(dataset_bytes: bytes, definition: ModelDefinition, seed:
     return digest64(dataset_bytes, json.dumps(recipe, sort_keys=True).encode("utf-8"))
 
 
-def write_cache(path: str | Path, fingerprint: int,
+def write_cache(path: str | Path, fingerprint: int, metadata: dict[str, FeatureMetadata],
                 blocks: dict[str, dict[str, np.ndarray]]) -> None:
-    """Persist per-split per-feature arrays under the run fingerprint."""
+    """Persist the training metadata and per-split per-feature arrays under
+    the run fingerprint."""
+    encoded = json.dumps({name: metadata_to_dict(meta) for name, meta in metadata.items()},
+                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     arrays = {f"{split}/{feature}": array
               for split, features in blocks.items()
               for feature, array in features.items()}
-    write_container(path, MAGIC, FORMAT_VERSION, struct.pack("<Q", fingerprint), arrays,
-                    "<f8")
+    write_container(path, MAGIC, FORMAT_VERSION,
+                    struct.pack("<QI", fingerprint, len(encoded)) + encoded, arrays, "<f8")
 
 
-def read_cache(path: str | Path, fingerprint: int) -> dict[str, dict[str, np.ndarray]] | None:
-    """Load a cache file; ``None`` when the fingerprint does not match.
+def read_cache(path: str | Path, fingerprint: int
+               ) -> tuple[dict[str, FeatureMetadata], dict[str, dict[str, np.ndarray]]] | None:
+    """Load a cache file's ``(metadata, blocks)``; ``None`` when the
+    fingerprint does not match.
 
-    Corruption and a foreign format version raise (see ``read_container``),
-    so callers can warn and recompute rather than silently trusting stale
-    tensors.
+    Corruption, metadata that ``metadata_from_dict`` rejects and a foreign
+    format version raise (see ``read_container``), so callers can warn and
+    recompute rather than silently trusting stale tensors.
     """
-    header, arrays = read_container(path, MAGIC, FORMAT_VERSION, 8, "cache", "<f8")
-    if struct.unpack("<Q", header)[0] != fingerprint:
+    body = _checked_body(path, MAGIC, FORMAT_VERSION, 12, "cache")
+    start = len(MAGIC) + 2 + 12
+    found, size = struct.unpack_from("<QI", body, start - 12)
+    if found != fingerprint:
         return None
+    if start + size > len(body):
+        raise CorruptionError(f"cache file {path}: its metadata overruns the file")
+    try:
+        payload = json.loads(str(body[start : start + size], "utf-8"))
+        if not isinstance(payload, dict):
+            raise DataError("not an object keyed by feature name")
+        metadata = {name: metadata_from_dict(entry) for name, entry in payload.items()}
+    except (UnicodeDecodeError, json.JSONDecodeError, DataError) as exc:
+        raise CorruptionError(f"cache file {path} has malformed metadata: {exc}") from None
     blocks: dict[str, dict[str, np.ndarray]] = {}
-    for name, array in arrays.items():
+    for name, array in _records(body, start + size, path, "cache", "<f8").items():
         split, _, feature = name.partition("/")
         if not feature:
             raise CorruptionError(f"cache file {path}: malformed block name {name!r}")
         blocks.setdefault(split, {})[feature] = array
-    return blocks
+    return metadata, blocks
 
 
 def cache_path_for(dataset_path: str | Path) -> Path:
     return Path(str(dataset_path) + ".ecdc")
 
 
-def dataset_bytes(path: str | Path) -> bytes:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    return path.read_bytes()
+#: the bytes a fingerprint hashes, read with ``load_dataset``'s checks
+dataset_bytes = data.dataset_bytes

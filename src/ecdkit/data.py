@@ -45,10 +45,17 @@ def read_text(path: Path, error: type[ToolkitError], what: str) -> str:
     """The UTF-8 text of ``path``. A file that cannot be read, such as a
     directory, or that is not UTF-8 raises ``error`` naming ``what`` and the
     file, and for bad bytes their line and byte offset."""
+    return _decode(_read_bytes(path, error, what), path, error, what)
+
+
+def _read_bytes(path: Path, error: type[ToolkitError], what: str) -> bytes:
     try:
-        raw = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
+def _decode(raw: bytes, path: Path, error: type[ToolkitError], what: str) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -57,18 +64,26 @@ def read_text(path: Path, error: type[ToolkitError], what: str) -> str:
                     f"byte offset {exc.start}") from None
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Read a CSV file with a header row; every row must match its width."""
+def dataset_bytes(path: str | Path) -> bytes:
+    """A dataset file's bytes; a missing or unreadable file is a DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    reader = csv.reader(io.StringIO(read_text(path, DataError, "dataset file"), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"dataset file {path} is empty") from None
-    if len(set(header)) != len(header):
-        raise DataError(f"dataset header has duplicate column names: {header}")
+    return _read_bytes(path, DataError, "dataset file")
+
+
+def read_header(path: str | Path, raw: bytes) -> list[str]:
+    """The header record of the dataset file ``path`` whose bytes are
+    ``raw``, with ``load_dataset``'s checks of the bytes and the header."""
+    return _header(_reader(Path(path), raw), Path(path))
+
+
+def load_dataset(path: str | Path, raw: bytes | None = None) -> Dataset:
+    """Read a CSV file with a header row; every row must match its width.
+    ``raw`` is the file's bytes, when the caller has read them already."""
+    path = Path(path)
+    reader = _reader(path, dataset_bytes(path) if raw is None else raw)
+    header = _header(reader, path)
     records, lines = [], []
     for number, record in enumerate(reader, start=2):
         if not record:
@@ -80,6 +95,20 @@ def load_dataset(path: str | Path) -> Dataset:
     if not records:
         raise DataError(f"dataset file {path} has a header but no rows")
     return Dataset(str(path), dict(zip(header, map(list, zip(*records)))), lines)
+
+
+def _reader(path: Path, raw: bytes):
+    return csv.reader(io.StringIO(_decode(raw, path, DataError, "dataset file"), newline=""))
+
+
+def _header(reader, path: Path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"dataset file {path} is empty") from None
+    if len(set(header)) != len(header):
+        raise DataError(f"dataset header has duplicate column names: {header}")
+    return header
 
 
 def split_dataset(dataset: Dataset, split, split_column: str | None,

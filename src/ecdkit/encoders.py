@@ -188,7 +188,8 @@ class SequenceRnnEncoder:
         out = ad.rnn(ad.embedding_lookup(tape.leaf(self.table), ids), tape.leaf(self.w_in),
                      tape.leaf(self.w_rec), tape.leaf(self.bias), sorted_lengths)
         s, b, width = out.value.dims
-        restore = np.argsort(order)  # each batch row's sorted position
+        restore = np.empty_like(order)  # each batch row's sorted position
+        restore[order] = np.arange(b)
         sequence = None
         if states:
             rows, t = np.nonzero(real_positions(lengths, s))

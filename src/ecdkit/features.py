@@ -428,16 +428,14 @@ def postprocess_prediction(batch: np.ndarray, ftype: str, meta: FeatureMetadata,
         if arr.ndim != 1 or lengths is None or arr.size != lengths.sum():
             raise ShapeError(f"sequence prediction dims {arr.shape} must hold one tag id "
                              f"per token of the rows' lengths")
-        pad = meta.token2id[PAD]
-        tags = arr.tolist()
-        ends = np.cumsum(lengths).tolist()
-        rows = []
-        for start, end in zip([0] + ends, ends):
-            ids = tags[start:end]
-            while ids and ids[-1] == pad:
-                ids.pop()
-            rows.append([meta.id2token[i] for i in ids])
-        return rows
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        # each row stops after the last of its tags that is not <PAD>: the
+        # last such tag before its end, unless that one is in an earlier row
+        real = np.flatnonzero(arr != meta.token2id[PAD])
+        stops = np.maximum(np.append(-1, real)[np.searchsorted(real, ends)] + 1, starts)
+        tokens = np.array(meta.id2token, dtype=object)[arr.astype(np.intp, copy=False)].tolist()
+        return [tokens[start:stop] for start, stop in zip(starts.tolist(), stops.tolist())]
     raise RegistryError(f"no post-processor for feature type {ftype!r}")
 
 

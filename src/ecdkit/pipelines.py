@@ -1,12 +1,16 @@
 """Training and prediction pipelines.
 
-Training: metadata collection over the training split only (so nothing leaks
-from validation or test data), dataset preprocessing with an on-disk cache,
-a seeded epoch loop with per-epoch evaluation of the validation split,
-early stopping, and a best-checkpoint artifact. Each epoch's training
-metrics score the predictions of its own training batches, made while the
-weights moved; only without a validation split is the training split
-evaluated in full after each epoch, as it then steers the checkpoint.
+Training: the definition is validated against the dataset's header row;
+then, on a miss of the on-disk cache, the rows are split, metadata is
+collected over the training split only (so nothing leaks from validation or
+test data) and every split preprocessed, and the cache written. A hit reads
+the metadata and arrays from the cache, which is read once a run, and
+parses no row of the dataset. A seeded epoch loop with per-epoch evaluation
+of the validation split, early stopping, and a best-checkpoint artifact
+follow. Each epoch's training metrics score the predictions of its own
+training batches, made while the weights moved; only without a validation
+split is the training split evaluated in full after each epoch, as it then
+steers the checkpoint.
 Prediction: reload the artifact, preprocess new rows with the stored
 metadata, and post-process model outputs back into raw data space.
 ``experiment`` composes both halves and reports metrics for all three
@@ -50,7 +54,7 @@ import os
 import re
 import time
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -61,7 +65,7 @@ from . import BLAS_THREAD_VARIABLES
 from . import cache as cache_io
 from .artifacts import DEFINITION_FILE, METADATA_FILE, load_artifact, save_artifact, write_json
 from .config import Diagnostic, resolve_defaults, validate
-from .data import SPLIT_NAMES, Dataset, load_dataset, split_dataset
+from .data import SPLIT_NAMES, Dataset, dataset_bytes, load_dataset, read_header, split_dataset
 from .decoders import real_positions, token_counts
 from .definition import ModelDefinition
 from .errors import (
@@ -198,14 +202,28 @@ def preprocess_dataset(splits: dict[str, Dataset], metadata: dict,
                        definition: ModelDefinition, cache_file: Path | None,
                        fingerprint: int | None) -> dict[str, dict[str, np.ndarray]]:
     """Tensorize every split, consulting the cache when one is configured."""
-    if cache_file is not None and cache_file.exists():
-        try:
-            cached = cache_io.read_cache(cache_file, fingerprint)
-        except (cache_io.CorruptionError, cache_io.FormatVersionError) as exc:
-            warnings.warn(f"discarding unusable cache {cache_file}: {exc}")
-            cached = None
-        if cached is not None:
-            return cached
+    cached = _read_cache(cache_file, fingerprint) if cache_file is not None else None
+    if cached is not None:
+        return cached[1]
+    return _tensorize(splits, metadata, definition, cache_file, fingerprint)
+
+
+def _read_cache(cache_file: Path, fingerprint: int):
+    """The cache's ``(metadata, blocks)``, or None on a miss; an unusable
+    cache is discarded with a warning."""
+    if not cache_file.exists():
+        return None
+    try:
+        return cache_io.read_cache(cache_file, fingerprint)
+    except (cache_io.CorruptionError, cache_io.FormatVersionError) as exc:
+        warnings.warn(f"discarding unusable cache {cache_file}: {exc}")
+        return None
+
+
+def _tensorize(splits: dict[str, Dataset], metadata: dict, definition: ModelDefinition,
+               cache_file: Path | None,
+               fingerprint: int | None) -> dict[str, dict[str, np.ndarray]]:
+    """Preprocess every split, and write the cache when one is configured."""
     specs = list(definition.input_features) + list(definition.output_features)
     blocks = {}
     for name in SPLIT_NAMES:
@@ -213,8 +231,22 @@ def preprocess_dataset(splits: dict[str, Dataset], metadata: dict,
         _check_tagger_alignment(split, definition)
         blocks[name] = preprocess_features(split, specs, metadata)
     if cache_file is not None:
-        cache_io.write_cache(cache_file, fingerprint, blocks)
+        cache_io.write_cache(cache_file, fingerprint, metadata, blocks)
     return blocks
+
+
+def _prepare(dataset: Dataset, definition: ModelDefinition, cache_file: Path | None,
+             fingerprint: int | None) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
+    """The metadata and arrays of a run that has no usable cache: the rows
+    are split and dropped, the metadata collected over the training split,
+    and every split preprocessed."""
+    tr = definition.training
+    splits = split_dataset(dataset, tr.split, tr.split_column, tr.seed)
+    splits = {name: _drop_rows(split, definition) for name, split in splits.items()}
+    if len(splits["train"]) == 0:
+        raise DataError("training split is empty")
+    metadata = collect_metadata(splits["train"], definition)
+    return metadata, _tensorize(splits, metadata, definition, cache_file, fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +382,13 @@ def _score(outputs: dict[str, _OutputRows], output_specs) -> dict[str, dict[str,
     return report
 
 
-def evaluate_split(model: ECDModel, arrays: dict[str, np.ndarray], split: Dataset,
+def evaluate_split(model: ECDModel, arrays: dict[str, np.ndarray], rows: Sized,
                    definition: ModelDefinition) -> dict[str, dict[str, float]]:
     """Loss plus every type-appropriate metric, per output feature, from one
-    chunked no-gradient pass over the split's arrays."""
-    if len(split) == 0:
+    chunked no-gradient pass over the ``len(rows)`` rows of a split's arrays."""
+    if len(rows) == 0:
         return {}
-    outputs = _forward_chunks(model, arrays, len(split), definition, with_targets=True)
+    outputs = _forward_chunks(model, arrays, len(rows), definition, with_targets=True)
     return _score(outputs, definition.output_features)
 
 
@@ -368,7 +400,7 @@ def evaluate_split(model: ECDModel, arrays: dict[str, np.ndarray], split: Datase
 class _RunContext:
     definition: ModelDefinition
     metadata: dict
-    splits: dict[str, Dataset]
+    splits: dict[str, range]  # each split's rows, as positions in its arrays
     tensors: dict[str, dict[str, np.ndarray]]
     model: ECDModel
     stats: TrainingStats
@@ -389,8 +421,8 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
     _check_output_dir(Path(output_dir))
     registries = registries or build_default_registries()
     resolved = resolve_defaults(definition, registries)
-    dataset = load_dataset(dataset_path)
-    diagnostics = validate(resolved, dataset.header, registries)
+    raw = dataset_bytes(dataset_path)
+    diagnostics = validate(resolved, read_header(dataset_path, raw), registries)
     if diagnostics:
         raise ValidationFailed(diagnostics)
     if seed is not None:
@@ -398,18 +430,19 @@ def _run_training(definition: ModelDefinition, dataset_path: str | Path, output_
     seed = resolved.training.seed
     tr = resolved.training
 
-    splits = split_dataset(dataset, tr.split, tr.split_column, seed)
-    splits = {name: _drop_rows(split, resolved) for name, split in splits.items()}
-    if len(splits["train"]) == 0:
-        raise DataError("training split is empty")
-    metadata = collect_metadata(splits["train"], resolved)
-
-    cache_file = fingerprint = None
+    # a hit holds the metadata and arrays of the miss that wrote it, so the
+    # dataset's rows are parsed only on a miss
+    cache_file = fingerprint = cached = None
     if use_cache:
         cache_file = cache_io.cache_path_for(dataset_path)
-        fingerprint = cache_io.compute_fingerprint(
-            cache_io.dataset_bytes(dataset_path), resolved, seed)
-    tensors = preprocess_dataset(splits, metadata, resolved, cache_file, fingerprint)
+        fingerprint = cache_io.compute_fingerprint(raw, resolved, seed)
+        cached = _read_cache(cache_file, fingerprint)
+    dataset = None if cached else load_dataset(dataset_path, raw)
+    del raw  # held through preprocessing or training, the bytes raised peak RSS
+    metadata, tensors = cached or _prepare(dataset, resolved, cache_file, fingerprint)
+    del dataset  # nor does training need the cells
+    first_input = resolved.input_features[0].name
+    splits = {name: range(len(arrays[first_input])) for name, arrays in tensors.items()}
 
     model = ECDModel(resolved, metadata, registries, seed)
     optimizer = OptimizerState(tr.optimizer, tr.learning_rate, tr.beta1, tr.beta2, tr.epsilon)

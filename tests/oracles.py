@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import struct
 
 import numpy as np
 
@@ -327,6 +328,16 @@ def as_cache_version_4(container: bytes) -> bytes:
     return bytes(body) + hashlib.sha256(bytes(body)).digest()[:8]
 
 
+def as_cache_version_5(container: bytes) -> bytes:
+    """A cache file re-written as format version 5, which had the current
+    records and digest but no metadata: its header was the fingerprint
+    alone. The metadata (its u32 length and its JSON, after the fingerprint)
+    is cut out, and the version field and the SHA-256-64 trailer rewritten."""
+    size = struct.unpack_from("<I", container, 14)[0]
+    body = container[:4] + (5).to_bytes(2, "little") + container[6:14] + container[18 + size : -8]
+    return body + hashlib.sha256(body).digest()[:8]
+
+
 def unchecked_fingerprint(dataset_bytes: bytes, definition, seed: int) -> int:
     """The cache fingerprint of a run before preprocessing checked that
     float32 holds its values: the same recipe without its ``fits`` entry,
@@ -398,6 +409,22 @@ def string_predictions(preds: np.ndarray, ftype: str, id2token: list[str],
             while tags and tags[-1] == "<PAD>":
                 tags.pop()
             rows.append(tags)
+    return rows
+
+
+def tag_rows_one_token_at_a_time(tags: np.ndarray, lengths: np.ndarray,
+                                 id2token: list[str]) -> list[list[str]]:
+    """A tagger's back-to-back tag ids as token rows, one row and one token
+    at a time: each row's ids mapped, its trailing ``<PAD>`` tags popped."""
+    pad = id2token.index("<PAD>")
+    ids_all = tags.tolist()
+    ends = np.cumsum(lengths).tolist()
+    rows = []
+    for start, end in zip([0] + ends, ends):
+        ids = ids_all[start:end]
+        while ids and ids[-1] == pad:
+            ids.pop()
+        rows.append([id2token[i] for i in ids])
     return rows
 
 

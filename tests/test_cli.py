@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -75,6 +76,20 @@ class TestTrainCommand:
         code = run(["train", "-c", config, "-d", dataset, "-o", tmp / "run"])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_invalid_definition_exits_2_alike_beside_a_valid_cache(self, workspace, capsys):
+        # a warm run reads only the dataset's header before validating
+        tmp, config, dataset = workspace
+        bad = tmp / "bad.yaml"
+        bad.write_text(CONFIG.replace("name: f3", "name: f9"), encoding="utf-8")
+        assert run(["experiment", "-c", bad, "-d", dataset, "-o", tmp / "a"]) == 2
+        cold = capsys.readouterr().err
+        assert run(["experiment", "-c", config, "-d", dataset, "-o", tmp / "ok", "-q"]) == 0
+        assert (tmp / "data.csv.ecdc").exists()
+        capsys.readouterr()
+        assert run(["experiment", "-c", bad, "-d", dataset, "-o", tmp / "b"]) == 2
+        assert capsys.readouterr().err == cold and "f9" in cold
+        assert not (tmp / "a").exists() and not (tmp / "b").exists()
 
     def test_missing_dataset_flag_is_usage_error(self, workspace, capsys):
         tmp, config, _ = workspace
@@ -431,7 +446,7 @@ class TestBeyondFloat32:
         definition = resolve_defaults(parse_model_definition(self.CONFIG),
                                       build_default_registries())
         fingerprint = unchecked_fingerprint(dataset.read_bytes(), definition, 1)
-        write_cache(cache_path_for(dataset), fingerprint,
+        write_cache(cache_path_for(dataset), fingerprint, {},
                     {split: {"x": np.full((1, 1), -1e39), "v": np.zeros((1, 2)),
                              "y": np.zeros((1, 1))} for split in SPLIT_NAMES})
         capsys.readouterr()
@@ -795,6 +810,32 @@ class TestExperimentCommand:
             assert done.returncode == 0, done.stderr
             weights.append((tmp_path / name / "model" / "weights.bin").read_bytes())
         assert weights[0] == weights[1]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+    def test_freed_blocks_are_reused_without_faulting_unless_malloc_is_tuned(self):
+        """Three 2 MB arrays made and freed 20 times fault their pages in
+        once after the package is imported, and every time when the
+        environment tunes malloc, which the package then leaves alone."""
+        probe = ("import resource, ecdkit, numpy as np\n"
+                 "def step():\n"
+                 "    blocks = [np.ones(1 << 18) for _ in range(3)]\n"
+                 "step()\n"
+                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                 "for _ in range(20):\n"
+                 "    step()\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        faults = {}
+        for name, tuned in (("package", {}), ("environment", {"MALLOC_TRIM_THRESHOLD_": "131072"})):
+            env = {k: v for k, v in os.environ.items()
+                   if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+            env.update(tuned, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                  text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            faults[name] = int(done.stdout)
+        # each step's 6 MB is 1,536 pages
+        assert faults["package"] < 100 and faults["environment"] > 20 * 1000, faults
 
 
 class TestUnreadableFiles:

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -421,6 +421,18 @@ class TestPostprocess:
             [["a"], [], [ft.PAD, "b"]]
         with pytest.raises(ShapeError):
             ft.postprocess_prediction(tags, "sequence", meta, np.array([2, 1]))
+
+    # rows of tag ids, <PAD> (id 0) drawn as often as any two other tags
+    @given(st.lists(st.lists(st.sampled_from([0, 0, 1, 2, 3]), max_size=6), max_size=8))
+    @example([])
+    @example([[], [0, 0], [2, 0, 3, 0], [0, 1], []])  # empty, all-PAD and interior PAD rows
+    @settings(max_examples=200)
+    def test_sequence_rows_match_the_one_token_at_a_time_oracle(self, rows):
+        meta = ft.VocabMetadata(type="sequence", id2token=[ft.PAD, ft.UNK, "a", "b"])
+        tags = np.array([i for row in rows for i in row], dtype=np.int64)
+        lengths = np.array(list(map(len, rows)), dtype=np.int64)
+        assert ft.postprocess_prediction(tags, "sequence", meta, lengths) == \
+            oracles.tag_rows_one_token_at_a_time(tags, lengths, meta.id2token)
 
     def test_dims_mismatch_is_shape_error(self):
         meta = ft.build_metadata(["a"], "category", params())

@@ -18,7 +18,13 @@ from ecdkit.cache import (
 )
 from ecdkit.config import parse_model_definition, resolve_defaults
 from ecdkit.errors import ArtifactError, CorruptionError, FormatVersionError
+from ecdkit.features import NumericalMetadata, VocabMetadata
 from ecdkit.registry import build_default_registries
+
+
+def sample_metadata():
+    return {"x": NumericalMetadata("numerical", 2.5, 1.75, "zscore", 0.0, 7.0),
+            "y": VocabMetadata("category", ["<UNK>", "a", "b"])}
 
 
 def sample_blocks():
@@ -46,8 +52,8 @@ MALFORMED = {
 # magic, version, header, reader, and 1.5 in the payload dtype: float64 for
 # the cache, float32 for the weights
 CONTAINERS = {
-    "cache": (MAGIC, FORMAT_VERSION, struct.pack("<Q", 1), lambda path: read_cache(path, 1),
-              struct.pack("<d", 1.5)),
+    "cache": (MAGIC, FORMAT_VERSION, struct.pack("<QI", 1, 2) + b"{}",
+              lambda path: read_cache(path, 1)[1], struct.pack("<d", 1.5)),
     "weights": (WEIGHTS_MAGIC, WEIGHTS_VERSION, b"", read_weights, struct.pack("<f", 1.5)),
 }
 
@@ -96,8 +102,9 @@ class TestCache:
     def test_round_trip_bit_identical(self, tmp_path):
         path = tmp_path / "data.csv.ecdc"
         blocks = sample_blocks()
-        write_cache(path, 1234, blocks)
-        loaded = read_cache(path, 1234)
+        write_cache(path, 1234, sample_metadata(), blocks)
+        metadata, loaded = read_cache(path, 1234)
+        assert metadata == sample_metadata()
         for split, features in blocks.items():
             for name, arr in features.items():
                 np.testing.assert_array_equal(loaded[split][name], arr)
@@ -105,12 +112,12 @@ class TestCache:
 
     def test_fingerprint_mismatch_returns_none(self, tmp_path):
         path = tmp_path / "c.ecdc"
-        write_cache(path, 1, sample_blocks())
+        write_cache(path, 1, sample_metadata(), sample_blocks())
         assert read_cache(path, 2) is None
 
     def test_flipped_byte_is_corruption(self, tmp_path):
         path = tmp_path / "c.ecdc"
-        write_cache(path, 1, sample_blocks())
+        write_cache(path, 1, sample_metadata(), sample_blocks())
         raw = bytearray(path.read_bytes())
         raw[20] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -119,20 +126,35 @@ class TestCache:
 
     def test_truncation_is_corruption(self, tmp_path):
         path = tmp_path / "c.ecdc"
-        write_cache(path, 1, sample_blocks())
+        write_cache(path, 1, sample_metadata(), sample_blocks())
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(CorruptionError):
             read_cache(path, 1)
 
     def test_version_bump_is_version_error(self, tmp_path):
         path = tmp_path / "c.ecdc"
-        write_cache(path, 1, sample_blocks())
+        write_cache(path, 1, sample_metadata(), sample_blocks())
         raw = bytearray(path.read_bytes())
         struct.pack_into("<H", raw, 4, FORMAT_VERSION + 1)
         body = bytes(raw[:-8])
         path.write_bytes(body + struct.pack("<Q", digest64(body)))
         with pytest.raises(FormatVersionError,
                            match=f"version {FORMAT_VERSION + 1}, expected {FORMAT_VERSION}"):
+            read_cache(path, 1)
+
+    @pytest.mark.parametrize("length, metadata", [
+        (1 << 20, b"{}"),  # longer than the file
+        (2, b"{x"),
+        (2, b"\xff\xfe"),
+        (2, b"[]"),
+        (28, b'{"x": {"type": "numerical"}}'),
+    ], ids=["overrun", "not_json", "not_utf8", "not_an_object", "rejected_entry"])
+    def test_digest_valid_malformed_metadata_is_corruption(self, tmp_path, length, metadata):
+        path = tmp_path / "c.ecdc"
+        records = struct.pack("<I", 1) + record(b"t/x", (1,), struct.pack("<d", 1.5))
+        path.write_bytes(signed(MAGIC + struct.pack("<HQI", FORMAT_VERSION, 1, length)
+                                + metadata + records))
+        with pytest.raises(CorruptionError, match="cache file .* metadata"):
             read_cache(path, 1)
 
 

@@ -44,7 +44,13 @@ from ecdkit.rng import Lcg
 
 import synth
 import oracles
-from oracles import as_cache_version_4, as_version_1, as_version_2, string_metric
+from oracles import (
+    as_cache_version_4,
+    as_cache_version_5,
+    as_version_1,
+    as_version_2,
+    string_metric,
+)
 
 BINARY_CONFIG = (
     "input_features:\n"
@@ -201,6 +207,10 @@ class TestPreprocessDataset:
                 raw = [float(cell) for cell in splits[split].column(name)]
                 assert arrays[name].shape == (len(raw), 1)
                 assert arrays[name][:, 0].tolist() == raw
+
+    def test_version_5_cache_warns_and_recomputes(self, text_csv):
+        # version 5 had no metadata, so a hit could not build the model from it
+        self.old_cache_warns_and_recomputes(text_csv, as_cache_version_5, 5)
 
     def test_full_path_matches_direct_preprocess_column(self, text_csv):
         definition = resolved(TEXT_CONFIG)
@@ -633,10 +643,12 @@ class TestExperiment:
                             lambda *args: calls.append(args[2]) or evaluate_split(*args))
         _, stats, metrics = experiment(resolved(config), binary_csv, tmp_path / "run", seed=3)
         splits = split_dataset(load_dataset(binary_csv), [0.7, 0.1, 0.2], None, seed=3)
-        # validation after every epoch, then the training and test splits once
-        assert [split.lines for split in calls] == \
-            [splits["validation"].lines] * len(stats.epochs) + \
-            [splits["train"].lines, splits["test"].lines]
+        # validation after every epoch, then the training and test splits once;
+        # the splits' row counts differ, so they name them
+        assert len({len(split) for split in splits.values()}) == 3
+        assert [len(rows) for rows in calls] == \
+            [len(splits["validation"])] * len(stats.epochs) + \
+            [len(splits["train"]), len(splits["test"])]
         assert metrics["validation"] == stats.epochs[stats.best_epoch]["validation_metrics"]
         # an epoch's training metrics score its own batches: one output, so its
         # loss is the epoch's running train loss
@@ -655,8 +667,8 @@ class TestExperiment:
         splits = split_dataset(load_dataset(binary_csv), [0.8, 0.005, 0.195], None, seed=3)
         assert len(splits["validation"]) == 0
         # the whole training split after every epoch, as the checkpoint is chosen by it
-        assert [split.lines for split in calls] == \
-            [splits["train"].lines] * (len(stats.epochs) + 1) + [splits["test"].lines]
+        assert [len(rows) for rows in calls] == \
+            [len(splits["train"])] * (len(stats.epochs) + 1) + [len(splits["test"])]
         assert stats.best_epoch == 3
         assert metrics["validation"] == {}
         assert metrics["train"] == stats.epochs[stats.best_epoch]["train_metrics"]
@@ -706,6 +718,55 @@ class TestExperiment:
         truths = splits["test"].column("label")
         accuracy = string_metric("accuracy", truths, predicted)
         assert abs(accuracy - metrics["test"]["label"]["accuracy"]) < 1e-12
+
+
+def run_files(out) -> dict[str, bytes]:
+    """The byte-compared files an ``experiment()`` writes."""
+    model = out / "model"
+    return {name: path.read_bytes() for name, path in [
+        ("metrics.json", out / "metrics.json"), ("weights.bin", model / "weights.bin"),
+        ("metadata.json", model / "metadata.json"),
+        ("model_definition.json", model / "model_definition.json")]}
+
+
+class TestCacheHit:
+    """A warm run reads the dataset's bytes and header, and the cache."""
+
+    def test_warm_experiment_parses_no_rows(self, tmp_path, binary_csv, monkeypatch):
+        definition = resolved(BINARY_CONFIG)
+        experiment(definition, binary_csv, tmp_path / "cold", seed=3)
+        for name in ("load_dataset", "split_dataset", "collect_metadata",
+                     "preprocess_features"):
+            monkeypatch.setattr(pipelines, name, lambda *args, name=name: pytest.fail(name))
+        reads = []
+        read_cache = pipelines.cache_io.read_cache
+        monkeypatch.setattr(pipelines.cache_io, "read_cache",
+                            lambda *args: reads.append(args) or read_cache(*args))
+        experiment(definition, binary_csv, tmp_path / "warm", seed=3)
+        assert len(reads) == 1
+        assert run_files(tmp_path / "warm") == run_files(tmp_path / "cold")
+
+    @pytest.mark.parametrize("damage", ["truncated", "version_5"])
+    def test_unusable_cache_warns_and_rebuilds_identical_artifacts(self, tmp_path, text_csv,
+                                                                   damage):
+        definition = resolved(TEXT_CONFIG)
+        experiment(definition, text_csv, tmp_path / "cold", seed=6)
+        cache_file = cache_path_for(text_csv)
+        written = cache_file.read_bytes()
+        cache_file.write_bytes(written[:-9] if damage == "truncated"
+                               else as_cache_version_5(written))
+        with pytest.warns(UserWarning, match="discarding unusable cache"):
+            experiment(definition, text_csv, tmp_path / "rebuilt", seed=6)
+        assert run_files(tmp_path / "rebuilt") == run_files(tmp_path / "cold")
+        assert cache_file.read_bytes() == written
+
+    def test_stale_cache_is_rebuilt_for_the_run(self, tmp_path, text_csv):
+        # a cache of another seed's split: its fingerprint does not match
+        definition = resolved(TEXT_CONFIG)
+        experiment(definition, text_csv, tmp_path / "other", seed=5)
+        experiment(definition, text_csv, tmp_path / "stale", seed=6)
+        experiment(definition, text_csv, tmp_path / "none", seed=6, use_cache=False)
+        assert run_files(tmp_path / "stale") == run_files(tmp_path / "none")
 
 
 class TestNoLeakage:
