@@ -155,10 +155,7 @@ def _parse_features(section, path: str, is_output: bool):
 
 
 def _parse_feature_preprocessing(section, ftype: str, path: str) -> dict:
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise SchemaError(f"{path}: preprocessing must be a mapping")
+    section = _mapping(section, f"{path}: preprocessing must be a mapping")
     allowed = TYPE_PREPROC_DEFAULTS[ftype]
     for key in section:
         if key not in allowed:
@@ -168,10 +165,7 @@ def _parse_feature_preprocessing(section, ftype: str, path: str) -> dict:
 
 
 def _parse_combiner(section) -> CombinerSpec:
-    if section is None:
-        return CombinerSpec()
-    if not isinstance(section, dict):
-        raise SchemaError("combiner section must be a mapping")
+    section = _mapping(section, "combiner section must be a mapping")
     name = section.get("name")
     if name is not None and not isinstance(name, str):
         raise SchemaError("combiner.name must be a string")
@@ -180,12 +174,8 @@ def _parse_combiner(section) -> CombinerSpec:
 
 
 def _parse_preprocessing_section(section) -> dict:
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise SchemaError("preprocessing section must be a mapping")
     out = {}
-    for ftype, params in section.items():
+    for ftype, params in _mapping(section, "preprocessing section must be a mapping").items():
         if ftype not in SUPPORTED_TYPES:
             raise SchemaError(f"preprocessing: unknown feature type {ftype!r}")
         out[ftype] = _parse_feature_preprocessing(params, ftype, f"preprocessing.{ftype}")
@@ -193,12 +183,8 @@ def _parse_preprocessing_section(section) -> dict:
 
 
 def _parse_training(section) -> TrainingParams:
-    if section is None:
-        return TrainingParams()
-    if not isinstance(section, dict):
-        raise SchemaError("training section must be a mapping")
     kwargs = {}
-    for key, value in section.items():
+    for key, value in _mapping(section, "training section must be a mapping").items():
         if key not in _TRAINING_KEYS:
             raise SchemaError(f"training: unknown key {key!r}; "
                               f"expected one of {', '.join(_TRAINING_KEYS)}")
@@ -213,6 +199,16 @@ def _parse_training(section) -> TrainingParams:
             value = [_finite(v, f"training.{key}") for v in value]
         kwargs[key] = _finite(value, f"training.{key}") if kind is float else value
     return TrainingParams(**kwargs)
+
+
+def _mapping(section, message: str) -> dict:
+    """``section``, or ``{}`` when it is absent; any other value than a
+    mapping raises ``message``."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise SchemaError(message)
+    return section
 
 
 def _finite(value: int | float, path: str) -> float:

@@ -42,9 +42,9 @@ class Dataset:
 
 
 def read_text(path: Path, error: type[ToolkitError], what: str) -> str:
-    """The UTF-8 text of ``path``. A file that cannot be read, such as a
-    directory, or that is not UTF-8 raises ``error`` naming ``what`` and the
-    file, and for bad bytes their line and byte offset."""
+    """The UTF-8 text of ``path``, less a leading byte-order mark. A file that
+    cannot be read, such as a directory, or is not UTF-8 raises ``error``
+    naming ``what`` and the file, and for bad bytes their file offsets."""
     return _decode(_read_bytes(path, error, what), path, error, what)
 
 
@@ -57,7 +57,7 @@ def _read_bytes(path: Path, error: type[ToolkitError], what: str) -> bytes:
 
 def _decode(raw: bytes, path: Path, error: type[ToolkitError], what: str) -> str:
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise error(f"{what} {path} is not UTF-8: line {line}, "

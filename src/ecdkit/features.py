@@ -380,9 +380,8 @@ def _filled_cells(column: Sequence[str], ftype: str, meta: FeatureMetadata,
 
 
 def _fill_missing(ftype: str, meta: FeatureMetadata, params: PreprocParams) -> str:
+    # drop_row fills as fill_const: training dropped its rows, predict keeps them
     strategy = params.missing_strategy
-    if strategy == "drop_row":
-        raise ContractError("drop_row rows must be filtered before preprocessing")
     if ftype == "numerical":
         return repr(meta.mean) if strategy == "fill_mean" else "0"
     if strategy == "fill_mean":

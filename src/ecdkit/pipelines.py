@@ -49,7 +49,6 @@ three model files again.
 
 from __future__ import annotations
 
-import copy
 import os
 import re
 import time
@@ -628,21 +627,17 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
         if spec.name not in dataset.header:
             raise DataError(f"dataset {dataset.source!r} lacks input column {spec.name!r}")
 
-    # missing cells cannot drop rows at prediction time: one output row per input row
-    input_specs = [_with_fill_strategy(spec) for spec in definition.input_features]
-    output_specs = [_with_fill_strategy(spec) for spec in definition.output_features]
-
     # targets are parsed and checked first, so a bad cell writes no file
     targets_present = all(s.name in dataset.header for s in definition.output_features)
-    arrays = preprocess_features(dataset, input_specs, metadata)
+    arrays = preprocess_features(dataset, definition.input_features, metadata)
     if targets_present:
         _check_tagger_alignment(dataset, definition)
-        arrays.update(preprocess_features(dataset, output_specs, metadata))
+        arrays.update(preprocess_features(dataset, definition.output_features, metadata))
     outputs = _forward_chunks(model, arrays, len(dataset), definition,
                               with_targets=targets_present)
     metrics = None
     if targets_present:
-        metrics = _score(outputs, output_specs)
+        metrics = _score(outputs, definition.output_features)
 
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -653,13 +648,6 @@ def predict(model_dir: str | Path, dataset_path: str | Path, output_dir: str | P
         metrics_path = output_dir / METRICS_FILE
         write_json(metrics_path, metrics)
     return predictions_path, metrics_path
-
-
-def _with_fill_strategy(spec):
-    if spec.preprocessing.get("missing_strategy") == "drop_row":
-        spec = copy.deepcopy(spec)
-        spec.preprocessing["missing_strategy"] = "fill_const"
-    return spec
 
 
 #: the predictions.csv lines built and written at a time
